@@ -3,18 +3,20 @@ frequency N(r) = D/H with its H' = 2D/r identity, blow-up rescalings,
 Fourier mode profiles, the amplitude formula for the limit profile, and the
 Pohozaev balance used as a numerical diagnostic.
 
-All sphere integrals are hemisphere quadratures consistent with the
-assembled mass/stiffness forms; radial integrals are closed forms for
-manufactured (exactly homogeneous) fields and composite Gauss panels in
-log-radius for grid fields, with a local-power continuation below the
-innermost shell.
+All sphere integrals are hemisphere quadratures against the forms the field
+carries.  Radial integrals are closed forms for manufactured (exactly
+homogeneous) fields; everything else goes through one radial quadrature
+plan: composite 4-point Gauss panels in log radius with a panel edge at
+every requested radius, the field sampled at all nodes in one batched call,
+and the integrals up to every radius read off one cumulative sum.  Grid
+fields add a local-power continuation below the innermost shell.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -25,7 +27,7 @@ from .expressions import Expression
 from .extension import GridField, ManufacturedField, ScalarField
 from .params import ProblemParams
 from .spectral import EigenSystem
-from .sphercap import AssembledForms, assemble
+from .sphercap import AssembledForms
 
 __all__ = [
     "FrequencyTrace",
@@ -48,45 +50,74 @@ __all__ = [
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-_FORMS_CACHE: dict[int, AssembledForms] = {}
-
-
-def _forms_of(fld: ScalarField, params: ProblemParams) -> AssembledForms:
-    if isinstance(fld, ManufacturedField):
-        return fld.es.forms
-    key = id(fld)
-    if key not in _FORMS_CACHE:
-        _FORMS_CACHE[key] = assemble(fld.mesh, params)
-        if len(_FORMS_CACHE) > 8:
-            _FORMS_CACHE.pop(next(iter(_FORMS_CACHE)))
-    return _FORMS_CACHE[key]
-
-
 def _equator_block(forms: AssembledForms):
     eq = forms.mesh.equator_ids
     return forms.B[eq][:, eq].tocsr()
 
 
-def _h_at_equator(h: Expression, rho: float, mesh) -> np.ndarray:
+def _quad(A, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise quadratic forms X_i . (A Y_i), Y defaulting to X.  Each row
+    is one dot product, bit-identical to x @ (A @ y) on a single sphere."""
+    AY = np.ascontiguousarray((A @ (X if Y is None else Y).T).T)
+    return (X[:, None, :] @ AY[:, :, None])[:, 0, 0]
+
+
+def _equator_rows(expr: Expression, rho: np.ndarray, mesh) -> np.ndarray:
+    """expr at the equator nodes of the sphere of every radius in rho, one
+    row per radius."""
     th = mesh.theta_nodes
-    return np.asarray(h.eval({"x1": rho * np.cos(th), "x2": rho * np.sin(th),
-                              "r": rho, "theta": th, "t": 0.0})
-                      * np.ones_like(th))
+    r = rho[:, None]
+    return np.asarray(expr.eval({"x1": r * np.cos(th), "x2": r * np.sin(th),
+                                 "r": r, "theta": th, "t": 0.0})
+                      * np.ones((len(rho), len(th))))
 
 
-def _log_gauss_panels(r_lo: float, r_hi: float, per_decade: int = 24):
-    """Composite 4-point Gauss nodes/weights for integrals dr written in
-    x = log r; returns (rho, weights) with weights including the Jacobian."""
-    x_lo, x_hi = math.log(r_lo), math.log(r_hi)
-    n_panels = max(4, int(math.ceil((x_hi - x_lo) * per_decade / math.log(10.0))))
-    edges = np.linspace(x_lo, x_hi, n_panels + 1)
+def _equator_density(weights: np.ndarray, tr: np.ndarray, rho: np.ndarray,
+                     Bee, N: int) -> np.ndarray:
+    """rho^(N-1) int weights |Tr U|^2 on the equator circle of each rho."""
+    return rho ** (N - 1) * _quad(Bee, weights * tr, tr)
+
+
+@dataclass(frozen=True)
+class _RadialPlan:
+    """Composite 4-point Gauss panels in log radius with an edge at every
+    entry of ``edges``; ``integrate`` reads the integrals of f(rho) from the
+    lower end up to each of ``radii`` (edges) off one cumulative sum."""
+
+    edges: np.ndarray      # ascending; edges[0] is the lower end
+    rho: np.ndarray        # Gauss nodes, ascending
+    w: np.ndarray          # weights for dr, Jacobian included
+    starts: np.ndarray     # index of the first node above each edge
+
+    def integrate(self, f: np.ndarray, radii) -> np.ndarray:
+        cumulative = np.concatenate([[0.0], np.cumsum(self.w * f)])
+        return cumulative[self.starts[np.searchsorted(self.edges, radii)]]
+
+
+def _radial_plan(edges, per_decade: int = 24) -> _RadialPlan:
+    edges = np.unique(np.asarray(edges, dtype=float))
+    x = np.log(edges)
+    n = np.maximum(1, np.ceil(np.diff(x) * per_decade
+                              / math.log(10.0)).astype(int))
+    xe = np.concatenate([np.linspace(a, b, m + 1)[:-1]
+                         for a, b, m in zip(x[:-1], x[1:], n)] + [x[-1:]])
     xg, wg = np.polynomial.legendre.leggauss(4)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    rho = np.exp(x)
-    return rho, w * rho
+    mid = 0.5 * (xe[:-1] + xe[1:])
+    half = 0.5 * np.diff(xe)
+    rho = np.exp((mid[:, None] + half[:, None] * xg[None, :]).ravel())
+    w = (half[:, None] * wg[None, :]).ravel() * rho
+    starts = 4 * np.concatenate([[0], np.cumsum(n)])
+    return _RadialPlan(edges=edges, rho=rho, w=w, starts=starts)
+
+
+def _plan_for(fld: ScalarField, radii: np.ndarray) -> _RadialPlan:
+    """The plan for integrals up to every radius.  Grid fields start at
+    the innermost shell and leave the rest to the power-continuation core;
+    other fields start at 1e-8 times the smallest radius."""
+    if isinstance(fld, GridField):
+        r_min = fld.grid.r_min
+        return _radial_plan(np.append(np.maximum(radii, r_min), r_min))
+    return _radial_plan(np.append(radii, 1e-8 * np.min(radii)))
 
 
 def _is_zero_h(h) -> bool:
@@ -97,118 +128,100 @@ def _is_zero_h(h) -> bool:
 # H and D
 # ---------------------------------------------------------------------------
 
+def _boundary_mass(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
+    outside = radii[(radii <= 0.0) | (radii > 1.0 + 1e-12)]
+    if len(outside):
+        raise DomainError(f"radius must lie in (0, 1], got {outside[0]}")
+    H = _quad(fld.forms.M, fld.sphere_values(radii))
+    bad = np.flatnonzero(H <= 0.0)
+    if len(bad):
+        raise NumericalError(
+            f"H({radii[bad[0]]}) = {H[bad[0]]} is not positive: the field "
+            "is trivial there")
+    return H
+
+
 def compute_H(fld: ScalarField, r: float, params: ProblemParams) -> float:
     """Scaled boundary mass r^(2s-N-1) int_{sphere r} t^(1-2s) U^2 dS,
     evaluated as a hemisphere quadrature of the sphere samples.  Positive for
     any non-trivial field; H <= 0 raises."""
-    if not 0.0 < r <= 1.0 + 1e-12:
-        raise DomainError(f"radius must lie in (0, 1], got {r}")
-    forms = _forms_of(fld, params)
-    v = fld.sphere_values(r)
-    H = float(v @ (forms.M @ v))
-    if H <= 0.0:
-        raise NumericalError(
-            f"H({r}) = {H} is not positive: the field is trivial there")
-    return H
+    return float(_boundary_mass(fld, np.array([float(r)]))[0])
 
 
-def _d_components_manufactured(fld: ManufacturedField, r: float,
-                               params: ProblemParams, h, cap):
-    es = fld.es
-    k0, m, b = es.quad_forms()
-    idx = list(fld.modes)
-    k0 = k0[np.ix_(idx, idx)]
-    m = m[np.ix_(idx, idx)]
-    b = b[np.ix_(idx, idx)]
+def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray,
+                        params: ProblemParams):
+    """Closed-form volume and Hardy integrals up to every radius."""
+    idx = np.ix_(fld.modes, fld.modes)
+    k0, m, b = (q[idx] for q in fld.es.quad_forms())
     g = fld.gammas
     beta = fld.betas
     N, s = params.N, params.s
     powsum = N - 2.0 * s + g[:, None] + g[None, :]
-    radial = r ** powsum / powsum
-    vol = float(np.sum(beta[:, None] * beta[None, :] * radial
-                       * (g[:, None] * g[None, :] * m + k0)))
-    hardy = float(np.sum(beta[:, None] * beta[None, :] * radial * b))
-    if _is_zero_h(h):
-        return vol, hardy, 0.0
-    trace_h = _trace_h_integral(fld, r, params, h)
-    return vol, hardy, trace_h
+    radial = radii[:, None, None] ** powsum / powsum
+    bb = beta[:, None] * beta[None, :]
+    vol = np.sum(bb * radial * (g[:, None] * g[None, :] * m + k0),
+                 axis=(1, 2))
+    hardy = np.sum(bb * radial * b, axis=(1, 2))
+    return vol, hardy
 
 
-def _trace_h_integral(fld: ScalarField, r: float, params: ProblemParams,
-                      h: Expression, r_lo: float | None = None,
-                      core_power: float | None = None) -> float:
-    """int over the cap disc of radius r of h |Tr U|^2 dx, via log-radius
-    Gauss panels; optional power-continuation core below r_lo."""
-    forms = _forms_of(fld, params)
-    Bee = _equator_block(forms)
-    mesh = fld.mesh
-    N = params.N
-
-    def integrand(rho):
-        tr = fld.trace_values(rho)
-        hv = _h_at_equator(h, rho, mesh)
-        return rho ** (N - 1) * float((hv * tr) @ (Bee @ tr))
-
-    lo = r_lo if r_lo is not None else r * 1e-8
-    lo = min(lo, 0.999 * r)
-    rho, w = _log_gauss_panels(lo, r)
-    total = float(np.dot(w, [integrand(p) for p in rho]))
-    if core_power is not None:
-        denom = N + 2.0 * core_power
-        if denom > 1e-2:
-            total += integrand(lo) * lo / denom
-    return total
-
-
-def _d_components_grid(fld: GridField, r: float, params: ProblemParams,
-                       h, cap):
-    forms = _forms_of(fld, params)
-    Bee = _equator_block(forms)
-    mesh = fld.mesh
+def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray,
+             params: ProblemParams, h):
+    """(vol, hardy, trace_h): the radial integrals of the energy from the
+    vertex to every radius.  Manufactured fields give the first two in
+    closed form; the rest comes from the plan, and a grid field's power
+    continuation supplies the core below the plan's lower end (all of the
+    integral for radii below it)."""
+    Bee = _equator_block(fld.forms)
     N, s = params.N, params.s
-    r_lo = fld.grid.r_min
-    gloc = fld.local_power()
-
-    def e_vol(rho):
-        g = fld.sphere_radial_derivative(rho)
-        v = fld.sphere_values(rho)
-        return (rho ** (N + 1 - 2 * s) * float(g @ (forms.M @ g))
-                + rho ** (N - 1 - 2 * s) * float(v @ (forms.K @ v)))
-
-    def e_hardy(rho):
+    lo = plan.edges[0]
+    rho = np.append(lo, plan.rho)          # the core point, then the nodes
+    core = np.minimum(radii, lo) / lo      # r / lo below the plan, else 1
+    if isinstance(fld, ManufacturedField):
+        vol, hardy = _manufactured_terms(fld, radii, params)
+        h_power = math.inf                 # no core
+        if _is_zero_h(h):
+            return vol, hardy, np.zeros_like(vol)
         tr = fld.trace_values(rho)
-        return rho ** (N - 1 - 2 * s) * float(tr @ (Bee @ tr))
-
-    denom = N - 2.0 * s + 2.0 * gloc
-    if denom <= 1e-2:
-        # the trace fails to vanish fast enough at the vertex: the Hardy
-        # term int |Tr U|^2 / |x|^2s is not integrable against the
-        # continuation power
-        tr0 = fld.trace_values(r_lo)
-        if params.lam != 0.0 and float(tr0 @ (Bee @ tr0)) > 1e-14:
-            raise NumericalError(
-                f"non-integrable trace singularity: local power {gloc:.4f} "
-                f"is at or below (2s - N)/2 = {(2 * s - N) / 2:.4f}")
-        denom = math.inf
-
-    if r <= r_lo:
-        # fully inside the continuation region: pure power closed form
-        scale = (r / r_lo) ** (N - 2.0 * s + 2.0 * gloc)
-        vol = e_vol(r_lo) * r_lo / denom * scale
-        hardy = e_hardy(r_lo) * r_lo / denom * scale
     else:
-        rho, w = _log_gauss_panels(r_lo, r)
-        vol = float(np.dot(w, [e_vol(p) for p in rho]))
-        hardy = float(np.dot(w, [e_hardy(p) for p in rho]))
-        vol += e_vol(r_lo) * r_lo / denom
-        hardy += e_hardy(r_lo) * r_lo / denom
+        forms = fld.forms
+        gloc = fld.local_power()
+        v = fld.sphere_values(rho)
+        g = fld.sphere_radial_derivative(rho)
+        tr = v[:, fld.mesh.equator_ids]
+        e_vol = (rho ** (N + 1 - 2 * s) * _quad(forms.M, g)
+                 + rho ** (N - 1 - 2 * s) * _quad(forms.K, v))
+        e_hardy = rho ** (N - 1 - 2 * s) * _quad(Bee, tr)
+        power = N - 2.0 * s + 2.0 * gloc
+        if power <= 1e-2:
+            # the trace fails to vanish fast enough at the vertex: the
+            # Hardy term int |Tr U|^2 / |x|^2s is not integrable against
+            # the continuation power
+            if params.lam != 0.0 and float(tr[0] @ (Bee @ tr[0])) > 1e-14:
+                raise NumericalError(
+                    f"non-integrable trace singularity: local power {gloc:.4f}"
+                    f" is at or below (2s - N)/2 = {(2 * s - N) / 2:.4f}")
+            power = math.inf
+        vol = (plan.integrate(e_vol[1:], radii)
+               + e_vol[0] * lo / power * core ** power)
+        hardy = (plan.integrate(e_hardy[1:], radii)
+                 + e_hardy[0] * lo / power * core ** power)
+        h_power = N + 2.0 * gloc if N + 2.0 * gloc > 1e-2 else math.inf
+        if _is_zero_h(h):
+            return vol, hardy, np.zeros_like(vol)
+    e_h = _equator_density(_equator_rows(h, rho, fld.mesh), tr, rho, Bee, N)
+    return vol, hardy, (plan.integrate(e_h[1:], radii)
+                        + e_h[0] * lo / h_power * core ** h_power)
 
-    if _is_zero_h(h):
-        trace_h = 0.0
-    else:
-        trace_h = _trace_h_integral(fld, r, params, h, r_lo=r_lo,
-                                    core_power=gloc)
-    return vol, hardy, trace_h
+
+def _scaled_energy(fld: ScalarField, radii: np.ndarray,
+                   params: ProblemParams, h) -> np.ndarray:
+    vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii,
+                                   params, h)
+    lam = fld.es.lam if isinstance(fld, ManufacturedField) else params.lam
+    N, s = params.N, params.s
+    return radii ** (2.0 * s - N) * (
+        vol - params.kappa * (lam * hardy + trace_h))
 
 
 def compute_D(fld: ScalarField, r: float, params: ProblemParams,
@@ -216,17 +229,9 @@ def compute_D(fld: ScalarField, r: float, params: ProblemParams,
               cap: SphericalCap | None = None) -> float:
     """Scaled energy r^(2s-N) (volume gradient energy minus the kappa_s
     (h + lam |x|^(-2s)) trace term).  Manufactured fields evaluate the
-    radial integrals in closed form; grid fields by panel quadrature with a
+    radial integrals in closed form; grid fields by the radial plan with a
     power-law core below the innermost shell."""
-    if isinstance(fld, ManufacturedField):
-        vol, hardy, trace_h = _d_components_manufactured(fld, r, params, h, cap)
-        lam = fld.es.lam
-    else:
-        vol, hardy, trace_h = _d_components_grid(fld, r, params, h, cap)
-        lam = params.lam
-    N, s = params.N, params.s
-    return r ** (2.0 * s - N) * (
-        vol - params.kappa * (lam * hardy + trace_h))
+    return float(_scaled_energy(fld, np.array([float(r)]), params, h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +307,8 @@ def frequency_trace(fld: ScalarField, params: ProblemParams,
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0.0) or np.any(radii > R0 + 1e-12):
         raise DomainError("radii must lie in (0, R0]")
-    Hs = np.array([compute_H(fld, r, params) for r in radii])
-    Ds = np.array([compute_D(fld, r, params, h, cap) for r in radii])
+    Hs = _boundary_mass(fld, radii)
+    Ds = _scaled_energy(fld, radii, params, h)
     ncal = Ds / Hs
 
     floor = -params.half_order
@@ -361,43 +366,33 @@ class BlowupSnapshot:
 
     def boundary_norm(self) -> float:
         """Weighted boundary mass on the unit sphere; 1 by construction."""
-        forms = _forms_of(self.fld, self.params)
         v = self.sphere_values(1.0)
-        return float(v @ (forms.M @ v))
+        return float(v @ (self.fld.forms.M @ v))
 
     def projection(self, es: EigenSystem, j: int) -> float:
         """Boundary-mass projection of the snapshot onto mode j."""
-        forms = _forms_of(self.fld, self.params)
         v = self.sphere_values(1.0)
-        return float(v @ (forms.M @ es.vectors[j]))
+        return float(v @ (self.fld.forms.M @ es.vectors[j]))
 
     def off_group_norm(self, es: EigenSystem, group_of: int) -> float:
         """l2 size of projections onto every stored mode outside the
         multiplicity group of ``group_of``."""
-        members = set(es.group_members(group_of).tolist())
-        total = 0.0
-        for j in range(es.k):
-            if j in members:
-                continue
-            total += self.projection(es, j) ** 2
-        return math.sqrt(total)
+        others = np.setdiff1d(np.arange(es.k), es.group_members(group_of))
+        return math.sqrt(sum(self.projection(es, j) ** 2 for j in others))
 
     def h1_distance(self, other: ScalarField, r_lo: float = 1e-4) -> float:
         """Weighted H1 distance on the unit half-ball between the snapshot
         and another field, by shell quadrature."""
-        forms = _forms_of(self.fld, self.params)
+        forms = self.fld.forms
         N, s = self.params.N, self.params.s
-        rho, w = _log_gauss_panels(r_lo, 1.0)
-        total = 0.0
-        for p, wp in zip(rho, w):
-            dv = self.sphere_values(p) - other.sphere_values(p)
-            dg = (self.fld.sphere_radial_derivative(self.tau * p) * self.tau
-                  / self.scale) - other.sphere_radial_derivative(p)
-            total += wp * (p ** (N + 1 - 2 * s)
-                           * (float(dg @ (forms.M @ dg))
-                              + float(dv @ (forms.M @ dv)))
-                           + p ** (N - 1 - 2 * s)
-                           * float(dv @ (forms.K @ dv)))
+        plan = _radial_plan([r_lo, 1.0])
+        rho = plan.rho
+        dv = self.sphere_values(rho) - other.sphere_values(rho)
+        dg = (self.fld.sphere_radial_derivative(self.tau * rho) * self.tau
+              / self.scale) - other.sphere_radial_derivative(rho)
+        f = (rho ** (N + 1 - 2 * s) * (_quad(forms.M, dg) + _quad(forms.M, dv))
+             + rho ** (N - 1 - 2 * s) * _quad(forms.K, dv))
+        total = float(plan.integrate(f, [1.0])[0])
         return math.sqrt(max(total, 0.0))
 
 
@@ -471,33 +466,27 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus,
     if taus[0] <= 0.0 or taus[-1] > 1.0:
         raise DomainError("taus must lie in (0, 1]")
     forms = es.forms
-    M = forms.M
     k = es.k
-    phi = np.zeros((k, len(taus)))
-    for i, tau in enumerate(taus):
-        v = fld.sphere_values(tau)
-        phi[:, i] = es.vectors @ (M @ v)
+    MV = np.ascontiguousarray((forms.M @ fld.sphere_values(taus).T).T)
+    # one matrix-vector product per radius, as in a loop over taus
+    phi = (es.vectors @ MV[:, :, None])[:, :, 0].T
 
     ups = np.zeros((k, len(taus)))
     if not _is_zero_h(h):
-        Bee = _equator_block(forms)
-        mesh = es.mesh
-        traces = es.vectors[:, mesh.equator_ids]
-        N = params.N
         r_lo = taus[0] * 1e-3
         if isinstance(fld, GridField):
             r_lo = max(r_lo, 1e-3 * fld.grid.r_min)
-        rho_all, w_all = _log_gauss_panels(r_lo, taus[-1], per_decade=32)
-        q = np.zeros((k, len(rho_all)))
-        for m_i, rho in enumerate(rho_all):
-            tr = fld.trace_values(rho)
-            hv = _h_at_equator(h, rho, mesh)
-            q[:, m_i] = rho ** (N - 1) * (traces @ (Bee @ (hv * tr)))
-        cumulative = np.cumsum(q * w_all[None, :], axis=1)
-        for i, tau in enumerate(taus):
-            pos = np.searchsorted(rho_all, tau, side="right") - 1
-            pos = max(pos, 0)
-            ups[:, i] = params.kappa * cumulative[:, pos]
+        plan = _radial_plan([r_lo, taus[-1]], per_decade=32)
+        rho = plan.rho
+        tr = fld.trace_values(rho)
+        hv = _equator_rows(h, rho, es.mesh)
+        q = rho ** (params.N - 1) * (
+            es.vectors[:, es.mesh.equator_ids]
+            @ (_equator_block(forms) @ (hv * tr).T))
+        cumulative = np.cumsum(q * plan.w[None, :], axis=1)
+        # Upsilon_j(tau) sums the nodes at or below tau
+        pos = np.maximum(np.searchsorted(rho, taus, side="right") - 1, 0)
+        ups = params.kappa * cumulative[:, pos]
     return FourierTrace(taus=taus, modes=np.arange(k), phi=phi, ups=ups,
                         es=es)
 
@@ -520,20 +509,18 @@ def _power_weighted_integral(taus: np.ndarray, vals: np.ndarray,
         y = np.append(y, y[-1] + slope * (R - x[-1]))
         x = np.append(x, R)
 
-    total = 0.0
-    for a, b, ya, yb in zip(x[:-1], x[1:], y[:-1], y[1:]):
-        # linear y on [a, b] against t^alpha, power rule per piece
-        slope = (yb - ya) / (b - a)
-        c0 = ya - slope * a
-        p1 = alpha + 1.0
-        p2 = alpha + 2.0
-        if abs(p1) < 1e-12 or abs(p2) < 1e-12:
-            rho = np.linspace(a, b, 33)
-            total += float(np.trapezoid(rho ** alpha
-                                        * (c0 + slope * rho), rho))
-            continue
-        total += c0 * (b ** p1 - a ** p1) / p1 \
-            + slope * (b ** p2 - a ** p2) / p2
+    # linear y on each [a, b] against t^alpha, power rule per piece
+    a, b = x[:-1], x[1:]
+    slope = np.diff(y) / np.diff(x)
+    c0 = y[:-1] - slope * a
+    p1, p2 = alpha + 1.0, alpha + 2.0
+    if abs(p1) < 1e-12 or abs(p2) < 1e-12:
+        rho = np.linspace(a, b, 33)
+        total = float(np.sum(np.trapezoid(rho ** alpha * (c0 + slope * rho),
+                                          rho, axis=0)))
+    else:
+        total = float(np.sum(c0 * (b ** p1 - a ** p1) / p1
+                             + slope * (b ** p2 - a ** p2) / p2))
 
     # power tail below the first sample
     t0, t1 = x[0], x[1]
@@ -603,7 +590,7 @@ def pohozaev_check(fld: ScalarField, params: ProblemParams,
     lhs >= rhs - tol * scale is reported as ``satisfied``; homogeneous
     fields saturate the balance (equality).
     """
-    forms = _forms_of(fld, params)
+    forms = fld.forms
     Bee = _equator_block(forms)
     mesh = fld.mesh
     N, s = params.N, params.s
@@ -618,35 +605,26 @@ def pohozaev_check(fld: ScalarField, params: ProblemParams,
     tr = fld.trace_values(r)
     circ_hardy = r ** (N - 1 - 2 * s) * float(tr @ (Bee @ tr))
 
-    if isinstance(fld, ManufacturedField):
-        vol, hardy, trace_h = _d_components_manufactured(fld, r, params,
-                                                         h, cap)
-    else:
-        vol, hardy, trace_h = _d_components_grid(fld, r, params, h, cap)
+    radius = np.array([float(r)])
+    plan = _plan_for(fld, radius)
+    vol, hardy, trace_h = (float(t[0]) for t in _d_terms(
+        fld, plan, radius, params, h))
 
     lhs = 0.5 * r * (shell_grad - kappa * lam * circ_hardy) \
         - r * shell_norm_der
     if not _is_zero_h(h):
-        hv = _h_at_equator(h, r, mesh)
-        circ_h = r ** (N - 1) * float((hv * tr) @ (Bee @ tr))
-        hx = h.diff("x1")
-        hy = h.diff("x2")
-        th = mesh.theta_nodes
-
-        def euler_term(rho):
-            trr = fld.trace_values(rho)
-            x1 = rho * np.cos(th)
-            x2 = rho * np.sin(th)
-            base = {"x1": x1, "x2": x2, "r": rho, "theta": th, "t": 0.0}
-            graddot = (np.asarray(hx.eval(base) * np.ones_like(th)) * x1
-                       + np.asarray(hy.eval(base) * np.ones_like(th)) * x2)
-            hval = _h_at_equator(h, rho, mesh)
-            mix = graddot + N * hval
-            return rho ** (N - 1) * float((mix * trr) @ (Bee @ trr))
-
-        r_lo_q = fld.grid.r_min if isinstance(fld, GridField) else r * 1e-8
-        rho_q, w_q = _log_gauss_panels(min(r_lo_q, 0.999 * r), r)
-        euler = float(np.dot(w_q, [euler_term(p) for p in rho_q]))
+        circ_h = float(_equator_density(_equator_rows(h, radius, mesh),
+                                        tr[None, :], radius, Bee, N)[0])
+        # Euler term int (x . grad h + N h) |Tr U|^2 on the plan's panels
+        rho = plan.rho
+        x1 = rho[:, None] * np.cos(mesh.theta_nodes)
+        x2 = rho[:, None] * np.sin(mesh.theta_nodes)
+        mix = (_equator_rows(h.diff("x1"), rho, mesh) * x1
+               + _equator_rows(h.diff("x2"), rho, mesh) * x2
+               + N * _equator_rows(h, rho, mesh))
+        euler = float(plan.integrate(
+            _equator_density(mix, fld.trace_values(rho), rho, Bee, N),
+            radius)[0])
         lhs += 0.5 * kappa * euler - 0.5 * r * kappa * circ_h
 
     rhs = 0.5 * (N - 2.0 * s) * (vol - kappa * lam * hardy)

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .almgren import (beta_coefficients, default_radii, fourier_coeffs,
                       frequency_trace, pohozaev_check)
-from .cones import (ApproxDomain, SmoothedCone, smoothing_defect,
-                    smoothing_profile, starshape_margin)
+from .cones import (SmoothedCone, smoothing_defect, smoothing_profile,
+                    starshape_margin)
 from .config import RunConfig, parse_config
 from .errors import ConfigurationError, ConefracError, ExpressionError
 from .extension import (build_halfball_grid, manufactured_field, save_field,

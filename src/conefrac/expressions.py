@@ -209,7 +209,7 @@ class Call(Node):
 
 
 def _power(a, b, text, bindings):
-    with np.errstate(invalid="raise", divide="raise"):
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
         try:
             return np.power(a, b) if isinstance(a, np.ndarray) \
                 or isinstance(b, np.ndarray) else math.pow(a, b)
@@ -433,10 +433,17 @@ class Expression:
     source: str
 
     def __call__(self, **bindings):
-        return self.root.eval(bindings)
+        return self.eval(bindings)
 
     def eval(self, bindings: dict):
-        return self.root.eval(bindings)
+        """Value at the bindings; a non-finite result raises."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self.root.eval(bindings)
+        if not np.all(np.isfinite(value)):
+            raise ExpressionError(
+                f"non-finite value of '{self.to_string()}' with bindings "
+                f"{_fmt_bindings(bindings)}")
+        return value
 
     def diff(self, var: str) -> "Expression":
         if var not in VARIABLES:

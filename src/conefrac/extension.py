@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,8 +33,8 @@ from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .params import ProblemParams
-from .spectral import EigenSystem, hemisphere_interpolate, solve_eigs
-from .sphercap import AssembledForms, HemisphereMesh, assemble
+from .spectral import EigenSystem, homogeneous_profile, solve_eigs
+from .sphercap import AssembledForms, HemisphereMesh, assemble, build_mesh
 
 __all__ = [
     "HalfBallGrid",
@@ -138,19 +138,21 @@ class ScalarField:
     """Common surface for fields on the half-ball.
 
     Subclasses provide values and radial derivatives sampled on spheres
-    (parametrized by the hemisphere mesh) and the equator trace.
+    (parametrized by the hemisphere mesh; an array of radii gives one row
+    per radius), the equator trace and the hemisphere forms.
     """
 
     mesh: HemisphereMesh
+    forms: AssembledForms
 
-    def sphere_values(self, r: float) -> np.ndarray:
+    def sphere_values(self, r) -> np.ndarray:
         raise NotImplementedError
 
-    def sphere_radial_derivative(self, r: float) -> np.ndarray:
+    def sphere_radial_derivative(self, r) -> np.ndarray:
         raise NotImplementedError
 
-    def trace_values(self, rho: float) -> np.ndarray:
-        return self.sphere_values(rho)[self.mesh.equator_ids]
+    def trace_values(self, rho) -> np.ndarray:
+        return self.sphere_values(rho)[..., self.mesh.equator_ids]
 
     @property
     def is_analytic(self) -> bool:
@@ -181,6 +183,10 @@ class ManufacturedField(ScalarField):
         return self.es.mesh
 
     @property
+    def forms(self) -> AssembledForms:
+        return self.es.forms
+
+    @property
     def gammas(self) -> np.ndarray:
         return self.es.gamma[list(self.modes)]
 
@@ -192,33 +198,24 @@ class ManufacturedField(ScalarField):
     def is_analytic(self) -> bool:
         return True
 
-    def sphere_values(self, r: float) -> np.ndarray:
-        coef = self.betas * r ** self.gammas
-        return coef @ self.psi_matrix
+    def _modal_sum(self, coef: np.ndarray) -> np.ndarray:
+        # one vector-matrix product per radius, so a row of a batched call
+        # is bit-identical to the scalar call at that radius
+        return (coef[..., None, :] @ self.psi_matrix)[..., 0, :]
 
-    def sphere_radial_derivative(self, r: float) -> np.ndarray:
-        coef = self.betas * self.gammas * r ** (self.gammas - 1.0)
-        return coef @ self.psi_matrix
+    def sphere_values(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)[..., None]
+        return self._modal_sum(self.betas * r ** self.gammas)
+
+    def sphere_radial_derivative(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)[..., None]
+        return self._modal_sum(self.betas * self.gammas
+                               * r ** (self.gammas - 1.0))
 
     def evaluate(self, points) -> np.ndarray:
         """Pointwise values at (..., 3) upper half-space points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts, axis=-1)
-        ok = r > 0.0
-        tpol = np.zeros_like(r)
-        theta = np.zeros_like(r)
-        tpol[ok] = np.arcsin(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
-        theta[ok] = np.arctan2(pts[ok, 1], pts[ok, 0])
-        out = np.zeros_like(r)
-        for j, beta, gamma in zip(self.modes, self.betas, self.gammas):
-            psi = hemisphere_interpolate(self.mesh, self.es.vectors[j],
-                                         tpol, theta)
-            contrib = np.zeros_like(r)
-            contrib[ok] = beta * r[ok] ** gamma * psi[ok]
-            if gamma == 0.0:
-                contrib[~ok] = beta * psi[~ok]
-            out += contrib
-        return out if np.asarray(points).ndim > 1 else float(out[0])
+        return sum(beta * homogeneous_profile(self.es, j)(points)
+                   for j, beta in zip(self.modes, self.betas))
 
 
 def manufactured_field(es: EigenSystem, coefficients) -> ManufacturedField:
@@ -229,9 +226,6 @@ def manufactured_field(es: EigenSystem, coefficients) -> ManufacturedField:
     modes = tuple(int(j) for j, _ in coefficients)
     betas = np.array([float(b) for _, b in coefficients])
     return ManufacturedField(es=es, modes=modes, betas=betas)
-
-
-_FD4_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
 class GridField(ScalarField):
@@ -257,29 +251,32 @@ class GridField(ScalarField):
         self.meta = dict(meta or {})
         self._dvdx = None
         self._gamma_loc = None
+        self._forms = None
 
     @property
     def mesh(self) -> HemisphereMesh:
         return self.grid.mesh
 
+    @property
+    def forms(self) -> AssembledForms:
+        """Hemisphere forms of the field's mesh, assembled on first use."""
+        if self._forms is None:
+            self._forms = assemble(self.mesh, self.params)
+        return self._forms
+
     def _radial_slopes(self) -> np.ndarray:
         if self._dvdx is None:
             v = self.values
-            n = v.shape[0]
             dx = self.grid.x_nodes[1] - self.grid.x_nodes[0]
-            d = np.zeros_like(v)
-            if n >= 5:
-                for k in range(2, n - 2):
-                    d[k] = (v[k - 2] - 8.0 * v[k - 1] + 8.0 * v[k + 1]
-                            - v[k + 2]) / (12.0 * dx)
-                # one-sided fourth order at the edges
-                c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-                d[0] = sum(ci * v[i] for i, ci in enumerate(c)) / dx
-                d[1] = sum(ci * v[1 + i] for i, ci in enumerate(c)) / dx
-                d[-1] = -sum(ci * v[-1 - i] for i, ci in enumerate(c)) / dx
-                d[-2] = -sum(ci * v[-2 - i] for i, ci in enumerate(c)) / dx
-            else:
-                d[:] = np.gradient(v, dx, axis=0)
+            d = np.empty_like(v)
+            d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1]
+                       - v[4:]) / (12.0 * dx)
+            # one-sided fourth order at the edges
+            c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+            d[0] = c @ v[:5] / dx
+            d[1] = c @ v[1:6] / dx
+            d[-1] = -(c @ v[-5:][::-1]) / dx
+            d[-2] = -(c @ v[-6:-1][::-1]) / dx
             self._dvdx = d
         return self._dvdx
 
@@ -296,37 +293,42 @@ class GridField(ScalarField):
             self._gamma_loc = 0.5 * (math.log(h2) - math.log(h0)) / dx
         return self._gamma_loc
 
-    def _lagrange_weights(self, x: float):
+    def _rows(self, r, table: np.ndarray, inner: float) -> np.ndarray:
+        """Rows of ``table`` (shell values or log-radius slopes) at radii r:
+        a sparse (len(r), n_shells) matrix of 4-point Lagrange weights in
+        log r times the table; inner * (r / r_min)^gamma_loc * values[0]
+        below r_min."""
+        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        if np.any(rr <= 0.0):
+            raise DomainError("radius must be positive")
+        if np.any(rr > self.grid.r_nodes[-1] * (1.0 + 1e-12)):
+            raise DomainError(f"radius {rr.max()} beyond the grid")
         xs = self.grid.x_nodes
-        n = len(xs)
-        i = int(np.searchsorted(xs, x, side="right") - 1)
-        lo = min(max(i - 1, 0), n - 4)
-        stencil = np.arange(lo, lo + 4)
-        w = np.ones(4)
+        below = rr < self.grid.r_min
+        x = np.log(np.maximum(rr, self.grid.r_min))
+        stencil = np.clip(np.searchsorted(xs, x, side="right") - 2, 0,
+                          len(xs) - 4)[:, None] + np.arange(4)
+        xst = xs[stencil]
+        w = np.ones(stencil.shape)
         for a in range(4):
             for b in range(4):
                 if a != b:
-                    w[a] *= (x - xs[stencil[b]]) / (xs[stencil[a]]
-                                                    - xs[stencil[b]])
-        return stencil, w
+                    w[:, a] *= (x - xst[:, b]) / (xst[:, a] - xst[:, b])
+        w[below] = 0.0
+        out = sp.csr_matrix((w.ravel(), stencil.ravel(),
+                             np.arange(0, w.size + 1, 4)),
+                            shape=(len(rr), len(xs))) @ table
+        if np.any(below):
+            scale = (rr[below] / self.grid.r_min) ** self.local_power()
+            out[below] = self.values[0] * (inner * scale)[:, None]
+        return out if np.ndim(r) else out[0]
 
-    def sphere_values(self, r: float) -> np.ndarray:
-        if r <= 0.0:
-            raise DomainError("radius must be positive")
-        if r < self.grid.r_min:
-            g = self.local_power()
-            return self.values[0] * (r / self.grid.r_min) ** g
-        if r > self.grid.r_nodes[-1] * (1.0 + 1e-12):
-            raise DomainError(f"radius {r} beyond the grid")
-        stencil, w = self._lagrange_weights(math.log(r))
-        return w @ self.values[stencil]
+    def sphere_values(self, r) -> np.ndarray:
+        return self._rows(r, self.values, 1.0)
 
-    def sphere_radial_derivative(self, r: float) -> np.ndarray:
-        if r < self.grid.r_min:
-            g = self.local_power()
-            return self.values[0] * (g / r) * (r / self.grid.r_min) ** g
-        stencil, w = self._lagrange_weights(math.log(r))
-        return (w @ self._radial_slopes()[stencil]) / r
+    def sphere_radial_derivative(self, r) -> np.ndarray:
+        return self._rows(r, self._radial_slopes(), self.local_power()) \
+            / np.asarray(r, dtype=float)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +514,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
 _MAGIC = b"CFXF"
 _VERSION = 1
+_HEADER = struct.Struct("<4sI3I6d")   # magic, version, dims, scalars
 
 
 def save_field(path, fld: GridField) -> None:
@@ -519,34 +522,43 @@ def save_field(path, fld: GridField) -> None:
     shell radii, then node values in (r, t, theta) lexicographic order."""
     mesh = fld.mesh
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<III", fld.grid.n_surfaces, mesh.nt,
-                             mesh.ntheta))
-        fh.write(struct.pack("<6d", fld.params.s, fld.params.lam,
-                             fld.cap.a, fld.cap.b, fld.grid.r_min,
-                             mesh.grading))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, fld.grid.n_surfaces,
+                              mesh.nt, mesh.ntheta, fld.params.s,
+                              fld.params.lam, fld.cap.a, fld.cap.b,
+                              fld.grid.r_min, mesh.grading))
         fld.grid.r_nodes.astype("<f8").tofile(fh)
         fld.values.astype("<f8").tofile(fh)
 
 
 def load_field(path, params: ProblemParams | None = None) -> GridField:
-    from .sphercap import build_mesh
+    """Read a field written by ``save_field``.  A file whose header and
+    payload disagree, that holds non-finite numbers, or whose shell radii
+    are not geometric raises DomainError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DomainError(f"{path} is not a conefrac field file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise DomainError(f"unsupported field version {version}")
-        n_surf, nt, ntheta = struct.unpack("<III", fh.read(12))
-        s, lam, cap_a, cap_b, r_min, grading = struct.unpack("<6d",
-                                                             fh.read(48))
-        r_nodes = np.fromfile(fh, dtype="<f8", count=n_surf)
-        values = np.fromfile(fh, dtype="<f8",
-                             count=n_surf * nt * ntheta)
+        raw = fh.read()
+    if raw[:4] != _MAGIC or len(raw) < _HEADER.size:
+        raise DomainError(f"{path} is not a conefrac field file")
+    _, version, n_surf, nt, ntheta, *scalars = _HEADER.unpack_from(raw)
+    if version != _VERSION:
+        raise DomainError(f"unsupported field version {version}")
+    size = _HEADER.size + 8 * n_surf * (1 + nt * ntheta)
+    if n_surf < 4 or len(raw) != size:
+        raise DomainError(f"{path}: header declares {n_surf} shells of "
+                          f"{nt}x{ntheta} nodes ({size} bytes), the file "
+                          f"has {len(raw)}")
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).copy()
+    if not (np.all(np.isfinite(data)) and np.all(np.isfinite(scalars))):
+        raise DomainError(f"{path} holds non-finite values")
+    r_nodes = data[:n_surf]
+    ratio = r_nodes[1:] / r_nodes[:-1]
+    if r_nodes[0] <= 0.0 or not np.allclose(ratio, ratio[0], rtol=1e-9,
+                                            atol=0.0) or ratio[0] <= 1.0:
+        raise DomainError(f"{path}: shell radii are not geometric")
+    s, lam, cap_a, cap_b, r_min, grading = scalars
     if params is None:
         params = ProblemParams(s=s, lam=lam)
     cap = SphericalCap(cap_a, cap_b)
     mesh = build_mesh(nt, ntheta, s, cap, grading)
     grid = HalfBallGrid(r_nodes=r_nodes, mesh=mesh)
-    return GridField(grid, values.reshape(n_surf, nt * ntheta), params, cap)
+    return GridField(grid, data[n_surf:].reshape(n_surf, nt * ntheta),
+                     params, cap)

@@ -288,6 +288,19 @@ def test_solver_field_H_prime_identity(solver_field, half_params, half_cap):
         assert res <= 1e-2
 
 
+def test_solver_field_trace_matches_pointwise_D(solver_field, half_params,
+                                                half_cap):
+    # one plan for all radii against a plan per radius: the panels differ,
+    # the integrals agree to the quadrature error
+    fld, h = solver_field
+    radii = default_radii(r_min=0.02, n=12)
+    trace = frequency_trace(fld, half_params, h, half_cap, radii=radii)
+    for r, H, D in zip(radii, trace.H, trace.D):
+        assert H == compute_H(fld, r, half_params)
+        assert D == pytest.approx(compute_D(fld, r, half_params, h, half_cap),
+                                  rel=1e-7)
+
+
 def test_solver_field_gamma_consistency(solver_field, half_es, half_params,
                                         half_cap):
     fld, h = solver_field

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conefrac.errors import ExpressionError
@@ -134,6 +134,7 @@ def _expr_text(draw, depth=0):
 
 
 @given(_expr_text())
+@example("sin(exp(exp((x1 + 3) + 3) * x2) + x1)")   # exp overflows
 @settings(max_examples=150, deadline=None)
 def test_round_trip_property(text):
     e1 = parse_expression(text)
@@ -141,7 +142,23 @@ def test_round_trip_property(text):
     e2 = parse_expression(printed)
     assert e2.to_string() == printed
     bindings = {"x1": 0.3, "x2": 1.7, "r": 2.0}
-    assert e1.eval(bindings) == pytest.approx(e2.eval(bindings), rel=1e-12)
+    try:
+        value = e1.eval(bindings)
+    except ExpressionError:
+        with pytest.raises(ExpressionError):
+            e2.eval(bindings)
+        return
+    assert value == pytest.approx(e2.eval(bindings), rel=1e-12)
+
+
+def test_non_finite_values_raise():
+    with pytest.raises(ExpressionError):
+        parse_expression("sin(exp(exp((x1 + 3) + 3) * x2) + x1)").eval(
+            {"x1": 0.3, "x2": 1.7})
+    with pytest.raises(ExpressionError):
+        parse_expression("exp(x1)").eval({"x1": np.array([0.0, 1e3])})
+    with pytest.raises(ExpressionError):
+        parse_expression("x1 ^ 400").eval({"x1": np.array([1.0, 10.0])})
 
 
 def test_symbolic_derivative_against_finite_differences():

@@ -2,6 +2,7 @@
 profiles), linearity, convergence, and the field container behaviour."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -155,6 +156,38 @@ def test_load_rejects_garbage(tmp_path):
         load_field(path)
 
 
+HEADER = 68                      # magic, version, dims, six doubles
+
+
+def _put(fmt, offset, value):
+    def edit(raw):
+        struct.pack_into(fmt, raw, offset, value)
+        return raw
+    return edit
+
+
+def _one_more_shell(raw):
+    return _put("<I", 8, struct.unpack_from("<I", raw, 8)[0] + 1)(raw)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:HEADER - 10],              # truncated header
+    lambda raw: raw[:HEADER + 8],               # truncated payload
+    lambda raw: raw[:-3],
+    lambda raw: raw + b"\x00" * 8,              # trailing bytes
+    _one_more_shell,                            # counts disagree
+    _put("<d", HEADER - 8, math.nan),           # non-finite grading
+    _put("<d", HEADER + 8 * 40, math.inf),      # non-finite node value
+    _put("<d", HEADER + 8 * 3, 0.5),            # non-geometric radii
+])
+def test_load_rejects_corrupt_files(tmp_path, solver_field_h0, edit):
+    path = tmp_path / "field.bin"
+    save_field(path, solver_field_h0)
+    path.write_bytes(bytes(edit(bytearray(path.read_bytes()))))
+    with pytest.raises(DomainError):
+        load_field(path)
+
+
 def test_grid_field_interpolation_consistency(solver_field_h0):
     fld = solver_field_h0
     # at shell radii the interpolant reproduces the stored values
@@ -162,6 +195,25 @@ def test_grid_field_interpolation_consistency(solver_field_h0):
         r = fld.grid.r_nodes[k]
         np.testing.assert_allclose(fld.sphere_values(r), fld.values[k],
                                    rtol=1e-10, atol=1e-12)
+    # an array of radii gives one row per radius, equal to the scalar
+    # calls, below the inner shell, between shells and on them
+    shells = [0, 5, 12, fld.grid.n_surfaces - 1]
+    radii = np.concatenate([[0.4 * fld.grid.r_min],
+                            np.geomspace(fld.grid.r_min, 1.0, 7)[1:-1],
+                            fld.grid.r_nodes[shells]])
+    for method in (fld.sphere_values, fld.sphere_radial_derivative,
+                   fld.trace_values):
+        rows = method(radii)
+        assert rows.shape[0] == len(radii)
+        for r, row in zip(radii, rows):
+            np.testing.assert_array_equal(row, method(r))
+    np.testing.assert_array_equal(fld.sphere_values(radii[-4:]),
+                                  fld.values[shells])
+    eq = fld.mesh.equator_ids
+    np.testing.assert_array_equal(fld.trace_values(radii[-4:]),
+                                  fld.values[shells][:, eq])
+    with pytest.raises(DomainError):
+        fld.sphere_values(np.array([0.5, 1.5]))
 
 
 def test_grid_field_power_continuation(solver_field_h0, half_es):
