@@ -83,12 +83,12 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes=None) -> None:
 
 
 def _scaled(cfg: RunConfig, level: int) -> RunConfig:
-    if level == 0:
-        return cfg
+    if level < 0:
+        raise ConfigurationError([f"--mesh-level must be >= 0, got {level}"])
     factor = 2 ** level
-    cfg.nt = max(4, cfg.nt * factor)
-    cfg.ntheta = max(4, cfg.ntheta * factor)
-    cfg.nr = max(4, cfg.nr * factor)
+    cfg.nt *= factor
+    cfg.ntheta *= factor
+    cfg.nr *= factor
     return cfg
 
 
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
                     help="module-internal parallelism (determinism is "
                          "asserted single-threaded)")
     ap.add_argument("--mesh-level", type=int, default=0,
-                    help="refine (>0) every mesh dimension by 2^L")
+                    help="refine every mesh dimension by 2^L (L >= 0)")
     args = ap.parse_args(argv)
 
     try:

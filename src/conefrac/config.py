@@ -169,7 +169,7 @@ def parse_config(text: str, hardy_guard: bool = True) -> RunConfig:
                         "need ntheta >= 4")
     grading = get_number("mesh", "grading", float, lambda v: v >= 1.0,
                          "grading must be >= 1")
-    nr = get_number("mesh", "nr", int, lambda v: v >= 4, "need nr >= 4")
+    nr = get_number("mesh", "nr", int, lambda v: v >= 5, "need nr >= 5")
     rmin = get_number("mesh", "rmin", float, lambda v: 0.0 < v < 1.0,
                       "rmin must lie in (0, 1)")
 

@@ -34,7 +34,8 @@ from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .params import ProblemParams
 from .spectral import EigenSystem, homogeneous_profile, solve_eigs
-from .sphercap import AssembledForms, HemisphereMesh, assemble, build_mesh
+from .sphercap import (AssembledForms, HemisphereMesh, assemble, assemble_1d,
+                       build_mesh)
 
 __all__ = [
     "HalfBallGrid",
@@ -79,8 +80,9 @@ class HalfBallGrid:
 
 def build_halfball_grid(n_r: int, r_min: float,
                         mesh: HemisphereMesh) -> HalfBallGrid:
-    if n_r < 4:
-        raise DomainError("need at least 4 radial shells")
+    if n_r < 5:
+        # the one-sided radial slope stencils read six shells
+        raise DomainError("need n_r >= 5 (at least 6 shells)")
     if not 0.0 < r_min < 1.0:
         raise DomainError(f"r_min must lie in (0, 1), got {r_min}")
     r = r_min ** (1.0 - np.arange(n_r + 1) / n_r)
@@ -97,37 +99,24 @@ def _power_primitive(a, b, w):
 
 def radial_mass(r_nodes: np.ndarray, weight_exp: float) -> sp.csr_matrix:
     """int r^w N_i N_j dr assembled over the shells, exact (power rule)."""
-    n = len(r_nodes)
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    for c in range(n - 1):
-        a, b = r_nodes[c], r_nodes[c + 1]
-        d = b - a
-        p0 = _power_primitive(a, b, weight_exp)
-        p1 = _power_primitive(a, b, weight_exp + 1.0)
-        p2 = _power_primitive(a, b, weight_exp + 2.0)
-        m00 = (b * b * p0 - 2.0 * b * p1 + p2) / (d * d)
-        m01 = (-a * b * p0 + (a + b) * p1 - p2) / (d * d)
-        m11 = (a * a * p0 - 2.0 * a * p1 + p2) / (d * d)
-        diag[c] += m00
-        diag[c + 1] += m11
-        off[c] += m01
-    return sp.diags([off, diag, off], [-1, 0, 1]).tocsr()
+    a, b = r_nodes[:-1], r_nodes[1:]
+    dd = (b - a) ** 2
+    p0 = _power_primitive(a, b, weight_exp)
+    p1 = _power_primitive(a, b, weight_exp + 1.0)
+    p2 = _power_primitive(a, b, weight_exp + 2.0)
+    m00 = (b * b * p0 - 2.0 * b * p1 + p2) / dd
+    m01 = (-a * b * p0 + (a + b) * p1 - p2) / dd
+    m11 = (a * a * p0 - 2.0 * a * p1 + p2) / dd
+    return assemble_1d(np.moveaxis(np.array([[m00, m01], [m01, m11]]),
+                                   -1, 0))
 
 
 def radial_stiffness(r_nodes: np.ndarray, weight_exp: float) -> sp.csr_matrix:
     """int r^w N_i' N_j' dr, exact."""
-    n = len(r_nodes)
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    for c in range(n - 1):
-        a, b = r_nodes[c], r_nodes[c + 1]
-        d = b - a
-        p0 = _power_primitive(a, b, weight_exp)
-        diag[c] += p0 / (d * d)
-        diag[c + 1] += p0 / (d * d)
-        off[c] -= p0 / (d * d)
-    return sp.diags([off, diag, off], [-1, 0, 1]).tocsr()
+    a, b = r_nodes[:-1], r_nodes[1:]
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return assemble_1d(sign * (_power_primitive(a, b, weight_exp)
+                               / (b - a) ** 2)[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +531,9 @@ def load_field(path, params: ProblemParams | None = None) -> GridField:
     if version != _VERSION:
         raise DomainError(f"unsupported field version {version}")
     size = _HEADER.size + 8 * n_surf * (1 + nt * ntheta)
-    if n_surf < 4 or len(raw) != size:
+    if n_surf < 6:
+        raise DomainError(f"{path}: {n_surf} shells, need at least 6")
+    if len(raw) != size:
         raise DomainError(f"{path}: header declares {n_surf} shells of "
                           f"{nt}x{ntheta} nodes ({size} bytes), the file "
                           f"has {len(raw)}")

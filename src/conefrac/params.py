@@ -2,9 +2,7 @@
 orders and Hardy constants.
 
 Everything here is a pure function of a handful of reals; the heavier mesh and
-solver machinery lives in the other modules.  The gamma function is provided
-in-repo (Lanczos approximation) so that the closed-form constants can be
-cross-checked against an independent implementation in the tests.
+solver machinery lives in the other modules.
 """
 
 from __future__ import annotations
@@ -17,46 +15,11 @@ from .errors import DomainError
 __all__ = [
     "ProblemParams",
     "OrderEigenPairing",
-    "lanczos_gamma",
     "kappa_s",
     "gamma_from_mu",
     "mu_from_gamma",
     "hardy_constant_full_space",
 ]
-
-
-# Lanczos coefficients, g = 7, 9 terms.  Relative error < 1e-14 on (0, 10]
-# once combined with the reflection formula for arguments below 1/2.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_gamma(x: float) -> float:
-    """Gamma function via the Lanczos approximation.
-
-    Valid for every real ``x`` that is not a non-positive integer; the
-    reflection formula handles ``x < 1/2``.
-    """
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma undefined at non-positive integer {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 def kappa_s(s: float) -> float:
@@ -70,7 +33,7 @@ def kappa_s(s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    return lanczos_gamma(1.0 - s) / (2.0 ** (2.0 * s - 1.0) * lanczos_gamma(s))
+    return math.gamma(1.0 - s) / (2.0 ** (2.0 * s - 1.0) * math.gamma(s))
 
 
 @dataclass(frozen=True)
@@ -177,5 +140,5 @@ def hardy_constant_full_space(params: ProblemParams) -> float:
     2^(2s) Gamma^2((N+2s)/4) / Gamma^2((N-2s)/4)."""
     N, s = params.N, params.s
     return (2.0 ** (2.0 * s)
-            * lanczos_gamma((N + 2.0 * s) / 4.0) ** 2
-            / lanczos_gamma((N - 2.0 * s) / 4.0) ** 2)
+            * math.gamma((N + 2.0 * s) / 4.0) ** 2
+            / math.gamma((N - 2.0 * s) / 4.0) ** 2)

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .params import ProblemParams, gamma_from_mu
-from .sphercap import AssembledForms, HemisphereMesh, build_mesh, polar_cell_blocks
+from .sphercap import AssembledForms, HemisphereMesh, polar_matrices
 
 __all__ = [
     "EigenSystem",
@@ -142,22 +142,6 @@ def _fix_signs(V: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
     return out
 
 
-def _m_orthonormalize(V: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
-    """Modified Gram-Schmidt in the M inner product (vectors are already
-    near-orthonormal; this tightens them to ~1e-14)."""
-    out = V.copy()
-    for i in range(out.shape[0]):
-        Mv = M @ out[i]
-        for j in range(i):
-            out[i] -= (out[j] @ Mv) * out[j]
-            Mv = M @ out[i]
-        nrm = math.sqrt(out[i] @ Mv)
-        if nrm <= 0.0:
-            raise NumericalError("eigenvector collapsed during cleanup")
-        out[i] /= nrm
-    return out
-
-
 def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                allow_inadmissible: bool = False) -> EigenSystem:
     """k smallest eigenpairs of (K - lam kappa B, M) on the retained dofs.
@@ -194,9 +178,7 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
 
     order = np.argsort(w, kind="stable")
     w = w[order]
-    V = V[order]
-    V = _m_orthonormalize(V, Mr)
-    V = _fix_signs(V, Mr)
+    V = _fix_signs(V[order], Mr)
 
     full = np.zeros((k, forms.mesh.n_nodes))
     full[:, forms.mesh.free_nodes] = V
@@ -265,8 +247,9 @@ def oracle_full_circle_1d(params: ProblemParams, azimuthal_index: int,
 
     with the flux condition -lim_{t->0} (sin t)^(1-2s) f'(t)
     = kappa_s lam f(0) at the equator and nothing imposed at the pole.
-    Discretized with the same per-cell weighted integrals as the 2-D
-    assembly, solved densely.  Returns all discrete eigenvalues, sorted.
+    Discretized with the polar matrices of the 2-D assembly,
+    K = P1 + k^2 P2 - kappa_s lam e0 e0^T and M = P0, solved densely.
+    Returns all discrete eigenvalues, sorted.
     """
     if azimuthal_index < 0:
         raise DomainError("azimuthal index must be >= 0")
@@ -277,18 +260,10 @@ def oracle_full_circle_1d(params: ProblemParams, azimuthal_index: int,
 
     i = np.arange(n_t, dtype=float)
     t_nodes = 0.5 * math.pi * (i / n_t) ** grading
-    W0, W1, W2, (w0_pole, w2_pole) = polar_cell_blocks(t_nodes, params.s)
-
-    K = np.zeros((n_t, n_t))
-    M = np.zeros((n_t, n_t))
-    ksq = float(azimuthal_index) ** 2
-    for c in range(n_t - 1):
-        sl = slice(c, c + 2)
-        K[sl, sl] += W1[c] + ksq * W2[c]
-        M[sl, sl] += W0[c]
-    K[-1, -1] += ksq * w2_pole
-    M[-1, -1] += w0_pole
+    P0, P1, P2 = polar_matrices(t_nodes, params.s)
+    K = (P1 + float(azimuthal_index) ** 2 * P2).toarray()
     K[0, 0] -= params.kappa * params.lam
+    M = P0.toarray()
 
     w = sla.eigh(K, M, eigvals_only=True)
     return np.sort(w)

@@ -2,10 +2,12 @@
 
 The hemisphere is parametrized by polar height t in [0, pi/2) and azimuth
 theta in [0, 2 pi), with surface element cos t dt dtheta and degenerate
-weight (sin t)^(1-2s).  Bilinear elements on the tensor grid give symmetric
-stiffness/mass/boundary forms; all metric and weight factors are folded into
-per-cell 1-D integrals computed either in closed form (substitution
-u = sin t) or by Gauss/Gauss-Jacobi quadrature so the degenerate factor at
+weight (sin t)^(1-2s).  Bilinear elements on the tensor grid separate: the
+stiffness, mass and boundary forms are Kronecker products of polar and
+azimuthal 1-D matrices, and every 1-D matrix is summed from per-cell 2 x 2
+blocks by ``assemble_1d``.  The polar blocks fold all metric and weight
+factors into 1-D integrals computed either in closed form (substitution
+u = sin t) or by Gauss/Gauss-Jacobi quadrature, so the degenerate factor at
 the equator is integrated to near machine precision.
 
 The polar axis t = pi/2 carries no node: the last cell extends the ring
@@ -31,6 +33,8 @@ __all__ = [
     "AssembledForms",
     "build_mesh",
     "assemble",
+    "assemble_1d",
+    "polar_matrices",
     "weighted_surface_integral",
     "boundary_integral",
 ]
@@ -135,77 +139,89 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
 
 
 # ---------------------------------------------------------------------------
-# per-cell weight integrals
+# 1-D element matrices
 # ---------------------------------------------------------------------------
 
-def _hat_pair(t0, t1, t):
-    dt = t1 - t0
-    return (t1 - t) / dt, (t - t0) / dt
+def assemble_1d(blocks, periodic: bool = False) -> sp.csr_matrix:
+    """Sum per-cell 2 x 2 element blocks (ncell, 2, 2) into a sparse 1-D
+    matrix.  Cell c couples nodes c and c + 1; with ``periodic`` there are
+    as many nodes as cells and the last cell wraps round to node 0."""
+    blocks = np.asarray(blocks, dtype=float)
+    ncell = len(blocks)
+    n = ncell if periodic else ncell + 1
+    lo = np.arange(ncell)
+    ends = np.stack([lo, (lo + 1) % n])
+    rows = np.broadcast_to(ends[:, None, :], (2, 2, ncell))
+    cols = np.broadcast_to(ends[None, :, :], (2, 2, ncell))
+    return sp.coo_matrix((blocks.transpose(1, 2, 0).ravel(),
+                          (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
 
 
-def polar_cell_blocks(t_nodes: np.ndarray, s: float):
-    """1-D polar integrals per cell.
+def polar_matrices(t_nodes: np.ndarray, s: float):
+    """Assembled 1-D polar matrices (P0, P1, P2) on the rows t_nodes:
 
-    Returns (W0, W1, W2, pole) where for each interior cell
-      W0[c] = int N_a N_b (sin t)^(1-2s) cos t dt          (2 x 2)
-      W1[c] = int N_a' N_b' (sin t)^(1-2s) cos t dt        (2 x 2, closed form)
-      W2[c] = int N_a N_b (sin t)^(1-2s) / cos t dt        (2 x 2)
-    and pole = (w0_pole, w2_pole) are the one-sided scalars of the last cell
-    with constant-in-t extension of the last ring.
+      P0 = int N_a N_b (sin t)^(1-2s) cos t dt
+      P1 = int N_a' N_b' (sin t)^(1-2s) cos t dt     (closed form)
+      P2 = int N_a N_b (sin t)^(1-2s) / cos t dt
+
+    The equator cell uses Gauss-Jacobi in u = sin t, which absorbs
+    u^(1-2s); the other cells use Gauss-Legendre in t.  The pole cell
+    [t_last, pi/2] extends the last ring as a constant in t, so it adds
+    one-sided scalars to P0 and P2 at the last row only.
     """
     beta = 1.0 - 2.0 * s
     pow_exp = 2.0 - 2.0 * s
-    nt = len(t_nodes)
-    ncell = nt - 1
-    W0 = np.zeros((ncell, 2, 2))
-    W1 = np.zeros((ncell, 2, 2))
-    W2 = np.zeros((ncell, 2, 2))
+    t0, t1 = t_nodes[:-1], t_nodes[1:]
+    u0, u1 = np.sin(t0), np.sin(t1)
+    dt = t1 - t0
 
-    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_PTS)
-    xj, wj = roots_jacobi(_GAUSS_PTS, 0.0, beta)
-
+    # t-stiffness weight: exact power integral of u^(1-2s)
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for c in range(ncell):
-        t0, t1 = t_nodes[c], t_nodes[c + 1]
-        u0, u1 = math.sin(t0), math.sin(t1)
-        dt = t1 - t0
-        # t-stiffness weight: exact power integral of u^(1-2s)
-        W1[c] = sign * (u1 ** pow_exp - u0 ** pow_exp) / (pow_exp * dt * dt)
-        if c == 0:
-            # equator cell: Gauss-Jacobi in u = sin t absorbs u^(1-2s)
-            u = 0.5 * u1 * (xj + 1.0)
-            t = np.arcsin(u)
-            na, nb = _hat_pair(t0, t1, t)
-            scale = (0.5 * u1) ** (beta + 1.0)
-            hats = (na, nb)
-            for a in range(2):
-                for b in range(2):
-                    W0[c, a, b] = scale * np.sum(wj * hats[a] * hats[b])
-                    W2[c, a, b] = scale * np.sum(
-                        wj * hats[a] * hats[b] / (1.0 - u * u))
-        else:
-            t = t0 + 0.5 * dt * (xg + 1.0)
-            w = 0.5 * dt * wg
-            na, nb = _hat_pair(t0, t1, t)
-            weight = np.sin(t) ** beta
-            hats = (na, nb)
-            for a in range(2):
-                for b in range(2):
-                    W0[c, a, b] = np.sum(
-                        w * hats[a] * hats[b] * weight * np.cos(t))
-                    W2[c, a, b] = np.sum(
-                        w * hats[a] * hats[b] * weight / np.cos(t))
+    W1 = sign * ((u1 ** pow_exp - u0 ** pow_exp)
+                 / (pow_exp * dt * dt))[:, None, None]
 
-    # pole cell [t_{nt-1}, pi/2]: mass in closed form, azimuthal weight by
-    # one-sided Gauss (finite because the points stay interior)
+    # quadrature points t (ncell, q) and weights q0 (mass), q2 (azimuthal)
+    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_PTS)
+    t = t0[:, None] + 0.5 * dt[:, None] * (xg + 1.0)
+    w = 0.5 * dt[:, None] * wg * np.sin(t) ** beta
+    q0 = w * np.cos(t)
+    q2 = w / np.cos(t)
+    # equator cell: Gauss-Jacobi in u = sin t (du = cos t dt)
+    xj, wj = roots_jacobi(_GAUSS_PTS, 0.0, beta)
+    u = 0.5 * u1[0] * (xj + 1.0)
+    t[0] = np.arcsin(u)
+    q0[0] = (0.5 * u1[0]) ** (beta + 1.0) * wj
+    q2[0] = q0[0] / (1.0 - u * u)
+    hats = np.stack([t1[:, None] - t, t - t0[:, None]],
+                    axis=1) / dt[:, None, None]
+    W0 = np.einsum("caq,cbq,cq->cab", hats, hats, q0)
+    W2 = np.einsum("caq,cbq,cq->cab", hats, hats, q2)
+
+    # pole cell: mass in closed form, azimuthal weight by one-sided Gauss
+    # (finite because the points stay interior)
     t_last = t_nodes[-1]
-    u_last = math.sin(t_last)
-    w0_pole = (1.0 - u_last ** pow_exp) / pow_exp
-    xg2, wg2 = np.polynomial.legendre.leggauss(_POLE_GAUSS_PTS)
-    tp = t_last + 0.5 * (0.5 * math.pi - t_last) * (xg2 + 1.0)
-    wp = 0.5 * (0.5 * math.pi - t_last) * wg2
-    w2_pole = float(np.sum(wp * np.sin(tp) ** beta / np.cos(tp)))
-    return W0, W1, W2, (w0_pole, w2_pole)
+    W0[-1, 1, 1] += (1.0 - math.sin(t_last) ** pow_exp) / pow_exp
+    xp, wp = np.polynomial.legendre.leggauss(_POLE_GAUSS_PTS)
+    half = 0.5 * (0.5 * math.pi - t_last)
+    tp = t_last + half * (xp + 1.0)
+    W2[-1, 1, 1] += float(np.sum(half * wp * np.sin(tp) ** beta / np.cos(tp)))
+    return assemble_1d(W0), assemble_1d(W1), assemble_1d(W2)
+
+
+def _azimuthal_matrices(mesh: HemisphereMesh):
+    """Periodic azimuthal mass, stiffness and cap-segment boundary mass.
+    A segment belongs to the cap when its midpoint does."""
+    dtheta = 2.0 * math.pi / mesh.ntheta
+    mass = dtheta / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    stiff = (1.0 / dtheta) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    seg_in = np.asarray(mesh.cap.contains(mesh.theta_nodes + 0.5 * dtheta),
+                        dtype=bool)
+    Bth = assemble_1d(seg_in[:, None, None] * mass, periodic=True)
+    Bth.eliminate_zeros()
+    cells = (mesh.ntheta, 2, 2)
+    return (assemble_1d(np.broadcast_to(mass, cells), periodic=True),
+            assemble_1d(np.broadcast_to(stiff, cells), periodic=True), Bth)
 
 
 # ---------------------------------------------------------------------------
@@ -242,87 +258,27 @@ class AssembledForms:
         return out
 
 
-def _theta_blocks(ntheta: int):
-    dtheta = 2.0 * math.pi / ntheta
-    mass = dtheta / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    stiff = (1.0 / dtheta) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return mass, stiff
-
-
 def assemble(mesh: HemisphereMesh, params: ProblemParams) -> AssembledForms:
-    """Assemble stiffness, weighted mass and equator boundary mass.
+    """Assemble stiffness, weighted mass and equator boundary mass as
+    Kronecker products of polar and azimuthal 1-D matrices:
 
-    The tensor structure keeps assembly cheap: each polar cell contributes
-    (polar block) x (azimuthal block) to every azimuthal cell at once.
+        K = P1 (x) Mth + P2 (x) Kth,   M = P0 (x) Mth,   B = e0 e0^T (x) Bth,
+
+    with (P0, P1, P2) from ``polar_matrices``, Mth and Kth the periodic
+    azimuthal mass and stiffness, and Bth the periodic mass over the cap
+    segments of the equator row e0.
     """
     if abs(params.s - mesh.s) > 1e-14:
         raise DomainError("mesh was built for a different s")
-    nt, ntheta = mesh.nt, mesh.ntheta
-    n = mesh.n_nodes
-    W0, W1, W2, (w0_pole, w2_pole) = polar_cell_blocks(mesh.t_nodes, params.s)
-    Mth, Kth = _theta_blocks(ntheta)
+    P0, P1, P2 = polar_matrices(mesh.t_nodes, params.s)
+    Mth, Kth, Bth = _azimuthal_matrices(mesh)
 
-    j = np.arange(ntheta)
-    jn = (j + 1) % ntheta
-
-    rows, cols, kvals, mvals = [], [], [], []
-
-    def add_tensor(i_lo, tmat_k, tmat_m):
-        # tmat_*: 2x2 polar blocks paired with azimuthal 2x2 blocks
-        node = [[mesh.node_id(i_lo + a, col) for col in (j, jn)]
-                for a in range(2)]
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    for d in range(2):
-                        rows.append(node[a][c])
-                        cols.append(node[b][d])
-                        kvals.append(np.full(ntheta, tmat_k[0][a, b] * Mth[c, d]
-                                             + tmat_k[1][a, b] * Kth[c, d]))
-                        mvals.append(np.full(ntheta, tmat_m[a, b] * Mth[c, d]))
-
-    for cell in range(nt - 1):
-        add_tensor(cell, (W1[cell], W2[cell]), W0[cell])
-
-    # pole cell: last ring only, constant-in-t extension
-    ring = mesh.node_id(nt - 1, j)
-    ring_n = mesh.node_id(nt - 1, jn)
-    pole_scalar_k = np.array([[w2_pole]])
-    pole_scalar_m = np.array([[w0_pole]])
-    for c, rid in enumerate((ring, ring_n)):
-        for d, cid in enumerate((ring, ring_n)):
-            rows.append(rid)
-            cols.append(cid)
-            kvals.append(np.full(ntheta, pole_scalar_k[0, 0] * Kth[c, d]))
-            mvals.append(np.full(ntheta, pole_scalar_m[0, 0] * Mth[c, d]))
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(kvals), (rows, cols)),
-                      shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mvals), (rows, cols)),
-                      shape=(n, n)).tocsr()
-
+    K = (sp.kron(P1, Mth) + sp.kron(P2, Kth)).tocsr()
+    M = sp.kron(P0, Mth, format="csr")
     if np.any(M.diagonal() <= 0.0):
         raise NumericalError("degenerate cell produced a singular mass")
-
-    # equator boundary mass over azimuthal segments whose midpoint is inside
-    # the cap arc
-    mid = mesh.theta_nodes + math.pi / ntheta
-    seg_in = np.asarray(mesh.cap.contains(mid), dtype=bool)
-    segs = np.flatnonzero(seg_in)
-    brows, bcols, bvals = [], [], []
-    for c in range(2):
-        for d in range(2):
-            a = (segs + c) % ntheta
-            b = (segs + d) % ntheta
-            brows.append(a)
-            bcols.append(b)
-            bvals.append(np.full(len(segs), Mth[c, d]))
-    B = sp.coo_matrix((np.concatenate(bvals),
-                       (np.concatenate(brows), np.concatenate(bcols))),
-                      shape=(n, n)).tocsr()
-
+    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(mesh.nt, mesh.nt))
+    B = sp.kron(e0, Bth, format="csr")
     return AssembledForms(mesh=mesh, K=K, M=M, B=B)
 
 

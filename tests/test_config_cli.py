@@ -48,6 +48,12 @@ def test_s_out_of_range():
     assert any("s" in v for v in err.value.violations)
 
 
+def test_too_few_radial_shells_rejected():
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(MINIMAL_EIG + "\n[mesh]\nnr = 4\n")
+    assert any("need nr >= 5" in v for v in err.value.violations)
+
+
 def test_all_violations_reported():
     bad = """
 [params]
@@ -199,6 +205,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_negative_mesh_level_exit_code(tmp_path, capsys):
+    cfg_path = _write(tmp_path, SMALL_EIG)
+    code = main(["eig", "--config", str(cfg_path), "--mesh-level", "-1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "--mesh-level must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_task_mismatch(tmp_path):

@@ -170,6 +170,14 @@ def _one_more_shell(raw):
     return _put("<I", 8, struct.unpack_from("<I", raw, 8)[0] + 1)(raw)
 
 
+def _five_shells(raw):
+    # a consistent file with too few shells for the radial slope stencils
+    n_surf, nt, ntheta = struct.unpack_from("<3I", raw, 8)
+    body = raw[HEADER:]
+    shells = body[:8 * 5] + body[8 * n_surf:8 * (n_surf + 5 * nt * ntheta)]
+    return _put("<I", 8, 5)(raw[:HEADER]) + shells
+
+
 @pytest.mark.parametrize("edit", [
     lambda raw: raw[:HEADER - 10],              # truncated header
     lambda raw: raw[:HEADER + 8],               # truncated payload
@@ -179,6 +187,7 @@ def _one_more_shell(raw):
     _put("<d", HEADER - 8, math.nan),           # non-finite grading
     _put("<d", HEADER + 8 * 40, math.inf),      # non-finite node value
     _put("<d", HEADER + 8 * 3, 0.5),            # non-geometric radii
+    _five_shells,
 ])
 def test_load_rejects_corrupt_files(tmp_path, solver_field_h0, edit):
     path = tmp_path / "field.bin"
@@ -231,8 +240,9 @@ def test_grid_field_power_continuation(solver_field_h0, half_es):
 
 
 def test_grid_validation(half_es):
-    with pytest.raises(DomainError):
-        build_halfball_grid(2, 1e-3, half_es.mesh)
+    for n_r in (2, 4):   # the radial slope stencils need six shells
+        with pytest.raises(DomainError):
+            build_halfball_grid(n_r, 1e-3, half_es.mesh)
     with pytest.raises(DomainError):
         build_halfball_grid(8, 2.0, half_es.mesh)
 

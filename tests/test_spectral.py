@@ -6,13 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import DomainError
 from conefrac.params import ProblemParams
 from conefrac.spectral import (homogeneous_profile, oracle_full_circle_1d,
                                solve_eigs)
-from conefrac.sphercap import assemble, build_mesh
+from conefrac.sphercap import assemble, build_mesh, polar_matrices
 
 
 def _eigs(nt, ntheta, s, cap, lam=0.0, k=8, grading=2.0, **kw):
@@ -180,6 +181,31 @@ def test_oracle_2d_cross_validation():
             two_d = es.mu[:5]
             rel = np.abs(two_d - union) / (1.0 + np.abs(union))
             assert rel.max() < 0.005, (s, lam, two_d, union)
+
+
+def test_full_circle_pencil_is_union_of_fourier_modes():
+    # on the full circle the 2-D forms are Kronecker products, so the
+    # reduced pencil splits exactly into one 1-D pencil per discrete
+    # azimuthal mode k, (P1 + omega_k P2 - kappa lam e0 e0^T, P0), where
+    # omega_k is the ratio of the azimuthal stiffness and mass symbols
+    p = ProblemParams(s=0.5, lam=0.1)
+    mesh = build_mesh(8, 16, p.s, SphericalCap.full_circle())
+    K, M = assemble(mesh, p).pencil(p.lam, p.kappa)
+    two_d = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+
+    P0, P1, P2 = polar_matrices(mesh.t_nodes, p.s)
+    dth = 2.0 * math.pi / mesh.ntheta
+    union = []
+    for k in range(mesh.ntheta):
+        c = math.cos(k * dth)
+        omega = 6.0 / dth ** 2 * (1.0 - c) / (2.0 + c)
+        K1 = (P1 + omega * P2).toarray()
+        K1[0, 0] -= p.kappa * p.lam
+        union.extend(sla.eigh(K1, P0.toarray(), eigvals_only=True))
+    union = np.sort(union)
+    assert len(union) == len(two_d) == mesh.n_free
+    rel = np.abs(two_d - union) / (1.0 + np.abs(union))
+    assert rel.max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
