@@ -27,7 +27,6 @@ from .expressions import Expression
 from .extension import GridField, ManufacturedField, ScalarField
 from .params import ProblemParams
 from .spectral import EigenSystem
-from .sphercap import AssembledForms
 
 __all__ = [
     "FrequencyTrace",
@@ -49,11 +48,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
-
-def _equator_block(forms: AssembledForms):
-    eq = forms.mesh.equator_ids
-    return forms.B[eq][:, eq].tocsr()
-
 
 def _quad(A, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Row-wise quadratic forms X_i . (A Y_i), Y defaulting to X.  Each row
@@ -172,7 +166,7 @@ def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray,
     closed form; the rest comes from the plan, and a grid field's power
     continuation supplies the core below the plan's lower end (all of the
     integral for radii below it)."""
-    Bee = _equator_block(fld.forms)
+    Bee = fld.forms.Bth
     N, s = params.N, params.s
     lo = plan.edges[0]
     rho = np.append(lo, plan.rho)          # the core point, then the nodes
@@ -482,7 +476,7 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus,
         hv = _equator_rows(h, rho, es.mesh)
         q = rho ** (params.N - 1) * (
             es.vectors[:, es.mesh.equator_ids]
-            @ (_equator_block(forms) @ (hv * tr).T))
+            @ (forms.Bth @ (hv * tr).T))
         cumulative = np.cumsum(q * plan.w[None, :], axis=1)
         # Upsilon_j(tau) sums the nodes at or below tau
         pos = np.maximum(np.searchsorted(rho, taus, side="right") - 1, 0)
@@ -583,38 +577,41 @@ class PohozaevReport:
 
 def pohozaev_check(fld: ScalarField, params: ProblemParams,
                    h: Expression | None, cap: SphericalCap | None,
-                   r: float, tol: float = 1e-2) -> PohozaevReport:
+                   r, tol: float = 1e-2
+                   ) -> PohozaevReport | list[PohozaevReport]:
     """Evaluates both sides of the Pohozaev balance at radius r and the
     residual of the Green identity tying energy to the boundary flux.
 
     lhs >= rhs - tol * scale is reported as ``satisfied``; homogeneous
-    fields saturate the balance (equality).
+    fields saturate the balance (equality).  An array of radii gives one
+    report per radius, all from one radial plan with an edge at every
+    radius.
     """
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
     forms = fld.forms
-    Bee = _equator_block(forms)
+    Bee = forms.Bth
     mesh = fld.mesh
     N, s = params.N, params.s
     lam = fld.es.lam if isinstance(fld, ManufacturedField) else params.lam
     kappa = params.kappa
 
-    v = fld.sphere_values(r)
-    g = fld.sphere_radial_derivative(r)
-    shell_norm_der = r ** (N + 1 - 2 * s) * float(g @ (forms.M @ g))
-    shell_grad = shell_norm_der + r ** (N - 1 - 2 * s) * float(
-        v @ (forms.K @ v))
-    tr = fld.trace_values(r)
-    circ_hardy = r ** (N - 1 - 2 * s) * float(tr @ (Bee @ tr))
+    v = fld.sphere_values(radii)
+    g = fld.sphere_radial_derivative(radii)
+    shell_norm_der = radii ** (N + 1 - 2 * s) * _quad(forms.M, g)
+    shell_grad = shell_norm_der + radii ** (N - 1 - 2 * s) * _quad(forms.K, v)
+    # rows contiguous, so each quadratic form is the dot product of one
+    # sphere's trace
+    tr = np.ascontiguousarray(v[:, mesh.equator_ids])
+    circ_hardy = radii ** (N - 1 - 2 * s) * _quad(Bee, tr)
 
-    radius = np.array([float(r)])
-    plan = _plan_for(fld, radius)
-    vol, hardy, trace_h = (float(t[0]) for t in _d_terms(
-        fld, plan, radius, params, h))
+    plan = _plan_for(fld, radii)
+    vol, hardy, trace_h = _d_terms(fld, plan, radii, params, h)
 
-    lhs = 0.5 * r * (shell_grad - kappa * lam * circ_hardy) \
-        - r * shell_norm_der
+    lhs = 0.5 * radii * (shell_grad - kappa * lam * circ_hardy) \
+        - radii * shell_norm_der
     if not _is_zero_h(h):
-        circ_h = float(_equator_density(_equator_rows(h, radius, mesh),
-                                        tr[None, :], radius, Bee, N)[0])
+        circ_h = _equator_density(_equator_rows(h, radii, mesh), tr, radii,
+                                  Bee, N)
         # Euler term int (x . grad h + N h) |Tr U|^2 on the plan's panels
         rho = plan.rho
         x1 = rho[:, None] * np.cos(mesh.theta_nodes)
@@ -622,17 +619,20 @@ def pohozaev_check(fld: ScalarField, params: ProblemParams,
         mix = (_equator_rows(h.diff("x1"), rho, mesh) * x1
                + _equator_rows(h.diff("x2"), rho, mesh) * x2
                + N * _equator_rows(h, rho, mesh))
-        euler = float(plan.integrate(
+        euler = plan.integrate(
             _equator_density(mix, fld.trace_values(rho), rho, Bee, N),
-            radius)[0])
-        lhs += 0.5 * kappa * euler - 0.5 * r * kappa * circ_h
+            radii)
+        lhs += 0.5 * kappa * euler - 0.5 * radii * kappa * circ_h
 
     rhs = 0.5 * (N - 2.0 * s) * (vol - kappa * lam * hardy)
 
-    flux = r ** (N + 1 - 2 * s) * float(v @ (forms.M @ g))
+    flux = radii ** (N + 1 - 2 * s) * _quad(forms.M, v, g)
     energy = vol - kappa * (lam * hardy + trace_h)
-    scale = max(abs(energy), abs(flux), abs(lhs), abs(rhs), 1e-300)
-    green_residual = abs(energy - flux) / scale
+    scale = np.maximum(np.max(np.abs([energy, flux, lhs, rhs]), axis=0),
+                       1e-300)
+    green = np.abs(energy - flux) / scale
     satisfied = lhs >= rhs - tol * scale
-    return PohozaevReport(lhs=lhs, rhs=rhs, satisfied=satisfied,
-                          green_residual=green_residual, scale=scale)
+    reports = [PohozaevReport(lhs=float(a), rhs=float(b), satisfied=bool(c),
+                              green_residual=float(d), scale=float(e))
+               for a, b, c, d, e in zip(lhs, rhs, satisfied, green, scale)]
+    return reports if np.ndim(r) else reports[0]

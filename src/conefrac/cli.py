@@ -194,8 +194,8 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params, h,
                 "fallback": trace.fit_fallback},
         "pohozaev": [],
     }
-    for r in np.linspace(0.3, 0.7, 5):
-        rep = pohozaev_check(fld, params, h, cap, float(r))
+    r_poho = np.linspace(0.3, 0.7, 5)
+    for r, rep in zip(r_poho, pohozaev_check(fld, params, h, cap, r_poho)):
         summary["pohozaev"].append({
             "r": float(r), "lhs": rep.lhs, "rhs": rep.rhs,
             "satisfied": bool(rep.satisfied),
@@ -246,8 +246,11 @@ def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> list[str]:
     save_field(out / "field.bin", fld)
     outputs = _frequency_outputs(cfg, out, fld, es, params, h,
                                  {"lid": lid_note})
+    meta = fld.meta
     return ["field.bin"] + outputs, {"lid_choice": lid_note,
-                                     "inner_mode": fld.meta["inner_mode"]}
+                                     "inner_mode": meta["inner_mode"],
+                                     "cg_iters": meta["cg_iters"],
+                                     "cg_residual": meta["cg_residual"]}
 
 
 def _task_smooth_cone(cfg: RunConfig, out: Path, threads: int) -> list[str]:

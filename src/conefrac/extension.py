@@ -4,13 +4,17 @@
 Spherical coordinates (r, t, theta) make every radial integral of the
 Almgren machinery a closed form or a 1-D quadrature: the grid is the tensor
 product of geometrically graded shells with the hemisphere mesh.  The
-assembled operator is
+operator
 
-    kron(S_r, M_h) + kron(M_r, K_h) - kappa_s * (trace terms on the equator),
+    kron(S_r, M_h) + kron(M_r, K_h) - kappa_s * (trace terms on the equator)
 
-whose Kronecker part is inverted exactly by fast diagonalization in the
-radial direction; that exact inverse preconditions a conjugate-gradient
-solve of the full operator.
+is never assembled in 3-D: it is applied through its factors, and its
+Kronecker part is inverted exactly, without sparse factorization, by fast
+diagonalization: a generalized eigendecomposition in r, a real FFT in theta
+(the azimuthal factors are circulant), one tridiagonal solve in t per
+(radial eigenvalue, Fourier mode) and a capacitance correction for the
+Dirichlet equator nodes, which break the circulant structure.  That exact
+inverse preconditions a conjugate-gradient solve of the full operator.
 
 Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
@@ -228,7 +232,8 @@ class GridField(ScalarField):
 
     def __init__(self, grid: HalfBallGrid, values: np.ndarray,
                  params: ProblemParams, cap: SphericalCap,
-                 h: Expression | None = None, meta: dict | None = None):
+                 h: Expression | None = None, meta: dict | None = None,
+                 forms: AssembledForms | None = None):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_surfaces, grid.mesh.n_nodes):
             raise DomainError("values have the wrong shape for the grid")
@@ -240,18 +245,12 @@ class GridField(ScalarField):
         self.meta = dict(meta or {})
         self._dvdx = None
         self._gamma_loc = None
-        self._forms = None
+        # the solve's forms, else the field's own
+        self.forms = assemble(grid.mesh, params) if forms is None else forms
 
     @property
     def mesh(self) -> HemisphereMesh:
         return self.grid.mesh
-
-    @property
-    def forms(self) -> AssembledForms:
-        """Hemisphere forms of the field's mesh, assembled on first use."""
-        if self._forms is None:
-            self._forms = assemble(self.mesh, self.params)
-        return self._forms
 
     def _radial_slopes(self) -> np.ndarray:
         if self._dvdx is None:
@@ -327,77 +326,133 @@ class GridField(ScalarField):
 def _trace_h_matrix(grid: HalfBallGrid, h: Expression,
                     theta_segments: np.ndarray) -> sp.csr_matrix:
     """Equator integral int h(x) Tr U Tr V dx over the cap segments, 4x4
-    Gauss per equatorial cell; entries on the full 3-D node set."""
+    Gauss per (radial cell, segment); entries on the full 3-D node set."""
     mesh = grid.mesh
-    n_h = mesh.n_nodes
-    nseg = len(theta_segments)
-    if nseg == 0:
-        return sp.csr_matrix((grid.n_nodes, grid.n_nodes))
     xg, wg = np.polynomial.legendre.leggauss(4)
+
+    def cells(lo, width):
+        """Gauss points, weights and the two hats (cell, 2, point)."""
+        x = lo[:, None] + 0.5 * width[:, None] * (xg + 1.0)
+        frac = 0.5 * (xg + 1.0) * np.ones((len(lo), 1))
+        return x, 0.5 * width[:, None] * wg, np.stack([1.0 - frac, frac], 1)
+
+    r = grid.r_nodes
+    rq, wr, Nr = cells(r[:-1], np.diff(r))
     dtheta = 2.0 * math.pi / mesh.ntheta
-    th0 = mesh.theta_nodes[theta_segments]
-    thq = th0[:, None] + 0.5 * dtheta * (xg[None, :] + 1.0)   # (nseg, 4)
-    wth = 0.5 * dtheta * wg
-    Nt = np.stack([(th0[:, None] + dtheta - thq) / dtheta,
-                   (thq - th0[:, None]) / dtheta])            # (2, nseg, 4)
-
-    r_nodes = grid.r_nodes
-    ncell = len(r_nodes) - 1
-    a = r_nodes[:-1]
-    b = r_nodes[1:]
-    rq = a[:, None] + 0.5 * (b - a)[:, None] * (xg[None, :] + 1.0)
-    wr = 0.5 * (b - a)[:, None] * wg[None, :]                 # (ncell, 4)
-    Nr = np.stack([(b[:, None] - rq) / (b - a)[:, None],
-                   (rq - a[:, None]) / (b - a)[:, None]])     # (2, ncell, 4)
-
-    x1 = rq[:, :, None, None] * np.cos(thq[None, None, :, :])
-    x2 = rq[:, :, None, None] * np.sin(thq[None, None, :, :])
-    hv = h.eval({"x1": x1, "x2": x2}) * np.ones_like(x1)
-    # weight: h * r * wr * wtheta, laid out (ncell, qr, nseg, qth)
-    W = hv * (rq * wr)[:, :, None, None] * wth[None, None, None, :]
-
-    rows, cols, vals = [], [], []
-    jseg = theta_segments
-    jnext = (theta_segments + 1) % mesh.ntheta
-    theta_ids = (jseg, jnext)
-    for ar in range(2):
-        for br in range(2):
-            G = np.einsum("cp,cp,cpsq->csq", Nr[ar], Nr[br], W)
-            for at in range(2):
-                for bt in range(2):
-                    v = np.einsum("sq,sq,csq->cs",
-                                  Nt[at], Nt[bt], G)
-                    shells_lo = np.arange(ncell)
-                    gi = ((shells_lo + ar)[:, None] * n_h
-                          + theta_ids[at][None, :])
-                    gj = ((shells_lo + br)[:, None] * n_h
-                          + theta_ids[bt][None, :])
-                    rows.append(gi.ravel())
-                    cols.append(gj.ravel())
-                    vals.append(v.ravel())
-    n = grid.n_nodes
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    thq, wth, Nt = cells(mesh.theta_nodes[theta_segments],
+                         np.full(len(theta_segments), dtheta))
+    x1 = rq[:, :, None, None] * np.cos(thq)
+    x2 = rq[:, :, None, None] * np.sin(thq)
+    W = (h.eval({"x1": x1, "x2": x2}) * (rq * wr)[:, :, None, None]
+         * wth * np.ones_like(x1))                     # (cell, p, seg, q)
+    E = np.einsum("cap,cbp,sdq,seq,cpsq->csadbe", Nr, Nr, Nt, Nt, W,
+                  optimize=True)
+    shell = np.arange(len(rq))[:, None, None, None] + np.arange(2)[:, None]
+    node = (theta_segments[:, None] + np.arange(2)) % mesh.ntheta
+    ids = np.broadcast_to(shell * mesh.n_nodes + node[:, None],
+                          E.shape[:4])                 # (cell, seg, a, d)
+    rows = np.broadcast_to(ids[..., None, None], E.shape)
+    cols = np.broadcast_to(ids[:, :, None, None], E.shape)
+    return sp.coo_matrix((E.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(grid.n_nodes,) * 2).tocsr()
 
 
 class _FastDiagPreconditioner:
-    """Exact inverse of kron(S_r, M_h) + kron(M_r, K_h) on the free dofs via
-    a generalized radial eigendecomposition; SPD by construction."""
+    """Exact inverse of kron(S_r, M_h) + kron(M_r, K_h) on the free dofs,
+    with no sparse factorization; SPD by construction.
 
-    def __init__(self, Sr, Mr, Kh, Mh):
-        lam, W = sla.eigh(Sr.toarray(), Mr.toarray())
-        self.W = W
-        self.lus = [spla.splu((Kh + lam_i * Mh).tocsc()) for lam_i in lam]
-        self.n_h = Kh.shape[0]
-        self.m = len(lam)
+    The generalized eigendecomposition S_r W = M_r W diag(lam) splits the
+    operator into one hemisphere operator H_i = K_h + lam_i M_h per radial
+    eigenvalue.  On the full hemisphere node set H_i is a sum of Kronecker
+    products with circulant azimuthal factors, so a real FFT in theta turns
+    it into the tridiagonals T_ik = (P1 + lam_i P0) m_k + P2 w_k in t, with
+    m_k and w_k the symbols of the azimuthal mass and stiffness; their
+    LDL^T factors are computed once.  The Dirichlet equator nodes D are
+    removed by a capacitance correction: with y = H_i^-1 b (b zero on D),
+    the free-dof solution is y - H_i^-1 E_D C_i^-1 y_D, where
+    C_i = E_D^T H_i^-1 E_D is the circulant of irfft(g_i) restricted to D,
+    g_ik = [T_ik^-1]_00, and H_i^-1 E_D z is T_ik^-1 e_0 times the
+    transform of z.
+    """
+
+    def __init__(self, Sr: np.ndarray, Mr: np.ndarray, forms: AssembledForms):
+        lam, self.W = sla.eigh(Sr, Mr)
+        mesh = forms.mesh
+        self.free = mesh.free_nodes
+        self.dirichlet = mesh.dirichlet_ids
+        self.shape = (len(lam), mesh.nt, mesh.ntheta)
+
+        def symbol(circulant):
+            return np.fft.rfft(circulant[:, [0]].toarray()[:, 0]).real
+
+        m_k, w_k = symbol(forms.Mth), symbol(forms.Kth)
+        lam = lam[:, None, None]
+
+        def band(offset):   # (n_lam, nt - offset, n_modes)
+            p0, p1, p2 = (P.diagonal(offset)[:, None]
+                          for P in (forms.P0, forms.P1, forms.P2))
+            return (p1 + lam * p0) * m_k + p2 * w_k
+
+        self.d, off = band(0), band(1)         # LDL^T, in place
+        for j in range(1, mesh.nt):
+            self.d[:, j] -= off[:, j - 1] ** 2 / self.d[:, j - 1]
+        self.l = off / self.d[:, :-1]
+
+        e0 = np.zeros_like(self.d)
+        e0[:, 0] = 1.0
+        self.col0 = self._tridiag_solve(e0)
+        g = np.fft.irfft(self.col0[:, 0], mesh.ntheta, axis=-1)
+        D = self.dirichlet
+        self.C_inv = np.linalg.inv(g[:, (D[:, None] - D) % mesh.ntheta])
+
+    def _tridiag_solve(self, Y: np.ndarray) -> np.ndarray:
+        """Solve T_ik x = y for every (i, k) at once; t is axis 1."""
+        Y = Y.copy()
+        for j in range(1, Y.shape[1]):
+            Y[:, j] -= self.l[:, j - 1] * Y[:, j - 1]
+        Y /= self.d
+        for j in range(Y.shape[1] - 2, -1, -1):
+            Y[:, j] -= self.l[:, j] * Y[:, j + 1]
+        return Y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        X = x.reshape(self.m, self.n_h)
-        Y = self.W.T @ X
-        for i, lu in enumerate(self.lus):
-            Y[i] = lu.solve(Y[i])
-        return (self.W @ Y).ravel()
+        m, nt, ntheta = self.shape
+        U = np.zeros((m, nt * ntheta))
+        U[:, self.free] = self.W.T @ x.reshape(m, -1)
+        Y = self._tridiag_solve(np.fft.rfft(U.reshape(self.shape), axis=-1))
+        y_d = np.fft.irfft(Y[:, 0], ntheta, axis=-1)[:, self.dirichlet]
+        Z = np.zeros((m, ntheta))
+        Z[:, self.dirichlet] = (self.C_inv @ y_d[:, :, None])[:, :, 0]
+        Y -= self.col0 * np.fft.rfft(Z, axis=-1)[:, None, :]
+        U = np.fft.irfft(Y, ntheta, axis=-1).reshape(m, -1)
+        return (self.W @ U[:, self.free]).ravel()
+
+
+def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
+                        cap: SphericalCap, h: Expression | None,
+                        forms: AssembledForms):
+    """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus
+    the kappa_s h trace term, applied to full 3-D node vectors through its
+    factors; returned with the dense radial matrices (S_r, M_r)."""
+    s = params.s
+    Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s).toarray()
+    Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s).toarray()
+    # the lambda trace term is radially exact and joins the hemisphere
+    # stiffness; the h term is a Gauss quadrature on the equator plane
+    K_lam = forms.K - (params.lam * params.kappa) * forms.B
+    trace_h = None
+    if h is not None:
+        mid = grid.mesh.theta_nodes + math.pi / grid.mesh.ntheta
+        segs = np.flatnonzero(np.asarray(cap.contains(mid), dtype=bool))
+        trace_h = params.kappa * _trace_h_matrix(grid, h, segs)
+    shape = (grid.n_surfaces, grid.mesh.n_nodes)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        Ut = np.ascontiguousarray(u.reshape(shape).T)   # fast sparse products
+        out = (Sr @ (forms.M @ Ut).T + Mr @ (K_lam @ Ut).T).ravel()
+        return out if trace_h is None else out - trace_h @ u
+
+    return apply, Sr, Mr
 
 
 def solve_extension(grid: HalfBallGrid, params: ProblemParams,
@@ -415,7 +470,9 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     The admissibility lam < Lambda(cap) is enforced through the eigen system
     used for the modal bookkeeping (computed on the same mesh when not
-    supplied).
+    supplied); its forms are the ones the solve and the returned field use.
+    The field's ``meta`` records the CG iteration count and the final
+    relative residual.
     """
     mesh = grid.mesh
     if abs(mesh.s - params.s) > 1e-14:
@@ -425,76 +482,62 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         raise DomainError("lid data must be a full hemisphere node vector")
     lid[mesh.dirichlet_ids] = 0.0
 
-    forms = assemble(mesh, params)
     h_is_zero = h is None or (isinstance(h, Expression) and h.is_zero())
     if es is None:
+        forms = assemble(mesh, params)
         es = solve_eigs(forms, params, k=min(10, mesh.n_free - 1))
+    elif es.mesh is not mesh:
+        raise DomainError("the eigen system belongs to a different mesh")
+    forms = es.forms
 
     n_h = mesh.n_nodes
     n_surf = grid.n_surfaces
-    n = grid.n_nodes
-    s = params.s
+    operator, Sr, Mr = _extension_operator(grid, params, cap,
+                                           None if h_is_zero else h, forms)
 
-    Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s)
-    Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s)
-    A = sp.kron(Sr, forms.M, format="csr") + sp.kron(Mr, forms.K,
-                                                     format="csr")
-
-    # equator trace terms: lambda part is radially exact, h part by Gauss
-    trace = (params.lam * params.kappa) * sp.kron(Mr, forms.B, format="csr")
-    dtheta_mid = mesh.theta_nodes + math.pi / mesh.ntheta
-    segs = np.flatnonzero(np.asarray(cap.contains(dtheta_mid), dtype=bool))
-    if not h_is_zero:
-        trace = trace + params.kappa * _trace_h_matrix(grid, h, segs)
-    A = (A - trace).tocsr()
-
-    # Dirichlet bookkeeping (tensor structure: whole shells x hemi dofs)
-    shell_dirichlet = np.zeros(n_surf, dtype=bool)
-    shell_dirichlet[-1] = True
+    # Dirichlet data on the outer shell, and on the inner one when h is
+    # absent; the free dofs are the other shells x the free hemisphere dofs
+    u = np.zeros((n_surf, n_h))
+    u[-1] = lid
     inner_mode = None
     if h_is_zero:
-        shell_dirichlet[0] = True
         coeffs = es.vectors @ (forms.M @ lid)
-        weights = np.abs(coeffs) * grid.r_min ** es.gamma
-        j0 = int(np.argmax(weights))
-        inner_mode = j0
-    hemi_free = np.zeros(n_h, dtype=bool)
-    hemi_free[mesh.free_nodes] = True
+        j0 = inner_mode = int(np.argmax(np.abs(coeffs)
+                                        * grid.r_min ** es.gamma))
+        u[0] = coeffs[j0] * grid.r_min ** es.gamma[j0] * es.vectors[j0]
+    shell_sel = np.arange(1 if h_is_zero else 0, n_surf - 1)
+    free = (shell_sel[:, None] * n_h + mesh.free_nodes).ravel()
+    b = -operator(u.ravel())[free]
 
-    node_free = (~shell_dirichlet[:, None] & hemi_free[None, :]).ravel()
-    u = np.zeros(n)
-    u[(n_surf - 1) * n_h:] = lid
-    if inner_mode is not None:
-        c0 = float(coeffs[j0])
-        u[:n_h] = c0 * grid.r_min ** es.gamma[j0] * es.vectors[j0]
+    def matvec(x: np.ndarray) -> np.ndarray:
+        v = np.zeros(grid.n_nodes)
+        v[free] = x
+        return operator(v)[free]
 
-    free = np.flatnonzero(node_free)
-    fixed = np.flatnonzero(~node_free)
-    A_ff = A[free][:, free].tocsr()
-    b = -(A[free][:, fixed] @ u[fixed])
+    sel = np.ix_(shell_sel, shell_sel)
+    precond = _FastDiagPreconditioner(Sr[sel], Mr[sel], forms)
+    shape = (len(free), len(free))
+    iters = [0]
 
-    shell_sel = np.flatnonzero(~shell_dirichlet)
-    Sr_f = Sr[shell_sel][:, shell_sel]
-    Mr_f = Mr[shell_sel][:, shell_sel]
-    Kh_f = forms.reduced(forms.K)
-    Mh_f = forms.reduced(forms.M)
-    precond = _FastDiagPreconditioner(Sr_f, Mr_f, Kh_f, Mh_f)
-    Mop = spla.LinearOperator(A_ff.shape, matvec=precond.apply)
+    def count(_):
+        iters[0] += 1
 
-    sol, info = spla.cg(A_ff, b, rtol=cg_tol, atol=0.0, maxiter=maxiter,
-                        M=Mop)
+    sol, info = spla.cg(
+        spla.LinearOperator(shape, matvec=matvec, dtype=float), b,
+        rtol=cg_tol, atol=0.0, maxiter=maxiter, callback=count,
+        M=spla.LinearOperator(shape, matvec=precond.apply, dtype=float))
+    res = float(np.linalg.norm(matvec(sol) - b)
+                / max(np.linalg.norm(b), 1e-300))
     if info != 0:
-        res = float(np.linalg.norm(A_ff @ sol - b)
-                    / max(np.linalg.norm(b), 1e-300))
         raise NumericalError(
             f"conjugate gradients did not converge (info={info}, relative "
             f"residual {res:.3e}); check admissibility of lam = {params.lam}")
 
-    u[free] = sol
+    u.flat[free] = sol
     meta = {"inner_mode": inner_mode, "cg_tol": cg_tol,
-            "h_is_zero": h_is_zero}
-    return GridField(grid, u.reshape(n_surf, n_h), params, cap, h=h,
-                     meta=meta)
+            "h_is_zero": h_is_zero, "cg_iters": iters[0],
+            "cg_residual": res}
+    return GridField(grid, u, params, cap, h=h, meta=meta, forms=forms)
 
 
 # ---------------------------------------------------------------------------

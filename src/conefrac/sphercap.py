@@ -235,12 +235,22 @@ class AssembledForms:
     K  : stiffness (no Robin term), positive semi-definite
     M  : weighted mass, positive definite
     B  : equator boundary mass supported on cap dofs
+
+    and the 1-D factors they are built from: the polar matrices P0, P1, P2,
+    the periodic (circulant) azimuthal mass Mth and stiffness Kth, and Bth,
+    the equator block of B.
     """
 
     mesh: HemisphereMesh
     K: sp.csr_matrix
     M: sp.csr_matrix
     B: sp.csr_matrix
+    P0: sp.csr_matrix
+    P1: sp.csr_matrix
+    P2: sp.csr_matrix
+    Mth: sp.csr_matrix
+    Kth: sp.csr_matrix
+    Bth: sp.csr_matrix
 
     def reduced(self, mat: sp.csr_matrix) -> sp.csr_matrix:
         f = self.mesh.free_nodes
@@ -279,7 +289,8 @@ def assemble(mesh: HemisphereMesh, params: ProblemParams) -> AssembledForms:
         raise NumericalError("degenerate cell produced a singular mass")
     e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(mesh.nt, mesh.nt))
     B = sp.kron(e0, Bth, format="csr")
-    return AssembledForms(mesh=mesh, K=K, M=M, B=B)
+    return AssembledForms(mesh=mesh, K=K, M=M, B=B, P0=P0, P1=P1, P2=P2,
+                          Mth=Mth, Kth=Kth, Bth=Bth)
 
 
 def weighted_surface_integral(forms: AssembledForms, f, g=None) -> float:

@@ -346,6 +346,14 @@ k = 6
     manifest = json.loads((out / "manifest.json").read_text())
     assert "field.bin" in manifest["outputs"]
     assert "lid_choice" in manifest["notes"]
+    # solver statistics, byte-identical on a rerun
+    assert 0 < manifest["notes"]["cg_iters"] < 50
+    assert 0.0 < manifest["notes"]["cg_residual"] <= 1e-10
+    assert main(["solve-ext", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "again")]) == 0
+    for name in ("manifest.json", "field.bin", "summary.json"):
+        assert (out / name).read_bytes() \
+            == (tmp_path / "again" / name).read_bytes()
 
 
 def test_run_task_mesh_level_scaling(tmp_path):

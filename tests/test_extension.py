@@ -251,3 +251,104 @@ def test_solver_rejects_bad_lid(half_es, half_params, half_cap):
     grid = build_halfball_grid(8, 1e-2, half_es.mesh)
     with pytest.raises(DomainError):
         solve_extension(grid, half_params, half_cap, None, np.ones(5))
+
+
+# ---------------------------------------------------------------------------
+# fast diagonalization, the matrix-free operator and batched diagnostics
+# ---------------------------------------------------------------------------
+
+def _radial_pair(grid, s, shells):
+    from conefrac.extension import radial_mass, radial_stiffness
+    sel = np.ix_(shells, shells)
+    return (radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s).toarray()[sel],
+            radial_mass(grid.r_nodes, 1.0 - 2.0 * s).toarray()[sel])
+
+
+@pytest.mark.parametrize("cap, ntheta, inner_free", [
+    (SphericalCap.full_circle(), 8, True),       # no Dirichlet nodes
+    (cap_of_cone(ConeProfile.half_plane()), 8, False),
+    (SphericalCap(0.3, 2.0), 12, True),          # Dirichlet set wraps 0
+    (cap_of_cone(ConeProfile.half_plane()), 9, True),   # odd ntheta
+])
+def test_fast_diag_preconditioner_is_exact_inverse(cap, ntheta, inner_free):
+    from conefrac.extension import _FastDiagPreconditioner
+    s = 0.5
+    forms = assemble(build_mesh(5, ntheta, s, cap), ProblemParams(s=s))
+    grid = build_halfball_grid(5, 1e-2, forms.mesh)
+    shells = np.arange(0 if inner_free else 1, grid.n_surfaces - 1)
+    Sr, Mr = _radial_pair(grid, s, shells)
+    A = (np.kron(Sr, forms.reduced(forms.M).toarray())
+         + np.kron(Mr, forms.reduced(forms.K).toarray()))
+    precond = _FastDiagPreconditioner(Sr, Mr, forms)
+    P = np.column_stack([precond.apply(e) for e in np.eye(len(A))])
+    exact = np.linalg.inv(A)
+    assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def _assembled_operator(grid, params, cap, h, forms):
+    """The 3-D operator assembled with sp.kron, as the reference for the
+    matrix-free one."""
+    import scipy.sparse as sp
+    from conefrac.extension import _trace_h_matrix
+    s = params.s
+    Sr, Mr = _radial_pair(grid, s, np.arange(grid.n_surfaces))
+    A = (sp.kron(Sr, forms.M) + sp.kron(Mr, forms.K)
+         - params.lam * params.kappa * sp.kron(Mr, forms.B))
+    if h is not None:
+        mid = grid.mesh.theta_nodes + math.pi / grid.mesh.ntheta
+        segs = np.flatnonzero(cap.contains(mid))
+        A = A - params.kappa * _trace_h_matrix(grid, h, segs)
+    return A.tocsr()
+
+
+@pytest.mark.parametrize("h", [None, "0.1 + 0.05*x1"])
+def test_matrix_free_operator_matches_assembled(half_params, half_cap, h):
+    from conefrac.extension import _extension_operator
+    h = None if h is None else parse_expression(h)
+    forms = assemble(build_mesh(6, 12, half_params.s, half_cap), half_params)
+    grid = build_halfball_grid(6, 1e-2, forms.mesh)
+    A = _assembled_operator(grid, half_params, half_cap, h, forms)
+    apply, _, _ = _extension_operator(grid, half_params, half_cap, h, forms)
+    rng = np.random.default_rng(7)
+    for u in rng.standard_normal((3, grid.n_nodes)):
+        ref = A @ u
+        np.testing.assert_allclose(apply(u), ref, rtol=0.0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("h", [None, "0.1"])
+def test_solve_matches_direct_solve(half_params, half_cap, h):
+    import scipy.sparse.linalg as spla
+    h = None if h is None else parse_expression(h)
+    mesh = build_mesh(12, 24, half_params.s, half_cap)
+    forms = assemble(mesh, half_params)
+    es = solve_eigs(forms, half_params, k=4)
+    grid = build_halfball_grid(8, 1e-2, mesh)
+    fld = solve_extension(grid, half_params, half_cap, h, es.vectors[0],
+                          es=es, cg_tol=1e-10)
+    assert fld.forms is forms
+    assert 0 < fld.meta["cg_iters"] < 50
+    assert fld.meta["cg_residual"] <= 1e-10
+
+    # the same Dirichlet data, solved directly on the assembled system
+    A = _assembled_operator(grid, half_params, half_cap, h, forms)
+    u = fld.values.ravel().copy()
+    fixed = np.ones((grid.n_surfaces, mesh.n_nodes), dtype=bool)
+    fixed[1 if h is None else 0:-1, mesh.free_nodes] = False
+    free = np.flatnonzero(~fixed.ravel())
+    u[free] = 0.0
+    direct = spla.spsolve(A[free][:, free].tocsc(), -(A[free] @ u))
+    err = np.abs(fld.values.ravel()[free] - direct).max()
+    assert err <= 1e-8 * np.abs(direct).max()
+
+
+def test_batched_pohozaev_rows_equal_scalar_calls(half_es, half_params,
+                                                  half_cap):
+    from conefrac.almgren import pohozaev_check
+    fld = manufactured_field(half_es, [(0, 1.0), (3, 0.25)])
+    radii = np.linspace(0.3, 0.7, 5)
+    reports = pohozaev_check(fld, half_params, None, half_cap, radii)
+    assert len(reports) == len(radii)
+    for r, rep in zip(radii, reports):
+        assert rep == pohozaev_check(fld, half_params, None, half_cap,
+                                     float(r))
