@@ -51,7 +51,9 @@ __all__ = [
 
 def _quad(A, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Row-wise quadratic forms X_i . (A Y_i), Y defaulting to X.  Each row
-    is one dot product, bit-identical to x @ (A @ y) on a single sphere."""
+    is one dot product, bit-identical to x @ (A @ y) on a single sphere;
+    the rows are made contiguous, since a strided row sums in another order."""
+    X = np.ascontiguousarray(X)
     AY = np.ascontiguousarray((A @ (X if Y is None else Y).T).T)
     return (X[:, None, :] @ AY[:, :, None])[:, 0, 0]
 
@@ -599,9 +601,7 @@ def pohozaev_check(fld: ScalarField, params: ProblemParams,
     g = fld.sphere_radial_derivative(radii)
     shell_norm_der = radii ** (N + 1 - 2 * s) * _quad(forms.M, g)
     shell_grad = shell_norm_der + radii ** (N - 1 - 2 * s) * _quad(forms.K, v)
-    # rows contiguous, so each quadratic form is the dot product of one
-    # sphere's trace
-    tr = np.ascontiguousarray(v[:, mesh.equator_ids])
+    tr = v[:, mesh.equator_ids]
     circ_hardy = radii ** (N - 1 - 2 * s) * _quad(Bee, tr)
 
     plan = _plan_for(fld, radii)

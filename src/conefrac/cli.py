@@ -33,7 +33,6 @@ from .errors import ConfigurationError, ConefracError, ExpressionError
 from .extension import (build_halfball_grid, manufactured_field, save_field,
                         solve_extension)
 from .hardy import hardy_constant_richardson, hardy_scan
-from .params import ProblemParams
 from .spectral import solve_eigs
 from .sphercap import assemble, build_mesh
 from .svgplot import LineSeries, plot_svg
@@ -82,6 +81,14 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes=None) -> None:
         encoding="utf-8")
 
 
+def _hardy_notes(es) -> dict:
+    """The Hardy constant the eigen solve checked lam against and the
+    margin lam / Lambda (both None when lam <= 0)."""
+    lam_star = es.hardy_lambda
+    return {"hardy_lambda": lam_star,
+            "lambda_margin": None if lam_star is None else es.lam / lam_star}
+
+
 def _scaled(cfg: RunConfig, level: int) -> RunConfig:
     if level < 0:
         raise ConfigurationError([f"--mesh-level must be >= 0, got {level}"])
@@ -108,7 +115,7 @@ def _task_eig(cfg: RunConfig, out: Path, threads: int) -> list[str]:
     plot_svg(out / "eig_ladder.svg",
              [LineSeries(range(1, es.k + 1), es.mu, "mu_j")],
              xlabel="j", ylabel="mu", title="eigenvalue ladder")
-    return ["eig.csv", "eig_ladder.svg"]
+    return ["eig.csv", "eig_ladder.svg"], _hardy_notes(es)
 
 
 def _task_hardy(cfg: RunConfig, out: Path, threads: int) -> list[str]:
@@ -143,8 +150,8 @@ def _task_scan(cfg: RunConfig, out: Path, threads: int) -> list[str]:
     return ["scan.csv", "scan_lambda.svg"]
 
 
-def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params, h,
-                       notes) -> list[str]:
+def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
+                       h) -> list[str]:
     cap = cfg.cap()
     r0 = cfg.task_opts["r0"]
     fld_rmin = getattr(getattr(fld, "grid", None), "r_min", None)
@@ -215,7 +222,8 @@ def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> list[str]:
                  max(j for j, _ in cfg.task_opts["modes"]) + 1)
     es = solve_eigs(forms, params, k=k_need)
     fld = manufactured_field(es, cfg.task_opts["modes"])
-    return _frequency_outputs(cfg, out, fld, es, params, None, {})
+    return (_frequency_outputs(cfg, out, fld, es, params, None),
+            _hardy_notes(es))
 
 
 def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> list[str]:
@@ -244,13 +252,13 @@ def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> list[str]:
 
     fld = solve_extension(grid, params, cap, h, lid, es=es, cg_tol=CG_TOL)
     save_field(out / "field.bin", fld)
-    outputs = _frequency_outputs(cfg, out, fld, es, params, h,
-                                 {"lid": lid_note})
+    outputs = _frequency_outputs(cfg, out, fld, es, params, h)
     meta = fld.meta
     return ["field.bin"] + outputs, {"lid_choice": lid_note,
                                      "inner_mode": meta["inner_mode"],
                                      "cg_iters": meta["cg_iters"],
-                                     "cg_residual": meta["cg_residual"]}
+                                     "cg_residual": meta["cg_residual"],
+                                     **_hardy_notes(es)}
 
 
 def _task_smooth_cone(cfg: RunConfig, out: Path, threads: int) -> list[str]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import difflib
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 

@@ -10,11 +10,11 @@ operator
 
 is never assembled in 3-D: it is applied through its factors, and its
 Kronecker part is inverted exactly, without sparse factorization, by fast
-diagonalization: a generalized eigendecomposition in r, a real FFT in theta
-(the azimuthal factors are circulant), one tridiagonal solve in t per
-(radial eigenvalue, Fourier mode) and a capacitance correction for the
-Dirichlet equator nodes, which break the circulant structure.  That exact
-inverse preconditions a conjugate-gradient solve of the full operator.
+diagonalization: a generalized eigendecomposition in r, then per radial
+eigenvalue the hemisphere solver of ``sphercap`` (a real FFT in theta, a
+tridiagonal solve in t per Fourier mode and a capacitance correction for
+the Dirichlet equator nodes).  That exact inverse preconditions a
+conjugate-gradient solve of the full operator.
 
 Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
@@ -38,8 +38,8 @@ from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .params import ProblemParams
 from .spectral import EigenSystem, homogeneous_profile, solve_eigs
-from .sphercap import (AssembledForms, HemisphereMesh, assemble, assemble_1d,
-                       build_mesh)
+from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
+                       assemble, assemble_1d, build_mesh)
 
 __all__ = [
     "HalfBallGrid",
@@ -362,70 +362,17 @@ class _FastDiagPreconditioner:
     with no sparse factorization; SPD by construction.
 
     The generalized eigendecomposition S_r W = M_r W diag(lam) splits the
-    operator into one hemisphere operator H_i = K_h + lam_i M_h per radial
-    eigenvalue.  On the full hemisphere node set H_i is a sum of Kronecker
-    products with circulant azimuthal factors, so a real FFT in theta turns
-    it into the tridiagonals T_ik = (P1 + lam_i P0) m_k + P2 w_k in t, with
-    m_k and w_k the symbols of the azimuthal mass and stiffness; their
-    LDL^T factors are computed once.  The Dirichlet equator nodes D are
-    removed by a capacitance correction: with y = H_i^-1 b (b zero on D),
-    the free-dof solution is y - H_i^-1 E_D C_i^-1 y_D, where
-    C_i = E_D^T H_i^-1 E_D is the circulant of irfft(g_i) restricted to D,
-    g_ik = [T_ik^-1]_00, and H_i^-1 E_D z is T_ik^-1 e_0 times the
-    transform of z.
+    operator into one hemisphere operator K_h + lam_i M_h per radial
+    eigenvalue, and ``HemisphereSolver`` inverts them all at once.
     """
 
     def __init__(self, Sr: np.ndarray, Mr: np.ndarray, forms: AssembledForms):
         lam, self.W = sla.eigh(Sr, Mr)
-        mesh = forms.mesh
-        self.free = mesh.free_nodes
-        self.dirichlet = mesh.dirichlet_ids
-        self.shape = (len(lam), mesh.nt, mesh.ntheta)
-
-        def symbol(circulant):
-            return np.fft.rfft(circulant[:, [0]].toarray()[:, 0]).real
-
-        m_k, w_k = symbol(forms.Mth), symbol(forms.Kth)
-        lam = lam[:, None, None]
-
-        def band(offset):   # (n_lam, nt - offset, n_modes)
-            p0, p1, p2 = (P.diagonal(offset)[:, None]
-                          for P in (forms.P0, forms.P1, forms.P2))
-            return (p1 + lam * p0) * m_k + p2 * w_k
-
-        self.d, off = band(0), band(1)         # LDL^T, in place
-        for j in range(1, mesh.nt):
-            self.d[:, j] -= off[:, j - 1] ** 2 / self.d[:, j - 1]
-        self.l = off / self.d[:, :-1]
-
-        e0 = np.zeros_like(self.d)
-        e0[:, 0] = 1.0
-        self.col0 = self._tridiag_solve(e0)
-        g = np.fft.irfft(self.col0[:, 0], mesh.ntheta, axis=-1)
-        D = self.dirichlet
-        self.C_inv = np.linalg.inv(g[:, (D[:, None] - D) % mesh.ntheta])
-
-    def _tridiag_solve(self, Y: np.ndarray) -> np.ndarray:
-        """Solve T_ik x = y for every (i, k) at once; t is axis 1."""
-        Y = Y.copy()
-        for j in range(1, Y.shape[1]):
-            Y[:, j] -= self.l[:, j - 1] * Y[:, j - 1]
-        Y /= self.d
-        for j in range(Y.shape[1] - 2, -1, -1):
-            Y[:, j] -= self.l[:, j] * Y[:, j + 1]
-        return Y
+        self.solver = HemisphereSolver(forms, lam)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        m, nt, ntheta = self.shape
-        U = np.zeros((m, nt * ntheta))
-        U[:, self.free] = self.W.T @ x.reshape(m, -1)
-        Y = self._tridiag_solve(np.fft.rfft(U.reshape(self.shape), axis=-1))
-        y_d = np.fft.irfft(Y[:, 0], ntheta, axis=-1)[:, self.dirichlet]
-        Z = np.zeros((m, ntheta))
-        Z[:, self.dirichlet] = (self.C_inv @ y_d[:, :, None])[:, :, 0]
-        Y -= self.col0 * np.fft.rfft(Z, axis=-1)[:, None, :]
-        U = np.fft.irfft(Y, ntheta, axis=-1).reshape(m, -1)
-        return (self.W @ U[:, self.free]).ravel()
+        X = self.W.T @ x.reshape(len(self.W), -1)
+        return (self.W @ self.solver.solve(X)).ravel()
 
 
 def _extension_operator(grid: HalfBallGrid, params: ProblemParams,

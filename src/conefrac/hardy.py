@@ -1,10 +1,15 @@
 """Best trace-Hardy constants on cones via the spherical Rayleigh quotient.
 
 The constant is the smallest eigenvalue of the pencil
-(K + ((N-2s)/2)^2 M, kappa_s B) on the space with Dirichlet equator nodes
-removed.  Since B is supported on the cap dofs only, the pencil is reduced by
-a Schur complement of A = K + ((N-2s)/2)^2 M onto those dofs, which turns the
-singular pencil into a small dense symmetric-definite one.
+(A, kappa_s B), A = K + ((N-2s)/2)^2 M, on the free nodes (Dirichlet
+equator nodes removed).  B lives on the cap nodes b of the equator only,
+so the pencil reduces to the Schur complement S of A onto b, whose inverse
+is the b block of A^-1.  ``sphercap.HemisphereSolver`` gives that block
+without factorizing A: it is G_bb - G_bD G_DD^-1 G_Db, with G the
+circulant equator block of the inverse of A on the full node set and D
+the Dirichlet equator nodes.  With Z = S^-1, the constant is 1 / mu_max
+of the small dense symmetric-definite pencil (Z kappa_s B_bb Z, Z), and
+the minimizer is A^-1 applied to the top eigenvector placed on b.
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .cones import SphericalCap
 from .errors import DomainError, GeometryError, NumericalError
 from .params import ProblemParams
-from .sphercap import AssembledForms, assemble, build_mesh
+from .sphercap import AssembledForms, HemisphereSolver, assemble, build_mesh
 
 __all__ = [
     "HardyResult",
@@ -46,50 +50,6 @@ class HardyResult:
     richardson: float | None = None
 
 
-def _schur_smallest(forms: AssembledForms, params: ProblemParams):
-    mesh = forms.mesh
-    c2 = params.half_order ** 2
-    A = forms.K + c2 * forms.M
-    f = mesh.free_nodes
-    A = A[f][:, f].tocsr()
-    B = forms.B[f][:, f].tocsr()
-
-    bsel = np.flatnonzero(B.diagonal() > 0.0)
-    if len(bsel) == 0:
-        raise GeometryError("empty cap: no boundary dofs to minimize over")
-    isel = np.setdiff1d(np.arange(A.shape[0]), bsel)
-
-    Abb = A[bsel][:, bsel].toarray()
-    Abi = A[bsel][:, isel]
-    Aii = A[isel][:, isel].tocsc()
-    try:
-        lu = spla.splu(Aii)
-    except RuntimeError as exc:  # pragma: no cover - A is PD by construction
-        raise NumericalError(f"interior block is singular: {exc}") from exc
-    X = lu.solve(Abi.T.toarray())
-    S = Abb - Abi @ X
-    S = 0.5 * (S + S.T)
-    Bbb = B[bsel][:, bsel].toarray()
-
-    w, V = sla.eigh(S, params.kappa * Bbb)
-    lam_star = float(w[0])
-    vb = V[:, 0]
-
-    # back-substitute the interior part of the minimizer
-    reduced = np.zeros(A.shape[0])
-    reduced[bsel] = vb
-    reduced[isel] = -X @ vb
-    minimizer = forms.extend(reduced)
-    # fixed sign on the cap, unit boundary mass
-    tr = minimizer[mesh.equator_ids]
-    lead = tr[np.argmax(np.abs(tr))]
-    if lead < 0.0:
-        minimizer = -minimizer
-    bn = math.sqrt(params.kappa * float(minimizer @ (forms.B @ minimizer)))
-    minimizer /= bn
-    return lam_star, minimizer
-
-
 def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
     """Discrete best constant of the trace-Hardy inequality on the cap.
 
@@ -97,9 +57,31 @@ def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
     retained dofs; the reported minimizer attains the constant exactly in the
     discrete arithmetic.
     """
-    lam_star, minimizer = _schur_smallest(forms, params)
+    if params.N != 2:
+        raise DomainError(f"the Hardy problem needs N = 2, got {params.N}")
     mesh = forms.mesh
-    return HardyResult(lambda_star=lam_star, minimizer=minimizer,
+    Bth = forms.Bth.toarray()
+    b = mesh.robin_ids[np.diag(Bth)[mesh.robin_ids] > 0.0]
+    if len(b) == 0:
+        raise GeometryError("empty cap: no boundary dofs to minimize over")
+    solver = HemisphereSolver(forms, [params.half_order ** 2])
+    Z = solver.equator_inverse(b)[0]      # the inverse Schur complement
+    Z = 0.5 * (Z + Z.T)
+    # Lambda = 1 / mu_max; only the top eigenpair is computed
+    mu, Y = sla.eigh(Z @ (params.kappa * Bth[np.ix_(b, b)]) @ Z, Z,
+                     subset_by_index=[len(b) - 1] * 2)
+    rhs = np.zeros((1, mesh.n_free))
+    rhs[0, mesh.dof_of_node[b]] = Y[:, 0]
+    minimizer = np.zeros(mesh.n_nodes)
+    minimizer[mesh.free_nodes] = solver.solve(rhs)[0]
+    # fixed sign on the cap, unit boundary mass
+    tr = minimizer[mesh.equator_ids]
+    lead = tr[np.argmax(np.abs(tr))]
+    if lead < 0.0:
+        minimizer = -minimizer
+    bn = math.sqrt(params.kappa * float(minimizer @ (forms.B @ minimizer)))
+    minimizer /= bn
+    return HardyResult(lambda_star=1.0 / float(mu[0]), minimizer=minimizer,
                        cap=mesh.cap, s=params.s,
                        mesh_level=(mesh.nt, mesh.ntheta))
 

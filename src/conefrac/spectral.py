@@ -81,7 +81,8 @@ class EigenSystem:
     Eigenvectors are stored on the full node set (zeros on Dirichlet nodes),
     M-orthonormal, with a deterministic sign.  ``group`` assigns a
     multiplicity-group id to every mode (eigenvalues within
-    1e-6 (1 + |mu|) of each other share a group).
+    1e-6 (1 + |mu|) of each other share a group).  ``hardy_lambda`` is the
+    cap's Hardy constant that lam was checked against, None when lam <= 0.
     """
 
     mu: np.ndarray
@@ -91,6 +92,7 @@ class EigenSystem:
     lam: float
     params: ProblemParams
     forms: AssembledForms
+    hardy_lambda: float | None = None
     _quad_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -118,10 +120,6 @@ class EigenSystem:
             self._quad_cache["b"] = V @ (self.forms.B @ V.T)
         return (self._quad_cache["k0"], self._quad_cache["m"],
                 self._quad_cache["b"])
-
-    def trace_values(self, j: int) -> np.ndarray:
-        """Equator trace of mode j, one value per azimuthal node."""
-        return self.vectors[j][self.mesh.equator_ids]
 
 
 def _fix_signs(V: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
@@ -151,6 +149,7 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
     case a warning is emitted (the spectrum may dip below the floor).
     """
     lam = params.lam
+    lam_star = None
     if lam > 0.0:
         from .hardy import hardy_constant
         lam_star = hardy_constant(forms, params).lambda_star
@@ -199,7 +198,8 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
         group[i] = gid
 
     return EigenSystem(mu=w, vectors=full, gamma=gamma, group=group,
-                       lam=lam, params=params, forms=forms)
+                       lam=lam, params=params, forms=forms,
+                       hardy_lambda=lam_star)
 
 
 def _sparse_smallest(Kr, Mr, k, params):

@@ -34,6 +34,7 @@ __all__ = [
     "build_mesh",
     "assemble",
     "assemble_1d",
+    "HemisphereSolver",
     "polar_matrices",
     "weighted_surface_integral",
     "boundary_integral",
@@ -76,9 +77,6 @@ class HemisphereMesh:
     def n_free(self) -> int:
         return len(self.free_nodes)
 
-    def node_id(self, i, j):
-        return i * self.ntheta + j
-
     @property
     def equator_ids(self) -> np.ndarray:
         return np.arange(self.ntheta)
@@ -99,9 +97,6 @@ class HemisphereMesh:
         y = np.cos(t) * np.sin(th)
         z = np.sin(t) * np.ones_like(th)
         return np.stack([x, y, z], axis=-1).reshape(-1, 3)
-
-    def grid(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values).reshape(self.nt, self.ntheta)
 
 
 def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
@@ -261,12 +256,6 @@ class AssembledForms:
         A = self.K - (lam * kappa) * self.B
         return self.reduced(A), self.reduced(self.M)
 
-    def extend(self, reduced_vec: np.ndarray) -> np.ndarray:
-        """Zero-pad a reduced dof vector back to the full node set."""
-        out = np.zeros(self.mesh.n_nodes)
-        out[self.mesh.free_nodes] = reduced_vec
-        return out
-
 
 def assemble(mesh: HemisphereMesh, params: ProblemParams) -> AssembledForms:
     """Assemble stiffness, weighted mass and equator boundary mass as
@@ -278,6 +267,8 @@ def assemble(mesh: HemisphereMesh, params: ProblemParams) -> AssembledForms:
     azimuthal mass and stiffness, and Bth the periodic mass over the cap
     segments of the equator row e0.
     """
+    if params.N != 2:
+        raise DomainError(f"the hemisphere forms need N = 2, got {params.N}")
     if abs(params.s - mesh.s) > 1e-14:
         raise DomainError("mesh was built for a different s")
     P0, P1, P2 = polar_matrices(mesh.t_nodes, params.s)
@@ -293,31 +284,104 @@ def assemble(mesh: HemisphereMesh, params: ProblemParams) -> AssembledForms:
                           Mth=Mth, Kth=Kth, Bth=Bth)
 
 
+def _form_integral(forms: AssembledForms, mat, f, g) -> float:
+    f = np.asarray(f, dtype=float).ravel()
+    g = np.ones_like(f) if g is None else np.asarray(g, dtype=float).ravel()
+    if f.shape != g.shape or f.shape != (forms.mesh.n_nodes,):
+        raise DomainError("grid function has the wrong length")
+    return float(f @ (mat @ g))
+
+
 def weighted_surface_integral(forms: AssembledForms, f, g=None) -> float:
     """Quadrature of f (or f g) against the hemisphere weight, consistent
     with the assembled mass: returns f^T M g (g = 1 when omitted)."""
-    f = np.asarray(f, dtype=float).ravel()
-    if f.shape != (forms.mesh.n_nodes,):
-        raise DomainError("grid function has the wrong length")
-    if g is None:
-        g = np.ones(forms.mesh.n_nodes)
-    else:
-        g = np.asarray(g, dtype=float).ravel()
-        if g.shape != (forms.mesh.n_nodes,):
-            raise DomainError("grid function has the wrong length")
-    return float(f @ (forms.M @ g))
+    return _form_integral(forms, forms.M, f, g)
 
 
 def boundary_integral(forms: AssembledForms, f, g=None) -> float:
     """Quadrature of f (or f g) over the cap arc, consistent with the
     boundary mass: f^T B g (g = 1 when omitted)."""
-    f = np.asarray(f, dtype=float).ravel()
-    if f.shape != (forms.mesh.n_nodes,):
-        raise DomainError("grid function has the wrong length")
-    if g is None:
-        g = np.ones(forms.mesh.n_nodes)
-    else:
-        g = np.asarray(g, dtype=float).ravel()
-        if g.shape != (forms.mesh.n_nodes,):
-            raise DomainError("grid function has the wrong length")
-    return float(f @ (forms.B @ g))
+    return _form_integral(forms, forms.B, f, g)
+
+
+# ---------------------------------------------------------------------------
+# exact shifted solver
+# ---------------------------------------------------------------------------
+
+class HemisphereSolver:
+    """Exact inverse of H_i = K + sigma_i M restricted to the free nodes,
+    for a batch of shifts sigma_i > 0, with no sparse factorization.
+
+    On the full node set H_i is a sum of Kronecker products with circulant
+    azimuthal factors, so a real FFT in theta turns it into the
+    tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k and
+    w_k the symbols of Mth and Kth; their LDL^T factors are computed once.
+    On the equator row H_i^-1 is the circulant G_i of irfft(g_i),
+    g_ik = [T_ik^-1]_00.  The Dirichlet equator nodes D are removed by a
+    capacitance correction (Buzbee, Dorr, George & Golub, SIAM J. Numer.
+    Anal. 8, 1971): with y = H_i^-1 b (b zero on D), the free-node
+    solution is y - H_i^-1 E_D C_i^-1 y_D, where C_i = E_D^T H_i^-1 E_D is
+    G_i restricted to D and H_i^-1 E_D z is T_ik^-1 e_0 times the
+    transform of z.
+    """
+
+    def __init__(self, forms: AssembledForms, shifts):
+        mesh = forms.mesh
+        shifts = np.asarray(shifts, dtype=float)[:, None, None]
+        self.free, self.dirichlet = mesh.free_nodes, mesh.dirichlet_ids
+        self.shape = (len(shifts), mesh.nt, mesh.ntheta)
+        m_k, w_k = (np.fft.rfft(C[:, [0]].toarray()[:, 0]).real
+                    for C in (forms.Mth, forms.Kth))
+
+        def band(offset):   # (n_shifts, nt - offset, n_modes)
+            p0, p1, p2 = (P.diagonal(offset)[:, None]
+                          for P in (forms.P0, forms.P1, forms.P2))
+            return (p1 + shifts * p0) * m_k + p2 * w_k
+
+        self.d, off = band(0), band(1)         # LDL^T, in place
+        for j in range(1, mesh.nt):
+            self.d[:, j] -= off[:, j - 1] ** 2 / self.d[:, j - 1]
+        self.l = off / self.d[:, :-1]
+
+        e0 = np.zeros_like(self.d)
+        e0[:, 0] = 1.0
+        self.col0 = self._tridiag_solve(e0)
+        self.green = np.fft.irfft(self.col0[:, 0], mesh.ntheta, axis=-1)
+        D = self.dirichlet
+        self.C_inv = np.linalg.inv(self._green_block(D, D))
+
+    def _green_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The (rows, cols) block of every G_i, indexed by equator node."""
+        return self.green[:, (rows[:, None] - cols) % self.shape[2]]
+
+    def _tridiag_solve(self, Y: np.ndarray) -> np.ndarray:
+        """Solve T_ik x = y for every (i, k) at once; t is axis 1."""
+        Y = Y.copy()
+        for j in range(1, Y.shape[1]):
+            Y[:, j] -= self.l[:, j - 1] * Y[:, j - 1]
+        Y /= self.d
+        for j in range(Y.shape[1] - 2, -1, -1):
+            Y[:, j] -= self.l[:, j] * Y[:, j + 1]
+        return Y
+
+    def solve(self, X: np.ndarray) -> np.ndarray:
+        """Apply the inverse for shift i to row i of X; rows are vectors on
+        the free nodes."""
+        m, nt, ntheta = self.shape
+        U = np.zeros((m, nt * ntheta))
+        U[:, self.free] = X
+        Y = self._tridiag_solve(np.fft.rfft(U.reshape(self.shape), axis=-1))
+        y_d = np.fft.irfft(Y[:, 0], ntheta, axis=-1)[:, self.dirichlet]
+        Z = np.zeros((m, ntheta))
+        Z[:, self.dirichlet] = (self.C_inv @ y_d[:, :, None])[:, :, 0]
+        Y -= self.col0 * np.fft.rfft(Z, axis=-1)[:, None, :]
+        return np.fft.irfft(Y, ntheta, axis=-1).reshape(m, -1)[:, self.free]
+
+    def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:
+        """The block of the free-node inverse on free equator ``nodes``,
+        G_i - G_i E_D C_i^-1 E_D^T G_i restricted to them; one square block
+        per shift."""
+        D = self.dirichlet
+        return (self._green_block(nodes, nodes)
+                - self._green_block(nodes, D) @ self.C_inv
+                @ self._green_block(D, nodes))

@@ -31,6 +31,20 @@ def two_mode(half_es):
     return manufactured_field(half_es, [(0, 1.0), (3, 0.2)])
 
 
+def test_quad_rows_equal_per_sphere_products(half_es):
+    # equator traces of C-ordered samples are F-ordered (strided rows); each
+    # row must still equal the product on one sphere's (contiguous) vector,
+    # bit for bit
+    from conefrac.almgren import _quad
+    forms = half_es.forms
+    v = np.random.default_rng(5).standard_normal((7, forms.mesh.n_nodes))
+    for A, X in ((forms.Bth, v[:, forms.mesh.equator_ids]), (forms.M, v)):
+        Y = 1.0 + X ** 2
+        rows = [(x.copy(), y.copy()) for x, y in zip(X, Y)]
+        assert np.array_equal(_quad(A, X), [x @ (A @ x) for x, _ in rows])
+        assert np.array_equal(_quad(A, X, Y), [x @ (A @ y) for x, y in rows])
+
+
 # ---------------------------------------------------------------------------
 # H and D on manufactured fields
 # ---------------------------------------------------------------------------

@@ -197,6 +197,9 @@ def test_cli_determinism(tmp_path):
     for name in ("eig.csv", "manifest.json", "eig_ladder.svg"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
+    # lam = 0 is checked against no Hardy constant
+    notes = json.loads((tmp_path / "a" / "manifest.json").read_text())["notes"]
+    assert notes == {"hardy_lambda": None, "lambda_margin": None}
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -291,6 +294,17 @@ k = 6
     assert summary["gamma_hat"] == pytest.approx(summary["gamma_eigen"],
                                                  abs=1e-2)
     assert all(p["satisfied"] for p in summary["pohozaev"])
+    # the Hardy constant the eigen solve checked lam against, and the
+    # margin, byte-identical on a rerun
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert notes["lambda_margin"] == pytest.approx(
+        0.1 / notes["hardy_lambda"], rel=1e-15)
+    assert 0.0 < notes["lambda_margin"] < 1.0
+    assert main(["frequency", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "again")]) == 0
+    for name in ("manifest.json", "summary.json", "frequency.csv"):
+        assert (out / name).read_bytes() \
+            == (tmp_path / "again" / name).read_bytes()
 
 
 def test_cli_scan_csv_matches_svg_data(tmp_path):
@@ -349,6 +363,7 @@ k = 6
     # solver statistics, byte-identical on a rerun
     assert 0 < manifest["notes"]["cg_iters"] < 50
     assert 0.0 < manifest["notes"]["cg_residual"] <= 1e-10
+    assert 0.0 < manifest["notes"]["lambda_margin"] < 1.0
     assert main(["solve-ext", "--config", str(cfg_path),
                  "--out", str(tmp_path / "again")]) == 0
     for name in ("manifest.json", "field.bin", "summary.json"):

@@ -269,14 +269,18 @@ def _radial_pair(grid, s, shells):
     (cap_of_cone(ConeProfile.half_plane()), 8, False),
     (SphericalCap(0.3, 2.0), 12, True),          # Dirichlet set wraps 0
     (cap_of_cone(ConeProfile.half_plane()), 9, True),   # odd ntheta
+    (cap_of_cone(ConeProfile.half_plane()), 8, None),   # Hardy's one shift
 ])
 def test_fast_diag_preconditioner_is_exact_inverse(cap, ntheta, inner_free):
     from conefrac.extension import _FastDiagPreconditioner
     s = 0.5
     forms = assemble(build_mesh(5, ntheta, s, cap), ProblemParams(s=s))
-    grid = build_halfball_grid(5, 1e-2, forms.mesh)
-    shells = np.arange(0 if inner_free else 1, grid.n_surfaces - 1)
-    Sr, Mr = _radial_pair(grid, s, shells)
+    if inner_free is None:
+        Sr, Mr = np.array([[ProblemParams(s=s).half_order ** 2]]), np.eye(1)
+    else:
+        grid = build_halfball_grid(5, 1e-2, forms.mesh)
+        shells = np.arange(0 if inner_free else 1, grid.n_surfaces - 1)
+        Sr, Mr = _radial_pair(grid, s, shells)
     A = (np.kron(Sr, forms.reduced(forms.M).toarray())
          + np.kron(Mr, forms.reduced(forms.K).toarray()))
     precond = _FastDiagPreconditioner(Sr, Mr, forms)

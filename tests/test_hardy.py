@@ -42,9 +42,24 @@ def test_half_circle_exceeds_full_circle():
     assert lam_h > lam_f
 
 
-def test_schur_equals_full_pencil_oracle():
+# half cap, full circle (no Dirichlet nodes), a cap wrapping across
+# theta = 0 and an odd ntheta, each at three orders s
+SCHUR_CASES = [
+    pytest.param(nt, ntheta, cap, s, id=f"{name}-{nt}x{ntheta}-s{s}")
+    for name, nt, ntheta, cap in [
+        ("half", 10, 20, cap_of_cone(ConeProfile.half_plane())),
+        ("full", 10, 20, SphericalCap.full_circle()),
+        ("wrap", 10, 20, SphericalCap(-1.0, 1.5)),
+        ("half", 9, 15, cap_of_cone(ConeProfile.half_plane())),
+    ]
+    for s in (0.25, 0.5, 0.75)
+]
+
+
+@pytest.mark.parametrize("nt, ntheta, cap, s", SCHUR_CASES)
+def test_schur_equals_full_pencil_oracle(nt, ntheta, cap, s):
     # dense oracle: the largest eigenvalue of (kappa B, A) is 1 / Lambda
-    forms, p = _forms(10, 20, 0.5, cap_of_cone(ConeProfile.half_plane()))
+    forms, p = _forms(nt, ntheta, s, cap)
     res = hardy_constant(forms, p)
     f = forms.mesh.free_nodes
     c2 = p.half_order ** 2
@@ -54,13 +69,18 @@ def test_schur_equals_full_pencil_oracle():
     assert 1.0 / w[-1] == pytest.approx(res.lambda_star, rel=1e-10)
 
 
-def test_minimizer_attains_the_constant():
-    forms, p = _forms(16, 32, 0.6, cap_of_cone(ConeProfile.half_plane()))
+@pytest.mark.parametrize("nt, ntheta, cap, s", SCHUR_CASES + [
+    pytest.param(16, 32, cap_of_cone(ConeProfile.half_plane()), 0.6,
+                 id="half-16x32-s0.6")])
+def test_minimizer_attains_the_constant(nt, ntheta, cap, s):
+    forms, p = _forms(nt, ntheta, s, cap)
     res = hardy_constant(forms, p)
     v = res.minimizer
+    assert np.all(v[forms.mesh.dirichlet_ids] == 0.0)
     c2 = p.half_order ** 2
     num = float(v @ (forms.K @ v)) + c2 * float(v @ (forms.M @ v))
     den = p.kappa * float(v @ (forms.B @ v))
+    assert den == pytest.approx(1.0, rel=1e-12)
     assert num / den == pytest.approx(res.lambda_star, rel=1e-10)
 
 
@@ -160,6 +180,16 @@ def test_empty_cap_error():
     from conefrac.errors import GeometryError
     with pytest.raises(GeometryError):
         hardy_constant(forms, p)
+
+
+def test_hemisphere_code_rejects_other_dimensions():
+    # the forms and the Hardy problem are built on the N = 2 hemisphere
+    mesh = build_mesh(8, 16, 0.5, cap_of_cone(ConeProfile.half_plane()))
+    p3 = ProblemParams(N=3, s=0.5)
+    with pytest.raises(DomainError):
+        assemble(mesh, p3)
+    with pytest.raises(DomainError):
+        hardy_constant(assemble(mesh, ProblemParams(s=0.5)), p3)
 
 
 # ---------------------------------------------------------------------------
