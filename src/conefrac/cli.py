@@ -38,6 +38,7 @@ from .sphercap import assemble, build_mesh
 from .svgplot import LineSeries, plot_svg
 
 CG_TOL = 1e-10
+_Result = tuple[list[str], dict]       # a task's outputs and manifest notes
 EIG_GROUP_RTOL = 1e-6
 
 
@@ -54,7 +55,7 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _manifest(out: Path, cfg: RunConfig, outputs, notes=None) -> None:
+def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
     import scipy
     payload = {
         "config_sha256": hashlib.sha256(
@@ -74,18 +75,20 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes=None) -> None:
                      "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "outputs": sorted(outputs),
-        "notes": notes or {},
+        "notes": notes,
     }
     (out / "manifest.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
 
 
-def _hardy_notes(es) -> dict:
-    """The Hardy constant the eigen solve checked lam against and the
-    margin lam / Lambda (both None when lam <= 0)."""
+def _eigen_notes(es) -> dict:
+    """How the eigen solve ran: its path, final shift and shift retries,
+    the Hardy constant it checked lam against and the margin lam / Lambda
+    (both None when lam <= 0)."""
     lam_star = es.hardy_lambda
-    return {"hardy_lambda": lam_star,
+    return {"eigen_path": es.eigen_path, "eigen_shift": es.shift,
+            "shift_retries": es.shift_retries, "hardy_lambda": lam_star,
             "lambda_margin": None if lam_star is None else es.lam / lam_star}
 
 
@@ -103,7 +106,8 @@ def _scaled(cfg: RunConfig, level: int) -> RunConfig:
 # tasks
 # ---------------------------------------------------------------------------
 
-def _task_eig(cfg: RunConfig, out: Path, threads: int) -> list[str]:
+
+def _task_eig(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
     mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cfg.cap(), cfg.grading)
     forms = assemble(mesh, params)
@@ -115,10 +119,10 @@ def _task_eig(cfg: RunConfig, out: Path, threads: int) -> list[str]:
     plot_svg(out / "eig_ladder.svg",
              [LineSeries(range(1, es.k + 1), es.mu, "mu_j")],
              xlabel="j", ylabel="mu", title="eigenvalue ladder")
-    return ["eig.csv", "eig_ladder.svg"], _hardy_notes(es)
+    return ["eig.csv", "eig_ladder.svg"], _eigen_notes(es)
 
 
-def _task_hardy(cfg: RunConfig, out: Path, threads: int) -> list[str]:
+def _task_hardy(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
     res = hardy_constant_richardson(params, cfg.cap(), cfg.nt, cfg.ntheta,
                                     cfg.grading)
@@ -128,10 +132,10 @@ def _task_hardy(cfg: RunConfig, out: Path, threads: int) -> list[str]:
                [(float(cfg.cap().length), res.lambda_star,
                  f"{res.mesh_level[0]}x{res.mesh_level[1]}",
                  res.richardson)])
-    return ["hardy.csv"]
+    return ["hardy.csv"], {}
 
 
-def _task_scan(cfg: RunConfig, out: Path, threads: int) -> list[str]:
+def _task_scan(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
     arcs = cfg.task_opts["arcs"]
     results = hardy_scan(arcs, params, cfg.nt, cfg.ntheta, cfg.grading,
@@ -147,7 +151,7 @@ def _task_scan(cfg: RunConfig, out: Path, threads: int) -> list[str]:
                          "Lambda")],
              xlabel="arc length", ylabel="Lambda",
              title="Hardy constant vs cap size")
-    return ["scan.csv", "scan_lambda.svg"]
+    return ["scan.csv", "scan_lambda.svg"], {}
 
 
 def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
@@ -214,7 +218,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
             "summary.json"]
 
 
-def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> list[str]:
+def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
     mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cfg.cap(), cfg.grading)
     forms = assemble(mesh, params)
@@ -223,10 +227,10 @@ def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> list[str]:
     es = solve_eigs(forms, params, k=k_need)
     fld = manufactured_field(es, cfg.task_opts["modes"])
     return (_frequency_outputs(cfg, out, fld, es, params, None),
-            _hardy_notes(es))
+            _eigen_notes(es))
 
 
-def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> list[str]:
+def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
     cap = cfg.cap()
     mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cap, cfg.grading)
@@ -258,10 +262,10 @@ def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> list[str]:
                                      "inner_mode": meta["inner_mode"],
                                      "cg_iters": meta["cg_iters"],
                                      "cg_residual": meta["cg_residual"],
-                                     **_hardy_notes(es)}
+                                     **_eigen_notes(es)}
 
 
-def _task_smooth_cone(cfg: RunConfig, out: Path, threads: int) -> list[str]:
+def _task_smooth_cone(cfg: RunConfig, out: Path, threads: int) -> _Result:
     n = cfg.task_opts["n"]
     samples = cfg.task_opts["samples"]
     sc = SmoothedCone(cfg.cone_spec, n)
@@ -297,7 +301,7 @@ def _task_smooth_cone(cfg: RunConfig, out: Path, threads: int) -> list[str]:
         encoding="utf-8")
     _write_csv(out / "smooth_cone.csv", ["x1", "margin"],
                [(float(a), float(b)) for a, b in zip(x1, margins)])
-    return ["smooth_cone.json", "smooth_cone.csv"]
+    return ["smooth_cone.json", "smooth_cone.csv"], {}
 
 
 _TASK_RUNNERS = {
@@ -314,11 +318,7 @@ def run_task(cfg: RunConfig, out_dir, threads: int = 1) -> Path:
     """Run one task and write its artifact bundle; returns the out dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _TASK_RUNNERS[cfg.task](cfg, out, threads)
-    if isinstance(result, tuple):
-        outputs, notes = result
-    else:
-        outputs, notes = result, {}
+    outputs, notes = _TASK_RUNNERS[cfg.task](cfg, out, threads)
     _manifest(out, cfg, outputs + ["manifest.json"], notes)
     return out
 

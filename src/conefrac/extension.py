@@ -8,13 +8,12 @@ operator
 
     kron(S_r, M_h) + kron(M_r, K_h) - kappa_s * (trace terms on the equator)
 
-is never assembled in 3-D: it is applied through its factors, and its
-Kronecker part is inverted exactly, without sparse factorization, by fast
-diagonalization: a generalized eigendecomposition in r, then per radial
-eigenvalue the hemisphere solver of ``sphercap`` (a real FFT in theta, a
-tridiagonal solve in t per Fourier mode and a capacitance correction for
-the Dirichlet equator nodes).  That exact inverse preconditions a
-conjugate-gradient solve of the full operator.
+is never assembled in 3-D: it is applied through its factors, and all but
+its h trace term is inverted exactly, without sparse factorization, by
+fast diagonalization: a generalized eigendecomposition in r, then per
+radial eigenvalue the hemisphere solver of ``sphercap``.  That inverse
+preconditions a conjugate-gradient solve of the full operator, which
+takes one iteration when h is absent.
 
 Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
@@ -358,17 +357,18 @@ def _trace_h_matrix(grid: HalfBallGrid, h: Expression,
 
 
 class _FastDiagPreconditioner:
-    """Exact inverse of kron(S_r, M_h) + kron(M_r, K_h) on the free dofs,
-    with no sparse factorization; SPD by construction.
+    """Exact inverse of kron(S_r, M_h) + kron(M_r, K_h - rho B_h) on the
+    free dofs, with no sparse factorization; SPD for admissible rho.
 
     The generalized eigendecomposition S_r W = M_r W diag(lam) splits the
-    operator into one hemisphere operator K_h + lam_i M_h per radial
-    eigenvalue, and ``HemisphereSolver`` inverts them all at once.
+    operator into one hemisphere operator K_h - rho B_h + lam_i M_h per
+    radial eigenvalue, and ``HemisphereSolver`` inverts them all at once.
     """
 
-    def __init__(self, Sr: np.ndarray, Mr: np.ndarray, forms: AssembledForms):
+    def __init__(self, Sr: np.ndarray, Mr: np.ndarray, forms: AssembledForms,
+                 rho: float):
         lam, self.W = sla.eigh(Sr, Mr)
-        self.solver = HemisphereSolver(forms, lam)
+        self.solver = HemisphereSolver(forms, lam, rho)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         X = self.W.T @ x.reshape(len(self.W), -1)
@@ -462,7 +462,8 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         return operator(v)[free]
 
     sel = np.ix_(shell_sel, shell_sel)
-    precond = _FastDiagPreconditioner(Sr[sel], Mr[sel], forms)
+    precond = _FastDiagPreconditioner(Sr[sel], Mr[sel], forms,
+                                      params.lam * params.kappa)
     shape = (len(free), len(free))
     iters = [0]
 

@@ -1,10 +1,12 @@
 """Eigenpairs of the weighted spherical problem with mixed boundary
 conditions, plus a separated 1-D oracle for the full-circle cap.
 
-The generalized pencil is (K - lam kappa B, M) on the retained dofs.  Small
-problems go through a dense symmetric-definite solve; larger ones use
-shift-invert Lanczos with the shift parked just below the guaranteed
-spectrum bottom -((N-2s)/2)^2.
+The generalized pencil is (K - lam kappa B, M) on the retained dofs.  Its
+smallest eigenpairs come from shift-invert Lanczos (ARPACK mode 3) with the
+shift sigma parked just below the guaranteed spectrum bottom
+-((N-2s)/2)^2 and (K - lam kappa B - sigma M)^-1 applied by
+``sphercap.HemisphereSolver``; dense ``eigh`` only where ARPACK cannot run
+(k >= n - 1).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import scipy.sparse.linalg as spla
 from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .params import ProblemParams, gamma_from_mu
-from .sphercap import AssembledForms, HemisphereMesh, polar_matrices
+from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
+                       polar_matrices)
 
 __all__ = [
     "EigenSystem",
@@ -31,7 +34,6 @@ __all__ = [
     "hemisphere_interpolate",
 ]
 
-DENSE_CUTOFF = 3000
 MULTIPLICITY_RTOL = 1e-6
 
 
@@ -83,6 +85,8 @@ class EigenSystem:
     multiplicity-group id to every mode (eigenvalues within
     1e-6 (1 + |mu|) of each other share a group).  ``hardy_lambda`` is the
     cap's Hardy constant that lam was checked against, None when lam <= 0.
+    ``eigen_path`` is "arpack" or "dense", ``shift`` the final shift (None
+    when dense) and ``shift_retries`` the number of times it was lowered.
     """
 
     mu: np.ndarray
@@ -93,6 +97,9 @@ class EigenSystem:
     params: ProblemParams
     forms: AssembledForms
     hardy_lambda: float | None = None
+    eigen_path: str = "arpack"
+    shift: float | None = None
+    shift_retries: int = 0
     _quad_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -125,19 +132,10 @@ class EigenSystem:
 def _fix_signs(V: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
     """Deterministic sign: weighted integral positive, falling back to the
     largest-magnitude nodal value when the integral nearly vanishes."""
-    out = V.copy()
-    ones = np.ones(V.shape[1])
-    Mw = M @ ones
-    for row in out:
-        w = float(row @ Mw)
-        if abs(w) > 1e-8:
-            if w < 0.0:
-                row *= -1.0
-        else:
-            lead = row[np.argmax(np.abs(row))]
-            if lead < 0.0:
-                row *= -1.0
-    return out
+    w = V @ (M @ np.ones(V.shape[1]))
+    lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
+    return np.where((np.where(np.abs(w) > 1e-8, w, lead) < 0.0)[:, None],
+                    -V, V)
 
 
 def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
@@ -167,13 +165,15 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= {n}, got {k}")
 
-    if n <= DENSE_CUTOFF:
+    shift, retries = None, 0
+    if k >= n - 1:      # beyond ARPACK's reach
+        path = "dense"
         w, V = sla.eigh(Kr.toarray(), Mr.toarray(),
                         subset_by_index=[0, k - 1])
-        V = V.T
     else:
-        w, V = _sparse_smallest(Kr, Mr, k, params)
-        V = V.T
+        path = "arpack"
+        w, V, shift, retries = _sparse_smallest(forms, Kr, Mr, k, params)
+    V = V.T
 
     order = np.argsort(w, kind="stable")
     w = w[order]
@@ -183,52 +183,52 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
     full[:, forms.mesh.free_nodes] = V
 
     floor = params.spectrum_floor
-    gamma = np.empty(k)
-    for i, mu in enumerate(w):
-        if mu < floor - 1e-6 * (1.0 + abs(mu)):
-            gamma[i] = math.nan
-        else:
-            gamma[i] = gamma_from_mu(max(mu, floor), params)
-
-    group = np.zeros(k, dtype=int)
-    gid = 0
-    for i in range(1, k):
-        if abs(w[i] - w[i - 1]) > MULTIPLICITY_RTOL * (1.0 + abs(w[i])):
-            gid += 1
-        group[i] = gid
+    gamma = np.array([math.nan if mu < floor - 1e-6 * (1.0 + abs(mu))
+                      else gamma_from_mu(max(mu, floor), params) for mu in w])
+    # a new group wherever consecutive eigenvalues differ by more than rtol
+    group = np.cumsum(np.abs(np.diff(w, prepend=w[0]))
+                      > MULTIPLICITY_RTOL * (1.0 + np.abs(w)))
 
     return EigenSystem(mu=w, vectors=full, gamma=gamma, group=group,
                        lam=lam, params=params, forms=forms,
-                       hardy_lambda=lam_star)
+                       hardy_lambda=lam_star, eigen_path=path, shift=shift,
+                       shift_retries=retries)
 
 
-def _sparse_smallest(Kr, Mr, k, params):
-    """Shift-invert Lanczos with the shift just below the spectrum floor,
-    retried with a lower shift if eigenvalues show up beneath it."""
+def _sparse_smallest(forms, Kr, Mr, k, params):
+    """Shift-invert Lanczos with the shift sigma just below the spectrum
+    floor, lowered while eigenvalues lie beneath it or the capacitance is
+    singular (sigma is an eigenvalue).  Returns the eigenpairs, the final
+    shift and the number of times it was lowered."""
     n = Kr.shape[0]
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
-    v0 = np.ones(n) + 0.01 * np.sin(np.arange(n))
-    Kc, Mc = Kr.tocsc(), Mr.tocsc()
-    last_exc = None
-    for _ in range(4):
+    for retries in range(41):
         try:
-            w, V = spla.eigsh(Kc, k=k, M=Mc, sigma=sigma, which="LM", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalError(
-                f"eigensolver failed to converge: {exc}") from exc
-        except RuntimeError as exc:
-            # factorization of (K - sigma M) hit a singular pivot: sigma is
-            # an eigenvalue or the problem dipped below it; lower and retry
-            last_exc = exc
-            sigma = 2.0 * sigma - 1.0
-            continue
-        if w.min() > sigma + 1e-12 * (1.0 + abs(sigma)):
-            return w, V
-        sigma = float(w.min()) - 1.0
-    if last_exc is not None:
-        raise NumericalError(f"eigensolver shift selection failed: {last_exc}")
-    return w, V
+            solver = HemisphereSolver(forms, [-sigma],
+                                      params.lam * params.kappa)
+            # off the equator row the operator is K - sigma M, positive
+            # definite; by Sylvester's law of inertia it has as many
+            # negative eigenvalues as its inverse's free equator block
+            Z = solver.equator_inverse(forms.mesh.robin_ids)[0]
+            if np.all(np.linalg.eigvalsh(Z + Z.T) > 0.0):
+                break
+        except np.linalg.LinAlgError:
+            pass
+        sigma = 2.0 * sigma - 1.0
+    else:
+        raise NumericalError("eigensolver shift selection failed: "
+                             f"eigenvalues remain below {sigma:.6g}")
+    v0 = np.ones(n) + 0.01 * np.sin(np.arange(n))
+    opinv = spla.LinearOperator(
+        (n, n), matvec=lambda x: solver.solve(x.reshape(1, -1))[0],
+        dtype=float)
+    try:
+        w, V = spla.eigsh(Kr, k=k, M=Mr, sigma=sigma, which="LM", v0=v0,
+                          OPinv=opinv)
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    return w, V, sigma, retries
 
 
 # ---------------------------------------------------------------------------

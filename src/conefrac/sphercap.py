@@ -309,26 +309,29 @@ def boundary_integral(forms: AssembledForms, f, g=None) -> float:
 # ---------------------------------------------------------------------------
 
 class HemisphereSolver:
-    """Exact inverse of H_i = K + sigma_i M restricted to the free nodes,
-    for a batch of shifts sigma_i > 0, with no sparse factorization.
+    """Exact inverse of H_i = K - rho B + sigma_i M restricted to the free
+    nodes, for a batch of shifts sigma_i > 0 and a Robin coefficient
+    rho >= 0, with no sparse factorization.
 
-    On the full node set H_i is a sum of Kronecker products with circulant
-    azimuthal factors, so a real FFT in theta turns it into the
+    A real FFT in theta turns K + sigma_i M on the full node set into the
     tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k and
-    w_k the symbols of Mth and Kth; their LDL^T factors are computed once.
-    On the equator row H_i^-1 is the circulant G_i of irfft(g_i),
-    g_ik = [T_ik^-1]_00.  The Dirichlet equator nodes D are removed by a
-    capacitance correction (Buzbee, Dorr, George & Golub, SIAM J. Numer.
-    Anal. 8, 1971): with y = H_i^-1 b (b zero on D), the free-node
-    solution is y - H_i^-1 E_D C_i^-1 y_D, where C_i = E_D^T H_i^-1 E_D is
-    G_i restricted to D and H_i^-1 E_D z is T_ik^-1 e_0 times the
-    transform of z.
+    w_k the symbols of the circulant Mth and Kth; their LDL^T factors are
+    computed once.  On the equator row (K + sigma_i M)^-1 is the circulant
+    G_i of irfft(g_i), g_ik = [T_ik^-1]_00.  The Dirichlet nodes D and the
+    -rho B term both live on that row, so one capacitance system there
+    handles both (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
+    1971): with y = (K + sigma_i M)^-1 b, the solution is
+    y + (K + sigma_i M)^-1 E w, E the equator injection, whose weights w
+    (multipliers on D, rho Bth x on the free equator nodes F) solve
+    C_i w = (rho Bth_FF - E_D E_D^T) y_eq, C_i = E_D E_D^T G_i + E_F E_F^T
+    - rho Bth_FF G_i.  C_i is solved once for Q_i, w = Q_i y_eq; a singular
+    C_i raises LinAlgError.
     """
 
-    def __init__(self, forms: AssembledForms, shifts):
+    def __init__(self, forms: AssembledForms, shifts, rho: float = 0.0):
         mesh = forms.mesh
         shifts = np.asarray(shifts, dtype=float)[:, None, None]
-        self.free, self.dirichlet = mesh.free_nodes, mesh.dirichlet_ids
+        self.free = mesh.free_nodes
         self.shape = (len(shifts), mesh.nt, mesh.ntheta)
         m_k, w_k = (np.fft.rfft(C[:, [0]].toarray()[:, 0]).real
                     for C in (forms.Mth, forms.Kth))
@@ -346,13 +349,13 @@ class HemisphereSolver:
         e0 = np.zeros_like(self.d)
         e0[:, 0] = 1.0
         self.col0 = self._tridiag_solve(e0)
-        self.green = np.fft.irfft(self.col0[:, 0], mesh.ntheta, axis=-1)
-        D = self.dirichlet
-        self.C_inv = np.linalg.inv(self._green_block(D, D))
-
-    def _green_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The (rows, cols) block of every G_i, indexed by equator node."""
-        return self.green[:, (rows[:, None] - cols) % self.shape[2]]
+        n = mesh.ntheta
+        green = np.fft.irfft(self.col0[:, 0], n, axis=-1)
+        self.green = green[:, (np.arange(n)[:, None] - np.arange(n)) % n]
+        on_d = ~mesh.robin_mask
+        rho_b = rho * forms.Bth.toarray() * np.outer(~on_d, ~on_d)
+        C = np.where(on_d[:, None], self.green, np.eye(n)) - rho_b @ self.green
+        self.Q = np.linalg.solve(C, rho_b - np.diag(on_d.astype(float)))
 
     def _tridiag_solve(self, Y: np.ndarray) -> np.ndarray:
         """Solve T_ik x = y for every (i, k) at once; t is axis 1."""
@@ -371,17 +374,13 @@ class HemisphereSolver:
         U = np.zeros((m, nt * ntheta))
         U[:, self.free] = X
         Y = self._tridiag_solve(np.fft.rfft(U.reshape(self.shape), axis=-1))
-        y_d = np.fft.irfft(Y[:, 0], ntheta, axis=-1)[:, self.dirichlet]
-        Z = np.zeros((m, ntheta))
-        Z[:, self.dirichlet] = (self.C_inv @ y_d[:, :, None])[:, :, 0]
-        Y -= self.col0 * np.fft.rfft(Z, axis=-1)[:, None, :]
+        y_eq = np.fft.irfft(Y[:, 0], ntheta, axis=-1)
+        w = (self.Q @ y_eq[:, :, None])[:, :, 0]
+        Y += self.col0 * np.fft.rfft(w, axis=-1)[:, None, :]
         return np.fft.irfft(Y, ntheta, axis=-1).reshape(m, -1)[:, self.free]
 
     def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:
         """The block of the free-node inverse on free equator ``nodes``,
-        G_i - G_i E_D C_i^-1 E_D^T G_i restricted to them; one square block
-        per shift."""
-        D = self.dirichlet
-        return (self._green_block(nodes, nodes)
-                - self._green_block(nodes, D) @ self.C_inv
-                @ self._green_block(D, nodes))
+        G_i + G_i Q_i G_i restricted to them; one square block per shift."""
+        G = self.green[:, nodes]
+        return G[:, :, nodes] + G @ self.Q @ self.green[:, :, nodes]

@@ -197,9 +197,13 @@ def test_cli_determinism(tmp_path):
     for name in ("eig.csv", "manifest.json", "eig_ladder.svg"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
-    # lam = 0 is checked against no Hardy constant
+    # lam = 0 is checked against no Hardy constant; ARPACK ran at the
+    # first shift, just below the spectrum floor -1/4
     notes = json.loads((tmp_path / "a" / "manifest.json").read_text())["notes"]
-    assert notes == {"hardy_lambda": None, "lambda_margin": None}
+    assert notes == {"eigen_path": "arpack",
+                     "eigen_shift": pytest.approx(-0.315, rel=1e-15),
+                     "shift_retries": 0,
+                     "hardy_lambda": None, "lambda_margin": None}
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -300,6 +304,8 @@ k = 6
     assert notes["lambda_margin"] == pytest.approx(
         0.1 / notes["hardy_lambda"], rel=1e-15)
     assert 0.0 < notes["lambda_margin"] < 1.0
+    assert (notes["eigen_path"], notes["shift_retries"]) == ("arpack", 0)
+    assert notes["eigen_shift"] < -0.25
     assert main(["frequency", "--config", str(cfg_path),
                  "--out", str(tmp_path / "again")]) == 0
     for name in ("manifest.json", "summary.json", "frequency.csv"):
@@ -364,6 +370,9 @@ k = 6
     assert 0 < manifest["notes"]["cg_iters"] < 50
     assert 0.0 < manifest["notes"]["cg_residual"] <= 1e-10
     assert 0.0 < manifest["notes"]["lambda_margin"] < 1.0
+    assert manifest["notes"]["eigen_path"] == "arpack"
+    assert manifest["notes"]["shift_retries"] == 0
+    assert manifest["notes"]["eigen_shift"] < -0.25
     assert main(["solve-ext", "--config", str(cfg_path),
                  "--out", str(tmp_path / "again")]) == 0
     for name in ("manifest.json", "field.bin", "summary.json"):

@@ -84,17 +84,61 @@ def test_first_eigenfunction_fixed_sign(half_es):
 def test_dense_and_sparse_paths_agree():
     cap = SphericalCap.full_circle()
     p = ProblemParams(s=0.5)
-    mesh = build_mesh(20, 40, 0.5, cap)      # 800 dofs: dense path
-    es_dense = solve_eigs(assemble(mesh, p), p, k=6)
-    import conefrac.spectral as spectral
-    old = spectral.DENSE_CUTOFF
-    spectral.DENSE_CUTOFF = 10
-    try:
-        es_sparse = solve_eigs(assemble(mesh, p), p, k=6)
-    finally:
-        spectral.DENSE_CUTOFF = old
-    np.testing.assert_allclose(es_dense.mu, es_sparse.mu,
-                               rtol=1e-9, atol=1e-9)
+    forms = assemble(build_mesh(20, 40, 0.5, cap), p)
+    es = solve_eigs(forms, p, k=6)
+    assert es.eigen_path == "arpack"
+    Kr, Mr = forms.pencil(p.lam, p.kappa)
+    dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
+                     subset_by_index=[0, 5])
+    np.testing.assert_allclose(es.mu, dense, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("cap", [cap_of_cone(ConeProfile.half_plane()),
+                                 SphericalCap.full_circle(),
+                                 SphericalCap(-0.7, 2.1)])   # wraps 0
+def test_arpack_matches_sparse_lu_shift_invert(cap):
+    """The solver-based shift-invert agrees with eigsh applying a sparse LU
+    of K - lam kappa B - sigma M at the same shift."""
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+    p = ProblemParams(s=0.5, lam=0.1)
+    forms = assemble(build_mesh(48, 96, 0.5, cap), p)
+    es = solve_eigs(forms, p, k=12)
+    assert (es.eigen_path, es.shift_retries) == ("arpack", 0)
+    assert es.shift < p.spectrum_floor
+    Kr, Mr = forms.pencil(p.lam, p.kappa)
+    n = Kr.shape[0]
+    lu = splu((Kr - es.shift * Mr).tocsc())
+    ref = eigsh(Kr, k=12, M=Mr, sigma=es.shift, which="LM",
+                v0=np.ones(n) + 0.01 * np.sin(np.arange(n)),
+                OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
+                return_eigenvectors=False)
+    np.testing.assert_allclose(es.mu, np.sort(ref), rtol=1e-10, atol=0.0)
+
+
+def test_signs_and_groups_match_loop_reference(half_forms):
+    """The vectorized sign and multiplicity-group conventions against the
+    per-mode loops they replaced."""
+    from conefrac.spectral import MULTIPLICITY_RTOL, _fix_signs
+    Mr = half_forms.reduced(half_forms.M)
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal((6, Mr.shape[0]))
+    V[0] -= (V[0] @ (Mr @ np.ones(len(V[0])))) / Mr.sum()   # zero integral
+    ref = V.copy()
+    Mw = Mr @ np.ones(V.shape[1])
+    for row in ref:
+        w = float(row @ Mw)
+        lead = w if abs(w) > 1e-8 else row[np.argmax(np.abs(row))]
+        if lead < 0.0:
+            row *= -1.0
+    np.testing.assert_array_equal(_fix_signs(V, Mr), ref)
+    es, _ = _eigs(12, 24, 0.5, SphericalCap.full_circle(), k=6)
+    gid, group = 0, [0]
+    for i in range(1, es.k):
+        gid += abs(es.mu[i] - es.mu[i - 1]) \
+            > MULTIPLICITY_RTOL * (1.0 + abs(es.mu[i]))
+        group.append(gid)
+    np.testing.assert_array_equal(es.group, group)
+    assert es.group.max() < es.k - 1       # the cos/sin pairs share groups
 
 
 def test_eigenvector_dirichlet_zeros(half_es):
@@ -120,6 +164,14 @@ def test_inadmissible_lambda_raises_without_flag():
         warnings.simplefilter("ignore")
         es = solve_eigs(forms, p, k=3, allow_inadmissible=True)
     assert es.k == 3
+    # eigenvalues far below the floor: the shift was lowered beneath them
+    assert es.eigen_path == "arpack"
+    assert es.shift_retries >= 1
+    assert es.mu.min() > es.shift
+    Kr, Mr = forms.pencil(p.lam, p.kappa)
+    dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
+                     subset_by_index=[0, 2])
+    np.testing.assert_allclose(es.mu, dense, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import DomainError, GeometryError
 from conefrac.params import ProblemParams
-from conefrac.sphercap import (assemble, boundary_integral, build_mesh,
-                               weighted_surface_integral)
+from conefrac.sphercap import (HemisphereSolver, assemble, boundary_integral,
+                               build_mesh, weighted_surface_integral)
 
 
 def test_mesh_nodes_uniform_grading():
@@ -187,3 +187,38 @@ def test_spherical_hardy_inequality_for_eigenfunctions(half_es, half_forms,
         rhs = c2 * float(psi @ (half_forms.M @ psi)) \
             + float(psi @ (half_forms.K @ psi))
         assert lhs <= rhs * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("cap, ntheta", [
+    (SphericalCap.full_circle(), 8),             # no Dirichlet nodes
+    (SphericalCap(math.pi, 2 * math.pi), 8),     # half cap
+    (SphericalCap(0.3, 2.0), 12),                # Dirichlet set wraps 0
+    (SphericalCap(math.pi, 2 * math.pi), 9),     # odd ntheta
+])
+def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
+    """The solver inverts K - rho B + sigma_i M on the free nodes for a batch
+    of shifts, and its equator block is that inverse's, with the same
+    inertia as the operator (rho = 5 makes it indefinite)."""
+    p = ProblemParams(s=0.5, lam=0.1)
+    forms = assemble(build_mesh(5, ntheta, 0.5, cap), p)
+    mesh = forms.mesh
+    shifts = np.array([0.3, 1.7, 25.0])
+    eq = mesh.dof_of_node[mesh.robin_ids]
+    for rho in (0.0, p.lam * p.kappa, 5.0):
+        solver = HemisphereSolver(forms, shifts, rho)
+        cols = [solver.solve(np.tile(e, (len(shifts), 1)))
+                for e in np.eye(mesh.n_free)]
+        Z = solver.equator_inverse(mesh.robin_ids)
+        for i, sigma in enumerate(shifts):
+            A = forms.reduced(forms.K - rho * forms.B
+                              + sigma * forms.M).toarray()
+            exact = np.linalg.inv(A)
+            P = np.column_stack([c[i] for c in cols])
+            assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
+            assert np.abs(Z[i] - exact[np.ix_(eq, eq)]).max() \
+                <= 1e-12 * np.abs(exact).max()
+            # Sylvester: the equator block has the operator's inertia
+            n_neg = np.sum(np.linalg.eigvalsh(A) < 0.0)
+            assert np.sum(np.linalg.eigvalsh(Z[i] + Z[i].T) < 0.0) == n_neg
+            if rho < 1.0:
+                assert n_neg == 0
