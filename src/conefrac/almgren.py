@@ -3,13 +3,15 @@ frequency N(r) = D/H with its H' = 2D/r identity, blow-up rescalings,
 Fourier mode profiles, the amplitude formula for the limit profile, and the
 Pohozaev balance used as a numerical diagnostic.
 
-All sphere integrals are hemisphere quadratures against the forms the field
-carries.  Radial integrals are closed forms for manufactured (exactly
-homogeneous) fields; everything else goes through one radial quadrature
-plan: composite 4-point Gauss panels in log radius with a panel edge at
-every requested radius, the field sampled at all nodes in one batched call,
-and the integrals up to every radius read off one cumulative sum.  Grid
-fields add a local-power continuation below the innermost shell.
+A field's sphere sample is c(rho)^T T (``ScalarField``), so every sphere
+form is c(rho)^T (T A T^T) c(rho) on the Grams the field caches: O(rows^2)
+per radius, no sweep over the hemisphere nodes; the h trace term alone is
+evaluated row-wise on the equator columns.  Radial integrals are closed
+forms for manufactured (exactly homogeneous) fields; everything else goes
+through one radial quadrature plan: composite 4-point Gauss panels in log
+radius with a panel edge at every requested radius, and the integrals up to
+every radius read off one cumulative sum.  Grid fields add a local-power
+continuation below the innermost shell.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.optimize import least_squares
 from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .expressions import Expression
-from .extension import GridField, ManufacturedField, ScalarField
+from .extension import ManufacturedField, ScalarField, table_grams
 from .params import ProblemParams
 from .spectral import EigenSystem
 
@@ -49,13 +51,13 @@ __all__ = [
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _quad(A, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise quadratic forms X_i . (A Y_i), Y defaulting to X.  Each row
-    is one dot product, bit-identical to x @ (A @ y) on a single sphere;
-    the rows are made contiguous, since a strided row sums in another order."""
-    X = np.ascontiguousarray(X)
-    AY = np.ascontiguousarray((A @ (X if Y is None else Y).T).T)
-    return (X[:, None, :] @ AY[:, :, None])[:, 0, 0]
+def _bilinear(C: np.ndarray, G: np.ndarray,
+              D: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise c_i^T G d_i for a dense G, D defaulting to C: one
+    vector-matrix product and one row sum per row, so a row of a batched
+    call is bit-identical to the call at that radius alone."""
+    CG = (C[:, None, :] @ G)[:, 0, :]
+    return np.sum(CG * (C if D is None else D), axis=1)
 
 
 def _equator_rows(expr: Expression, rho: np.ndarray, mesh) -> np.ndarray:
@@ -68,10 +70,23 @@ def _equator_rows(expr: Expression, rho: np.ndarray, mesh) -> np.ndarray:
                       * np.ones((len(rho), len(th))))
 
 
-def _equator_density(weights: np.ndarray, tr: np.ndarray, rho: np.ndarray,
-                     Bee, N: int) -> np.ndarray:
+def _equator_density(fld: ScalarField, weights: np.ndarray, rho: np.ndarray,
+                     N: int) -> np.ndarray:
     """rho^(N-1) int weights |Tr U|^2 on the equator circle of each rho."""
-    return rho ** (N - 1) * _quad(Bee, weights * tr, tr)
+    tr = fld.trace_values(rho)
+    return rho ** (N - 1) * _bilinear(weights * tr, fld.forms.Bth.toarray(),
+                                      tr)
+
+
+def _shell_terms(fld: ScalarField, rho: np.ndarray, params: ProblemParams):
+    """Normal-derivative and gradient energies, equator mass and flux on
+    the sphere of every rho, from the field's Grams."""
+    N, s, G = params.N, params.s, fld.grams
+    c, cg = fld.coefficients(rho), fld.coefficients(rho, derivative=True)
+    norm_der = rho ** (N + 1 - 2 * s) * _bilinear(cg, G["M"])
+    grad = norm_der + rho ** (N - 1 - 2 * s) * _bilinear(c, G["K"])
+    return (norm_der, grad, rho ** (N - 1 - 2 * s) * _bilinear(c, G["B"]),
+            rho ** (N + 1 - 2 * s) * _bilinear(c, G["M"], cg))
 
 
 @dataclass(frozen=True)
@@ -107,13 +122,11 @@ def _radial_plan(edges, per_decade: int = 24) -> _RadialPlan:
 
 
 def _plan_for(fld: ScalarField, radii: np.ndarray) -> _RadialPlan:
-    """The plan for integrals up to every radius.  Grid fields start at
-    the innermost shell and leave the rest to the power-continuation core;
+    """The plan for integrals up to every radius.  A field with a power
+    continuation starts at its core radius and leaves the rest to the core;
     other fields start at 1e-8 times the smallest radius."""
-    if isinstance(fld, GridField):
-        r_min = fld.grid.r_min
-        return _radial_plan(np.append(np.maximum(radii, r_min), r_min))
-    return _radial_plan(np.append(radii, 1e-8 * np.min(radii)))
+    lo = fld.core_radius or 1e-8 * np.min(radii)
+    return _radial_plan(np.append(np.maximum(radii, lo), lo))
 
 
 def _is_zero_h(h) -> bool:
@@ -128,7 +141,7 @@ def _boundary_mass(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
     outside = radii[(radii <= 0.0) | (radii > 1.0 + 1e-12)]
     if len(outside):
         raise DomainError(f"radius must lie in (0, 1], got {outside[0]}")
-    H = _quad(fld.forms.M, fld.sphere_values(radii))
+    H = _bilinear(fld.coefficients(radii), fld.grams["M"])
     bad = np.flatnonzero(H <= 0.0)
     if len(bad):
         raise NumericalError(
@@ -139,16 +152,15 @@ def _boundary_mass(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
 
 def compute_H(fld: ScalarField, r: float, params: ProblemParams) -> float:
     """Scaled boundary mass r^(2s-N-1) int_{sphere r} t^(1-2s) U^2 dS,
-    evaluated as a hemisphere quadrature of the sphere samples.  Positive for
-    any non-trivial field; H <= 0 raises."""
+    evaluated on the field's mass Gram.  Positive for any non-trivial field;
+    H <= 0 raises."""
     return float(_boundary_mass(fld, np.array([float(r)]))[0])
 
 
 def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray,
                         params: ProblemParams):
     """Closed-form volume and Hardy integrals up to every radius."""
-    idx = np.ix_(fld.modes, fld.modes)
-    k0, m, b = (q[idx] for q in fld.es.quad_forms())
+    k0, m, b = (fld.grams[form] for form in "KMB")
     g = fld.gammas
     beta = fld.betas
     N, s = params.N, params.s
@@ -163,37 +175,30 @@ def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray,
 
 def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray,
              params: ProblemParams, h):
-    """(vol, hardy, trace_h): the radial integrals of the energy from the
-    vertex to every radius.  Manufactured fields give the first two in
-    closed form; the rest comes from the plan, and a grid field's power
+    """(lam, vol, hardy, trace_h): the radial integrals of the energy from
+    the vertex to every radius and the lam they are taken at.  Manufactured
+    fields, exact at their eigen system's lam, give vol and hardy in closed
+    form; the rest comes from the plan, and a grid field's power
     continuation supplies the core below the plan's lower end (all of the
     integral for radii below it)."""
-    Bee = fld.forms.Bth
     N, s = params.N, params.s
     lo = plan.edges[0]
     rho = np.append(lo, plan.rho)          # the core point, then the nodes
     core = np.minimum(radii, lo) / lo      # r / lo below the plan, else 1
     if isinstance(fld, ManufacturedField):
         vol, hardy = _manufactured_terms(fld, radii, params)
-        h_power = math.inf                 # no core
-        if _is_zero_h(h):
-            return vol, hardy, np.zeros_like(vol)
-        tr = fld.trace_values(rho)
+        lam, h_power = fld.es.lam, math.inf   # no core
     else:
-        forms = fld.forms
+        lam = params.lam
         gloc = fld.local_power()
-        v = fld.sphere_values(rho)
-        g = fld.sphere_radial_derivative(rho)
-        tr = v[:, fld.mesh.equator_ids]
-        e_vol = (rho ** (N + 1 - 2 * s) * _quad(forms.M, g)
-                 + rho ** (N - 1 - 2 * s) * _quad(forms.K, v))
-        e_hardy = rho ** (N - 1 - 2 * s) * _quad(Bee, tr)
+        _, e_vol, e_hardy, _ = _shell_terms(fld, rho, params)
         power = N - 2.0 * s + 2.0 * gloc
         if power <= 1e-2:
             # the trace fails to vanish fast enough at the vertex: the
             # Hardy term int |Tr U|^2 / |x|^2s is not integrable against
             # the continuation power
-            if params.lam != 0.0 and float(tr[0] @ (Bee @ tr[0])) > 1e-14:
+            if (params.lam != 0.0
+                    and e_hardy[0] > 1e-14 * lo ** (N - 1 - 2 * s)):
                 raise NumericalError(
                     f"non-integrable trace singularity: local power {gloc:.4f}"
                     f" is at or below (2s - N)/2 = {(2 * s - N) / 2:.4f}")
@@ -203,18 +208,17 @@ def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray,
         hardy = (plan.integrate(e_hardy[1:], radii)
                  + e_hardy[0] * lo / power * core ** power)
         h_power = N + 2.0 * gloc if N + 2.0 * gloc > 1e-2 else math.inf
-        if _is_zero_h(h):
-            return vol, hardy, np.zeros_like(vol)
-    e_h = _equator_density(_equator_rows(h, rho, fld.mesh), tr, rho, Bee, N)
-    return vol, hardy, (plan.integrate(e_h[1:], radii)
-                        + e_h[0] * lo / h_power * core ** h_power)
+    if _is_zero_h(h):
+        return lam, vol, hardy, np.zeros_like(vol)
+    e_h = _equator_density(fld, _equator_rows(h, rho, fld.mesh), rho, N)
+    return lam, vol, hardy, (plan.integrate(e_h[1:], radii)
+                             + e_h[0] * lo / h_power * core ** h_power)
 
 
 def _scaled_energy(fld: ScalarField, radii: np.ndarray,
                    params: ProblemParams, h) -> np.ndarray:
-    vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii,
-                                   params, h)
-    lam = fld.es.lam if isinstance(fld, ManufacturedField) else params.lam
+    lam, vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii,
+                                        params, h)
     N, s = params.N, params.s
     return radii ** (2.0 * s - N) * (
         vol - params.kappa * (lam * hardy + trace_h))
@@ -362,32 +366,37 @@ class BlowupSnapshot:
 
     def boundary_norm(self) -> float:
         """Weighted boundary mass on the unit sphere; 1 by construction."""
-        v = self.sphere_values(1.0)
-        return float(v @ (self.fld.forms.M @ v))
+        c = self.fld.coefficients(self.tau)
+        return float(c @ self.fld.grams["M"] @ c) / self.scale ** 2
 
-    def projection(self, es: EigenSystem, j: int) -> float:
-        """Boundary-mass projection of the snapshot onto mode j."""
-        v = self.sphere_values(1.0)
-        return float(v @ (self.fld.forms.M @ es.vectors[j]))
+    def projection(self, es: EigenSystem, j) -> float:
+        """Boundary-mass projection of the snapshot onto mode j, one per
+        mode for an array of modes: psi_j^T M T^T times c(tau)."""
+        return ((self.fld.forms.M @ es.vectors[j].T).T @ self.fld.table.T
+                @ self.fld.coefficients(self.tau)) / self.scale
 
     def off_group_norm(self, es: EigenSystem, group_of: int) -> float:
         """l2 size of projections onto every stored mode outside the
         multiplicity group of ``group_of``."""
         others = np.setdiff1d(np.arange(es.k), es.group_members(group_of))
-        return math.sqrt(sum(self.projection(es, j) ** 2 for j in others))
+        return float(np.linalg.norm(self.projection(es, others)))
 
     def h1_distance(self, other: ScalarField, r_lo: float = 1e-4) -> float:
         """Weighted H1 distance on the unit half-ball between the snapshot
-        and another field, by shell quadrature."""
-        forms = self.fld.forms
+        and another field, by shell quadrature on the joint table's Grams."""
         N, s = self.params.N, self.params.s
         plan = _radial_plan([r_lo, 1.0])
         rho = plan.rho
-        dv = self.sphere_values(rho) - other.sphere_values(rho)
-        dg = (self.fld.sphere_radial_derivative(self.tau * rho) * self.tau
-              / self.scale) - other.sphere_radial_derivative(rho)
-        f = (rho ** (N + 1 - 2 * s) * (_quad(forms.M, dg) + _quad(forms.M, dv))
-             + rho ** (N - 1 - 2 * s) * _quad(forms.K, dv))
+        T = np.vstack([self.fld.table, other.table])
+        dv = np.hstack([self.fld.coefficients(self.tau * rho) / self.scale,
+                        -other.coefficients(rho)])
+        dg = np.hstack([self.fld.coefficients(self.tau * rho, derivative=True)
+                        * (self.tau / self.scale),
+                        -other.coefficients(rho, derivative=True)])
+        G = table_grams(self.fld.forms, T)
+        f = (rho ** (N + 1 - 2 * s) * (_bilinear(dg, G["M"])
+                                       + _bilinear(dv, G["M"]))
+             + rho ** (N - 1 - 2 * s) * _bilinear(dv, G["K"]))
         total = float(plan.integrate(f, [1.0])[0])
         return math.sqrt(max(total, 0.0))
 
@@ -463,15 +472,12 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus,
         raise DomainError("taus must lie in (0, 1]")
     forms = es.forms
     k = es.k
-    MV = np.ascontiguousarray((forms.M @ fld.sphere_values(taus).T).T)
-    # one matrix-vector product per radius, as in a loop over taus
-    phi = (es.vectors @ MV[:, :, None])[:, :, 0].T
+    # psi_j^T M T^T once, then c(tau) per radius
+    phi = (forms.M @ es.vectors.T).T @ fld.table.T @ fld.coefficients(taus).T
 
     ups = np.zeros((k, len(taus)))
     if not _is_zero_h(h):
-        r_lo = taus[0] * 1e-3
-        if isinstance(fld, GridField):
-            r_lo = max(r_lo, 1e-3 * fld.grid.r_min)
+        r_lo = max(taus[0], fld.core_radius) * 1e-3
         plan = _radial_plan([r_lo, taus[-1]], per_decade=32)
         rho = plan.rho
         tr = fld.trace_values(rho)
@@ -590,28 +596,19 @@ def pohozaev_check(fld: ScalarField, params: ProblemParams,
     radius.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
-    forms = fld.forms
-    Bee = forms.Bth
     mesh = fld.mesh
     N, s = params.N, params.s
-    lam = fld.es.lam if isinstance(fld, ManufacturedField) else params.lam
     kappa = params.kappa
 
-    v = fld.sphere_values(radii)
-    g = fld.sphere_radial_derivative(radii)
-    shell_norm_der = radii ** (N + 1 - 2 * s) * _quad(forms.M, g)
-    shell_grad = shell_norm_der + radii ** (N - 1 - 2 * s) * _quad(forms.K, v)
-    tr = v[:, mesh.equator_ids]
-    circ_hardy = radii ** (N - 1 - 2 * s) * _quad(Bee, tr)
+    norm_der, grad, circ_hardy, flux = _shell_terms(fld, radii, params)
 
     plan = _plan_for(fld, radii)
-    vol, hardy, trace_h = _d_terms(fld, plan, radii, params, h)
+    lam, vol, hardy, trace_h = _d_terms(fld, plan, radii, params, h)
 
-    lhs = 0.5 * radii * (shell_grad - kappa * lam * circ_hardy) \
-        - radii * shell_norm_der
+    lhs = 0.5 * radii * (grad - kappa * lam * circ_hardy) - radii * norm_der
     if not _is_zero_h(h):
-        circ_h = _equator_density(_equator_rows(h, radii, mesh), tr, radii,
-                                  Bee, N)
+        circ_h = _equator_density(fld, _equator_rows(h, radii, mesh), radii,
+                                  N)
         # Euler term int (x . grad h + N h) |Tr U|^2 on the plan's panels
         rho = plan.rho
         x1 = rho[:, None] * np.cos(mesh.theta_nodes)
@@ -619,14 +616,11 @@ def pohozaev_check(fld: ScalarField, params: ProblemParams,
         mix = (_equator_rows(h.diff("x1"), rho, mesh) * x1
                + _equator_rows(h.diff("x2"), rho, mesh) * x2
                + N * _equator_rows(h, rho, mesh))
-        euler = plan.integrate(
-            _equator_density(mix, fld.trace_values(rho), rho, Bee, N),
-            radii)
+        euler = plan.integrate(_equator_density(fld, mix, rho, N), radii)
         lhs += 0.5 * kappa * euler - 0.5 * radii * kappa * circ_h
 
     rhs = 0.5 * (N - 2.0 * s) * (vol - kappa * lam * hardy)
 
-    flux = radii ** (N + 1 - 2 * s) * _quad(forms.M, v, g)
     energy = vol - kappa * (lam * hardy + trace_h)
     scale = np.maximum(np.max(np.abs([energy, flux, lhs, rhs]), axis=0),
                        1e-300)

@@ -158,8 +158,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
                        h) -> list[str]:
     cap = cfg.cap()
     r0 = cfg.task_opts["r0"]
-    fld_rmin = getattr(getattr(fld, "grid", None), "r_min", None)
-    lo = 1e-2 if fld_rmin is None else max(1e-2, 10.0 * fld_rmin)
+    lo = max(1e-2, 10.0 * fld.core_radius)
     radii = default_radii(R0=r0, n=cfg.task_opts["nradii"], r_min=lo)
     trace = frequency_trace(fld, params, h, cap, radii, R0=r0)
     _write_csv(out / "frequency.csv", ["r", "H", "D", "Ncal"],

@@ -18,14 +18,14 @@ takes one iteration when h is absent.
 Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
 output, radially interpolated with 4-point stencils on the uniform-in-log
-shell grid).
+shell grid); both are coefficient rows over a table of sphere vectors.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -126,29 +126,48 @@ def radial_stiffness(r_nodes: np.ndarray, weight_exp: float) -> sp.csr_matrix:
 # scalar fields
 # ---------------------------------------------------------------------------
 
+def _sample(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """c^T T with one vector-matrix product per radius (batched rows are
+    bit-identical to scalar calls)."""
+    return (coef[..., None, :] @ table)[..., 0, :]
+
+
+def table_grams(forms: AssembledForms, table: np.ndarray) -> dict:
+    """Gram matrices T A T^T of a table of hemisphere node vectors for
+    A = M, K and B (B through Bth on the equator columns), keyed by name."""
+    tt = np.ascontiguousarray(table.T)     # fast sparse products
+    eq = table[:, forms.mesh.equator_ids]
+    return {"M": table @ (forms.M @ tt), "K": table @ (forms.K @ tt),
+            "B": eq @ (forms.Bth @ eq.T)}
+
+
 class ScalarField:
     """Common surface for fields on the half-ball.
 
-    Subclasses provide values and radial derivatives sampled on spheres
-    (parametrized by the hemisphere mesh; an array of radii gives one row
-    per radius), the equator trace and the hemisphere forms.
+    A field's sample on the sphere of radius rho is c(rho)^T T: rows of
+    ``coefficients`` (one per radius) over a small ``table`` of hemisphere
+    node vectors, so a sphere form x^T A y of samples is c^T (T A T^T) c on
+    the cached ``grams``.  Below ``core_radius`` the field is a power of r.
     """
 
     mesh: HemisphereMesh
     forms: AssembledForms
-
-    def sphere_values(self, r) -> np.ndarray:
-        raise NotImplementedError
-
-    def sphere_radial_derivative(self, r) -> np.ndarray:
-        raise NotImplementedError
-
-    def trace_values(self, rho) -> np.ndarray:
-        return self.sphere_values(rho)[..., self.mesh.equator_ids]
+    core_radius = 0.0
+    is_analytic = False
 
     @property
-    def is_analytic(self) -> bool:
-        return False
+    def grams(self) -> dict:
+        """T A T^T for A = forms.M, forms.K and forms.B, keyed by name."""
+        if not self._grams:
+            self._grams.update(table_grams(self.forms, self.table))
+        return self._grams
+
+    def sphere_radial_derivative(self, r) -> np.ndarray:
+        return _sample(self.coefficients(r, derivative=True), self.table)
+
+    def trace_values(self, rho) -> np.ndarray:
+        return _sample(self.coefficients(rho),
+                       self.table[:, self.mesh.equator_ids])
 
 
 @dataclass(frozen=True)
@@ -157,11 +176,14 @@ class ManufacturedField(ScalarField):
 
     An exact solution of the h = 0 problem at the eigen system's lambda; all
     frequency-analyzer integrals against it reduce to closed forms in r.
+    Its table holds the modes psi_j, its coefficients beta_j r^gamma_j.
     """
 
     es: EigenSystem
     modes: tuple[int, ...]
     betas: np.ndarray
+    _grams: dict = field(default_factory=dict, repr=False, compare=False)
+    is_analytic = True
 
     def __post_init__(self):
         if len(self.modes) == 0:
@@ -183,26 +205,17 @@ class ManufacturedField(ScalarField):
         return self.es.gamma[list(self.modes)]
 
     @property
-    def psi_matrix(self) -> np.ndarray:
+    def table(self) -> np.ndarray:
         return self.es.vectors[list(self.modes)]
 
-    @property
-    def is_analytic(self) -> bool:
-        return True
-
-    def _modal_sum(self, coef: np.ndarray) -> np.ndarray:
-        # one vector-matrix product per radius, so a row of a batched call
-        # is bit-identical to the scalar call at that radius
-        return (coef[..., None, :] @ self.psi_matrix)[..., 0, :]
+    def coefficients(self, r, derivative: bool = False) -> np.ndarray:
+        r = np.asarray(r, dtype=float)[..., None]
+        if derivative:
+            return self.betas * self.gammas * r ** (self.gammas - 1.0)
+        return self.betas * r ** self.gammas
 
     def sphere_values(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)[..., None]
-        return self._modal_sum(self.betas * r ** self.gammas)
-
-    def sphere_radial_derivative(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)[..., None]
-        return self._modal_sum(self.betas * self.gammas
-                               * r ** (self.gammas - 1.0))
+        return _sample(self.coefficients(r), self.table)
 
     def evaluate(self, points) -> np.ndarray:
         """Pointwise values at (..., 3) upper half-space points."""
@@ -223,8 +236,9 @@ def manufactured_field(es: EigenSystem, coefficients) -> ManufacturedField:
 class GridField(ScalarField):
     """Solver output on a HalfBallGrid.
 
-    Radial interpolation is 4-point Lagrange on the uniform log-radius grid;
-    radial derivatives use fourth-order central stencils at the shells.
+    Its table is the shell values.  Radial interpolation is 4-point
+    Lagrange on the uniform log-radius grid; radial derivatives interpolate
+    fourth-order central stencils at the shells (one-sided at the edges).
     Below the innermost shell the field continues as the local power
     r^gamma_loc fitted to the boundary-mass slope there.
     """
@@ -237,12 +251,13 @@ class GridField(ScalarField):
         if values.shape != (grid.n_surfaces, grid.mesh.n_nodes):
             raise DomainError("values have the wrong shape for the grid")
         self.grid = grid
-        self.values = values
+        self.values = self.table = values
         self.params = params
         self.cap = cap
         self.h = h
         self.meta = dict(meta or {})
-        self._dvdx = None
+        self.core_radius = grid.r_min
+        self._grams = {}
         self._gamma_loc = None
         # the solve's forms, else the field's own
         self.forms = assemble(grid.mesh, params) if forms is None else forms
@@ -251,21 +266,17 @@ class GridField(ScalarField):
     def mesh(self) -> HemisphereMesh:
         return self.grid.mesh
 
-    def _radial_slopes(self) -> np.ndarray:
-        if self._dvdx is None:
-            v = self.values
-            dx = self.grid.x_nodes[1] - self.grid.x_nodes[0]
-            d = np.empty_like(v)
-            d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1]
-                       - v[4:]) / (12.0 * dx)
-            # one-sided fourth order at the edges
-            c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-            d[0] = c @ v[:5] / dx
-            d[1] = c @ v[1:6] / dx
-            d[-1] = -(c @ v[-5:][::-1]) / dx
-            d[-2] = -(c @ v[-6:-1][::-1]) / dx
-            self._dvdx = d
-        return self._dvdx
+    def _slope_matrix(self) -> np.ndarray:
+        """D with D @ values the log-radius slopes at the shells."""
+        n = self.grid.n_surfaces
+        D = np.zeros((n, n))
+        for k, a in enumerate(np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0):
+            D[np.arange(2, n - 2), np.arange(k, n - 4 + k)] = a
+        # one-sided fourth order at the edges
+        c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+        D[0, :5] = D[1, 1:6] = c
+        D[-1, -5:] = D[-2, -6:-1] = -c[::-1]
+        return D / (self.grid.x_nodes[1] - self.grid.x_nodes[0])
 
     def local_power(self) -> float:
         """Homogeneity exponent near the inner shell, from the boundary-mass
@@ -280,11 +291,11 @@ class GridField(ScalarField):
             self._gamma_loc = 0.5 * (math.log(h2) - math.log(h0)) / dx
         return self._gamma_loc
 
-    def _rows(self, r, table: np.ndarray, inner: float) -> np.ndarray:
-        """Rows of ``table`` (shell values or log-radius slopes) at radii r:
-        a sparse (len(r), n_shells) matrix of 4-point Lagrange weights in
-        log r times the table; inner * (r / r_min)^gamma_loc * values[0]
-        below r_min."""
+    def coefficients(self, r, derivative: bool = False) -> np.ndarray:
+        """Coefficient rows over the shells at radii r: 4-point Lagrange
+        weights in log r, times the slope stencils over r for the
+        derivative; below r_min the power continuation (r / r_min)^gamma_loc
+        of values[0], times gamma_loc / r for the derivative."""
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(rr <= 0.0):
             raise DomainError("radius must be positive")
@@ -302,20 +313,18 @@ class GridField(ScalarField):
                 if a != b:
                     w[:, a] *= (x - xst[:, b]) / (xst[:, a] - xst[:, b])
         w[below] = 0.0
-        out = sp.csr_matrix((w.ravel(), stencil.ravel(),
-                             np.arange(0, w.size + 1, 4)),
-                            shape=(len(rr), len(xs))) @ table
+        out = np.zeros((len(rr), len(xs)))
+        out[np.arange(len(rr))[:, None], stencil] = w
+        if derivative:
+            out = _sample(out / rr[:, None], self._slope_matrix())
         if np.any(below):
-            scale = (rr[below] / self.grid.r_min) ** self.local_power()
-            out[below] = self.values[0] * (inner * scale)[:, None]
+            gloc = self.local_power()
+            scale = (rr[below] / self.grid.r_min) ** gloc
+            out[below, 0] = scale * gloc / rr[below] if derivative else scale
         return out if np.ndim(r) else out[0]
 
     def sphere_values(self, r) -> np.ndarray:
-        return self._rows(r, self.values, 1.0)
-
-    def sphere_radial_derivative(self, r) -> np.ndarray:
-        return self._rows(r, self._radial_slopes(), self.local_power()) \
-            / np.asarray(r, dtype=float)[..., None]
+        return _sample(self.coefficients(r), self.table)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +389,8 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
                         forms: AssembledForms):
     """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus
     the kappa_s h trace term, applied to full 3-D node vectors through its
-    factors; returned with the dense radial matrices (S_r, M_r)."""
+    factors; returned with the dense radial matrices (S_r, M_r).  Its
+    result lives in a workspace that the next application overwrites."""
     s = params.s
     Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s).toarray()
     Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s).toarray()
@@ -393,11 +403,16 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
         segs = np.flatnonzero(np.asarray(cap.contains(mid), dtype=bool))
         trace_h = params.kappa * _trace_h_matrix(grid, h, segs)
     shape = (grid.n_surfaces, grid.mesh.n_nodes)
+    # one workspace: fresh full-size temporaries fault in every page
+    ut, out, tmp = np.empty(shape[::-1]), np.empty(shape), np.empty(shape)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        Ut = np.ascontiguousarray(u.reshape(shape).T)   # fast sparse products
-        out = (Sr @ (forms.M @ Ut).T + Mr @ (K_lam @ Ut).T).ravel()
-        return out if trace_h is None else out - trace_h @ u
+        np.copyto(ut, u.reshape(shape).T)        # fast sparse products
+        np.matmul(Sr, (forms.M @ ut).T, out=out)
+        np.add(out, np.matmul(Mr, (K_lam @ ut).T, out=tmp), out=out)
+        if trace_h is not None:
+            np.subtract(out, (trace_h @ u).reshape(shape), out=out)
+        return out.ravel()
 
     return apply, Sr, Mr
 
@@ -455,9 +470,9 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     shell_sel = np.arange(1 if h_is_zero else 0, n_surf - 1)
     free = (shell_sel[:, None] * n_h + mesh.free_nodes).ravel()
     b = -operator(u.ravel())[free]
+    v = np.zeros(grid.n_nodes)              # zero off the free dofs
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        v = np.zeros(grid.n_nodes)
         v[free] = x
         return operator(v)[free]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -100,7 +100,6 @@ class EigenSystem:
     eigen_path: str = "arpack"
     shift: float | None = None
     shift_retries: int = 0
-    _quad_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -116,17 +115,6 @@ class EigenSystem:
 
     def group_members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.group == self.group[j])
-
-    def quad_forms(self):
-        """Cross quadratic forms of the stored modes: (psi_i^T K psi_j,
-        psi_i^T M psi_j, psi_i^T B psi_j).  Cached."""
-        if "k0" not in self._quad_cache:
-            V = self.vectors
-            self._quad_cache["k0"] = V @ (self.forms.K @ V.T)
-            self._quad_cache["m"] = V @ (self.forms.M @ V.T)
-            self._quad_cache["b"] = V @ (self.forms.B @ V.T)
-        return (self._quad_cache["k0"], self._quad_cache["m"],
-                self._quad_cache["b"])
 
 
 def _fix_signs(V: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
@@ -160,19 +148,20 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                 f"lam = {lam} >= Lambda = {lam_star:.6g}: eigenvalues may "
                 "fall below the spectrum floor", RuntimeWarning)
 
-    Kr, Mr = forms.pencil(lam, params.kappa)
-    n = Kr.shape[0]
+    n = forms.mesh.n_free
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= {n}, got {k}")
 
     shift, retries = None, 0
     if k >= n - 1:      # beyond ARPACK's reach
         path = "dense"
+        Kr, Mr = forms.pencil(lam, params.kappa)
         w, V = sla.eigh(Kr.toarray(), Mr.toarray(),
                         subset_by_index=[0, k - 1])
     else:
         path = "arpack"
-        w, V, shift, retries = _sparse_smallest(forms, Kr, Mr, k, params)
+        Mr = forms.reduced(forms.M)
+        w, V, shift, retries = _sparse_smallest(forms, Mr, k, params)
     V = V.T
 
     order = np.argsort(w, kind="stable")
@@ -195,12 +184,12 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                        shift_retries=retries)
 
 
-def _sparse_smallest(forms, Kr, Mr, k, params):
+def _sparse_smallest(forms, Mr, k, params):
     """Shift-invert Lanczos with the shift sigma just below the spectrum
     floor, lowered while eigenvalues lie beneath it or the capacitance is
     singular (sigma is an eigenvalue).  Returns the eigenpairs, the final
     shift and the number of times it was lowered."""
-    n = Kr.shape[0]
+    n = Mr.shape[0]
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
     for retries in range(41):
@@ -223,9 +212,11 @@ def _sparse_smallest(forms, Kr, Mr, k, params):
     opinv = spla.LinearOperator(
         (n, n), matvec=lambda x: solver.solve(x.reshape(1, -1))[0],
         dtype=float)
+    # mode 3 with OPinv reads only the shape and dtype of K - lam kappa B
+    stiffness = spla.LinearOperator((n, n), matvec=None, dtype=float)
     try:
-        w, V = spla.eigsh(Kr, k=k, M=Mr, sigma=sigma, which="LM", v0=v0,
-                          OPinv=opinv)
+        w, V = spla.eigsh(stiffness, k=k, M=Mr, sigma=sigma, which="LM",
+                          v0=v0, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     return w, V, sigma, retries

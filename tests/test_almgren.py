@@ -31,18 +31,21 @@ def two_mode(half_es):
     return manufactured_field(half_es, [(0, 1.0), (3, 0.2)])
 
 
-def test_quad_rows_equal_per_sphere_products(half_es):
-    # equator traces of C-ordered samples are F-ordered (strided rows); each
-    # row must still equal the product on one sphere's (contiguous) vector,
-    # bit for bit
-    from conefrac.almgren import _quad
+def test_bilinear_rows_equal_single_row_calls(half_es):
+    # a row of a batched call must equal the call at that radius alone, bit
+    # for bit, also for strided rows (equator columns of C-ordered samples)
+    from conefrac.almgren import _bilinear
     forms = half_es.forms
-    v = np.random.default_rng(5).standard_normal((7, forms.mesh.n_nodes))
-    for A, X in ((forms.Bth, v[:, forms.mesh.equator_ids]), (forms.M, v)):
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((7, forms.mesh.n_nodes))
+    for G, X in ((forms.Bth.toarray(), v[:, forms.mesh.equator_ids]),
+                 (rng.standard_normal((66, 66)), v[:, :66])):
         Y = 1.0 + X ** 2
-        rows = [(x.copy(), y.copy()) for x, y in zip(X, Y)]
-        assert np.array_equal(_quad(A, X), [x @ (A @ x) for x, _ in rows])
-        assert np.array_equal(_quad(A, X, Y), [x @ (A @ y) for x, y in rows])
+        rows = [(x[None].copy(), y[None].copy()) for x, y in zip(X, Y)]
+        assert np.array_equal(_bilinear(X, G),
+                              [_bilinear(x, G)[0] for x, _ in rows])
+        assert np.array_equal(_bilinear(X, G, Y),
+                              [_bilinear(x, G, y)[0] for x, y in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +368,180 @@ def test_solver_field_mode_ode_residual(solver_field, half_es, half_params,
     scale = max(np.linalg.norm(abs(mu) * phi[mid]),
                 np.linalg.norm(w * zeta[mid]))
     assert resid <= 0.05 * scale
+
+
+# ---------------------------------------------------------------------------
+# Gram evaluation against the per-node sphere quadrature it replaced
+# ---------------------------------------------------------------------------
+
+def _per_node(A, X, Y=None):
+    """Sample the sphere, then x @ (A @ y) per radius: the evaluation the
+    Gram path replaced, kept as its reference."""
+    return np.array([x @ (A @ y) for x, y in zip(X, X if Y is None else Y)])
+
+
+def _reference_terms(fld, radii, params, h):
+    """(vol, hardy, trace_h) up to every radius from per-node samples on
+    the analyzer's plan; manufactured fields keep their closed forms."""
+    from conefrac.almgren import (_equator_rows, _manufactured_terms,
+                                  _plan_for)
+    N, s, forms = params.N, params.s, fld.forms
+    plan = _plan_for(fld, radii)
+    lo = plan.edges[0]
+    rho = np.append(lo, plan.rho)
+    core = np.minimum(radii, lo) / lo
+    tr = fld.sphere_values(rho)[:, fld.mesh.equator_ids]
+    if fld.is_analytic:
+        vol, hardy = _manufactured_terms(fld, radii, params)
+        h_power = math.inf
+    else:
+        gloc = fld.local_power()
+        e_vol = (rho ** (N + 1 - 2 * s)
+                 * _per_node(forms.M, fld.sphere_radial_derivative(rho))
+                 + rho ** (N - 1 - 2 * s)
+                 * _per_node(forms.K, fld.sphere_values(rho)))
+        e_hardy = rho ** (N - 1 - 2 * s) * _per_node(forms.Bth, tr)
+        power = N - 2.0 * s + 2.0 * gloc
+        vol = (plan.integrate(e_vol[1:], radii)
+               + e_vol[0] * lo / power * core ** power)
+        hardy = (plan.integrate(e_hardy[1:], radii)
+                 + e_hardy[0] * lo / power * core ** power)
+        h_power = N + 2.0 * gloc
+    if h is None:
+        return vol, hardy, np.zeros_like(vol)
+    e_h = rho ** (N - 1) * _per_node(
+        forms.Bth, _equator_rows(h, rho, fld.mesh) * tr, tr)
+    return vol, hardy, (plan.integrate(e_h[1:], radii)
+                        + e_h[0] * lo / h_power * core ** h_power)
+
+
+def _reference_pohozaev(fld, params, h, radii):
+    """(lhs, rhs, flux, green residual) from per-node samples."""
+    from conefrac.almgren import _equator_rows, _plan_for
+    N, s, kappa, forms = params.N, params.s, params.kappa, fld.forms
+    lam = fld.es.lam if fld.is_analytic else params.lam
+    v = fld.sphere_values(radii)
+    g = fld.sphere_radial_derivative(radii)
+    tr = v[:, fld.mesh.equator_ids]
+    norm_der = radii ** (N + 1 - 2 * s) * _per_node(forms.M, g)
+    grad = norm_der + radii ** (N - 1 - 2 * s) * _per_node(forms.K, v)
+    circ_hardy = radii ** (N - 1 - 2 * s) * _per_node(forms.Bth, tr)
+    vol, hardy, trace_h = _reference_terms(fld, radii, params, h)
+    lhs = 0.5 * radii * (grad - kappa * lam * circ_hardy) - radii * norm_der
+    if h is not None:
+        circ_h = radii ** (N - 1) * _per_node(
+            forms.Bth, _equator_rows(h, radii, fld.mesh) * tr, tr)
+        rho = _plan_for(fld, radii).rho
+        th = fld.mesh.theta_nodes
+        mix = (_equator_rows(h.diff("x1"), rho, fld.mesh) * np.cos(th)
+               + _equator_rows(h.diff("x2"), rho, fld.mesh) * np.sin(th)
+               ) * rho[:, None] + N * _equator_rows(h, rho, fld.mesh)
+        trr = fld.sphere_values(rho)[:, fld.mesh.equator_ids]
+        euler = _plan_for(fld, radii).integrate(
+            rho ** (N - 1) * _per_node(forms.Bth, mix * trr, trr), radii)
+        lhs += 0.5 * kappa * euler - 0.5 * radii * kappa * circ_h
+    rhs = 0.5 * (N - 2.0 * s) * (vol - kappa * lam * hardy)
+    flux = radii ** (N + 1 - 2 * s) * _per_node(forms.M, v, g)
+    energy = vol - kappa * (lam * hardy + trace_h)
+    scale = np.max(np.abs([energy, flux, lhs, rhs]), axis=0)
+    return lhs, rhs, flux, np.abs(energy - flux) / scale
+
+
+@pytest.mark.parametrize("kind", ["grid", "two_mode"])
+def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
+                                              pure, half_es, half_params,
+                                              half_cap):
+    from conefrac.almgren import _bilinear, _radial_plan
+    p, rel = half_params, 1e-12
+    if kind == "grid":
+        fld = solver_field[0]
+        shells = fld.grid.r_nodes[[3, 10, 20]]
+        # below r_min (power continuation), on shells, between shells
+        radii = np.sort(np.concatenate([[0.4 * fld.grid.r_min], shells,
+                                        [0.05, 0.3, 0.7]]))
+    else:
+        fld = two_mode
+        radii = np.array([1e-3, 0.05, 0.3, 0.7])
+    v = fld.sphere_values(radii)
+    g = fld.sphere_radial_derivative(radii)
+    c = fld.coefficients(radii)
+    cg = fld.coefficients(radii, derivative=True)
+    forms = fld.forms
+    H = np.array([compute_H(fld, r, p) for r in radii])
+    np.testing.assert_allclose(H, _per_node(forms.M, v), rtol=rel, atol=0)
+    np.testing.assert_allclose(_bilinear(c, fld.grams["M"], cg),
+                               _per_node(forms.M, v, g), rtol=rel, atol=0)
+    np.testing.assert_allclose(_bilinear(c, fld.grams["K"]),
+                               _per_node(forms.K, v), rtol=rel, atol=0)
+
+    h = parse_expression("0.1 + 0.05*x1")
+    for hh in (None, h):
+        vol, hardy, trace_h = _reference_terms(fld, radii, p, hh)
+        lam = fld.es.lam if fld.is_analytic else p.lam
+        D_ref = radii ** (2 * p.s - p.N) * (
+            vol - p.kappa * (lam * hardy + trace_h))
+        D = frequency_trace(fld, p, hh, half_cap, radii=radii).D
+        np.testing.assert_allclose(D, D_ref, rtol=rel, atol=0)
+
+        lhs, rhs, flux, green = _reference_pohozaev(fld, p, hh, radii)
+        reps = pohozaev_check(fld, p, hh, half_cap, radii)
+        np.testing.assert_allclose([q.lhs for q in reps], lhs, rtol=rel)
+        np.testing.assert_allclose([q.rhs for q in reps], rhs, rtol=rel)
+        # the residual is already relative to the scale
+        np.testing.assert_allclose([q.green_residual for q in reps], green,
+                                   rtol=0, atol=rel)
+
+    ft = fourier_coeffs(fld, half_es, radii, p, None, half_cap)
+    phi_ref = half_es.vectors @ (half_es.forms.M @ v.T)
+    np.testing.assert_allclose(ft.phi, phi_ref, rtol=0,
+                               atol=rel * np.abs(phi_ref).max())
+
+    snap = blowup(fld, 0.3, p)
+    w = snap.sphere_values(1.0)
+    proj = half_es.vectors @ (forms.M @ w)
+    others = np.setdiff1d(np.arange(half_es.k), half_es.group_members(0))
+    assert snap.off_group_norm(half_es, 0) == pytest.approx(
+        math.sqrt(sum(proj[others] ** 2)), rel=rel)
+    plan = _radial_plan([1e-4, 1.0])
+    rho = plan.rho
+    dv = snap.sphere_values(rho) - pure.sphere_values(rho)
+    dg = (fld.sphere_radial_derivative(0.3 * rho) * 0.3 / snap.scale
+          - pure.sphere_radial_derivative(rho))
+    N, s = p.N, p.s
+    f = (rho ** (N + 1 - 2 * s) * (_per_node(forms.M, dg)
+                                   + _per_node(forms.M, dv))
+         + rho ** (N - 1 - 2 * s) * _per_node(forms.K, dv))
+    assert snap.h1_distance(pure) == pytest.approx(
+        math.sqrt(plan.integrate(f, [1.0])[0]), rel=rel)
+
+
+class _CountingForm:
+    """A hemisphere form that counts the vectors it is applied to."""
+
+    def __init__(self, A):
+        self.A, self.vectors = A, 0
+
+    def __matmul__(self, X):
+        self.vectors += 1 if X.ndim == 1 else X.shape[1]
+        return self.A @ X
+
+
+def test_analyzer_products_do_not_scale_with_radii(solver_field, half_params,
+                                                   half_cap):
+    # the per-radius cost is O(table rows^2): the hemisphere-size forms
+    # meet only the table, however many radii are asked for
+    import dataclasses
+
+    from conefrac.extension import GridField
+    fld, h = solver_field
+
+    def products(n):
+        M, K = _CountingForm(fld.forms.M), _CountingForm(fld.forms.K)
+        fresh = GridField(fld.grid, fld.values, half_params, half_cap, h=h,
+                          forms=dataclasses.replace(fld.forms, M=M, K=K))
+        radii = np.geomspace(0.02, 0.8, n)
+        frequency_trace(fresh, half_params, h, half_cap, radii=radii)
+        pohozaev_check(fresh, half_params, h, half_cap, radii)
+        return M.vectors + K.vectors
+
+    assert 0 < products(10) == products(20)

@@ -111,7 +111,7 @@ def test_manufactured_field_basics(half_es):
     # mode-wise scaling under dilation
     v1 = fld.sphere_values(1.0)
     tau = 0.5
-    expected = (fld.betas * tau ** fld.gammas) @ fld.psi_matrix
+    expected = (fld.betas * tau ** fld.gammas) @ fld.table
     np.testing.assert_allclose(fld.sphere_values(tau), expected,
                                rtol=1e-13, atol=1e-15)
     assert v1.shape == (mesh.n_nodes,)
