@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .expressions import Expression
-from .extension import ManufacturedField, ScalarField, table_grams
+from .extension import (ManufacturedField, ScalarField, _is_zero_h,
+                        table_grams)
 from .params import ProblemParams
 from .spectral import EigenSystem
 
@@ -129,10 +129,6 @@ def _plan_for(fld: ScalarField, radii: np.ndarray) -> _RadialPlan:
     return _radial_plan(np.append(np.maximum(radii, lo), lo))
 
 
-def _is_zero_h(h) -> bool:
-    return h is None or (isinstance(h, Expression) and h.is_zero())
-
-
 # ---------------------------------------------------------------------------
 # H and D
 # ---------------------------------------------------------------------------
@@ -225,8 +221,7 @@ def _scaled_energy(fld: ScalarField, radii: np.ndarray,
 
 
 def compute_D(fld: ScalarField, r: float, params: ProblemParams,
-              h: Expression | None = None,
-              cap: SphericalCap | None = None) -> float:
+              h: Expression | None = None) -> float:
     """Scaled energy r^(2s-N) (volume gradient energy minus the kappa_s
     (h + lam |x|^(-2s)) trace term).  Manufactured fields evaluate the
     radial integrals in closed form; grid fields by the radial plan with a
@@ -294,7 +289,6 @@ def _fit_gamma(radii, ncal, delta_fixed=None):
 
 def frequency_trace(fld: ScalarField, params: ProblemParams,
                     h: Expression | None = None,
-                    cap: SphericalCap | None = None,
                     radii=None, R0: float = 0.8) -> FrequencyTrace:
     """Pointwise frequency on the radii grid plus the r -> 0 extrapolation.
 
@@ -328,7 +322,6 @@ def frequency_trace(fld: ScalarField, params: ProblemParams,
 
 def check_H_prime_identity(fld: ScalarField, params: ProblemParams,
                            h: Expression | None = None,
-                           cap: SphericalCap | None = None,
                            r: float = 0.5,
                            delta: float | None = None) -> float:
     """Relative residual of H'(r) = 2 D(r) / r with fourth-order central
@@ -339,7 +332,7 @@ def check_H_prime_identity(fld: ScalarField, params: ProblemParams,
     Hvals = [compute_H(fld, math.exp(x), params) for x in xs]
     dHdx = (Hvals[0] - 8.0 * Hvals[1] + 8.0 * Hvals[2] - Hvals[3]) / (12.0 * delta)
     Hp = dHdx / r
-    rhs = 2.0 * compute_D(fld, r, params, h, cap) / r
+    rhs = 2.0 * compute_D(fld, r, params, h) / r
     scale = max(abs(Hp), abs(rhs))
     # both sides at the finite-difference noise floor: the identity holds
     # trivially (constant fields)
@@ -456,14 +449,11 @@ class FourierTrace:
 
 
 def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus,
-                   params: ProblemParams, h: Expression | None = None,
-                   cap: SphericalCap | None = None) -> FourierTrace:
+                   params: ProblemParams,
+                   h: Expression | None = None) -> FourierTrace:
     """Mode coefficients phi_j(tau) by hemisphere quadrature and the
     cumulative perturbation integrals Upsilon_j(tau) by log-spaced radial
     quadrature of the cap-arc integrand."""
-    if cap is not None and (abs(cap.a - es.cap.a) > 1e-12
-                            or abs(cap.b - es.cap.b) > 1e-12):
-        raise DomainError("cap does not match the eigen system's cap")
     if abs(params.lam - es.lam) > 1e-14:
         raise DomainError("lam does not match the eigen system's lam")
 
@@ -584,8 +574,7 @@ class PohozaevReport:
 
 
 def pohozaev_check(fld: ScalarField, params: ProblemParams,
-                   h: Expression | None, cap: SphericalCap | None,
-                   r, tol: float = 1e-2
+                   h: Expression | None, r, tol: float = 1e-2
                    ) -> PohozaevReport | list[PohozaevReport]:
     """Evaluates both sides of the Pohozaev balance at radius r and the
     residual of the Green identity tying energy to the boundary flux.

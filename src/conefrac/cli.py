@@ -9,7 +9,8 @@ library versions.  Outputs are deterministic: no timestamps, stable float
 formatting, fixed iteration orders (determinism is guaranteed in
 single-threaded mode).
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error (an inadmissible lambda included),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from .errors import ConfigurationError, ConefracError, ExpressionError
 from .extension import (build_halfball_grid, manufactured_field, save_field,
                         solve_extension)
 from .hardy import hardy_constant_richardson, hardy_scan
-from .spectral import solve_eigs
+from .spectral import MULTIPLICITY_RTOL, solve_eigs
 from .sphercap import assemble, build_mesh
 from .svgplot import LineSeries, plot_svg
 
 CG_TOL = 1e-10
 _Result = tuple[list[str], dict]       # a task's outputs and manifest notes
-EIG_GROUP_RTOL = 1e-6
 
 
 def _f(x: float) -> str:
@@ -69,7 +69,7 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
         "mesh": {"nt": cfg.nt, "ntheta": cfg.ntheta,
                  "grading": cfg.grading, "nr": cfg.nr, "rmin": cfg.rmin},
         "tolerances": {"cg_tol": CG_TOL,
-                       "eig_group_rtol": EIG_GROUP_RTOL},
+                       "eig_group_rtol": MULTIPLICITY_RTOL},
         "versions": {"conefrac": __version__,
                      "numpy": np.__version__,
                      "scipy": scipy.__version__,
@@ -156,11 +156,10 @@ def _task_scan(cfg: RunConfig, out: Path, threads: int) -> _Result:
 
 def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
                        h) -> list[str]:
-    cap = cfg.cap()
     r0 = cfg.task_opts["r0"]
     lo = max(1e-2, 10.0 * fld.core_radius)
     radii = default_radii(R0=r0, n=cfg.task_opts["nradii"], r_min=lo)
-    trace = frequency_trace(fld, params, h, cap, radii, R0=r0)
+    trace = frequency_trace(fld, params, h, radii, R0=r0)
     _write_csv(out / "frequency.csv", ["r", "H", "D", "Ncal"],
                list(zip(map(float, radii), map(float, trace.H),
                         map(float, trace.D), map(float, trace.Ncal))))
@@ -169,7 +168,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
              xlabel="r", ylabel="N", logx=True,
              title="Almgren frequency")
 
-    ft = fourier_coeffs(fld, es, radii, params, h, cap)
+    ft = fourier_coeffs(fld, es, radii, params, h)
     rows = []
     for i, tau in enumerate(radii):
         for pos, j in enumerate(ft.modes):
@@ -205,7 +204,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
         "pohozaev": [],
     }
     r_poho = np.linspace(0.3, 0.7, 5)
-    for r, rep in zip(r_poho, pohozaev_check(fld, params, h, cap, r_poho)):
+    for r, rep in zip(r_poho, pohozaev_check(fld, params, h, r_poho)):
         summary["pohozaev"].append({
             "r": float(r), "lhs": rep.lhs, "rhs": rep.rhs,
             "satisfied": bool(rep.satisfied),
@@ -221,7 +220,7 @@ def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
     mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cfg.cap(), cfg.grading)
     forms = assemble(mesh, params)
-    k_need = max(cfg.task_opts.get("k") or 10,
+    k_need = max(cfg.task_opts["k"],
                  max(j for j, _ in cfg.task_opts["modes"]) + 1)
     es = solve_eigs(forms, params, k=k_need)
     fld = manufactured_field(es, cfg.task_opts["modes"])
@@ -234,7 +233,7 @@ def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
     cap = cfg.cap()
     mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cap, cfg.grading)
     forms = assemble(mesh, params)
-    es = solve_eigs(forms, params, k=cfg.task_opts.get("k") or 10)
+    es = solve_eigs(forms, params, k=cfg.task_opts["k"])
     grid = build_halfball_grid(cfg.nr, cfg.rmin, mesh)
 
     h = cfg.task_opts.get("h")

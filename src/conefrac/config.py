@@ -4,6 +4,9 @@ Flat INI sections with typed keys; every violation is collected before
 reporting so a bad config fails with the full list, not just the first
 problem.  Numeric lists and arc lengths go through the expression parser
 (so ``pi/2`` works); perturbation and lid data are expression strings.
+Parsing builds no mesh and solves nothing: whether lambda lies below the
+cone's Hardy constant is decided once, by the eigen solve on the run's own
+mesh.
 """
 
 from __future__ import annotations
@@ -83,13 +86,12 @@ def _suggest(key: str, pool) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-def parse_config(text: str, hardy_guard: bool = True) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document.
 
-    Raises ConfigurationError carrying every violation found.  When
-    ``hardy_guard`` is set and lambda > 0, a coarse-mesh Hardy constant for
-    the configured cone is computed and lambda >= Lambda is rejected with
-    the computed value in the message.
+    Raises ConfigurationError carrying every violation found.  Nothing is
+    solved here: lambda's admissibility depends on the run's mesh and is
+    decided by ``spectral.solve_eigs``.
     """
     violations: list[str] = []
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -274,22 +276,7 @@ def parse_config(text: str, hardy_guard: bool = True) -> RunConfig:
     if violations:
         raise ConfigurationError(violations)
 
-    cfg = RunConfig(task=task, n_dim=n_dim, s=s, lam=lam, p=p,
-                    cone_spec=cone_spec, nt=nt, ntheta=ntheta,
-                    grading=grading, nr=nr, rmin=rmin, task_opts=task_opts,
-                    raw_text=text)
-
-    # admissibility guard: a coarse Hardy pre-pass bounds lambda
-    if hardy_guard and lam > 0.0 and task in ("eig", "frequency",
-                                              "solve-ext"):
-        from .hardy import hardy_constant
-        from .sphercap import assemble, build_mesh
-        guard_params = ProblemParams(N=2, s=s, lam=0.0, p=p)
-        mesh = build_mesh(24, 48, s, cfg.cap(), grading)
-        res = hardy_constant(assemble(mesh, guard_params), guard_params)
-        if lam >= res.lambda_star:
-            raise ConfigurationError([
-                f"[params] lambda = {lam} is not admissible: the cone's "
-                f"Hardy constant is about {res.lambda_star:.6g} "
-                "(coarse-mesh estimate)"])
-    return cfg
+    return RunConfig(task=task, n_dim=n_dim, s=s, lam=lam, p=p,
+                     cone_spec=cone_spec, nt=nt, ntheta=ntheta,
+                     grading=grading, nr=nr, rmin=rmin, task_opts=task_opts,
+                     raw_text=text)

@@ -23,6 +23,11 @@ class ConfigurationError(ConefracError):
         super().__init__("; ".join(self.violations))
 
 
+class InadmissibleLambdaError(DomainError, ConfigurationError):
+    """lam is not below the cap's Hardy constant: a domain error of the
+    eigen solve, reported by the command line as a config error."""
+
+
 class NumericalError(ConefracError):
     """A solver failed to converge or produced an inconsistent result."""
 

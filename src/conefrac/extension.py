@@ -331,6 +331,10 @@ class GridField(ScalarField):
 # the solver
 # ---------------------------------------------------------------------------
 
+def _is_zero_h(h) -> bool:
+    return h is None or (isinstance(h, Expression) and h.is_zero())
+
+
 def _trace_h_matrix(grid: HalfBallGrid, h: Expression,
                     theta_segments: np.ndarray) -> sp.csr_matrix:
     """Equator integral int h(x) Tr U Tr V dx over the cap segments, 4x4
@@ -444,7 +448,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         raise DomainError("lid data must be a full hemisphere node vector")
     lid[mesh.dirichlet_ids] = 0.0
 
-    h_is_zero = h is None or (isinstance(h, Expression) and h.is_zero())
+    h_is_zero = _is_zero_h(h)
     if es is None:
         forms = assemble(mesh, params)
         es = solve_eigs(forms, params, k=min(10, mesh.n_free - 1))

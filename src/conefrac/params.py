@@ -48,8 +48,9 @@ class ProblemParams:
     s : float
         Fractional order in (0, 1).
     lam : float
-        Coefficient of the singular potential.  Admissibility against the
-        cone's Hardy constant is checked downstream, not here.
+        Coefficient of the singular potential.  Admissibility, lam below
+        the cap's Hardy constant, is checked by ``spectral.solve_eigs`` on
+        the forms it solves, not here.
     p : float
         Integrability exponent of the bounded perturbation, > N / (2s).
         Defaults to 10 N / (2s).

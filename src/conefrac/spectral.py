@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cones import SphericalCap
-from .errors import DomainError, NumericalError
+from .errors import DomainError, InadmissibleLambdaError, NumericalError
 from .params import ProblemParams, gamma_from_mu
 from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
                        polar_matrices)
@@ -130,8 +130,9 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                allow_inadmissible: bool = False) -> EigenSystem:
     """k smallest eigenpairs of (K - lam kappa B, M) on the retained dofs.
 
-    When lam > 0 the cap's Hardy constant is computed on the same forms and
-    lam >= Lambda is rejected unless ``allow_inadmissible`` is set, in which
+    When lam > 0 the cap's Hardy constant is computed on the same forms;
+    this is the one admissibility check of a run.  lam >= Lambda raises
+    InadmissibleLambdaError unless ``allow_inadmissible`` is set, in which
     case a warning is emitted (the spectrum may dip below the floor).
     """
     lam = params.lam
@@ -141,9 +142,11 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
         lam_star = hardy_constant(forms, params).lambda_star
         if lam >= lam_star:
             if not allow_inadmissible:
-                raise DomainError(
-                    f"lam = {lam} is not admissible: the cap's Hardy "
-                    f"constant on this mesh is {lam_star:.6g}")
+                mesh = forms.mesh
+                raise InadmissibleLambdaError(
+                    f"lambda = {lam} is not admissible: the cap's Hardy "
+                    f"constant on this {mesh.nt}x{mesh.ntheta} mesh is "
+                    f"{lam_star:.6g}")
             warnings.warn(
                 f"lam = {lam} >= Lambda = {lam_star:.6g}: eigenvalues may "
                 "fall below the spectrum floor", RuntimeWarning)

@@ -143,15 +143,14 @@ def test_criterion_05_hardy_monotonicity():
                 f"tail {tail_rel:.3%}")
 
 
-def test_criterion_06_almgren_exact_on_pure_profiles(half_es, half_params,
-                                                     half_cap):
+def test_criterion_06_almgren_exact_on_pure_profiles(half_es, half_params):
     fld = manufactured_field(half_es, [(0, 1.0)])
     g = half_es.gamma[0]
     radii = default_radii()          # 40 geometric radii
-    trace = frequency_trace(fld, half_params, None, half_cap, radii)
+    trace = frequency_trace(fld, half_params, None, radii)
     dev_n = float(np.abs(trace.Ncal - g).max())
     dev_h = float(np.abs(trace.H / radii ** (2 * g) - 1.0).max())
-    dev_id = max(check_H_prime_identity(fld, half_params, None, half_cap, r)
+    dev_id = max(check_H_prime_identity(fld, half_params, None, r)
                  for r in (0.1, 0.4, 0.7))
     ok = dev_n < 1e-6 and dev_h < 1e-8 and dev_id <= 1e-8
     _report(6, "pure profiles: N(r) = gamma within 1e-6 across 40 radii, "
@@ -159,12 +158,12 @@ def test_criterion_06_almgren_exact_on_pure_profiles(half_es, half_params,
             ok, f"N dev {dev_n:.1e}, H dev {dev_h:.1e}, id {dev_id:.1e}")
 
 
-def test_criterion_07_blowup_classification(half_es, half_params, half_cap):
+def test_criterion_07_blowup_classification(half_es, half_params):
     # modes 0 and 3: gamma gap ~ 1.0 >= 0.3, amplitude 0.2
     g1, g2 = half_es.gamma[0], half_es.gamma[3]
     assert g2 - g1 >= 0.3
     fld = manufactured_field(half_es, [(0, 1.0), (3, 0.2)])
-    trace = frequency_trace(fld, half_params, None, half_cap)
+    trace = frequency_trace(fld, half_params, None)
     snap = blowup(fld, 1e-2, half_params)
     off = snap.off_group_norm(half_es, 0)
     ok = abs(trace.gamma_hat - g1) < 1e-2 and off <= 0.05
@@ -186,14 +185,14 @@ def test_criterion_08_end_to_end_extension():
 
     gamma1 = float(es.gamma[0])
     radii = default_radii(r_min=max(1e-2, 10.0 * grid.r_min))
-    trace = frequency_trace(fld, p, h, cap, radii)
+    trace = frequency_trace(fld, p, h, radii)
     gamma_rel = abs(trace.gamma_hat - gamma1) / gamma1
 
-    ft = fourier_coeffs(fld, es, radii, p, h, cap)
+    ft = fourier_coeffs(fld, es, radii, p, h)
     betas = [beta_coefficients(ft, gamma1, R, p)[0] for R in (0.3, 0.5, 0.7)]
     spread = (max(betas) - min(betas)) / max(abs(b) for b in betas)
 
-    poho_ok = all(pohozaev_check(fld, p, h, cap, float(r)).satisfied
+    poho_ok = all(pohozaev_check(fld, p, h, float(r)).satisfied
                   for r in np.linspace(0.25, 0.75, 5))
 
     ok = gamma_rel < 0.05 and spread < 0.05 and poho_ok

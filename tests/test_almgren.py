@@ -83,24 +83,24 @@ def test_H_scaling_under_dilation(pure, half_es, half_params):
             compute_H(pure, tau * r, half_params), rel=1e-12)
 
 
-def test_D_pure_profile(pure, half_es, half_params, half_cap):
+def test_D_pure_profile(pure, half_es, half_params):
     g = half_es.gamma[0]
     for r in (0.05, 0.4, 0.8):
-        D = compute_D(pure, r, half_params, None, half_cap)
+        D = compute_D(pure, r, half_params, None)
         assert D == pytest.approx(g * r ** (2 * g), rel=1e-10)
 
 
-def test_frequency_trace_pure(pure, half_es, half_params, half_cap):
+def test_frequency_trace_pure(pure, half_es, half_params):
     g = half_es.gamma[0]
-    trace = frequency_trace(pure, half_params, None, half_cap)
+    trace = frequency_trace(pure, half_params, None)
     assert np.abs(trace.Ncal - g).max() < 1e-6
     assert np.abs(trace.H / trace.radii ** (2 * g) - 1.0).max() < 1e-8
     assert trace.gamma_hat == pytest.approx(g, abs=1e-8)
 
 
-def test_H_prime_identity_pure(pure, half_params, half_cap):
+def test_H_prime_identity_pure(pure, half_params):
     for r in (0.2, 0.5):
-        res = check_H_prime_identity(pure, half_params, None, half_cap, r)
+        res = check_H_prime_identity(pure, half_params, None, r)
         assert res <= 1e-8
 
 
@@ -111,12 +111,12 @@ def test_H_prime_identity_constant():
     mesh = build_mesh(12, 24, s, cap)
     es = solve_eigs(assemble(mesh, p), p, k=1)
     fld = manufactured_field(es, [(0, 1.0)])
-    assert check_H_prime_identity(fld, p, None, cap, 0.5) == 0.0
+    assert check_H_prime_identity(fld, p, None, 0.5) == 0.0
 
 
-def test_two_mode_frequency(two_mode, half_es, half_params, half_cap):
+def test_two_mode_frequency(two_mode, half_es, half_params):
     g1, g2 = half_es.gamma[0], half_es.gamma[3]
-    trace = frequency_trace(two_mode, half_params, None, half_cap)
+    trace = frequency_trace(two_mode, half_params, None)
     # exact two-mode rational function of r^(2 dg)
     eps2 = 0.2 ** 2
     dg = g2 - g1
@@ -126,13 +126,13 @@ def test_two_mode_frequency(two_mode, half_es, half_params, half_cap):
     assert np.all(np.diff(trace.Ncal) >= -1e-12)
     assert trace.gamma_hat == pytest.approx(g1, abs=1e-2)
     # brute-force small radius: N(1e-3) close to gamma_1
-    small = compute_D(two_mode, 1e-3, half_params, None, half_cap) \
+    small = compute_D(two_mode, 1e-3, half_params, None) \
         / compute_H(two_mode, 1e-3, half_params)
     assert small == pytest.approx(g1, abs=1e-5)
 
 
-def test_frequency_floor(two_mode, half_params, half_cap):
-    trace = frequency_trace(two_mode, half_params, None, half_cap)
+def test_frequency_floor(two_mode, half_params):
+    trace = frequency_trace(two_mode, half_params, None)
     assert np.all(trace.Ncal > -half_params.half_order)
 
 
@@ -185,15 +185,15 @@ def test_blowup_off_group_tends_to_zero(two_mode, half_es, half_params):
     assert offs[2] < 1e-3
 
 
-def test_fourier_zeta_accessor(solver_field, half_es, half_params, half_cap):
+def test_fourier_zeta_accessor(solver_field, half_es, half_params):
     fld, h = solver_field
     taus = np.geomspace(0.1, 0.8, 40)
-    ft = fourier_coeffs(fld, half_es, taus, half_params, h, half_cap)
+    ft = fourier_coeffs(fld, half_es, taus, half_params, h)
     z = ft.zeta(0)
     assert z.shape == taus.shape
     # forcing vanishes identically when h does
     pure_ft = fourier_coeffs(manufactured_field(half_es, [(0, 1.0)]),
-                             half_es, taus, half_params, None, half_cap)
+                             half_es, taus, half_params, None)
     assert np.all(pure_ft.zeta(0) == 0.0)
 
 
@@ -208,19 +208,18 @@ def test_blowup_validation(pure, half_params):
 # Fourier profiles and amplitudes
 # ---------------------------------------------------------------------------
 
-def test_fourier_pure_profile(pure, half_es, half_params, half_cap):
+def test_fourier_pure_profile(pure, half_es, half_params):
     taus = default_radii()
-    ft = fourier_coeffs(pure, half_es, taus, half_params, None, half_cap)
+    ft = fourier_coeffs(pure, half_es, taus, half_params, None)
     g = half_es.gamma[0]
     np.testing.assert_allclose(ft.phi[0], taus ** g, rtol=1e-10)
     assert np.abs(ft.phi[1:]).max() < 1e-8
     assert np.all(ft.ups == 0.0)
 
 
-def test_fourier_parseval(two_mode, half_es, half_params, half_cap):
+def test_fourier_parseval(two_mode, half_es, half_params):
     taus = np.geomspace(1e-2, 0.8, 12)
-    ft = fourier_coeffs(two_mode, half_es, taus, half_params, None,
-                        half_cap)
+    ft = fourier_coeffs(two_mode, half_es, taus, half_params, None)
     for i, tau in enumerate(taus):
         H = compute_H(two_mode, tau, half_params)
         partial = 0.0
@@ -234,17 +233,14 @@ def test_fourier_parseval(two_mode, half_es, half_params, half_cap):
 
 
 def test_fourier_provenance_checks(pure, half_es, half_params):
-    other_cap = SphericalCap(0.0, math.pi)
-    with pytest.raises(DomainError):
-        fourier_coeffs(pure, half_es, [0.5], half_params, None, other_cap)
     bad_params = ProblemParams(s=half_params.s, lam=0.0)
     with pytest.raises(DomainError):
-        fourier_coeffs(pure, half_es, [0.5], bad_params, None, half_es.cap)
+        fourier_coeffs(pure, half_es, [0.5], bad_params, None)
 
 
-def test_beta_pure_profile(pure, half_es, half_params, half_cap):
+def test_beta_pure_profile(pure, half_es, half_params):
     taus = default_radii()
-    ft = fourier_coeffs(pure, half_es, taus, half_params, None, half_cap)
+    ft = fourier_coeffs(pure, half_es, taus, half_params, None)
     g = half_es.gamma[0]
     values = [beta_coefficients(ft, g, R, half_params)[0]
               for R in (0.3, 0.5, 0.7)]
@@ -255,9 +251,8 @@ def test_beta_pure_profile(pure, half_es, half_params, half_cap):
     assert np.abs(others).max() < 1e-8
 
 
-def test_beta_validation(pure, half_es, half_params, half_cap):
-    ft = fourier_coeffs(pure, half_es, default_radii(), half_params, None,
-                        half_cap)
+def test_beta_validation(pure, half_es, half_params):
+    ft = fourier_coeffs(pure, half_es, default_radii(), half_params, None)
     with pytest.raises(DomainError):
         beta_coefficients(ft, 0.5, 1.5, half_params)
 
@@ -266,9 +261,9 @@ def test_beta_validation(pure, half_es, half_params, half_cap):
 # Pohozaev diagnostics
 # ---------------------------------------------------------------------------
 
-def test_pohozaev_pure_profile_equality(pure, half_params, half_cap):
+def test_pohozaev_pure_profile_equality(pure, half_params):
     for r in (0.2, 0.5, 0.8):
-        rep = pohozaev_check(pure, half_params, None, half_cap, r)
+        rep = pohozaev_check(pure, half_params, None, r)
         assert rep.satisfied
         assert abs(rep.lhs - rep.rhs) / rep.scale < 1e-6
         assert rep.green_residual < 1e-6
@@ -281,7 +276,7 @@ def test_pohozaev_constant_field_zero():
     mesh = build_mesh(12, 24, s, cap)
     es = solve_eigs(assemble(mesh, p), p, k=1)
     fld = manufactured_field(es, [(0, 1.0)])
-    rep = pohozaev_check(fld, p, None, cap, 0.5)
+    rep = pohozaev_check(fld, p, None, 0.5)
     assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-12
     assert rep.green_residual < 1e-9 or rep.scale < 1e-10
 
@@ -290,38 +285,36 @@ def test_pohozaev_constant_field_zero():
 # solver-output diagnostics
 # ---------------------------------------------------------------------------
 
-def test_solver_field_green_identity(solver_field, half_params, half_cap):
+def test_solver_field_green_identity(solver_field, half_params):
     fld, h = solver_field
     for r in np.linspace(0.25, 0.75, 5):
-        rep = pohozaev_check(fld, half_params, h, half_cap, float(r))
+        rep = pohozaev_check(fld, half_params, h, float(r))
         assert rep.green_residual < 0.01
         assert rep.satisfied
 
 
-def test_solver_field_H_prime_identity(solver_field, half_params, half_cap):
+def test_solver_field_H_prime_identity(solver_field, half_params):
     fld, h = solver_field
     for r in (0.3, 0.5):
-        res = check_H_prime_identity(fld, half_params, h, half_cap, r)
+        res = check_H_prime_identity(fld, half_params, h, r)
         assert res <= 1e-2
 
 
-def test_solver_field_trace_matches_pointwise_D(solver_field, half_params,
-                                                half_cap):
+def test_solver_field_trace_matches_pointwise_D(solver_field, half_params):
     # one plan for all radii against a plan per radius: the panels differ,
     # the integrals agree to the quadrature error
     fld, h = solver_field
     radii = default_radii(r_min=0.02, n=12)
-    trace = frequency_trace(fld, half_params, h, half_cap, radii=radii)
+    trace = frequency_trace(fld, half_params, h, radii=radii)
     for r, H, D in zip(radii, trace.H, trace.D):
         assert H == compute_H(fld, r, half_params)
-        assert D == pytest.approx(compute_D(fld, r, half_params, h, half_cap),
+        assert D == pytest.approx(compute_D(fld, r, half_params, h),
                                   rel=1e-7)
 
 
-def test_solver_field_gamma_consistency(solver_field, half_es, half_params,
-                                        half_cap):
+def test_solver_field_gamma_consistency(solver_field, half_es, half_params):
     fld, h = solver_field
-    trace = frequency_trace(fld, half_params, h, half_cap,
+    trace = frequency_trace(fld, half_params, h,
                             radii=default_radii(r_min=0.02))
     assert trace.gamma_hat == pytest.approx(half_es.gamma[0], abs=1e-2)
 
@@ -338,8 +331,7 @@ def _d1_log(y, dx):
     return d
 
 
-def test_solver_field_mode_ode_residual(solver_field, half_es, half_params,
-                                        half_cap):
+def test_solver_field_mode_ode_residual(solver_field, half_es, half_params):
     # the leading mode profile satisfies
     #   -phi'' - (N+1-2s)/tau phi' + mu/tau^2 phi = zeta,
     # zeta = tau^(2s-N-1) Upsilon', within 5 percent at mid radii in the
@@ -348,7 +340,7 @@ def test_solver_field_mode_ode_residual(solver_field, half_es, half_params,
     # below the homogeneous terms for a bounded perturbation)
     fld, h = solver_field
     taus = np.geomspace(0.15, 0.8, 120)
-    ft = fourier_coeffs(fld, half_es, taus, half_params, h, half_cap)
+    ft = fourier_coeffs(fld, half_es, taus, half_params, h)
     x = np.log(taus)
     dx = x[1] - x[0]
     phi = ft.phi[0]
@@ -480,18 +472,18 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
         lam = fld.es.lam if fld.is_analytic else p.lam
         D_ref = radii ** (2 * p.s - p.N) * (
             vol - p.kappa * (lam * hardy + trace_h))
-        D = frequency_trace(fld, p, hh, half_cap, radii=radii).D
+        D = frequency_trace(fld, p, hh, radii=radii).D
         np.testing.assert_allclose(D, D_ref, rtol=rel, atol=0)
 
         lhs, rhs, flux, green = _reference_pohozaev(fld, p, hh, radii)
-        reps = pohozaev_check(fld, p, hh, half_cap, radii)
+        reps = pohozaev_check(fld, p, hh, radii)
         np.testing.assert_allclose([q.lhs for q in reps], lhs, rtol=rel)
         np.testing.assert_allclose([q.rhs for q in reps], rhs, rtol=rel)
         # the residual is already relative to the scale
         np.testing.assert_allclose([q.green_residual for q in reps], green,
                                    rtol=0, atol=rel)
 
-    ft = fourier_coeffs(fld, half_es, radii, p, None, half_cap)
+    ft = fourier_coeffs(fld, half_es, radii, p, None)
     phi_ref = half_es.vectors @ (half_es.forms.M @ v.T)
     np.testing.assert_allclose(ft.phi, phi_ref, rtol=0,
                                atol=rel * np.abs(phi_ref).max())
@@ -540,8 +532,8 @@ def test_analyzer_products_do_not_scale_with_radii(solver_field, half_params,
         fresh = GridField(fld.grid, fld.values, half_params, half_cap, h=h,
                           forms=dataclasses.replace(fld.forms, M=M, K=K))
         radii = np.geomspace(0.02, 0.8, n)
-        frequency_trace(fresh, half_params, h, half_cap, radii=radii)
-        pohozaev_check(fresh, half_params, h, half_cap, radii)
+        frequency_trace(fresh, half_params, h, radii=radii)
+        pohozaev_check(fresh, half_params, h, radii)
         return M.vectors + K.vectors
 
     assert 0 < products(10) == products(20)

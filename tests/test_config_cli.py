@@ -3,11 +3,15 @@ of the emitted CSV bytes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conefrac
 from conefrac.cli import main, run_task
 from conefrac.config import parse_config
 from conefrac.errors import ConfigurationError
@@ -82,26 +86,6 @@ h = sin(
     with pytest.raises(ConfigurationError) as err:
         parse_config(text)
     assert any("sin(" in v for v in err.value.violations)
-
-
-def test_inadmissible_lambda_rejected_with_value():
-    text = """
-[params]
-s = 0.75
-lambda = 0.5
-
-[cone]
-preset = full
-
-[task]
-name = eig
-"""
-    # Lambda(2, 0.75) is about 0.059 on the full plane
-    with pytest.raises(ConfigurationError) as err:
-        parse_config(text)
-    joined = " ".join(err.value.violations)
-    assert "Hardy" in joined
-    assert "0.05" in joined
 
 
 def test_arc_validation():
@@ -243,6 +227,85 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _eig_config(lam, nt, ntheta, preset="half", s=0.5):
+    return (f"[params]\ns = {s}\nlambda = {lam}\n\n[cone]\n"
+            f"preset = {preset}\n\n[mesh]\nnt = {nt}\nntheta = {ntheta}\n"
+            "\n[task]\nname = eig\nk = 4\n")
+
+
+def test_inadmissible_lambda_rejected_with_value(tmp_path, capsys):
+    # Lambda(2, 0.75) is about 0.059 on the full plane
+    cfg_path = _write(tmp_path, _eig_config(0.5, 48, 96, preset="full",
+                                            s=0.75))
+    code = main(["eig", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Hardy" in err
+    assert "0.059" in err
+    assert not any((tmp_path / "out").glob("*"))
+
+
+# the half cap's Hardy constant converges at first order in the mesh
+# (caps with endpoints): 0.78301 at 12x24, 0.79942 at 48x96.  lam is
+# checked against the run's own mesh, in both directions.
+
+def test_cli_lambda_rejected_on_coarse_run_mesh(tmp_path, capsys):
+    cfg_path = _write(tmp_path, _eig_config(0.785, 12, 24))
+    code = main(["eig", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "12x24" in err and "0.783" in err
+    assert not any((tmp_path / "out").glob("*"))
+
+
+def test_cli_lambda_admitted_on_fine_run_mesh(tmp_path):
+    cfg_path = _write(tmp_path, _eig_config(0.795, 48, 96))
+    assert main(["eig", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    notes = json.loads(
+        (tmp_path / "out" / "manifest.json").read_text())["notes"]
+    assert notes["hardy_lambda"] == pytest.approx(0.79942, abs=1e-5)
+    assert notes["lambda_margin"] < 1.0
+
+
+def test_run_computes_hardy_and_assembles_once(tmp_path, monkeypatch):
+    import conefrac.cli as cli
+    import conefrac.hardy as hardy
+    import conefrac.sphercap as sphercap
+    calls = {"hardy": 0, "assemble": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hardy, "hardy_constant",
+                        counted("hardy", hardy.hardy_constant))
+    assemble = counted("assemble", sphercap.assemble)
+    monkeypatch.setattr(sphercap, "assemble", assemble)
+    monkeypatch.setattr(cli, "assemble", assemble)
+    cfg = parse_config(_eig_config(0.1, 16, 32))
+    run_task(cfg, tmp_path / "out")
+    assert calls == {"hardy": 1, "assemble": 1}
+
+
+def test_parse_config_loads_no_solver():
+    script = (
+        "import sys\n"
+        "from conefrac.config import parse_config\n"
+        f"cfg = parse_config({_eig_config(0.1, 16, 32)!r})\n"
+        "assert cfg.lam == 0.1\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in ('conefrac.hardy', 'conefrac.sphercap')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(conefrac.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_smooth_cone(tmp_path):

@@ -352,13 +352,11 @@ def test_solve_matches_direct_solve(half_params, half_cap, h):
     assert err <= 1e-8 * np.abs(direct).max()
 
 
-def test_batched_pohozaev_rows_equal_scalar_calls(half_es, half_params,
-                                                  half_cap):
+def test_batched_pohozaev_rows_equal_scalar_calls(half_es, half_params):
     from conefrac.almgren import pohozaev_check
     fld = manufactured_field(half_es, [(0, 1.0), (3, 0.25)])
     radii = np.linspace(0.3, 0.7, 5)
-    reports = pohozaev_check(fld, half_params, None, half_cap, radii)
+    reports = pohozaev_check(fld, half_params, None, radii)
     assert len(reports) == len(radii)
     for r, rep in zip(radii, reports):
-        assert rep == pohozaev_check(fld, half_params, None, half_cap,
-                                     float(r))
+        assert rep == pohozaev_check(fld, half_params, None, float(r))

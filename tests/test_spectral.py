@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
-from conefrac.errors import DomainError
+from conefrac.errors import ConfigurationError, DomainError
 from conefrac.params import ProblemParams
 from conefrac.spectral import (homogeneous_profile, oracle_full_circle_1d,
                                solve_eigs)
@@ -158,8 +158,10 @@ def test_inadmissible_lambda_raises_without_flag():
     p = ProblemParams(s=0.5, lam=10.0)
     mesh = build_mesh(12, 24, 0.5, cap)
     forms = assemble(mesh, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         solve_eigs(forms, p, k=3)
+    # the command line reports it as a config error (exit 2)
+    assert isinstance(err.value, ConfigurationError)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         es = solve_eigs(forms, p, k=3, allow_inadmissible=True)
