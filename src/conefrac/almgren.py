@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, NumericalError
 from .expressions import Expression
@@ -255,7 +254,10 @@ class FrequencyTrace:
 
 
 def _fit_gamma(radii, ncal, delta_fixed=None):
-    """Fit N(r) ~ gamma + c r^delta on the smallest half of the radii."""
+    """Fit N(r) ~ gamma + c r^delta on the smallest half of the radii.
+    For a fixed delta the fit is linear in (gamma, c) (variable projection,
+    Golub & Pereyra 1973): a free delta is scanned on a grid over [0.05, 8]
+    and refined by golden section in the grid cells around the minimum."""
     m = max(4, len(radii) // 2)
     r = np.asarray(radii[:m])
     y = np.asarray(ncal[:m])
@@ -267,24 +269,31 @@ def _fit_gamma(radii, ncal, delta_fixed=None):
             return float(y[0]), None, None, True
         return float(sol[0]), delta_fixed, float(sol[1]), False
 
-    spread = float(np.max(y) - np.min(y))
-    if spread < 1e-12:
+    if np.ptp(y) < 1e-12:
         return float(y[0]), None, 0.0, False
 
-    def resid(p):
-        g, c, d = p
-        return g + c * r ** d - y
+    yc = y - y.mean()
 
-    try:
-        out = least_squares(resid, x0=[y[0], y[-1] - y[0], 1.0],
-                            bounds=([-np.inf, -np.inf, 0.05],
-                                    [np.inf, np.inf, 8.0]))
-        if not out.success:
-            raise RuntimeError(out.message)
-        g, c, d = out.x
-        return float(g), float(d), float(c), False
-    except Exception:
+    def project(d):  # squared residual, gamma and c; one fit per entry of d
+        x = r ** np.asarray(d)[..., None]
+        xc = x - x.mean(axis=-1, keepdims=True)
+        c = (xc @ yc) / np.sum(xc * xc, axis=-1)
+        return (np.sum((yc - c[..., None] * xc) ** 2, axis=-1),
+                y.mean() - c * x.mean(axis=-1), c)
+
+    grid = np.linspace(0.05, 8.0, 80)
+    i = int(np.argmin(project(grid)[0]))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    golden = 0.5 * (math.sqrt(5.0) - 1.0)
+    for _ in range(64):
+        x1, x2 = b - golden * (b - a), a + golden * (b - a)
+        f1, f2 = project([x1, x2])[0]
+        a, b = (a, x2) if f1 < f2 else (x1, b)
+    d = 0.5 * (a + b)
+    _, g, c = project(d)
+    if not np.isfinite(g + c):
         return float(y[0]), None, None, True
+    return float(g), float(d), float(c), False
 
 
 def frequency_trace(fld: ScalarField, params: ProblemParams,

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -53,6 +54,14 @@ def _write_csv(path: Path, header, rows) -> None:
         lines.append(",".join(_f(v) if isinstance(v, float) else str(v)
                               for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_hardy_csv(path: Path, arcs, results) -> None:
+    _write_csv(path, ["arc_length", "lambda_star", "mesh_level",
+                      "richardson_estimate"],
+               [(float(a), r.lambda_star,
+                 f"{r.mesh_level[0]}x{r.mesh_level[1]}", r.richardson)
+                for a, r in zip(arcs, results)])
 
 
 def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
@@ -126,12 +135,7 @@ def _task_hardy(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
     res = hardy_constant_richardson(params, cfg.cap(), cfg.nt, cfg.ntheta,
                                     cfg.grading)
-    _write_csv(out / "hardy.csv",
-               ["arc_length", "lambda_star", "mesh_level",
-                "richardson_estimate"],
-               [(float(cfg.cap().length), res.lambda_star,
-                 f"{res.mesh_level[0]}x{res.mesh_level[1]}",
-                 res.richardson)])
+    _write_hardy_csv(out / "hardy.csv", [cfg.cap().length], [res])
     return ["hardy.csv"], {}
 
 
@@ -140,12 +144,7 @@ def _task_scan(cfg: RunConfig, out: Path, threads: int) -> _Result:
     arcs = cfg.task_opts["arcs"]
     results = hardy_scan(arcs, params, cfg.nt, cfg.ntheta, cfg.grading,
                          threads=threads)
-    rows = [(float(a), r.lambda_star,
-             f"{r.mesh_level[0]}x{r.mesh_level[1]}", r.richardson)
-            for a, r in zip(arcs, results)]
-    _write_csv(out / "scan.csv",
-               ["arc_length", "lambda_star", "mesh_level",
-                "richardson_estimate"], rows)
+    _write_hardy_csv(out / "scan.csv", arcs, results)
     plot_svg(out / "scan_lambda.svg",
              [LineSeries(arcs, [r.lambda_star for r in results],
                          "Lambda")],
@@ -313,11 +312,18 @@ _TASK_RUNNERS = {
 
 
 def run_task(cfg: RunConfig, out_dir, threads: int = 1) -> Path:
-    """Run one task and write its artifact bundle; returns the out dir."""
+    """Run one task and write its artifact bundle; returns the out dir.
+    A failed task removes the directories this call created, if any."""
     out = Path(out_dir)
+    created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    outputs, notes = _TASK_RUNNERS[cfg.task](cfg, out, threads)
-    _manifest(out, cfg, outputs + ["manifest.json"], notes)
+    try:
+        outputs, notes = _TASK_RUNNERS[cfg.task](cfg, out, threads)
+        _manifest(out, cfg, outputs + ["manifest.json"], notes)
+    except BaseException:
+        for top in created[-1:]:
+            shutil.rmtree(top, ignore_errors=True)
+        raise
     return out
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, GeometryError
 
@@ -188,10 +187,8 @@ def distance_to_boundary(cone: ConeProfile, x) -> float:
 
 def _bump(u: float) -> float:
     # exp(-1/u) extended by 0 for u <= 0; C-infinity flat at 0
-    if u <= 0.0:
-        return 0.0
     if u < 1.0 / 700.0:
-        return 0.0  # underflows anyway
+        return 0.0  # u <= 0, or exp(-1/u) underflows anyway
     return math.exp(-1.0 / u)
 
 
@@ -207,22 +204,26 @@ def mollifier(tau) -> np.ndarray | float:
         e2 = _bump(2.0 - v)
         return e1 / (e1 + e2)
 
-    arr = np.asarray(tau, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.vectorize(scalar, otypes=[float])(arr)
+    out = np.vectorize(scalar, otypes=[float])(np.asarray(tau, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+_RAMP_RULE = np.polynomial.legendre.leggauss(48)
 
 
 @lru_cache(maxsize=4096)
 def _ramp_integral(w: float) -> float:
-    """Integral of the mollifier over [1, 1 + w], 0 <= w <= 1."""
+    """Integral R(w) of the mollifier over [1, 1 + w], 0 <= w <= 1: a fixed
+    48-point Gauss-Legendre rule for w <= 1/2, above it the symmetry R(w) =
+    (w - 1/2) + R(1 - w), which keeps smoothing_defect's exact bracketing."""
     if w <= 0.0:
         return 0.0
     if w >= 1.0:
         return 0.5
-    val, _ = quad(lambda v: mollifier(v), 1.0, 1.0 + w,
-                  epsabs=1e-15, epsrel=1e-13, limit=200)
-    return val
+    if w > 0.5:
+        return (w - 0.5) + _ramp_integral(1.0 - w)
+    x, wts = _RAMP_RULE
+    return float(0.5 * w * (wts @ mollifier(1.0 + 0.5 * w * (x + 1.0))))
 
 
 def smoothing_profile(n: int, t) -> np.ndarray | float:
@@ -240,10 +241,8 @@ def smoothing_profile(n: int, t) -> np.ndarray | float:
         # f_n(t) = (1/n^2) * integral_1^{n^2 t} of the mollifier
         return inv2 * _ramp_integral(tv / inv2 - 1.0)
 
-    arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.vectorize(scalar, otypes=[float])(arr)
+    out = np.vectorize(scalar, otypes=[float])(np.asarray(t, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def smoothing_profile_derivative(n: int, t) -> np.ndarray | float:
@@ -272,10 +271,8 @@ def smoothing_defect(n: int, t) -> np.ndarray | float:
             - tv * smoothing_profile_derivative(n, tv)
         return min(max(raw, -1.5 * inv2), 0.0)
 
-    arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.vectorize(scalar, otypes=[float])(arr)
+    out = np.vectorize(scalar, otypes=[float])(np.asarray(t, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

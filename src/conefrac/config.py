@@ -152,11 +152,9 @@ def parse_config(text: str) -> RunConfig:
         else None
     cone_spec = ConeProfile.half_plane()
     if preset is not None:
-        if preset == "half":
-            cone_spec = ConeProfile.half_plane()
-        elif preset == "full":
+        if preset == "full":
             cone_spec = ConeProfile.full_plane()
-        else:
+        elif preset != "half":
             violations.append(
                 f"[cone] preset = {preset!r}: expected 'half' or 'full'")
     else:

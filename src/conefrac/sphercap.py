@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import roots_jacobi
 
 from .cones import SphericalCap
 from .errors import DomainError, GeometryError, NumericalError
@@ -153,6 +152,19 @@ def assemble_1d(blocks, periodic: bool = False) -> sp.csr_matrix:
                          shape=(n, n)).tocsr()
 
 
+def _gauss_jacobi(n: int, beta: float):
+    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1] (Golub &
+    Welsch 1969): nodes and weights mu0 v0^2 from the eigenpairs of the
+    tridiagonal Jacobi matrix, with mu0 = 2^(beta+1) / (beta + 1)."""
+    k = np.arange(1, n, dtype=float)
+    ab = 2.0 * k + beta
+    J = np.diag(np.append(beta / (beta + 2.0),
+                          beta * beta / (ab * (ab + 2.0))))
+    J += np.diag(2.0 * k * (k + beta) / (ab * np.sqrt(ab * ab - 1.0)), 1)
+    nodes, vecs = np.linalg.eigh(J, UPLO="U")
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+
+
 def polar_matrices(t_nodes: np.ndarray, s: float):
     """Assembled 1-D polar matrices (P0, P1, P2) on the rows t_nodes:
 
@@ -160,9 +172,9 @@ def polar_matrices(t_nodes: np.ndarray, s: float):
       P1 = int N_a' N_b' (sin t)^(1-2s) cos t dt     (closed form)
       P2 = int N_a N_b (sin t)^(1-2s) / cos t dt
 
-    The equator cell uses Gauss-Jacobi in u = sin t, which absorbs
-    u^(1-2s); the other cells use Gauss-Legendre in t.  The pole cell
-    [t_last, pi/2] extends the last ring as a constant in t, so it adds
+    The equator cell uses the Golub-Welsch Gauss-Jacobi rule in u = sin t,
+    which absorbs u^(1-2s); other cells use Gauss-Legendre in t.  The pole
+    cell [t_last, pi/2] extends the last ring as a constant in t, adding
     one-sided scalars to P0 and P2 at the last row only.
     """
     beta = 1.0 - 2.0 * s
@@ -183,7 +195,7 @@ def polar_matrices(t_nodes: np.ndarray, s: float):
     q0 = w * np.cos(t)
     q2 = w / np.cos(t)
     # equator cell: Gauss-Jacobi in u = sin t (du = cos t dt)
-    xj, wj = roots_jacobi(_GAUSS_PTS, 0.0, beta)
+    xj, wj = _gauss_jacobi(_GAUSS_PTS, beta)
     u = 0.5 * u1[0] * (xj + 1.0)
     t[0] = np.arcsin(u)
     q0[0] = (0.5 * u1[0]) ** (beta + 1.0) * wj

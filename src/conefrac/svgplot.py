@@ -98,14 +98,10 @@ def plot_svg(path, series, xlabel="", ylabel="", title="",
     out.append(f'<text x="{_W / 2}" y="20" text-anchor="middle" '
                f'font-family="sans-serif" font-size="14">{title}</text>')
 
-    if logx:
-        xticks = _log_ticks(10.0 ** x0, 10.0 ** x1)
-    else:
-        xticks = _nice_ticks(x0, x1)
-    if logy:
-        yticks = _log_ticks(10.0 ** y0, 10.0 ** y1)
-    else:
-        yticks = _nice_ticks(y0, y1)
+    xticks = (_log_ticks(10.0 ** x0, 10.0 ** x1) if logx
+              else _nice_ticks(x0, x1))
+    yticks = (_log_ticks(10.0 ** y0, 10.0 ** y1) if logy
+              else _nice_ticks(y0, y1))
 
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                'fill="none" stroke="#444" stroke-width="1"/>')

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from conefrac.almgren import (beta_coefficients, blowup, check_H_prime_identity,
-                              compute_D, compute_H, default_radii,
-                              fourier_coeffs, frequency_trace, pohozaev_check)
+from conefrac.almgren import (_fit_gamma, beta_coefficients, blowup,
+                              check_H_prime_identity, compute_D, compute_H,
+                              default_radii, fourier_coeffs, frequency_trace,
+                              pohozaev_check)
 from conefrac.cones import SphericalCap
 from conefrac.errors import DomainError, NumericalError
 from conefrac.expressions import parse_expression
@@ -140,6 +141,35 @@ def test_H_positive_enforced(half_es, half_params):
     zero = manufactured_field(half_es, [(0, 0.0)])
     with pytest.raises(NumericalError):
         compute_H(zero, 0.5, half_params)
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0, 4.03])
+@pytest.mark.parametrize("c", [1.0, 1e-3, -0.3, 1e-6, 1e-8, -1e-8])
+def test_fit_recovers_synthetic_remainder(delta, c):
+    # N = gamma + c r^delta, exact up to rounding: the variable-projection
+    # fit recovers gamma and delta even when the remainder is tiny
+    radii = np.geomspace(0.1, 4.0, 40)
+    for gamma in (0.4525991561320234, 1.5, -0.2):
+        g, d, coef, fallback = _fit_gamma(radii, gamma + c * radii ** delta)
+        assert not fallback
+        assert abs(g - gamma) <= 1e-12
+        assert abs(d - delta) <= 1e-6
+        assert coef == pytest.approx(c, rel=1e-4)
+
+
+def test_fit_keeps_its_branches():
+    radii = default_radii()
+    # a flat N has no remainder to fit
+    assert _fit_gamma(radii, np.full(40, 0.75)) == (0.75, None, 0.0, False)
+    # a pinned exponent is a linear fit
+    g, d, c, fallback = _fit_gamma(radii, 0.3 - 2.0 * radii ** 0.9, 0.9)
+    assert (d, fallback) == (0.9, False)
+    assert g == pytest.approx(0.3, abs=1e-13)
+    assert c == pytest.approx(-2.0, rel=1e-12)
+    # a non-finite N falls back to its smallest-radius value
+    bad = 0.3 + radii
+    bad[3] = np.nan
+    assert _fit_gamma(radii, bad) == (bad[0], None, None, True)
 
 
 # ---------------------------------------------------------------------------

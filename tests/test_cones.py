@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conefrac.cones import (ApproxDomain, ConeProfile, SmoothedCone,
+from conefrac.cones import (ApproxDomain, _ramp_integral, ConeProfile, SmoothedCone,
                             SphericalCap, cap_of_cone, classify_point,
                             distance_to_boundary, mollifier,
                             omega_n_membership, smoothing_defect,
@@ -151,6 +151,29 @@ def test_fn_exact_regimes():
     assert smoothing_profile(10, 0.05) == pytest.approx(0.035, abs=1e-17)
     assert smoothing_profile(10, 0.01) == 0.0          # t = 1/n^2 boundary
     assert smoothing_profile(10, 0.02) == pytest.approx(0.02 - 0.015)
+
+
+def test_ramp_integral_matches_adaptive_quadrature():
+    # adaptive quadrature at epsrel 1e-13 misses by up to 2.9e-14 (at
+    # w = 0.5717, against a 30-digit reference, where the fixed rule is
+    # within 2.5e-16), so the reference runs at epsrel 2e-14
+    ws = np.linspace(0.0, 1.0, 2401)[1:-1]
+    ref = [quad(lambda v: mollifier(v), 1.0, 1.0 + w, epsabs=1e-17,
+                epsrel=2e-14, limit=200)[0] for w in ws]
+    vals = [_ramp_integral(float(w)) for w in ws]
+    np.testing.assert_allclose(vals, ref, rtol=0.0, atol=2e-15)
+    assert (_ramp_integral(0.0), _ramp_integral(1.0)) == (0.0, 0.5)
+
+
+def test_ramp_integral_symmetry_exact():
+    # the mollifier is symmetric about 3/2: R(w) = w - 1/2 + R(1 - w),
+    # exactly on the upper half, where the values are built from it
+    for w in np.random.default_rng(5).uniform(0.5, 1.0, 500):
+        w = float(w)
+        assert _ramp_integral(w) == (w - 0.5) + _ramp_integral(1.0 - w)
+    for w in np.linspace(0.01, 0.99, 99):
+        assert _ramp_integral(w) == pytest.approx(
+            w - 0.5 + _ramp_integral(1.0 - w), abs=1e-16)
 
 
 def test_fn_inequalities_dense():

@@ -248,6 +248,25 @@ def test_inadmissible_lambda_rejected_with_value(tmp_path, capsys):
     assert not any((tmp_path / "out").glob("*"))
 
 
+def test_failed_run_removes_the_output_directory_it_created(tmp_path):
+    cfg_path = _write(tmp_path, _eig_config(0.5, 48, 96, preset="full",
+                                            s=0.75))
+    out = tmp_path / "runs" / "out"
+    assert main(["eig", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_failed_run_leaves_an_existing_directory_as_it_was(tmp_path):
+    cfg_path = _write(tmp_path, _eig_config(0.5, 48, 96, preset="full",
+                                            s=0.75))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("earlier run")
+    assert main(["eig", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "earlier run"
+
+
 # the half cap's Hardy constant converges at first order in the mesh
 # (caps with endpoints): 0.78301 at 12x24, 0.79942 at 48x96.  lam is
 # checked against the run's own mesh, in both directions.
@@ -306,6 +325,33 @@ def test_parse_config_loads_no_solver():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_runs_load_no_optimize_special_or_integrate(tmp_path):
+    # the runtime needs numpy and scipy's sparse, linalg and sparse.linalg
+    # only; a frequency run and a solve-ext run load none of the others
+    configs = {
+        "frequency": "[params]\ns = 0.5\nlambda = 0.1\n[mesh]\nnt = 16\n"
+                     "ntheta = 32\n[task]\nname = frequency\nk = 6\n"
+                     "modes = 1:1.0, 4:0.2\n",
+        "solve-ext": "[params]\ns = 0.5\nlambda = 0.1\n[mesh]\nnt = 12\n"
+                     "ntheta = 24\nnr = 8\nrmin = 1e-2\n[task]\n"
+                     "name = solve-ext\nh = 0.05\nlid_mode = 1\nk = 6\n",
+    }
+    script = (
+        "import sys\n"
+        "from conefrac.cli import run_task\n"
+        "from conefrac.config import parse_config\n"
+        f"for name, text in {configs!r}.items():\n"
+        f"    run_task(parse_config(text), {str(tmp_path)!r} + '/' + name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+        "             (['scipy', 'optimize'], ['scipy', 'special'],\n"
+        "              ['scipy', 'integrate'])))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(conefrac.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "solve-ext" / "manifest.json").exists()
 
 
 def test_cli_smooth_cone(tmp_path):

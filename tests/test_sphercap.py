@@ -10,8 +10,9 @@ from scipy.integrate import quad
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import DomainError, GeometryError
 from conefrac.params import ProblemParams
-from conefrac.sphercap import (HemisphereSolver, assemble, boundary_integral,
-                               build_mesh, weighted_surface_integral)
+from conefrac.sphercap import (HemisphereSolver, _gauss_jacobi, assemble,
+                               boundary_integral, build_mesh,
+                               weighted_surface_integral)
 
 
 def test_mesh_nodes_uniform_grading():
@@ -58,6 +59,15 @@ def test_build_mesh_validation():
         build_mesh(8, 8, 0.5, cap, grading=0.5)
     with pytest.raises(DomainError):
         build_mesh(8, 8, 1.5, cap)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_gauss_jacobi_matches_scipy(s):
+    from scipy.special import roots_jacobi
+    nodes, weights = _gauss_jacobi(12, 1.0 - 2.0 * s)
+    ref_nodes, ref_weights = roots_jacobi(12, 0.0, 1.0 - 2.0 * s)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-13, atol=0.0)
 
 
 def test_total_weighted_mass_closed_form():
