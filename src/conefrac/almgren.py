@@ -12,6 +12,8 @@ through one radial quadrature plan: composite 4-point Gauss panels in log
 radius with a panel edge at every requested radius, and the integrals up to
 every radius read off one cumulative sum.  Grid fields add a local-power
 continuation below the innermost shell.
+
+Every entry point reads N, s, lambda and h from the field's ``params``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .expressions import Expression
-from .extension import (ManufacturedField, ScalarField, _is_zero_h,
-                        table_grams)
-from .params import ProblemParams
+from .extension import ManufacturedField, ScalarField, table_grams
 from .spectral import EigenSystem
 
 __all__ = [
@@ -77,10 +77,10 @@ def _equator_density(fld: ScalarField, weights: np.ndarray, rho: np.ndarray,
                                       tr)
 
 
-def _shell_terms(fld: ScalarField, rho: np.ndarray, params: ProblemParams):
+def _shell_terms(fld: ScalarField, rho: np.ndarray):
     """Normal-derivative and gradient energies, equator mass and flux on
     the sphere of every rho, from the field's Grams."""
-    N, s, G = params.N, params.s, fld.grams
+    N, s, G = fld.params.N, fld.params.s, fld.grams
     c, cg = fld.coefficients(rho), fld.coefficients(rho, derivative=True)
     norm_der = rho ** (N + 1 - 2 * s) * _bilinear(cg, G["M"])
     grad = norm_der + rho ** (N - 1 - 2 * s) * _bilinear(c, G["K"])
@@ -145,20 +145,19 @@ def _boundary_mass(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
     return H
 
 
-def compute_H(fld: ScalarField, r: float, params: ProblemParams) -> float:
+def compute_H(fld: ScalarField, r: float) -> float:
     """Scaled boundary mass r^(2s-N-1) int_{sphere r} t^(1-2s) U^2 dS,
     evaluated on the field's mass Gram.  Positive for any non-trivial field;
     H <= 0 raises."""
     return float(_boundary_mass(fld, np.array([float(r)]))[0])
 
 
-def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray,
-                        params: ProblemParams):
+def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray):
     """Closed-form volume and Hardy integrals up to every radius."""
     k0, m, b = (fld.grams[form] for form in "KMB")
     g = fld.gammas
     beta = fld.betas
-    N, s = params.N, params.s
+    N, s = fld.params.N, fld.params.s
     powsum = N - 2.0 * s + g[:, None] + g[None, :]
     radial = radii[:, None, None] ** powsum / powsum
     bb = beta[:, None] * beta[None, :]
@@ -168,31 +167,28 @@ def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray,
     return vol, hardy
 
 
-def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray,
-             params: ProblemParams, h):
-    """(lam, vol, hardy, trace_h): the radial integrals of the energy from
-    the vertex to every radius and the lam they are taken at.  Manufactured
-    fields, exact at their eigen system's lam, give vol and hardy in closed
-    form; the rest comes from the plan, and a grid field's power
+def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray):
+    """(vol, hardy, trace_h): the radial integrals of the energy from the
+    vertex to every radius.  Manufactured fields give vol and hardy in
+    closed form; the rest comes from the plan, and a grid field's power
     continuation supplies the core below the plan's lower end (all of the
     integral for radii below it)."""
-    N, s = params.N, params.s
+    N, s, h = fld.params.N, fld.params.s, fld.params.h
     lo = plan.edges[0]
     rho = np.append(lo, plan.rho)          # the core point, then the nodes
     core = np.minimum(radii, lo) / lo      # r / lo below the plan, else 1
     if isinstance(fld, ManufacturedField):
-        vol, hardy = _manufactured_terms(fld, radii, params)
-        lam, h_power = fld.es.lam, math.inf   # no core
+        vol, hardy = _manufactured_terms(fld, radii)
+        h_power = math.inf                 # no core
     else:
-        lam = params.lam
         gloc = fld.local_power()
-        _, e_vol, e_hardy, _ = _shell_terms(fld, rho, params)
+        _, e_vol, e_hardy, _ = _shell_terms(fld, rho)
         power = N - 2.0 * s + 2.0 * gloc
         if power <= 1e-2:
             # the trace fails to vanish fast enough at the vertex: the
             # Hardy term int |Tr U|^2 / |x|^2s is not integrable against
             # the continuation power
-            if (params.lam != 0.0
+            if (fld.params.lam != 0.0
                     and e_hardy[0] > 1e-14 * lo ** (N - 1 - 2 * s)):
                 raise NumericalError(
                     f"non-integrable trace singularity: local power {gloc:.4f}"
@@ -203,29 +199,26 @@ def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray,
         hardy = (plan.integrate(e_hardy[1:], radii)
                  + e_hardy[0] * lo / power * core ** power)
         h_power = N + 2.0 * gloc if N + 2.0 * gloc > 1e-2 else math.inf
-    if _is_zero_h(h):
-        return lam, vol, hardy, np.zeros_like(vol)
+    if h is None:
+        return vol, hardy, np.zeros_like(vol)
     e_h = _equator_density(fld, _equator_rows(h, rho, fld.mesh), rho, N)
-    return lam, vol, hardy, (plan.integrate(e_h[1:], radii)
-                             + e_h[0] * lo / h_power * core ** h_power)
+    return vol, hardy, (plan.integrate(e_h[1:], radii)
+                        + e_h[0] * lo / h_power * core ** h_power)
 
 
-def _scaled_energy(fld: ScalarField, radii: np.ndarray,
-                   params: ProblemParams, h) -> np.ndarray:
-    lam, vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii,
-                                        params, h)
-    N, s = params.N, params.s
-    return radii ** (2.0 * s - N) * (
-        vol - params.kappa * (lam * hardy + trace_h))
+def _scaled_energy(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
+    vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii)
+    p = fld.params
+    return radii ** (2.0 * p.s - p.N) * (
+        vol - p.kappa * (p.lam * hardy + trace_h))
 
 
-def compute_D(fld: ScalarField, r: float, params: ProblemParams,
-              h: Expression | None = None) -> float:
+def compute_D(fld: ScalarField, r: float) -> float:
     """Scaled energy r^(2s-N) (volume gradient energy minus the kappa_s
     (h + lam |x|^(-2s)) trace term).  Manufactured fields evaluate the
     radial integrals in closed form; grid fields by the radial plan with a
     power-law core below the innermost shell."""
-    return float(_scaled_energy(fld, np.array([float(r)]), params, h)[0])
+    return float(_scaled_energy(fld, np.array([float(r)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +289,8 @@ def _fit_gamma(radii, ncal, delta_fixed=None):
     return float(g), float(d), float(c), False
 
 
-def frequency_trace(fld: ScalarField, params: ProblemParams,
-                    h: Expression | None = None,
-                    radii=None, R0: float = 0.8) -> FrequencyTrace:
+def frequency_trace(fld: ScalarField, radii=None,
+                    R0: float = 0.8) -> FrequencyTrace:
     """Pointwise frequency on the radii grid plus the r -> 0 extrapolation.
 
     With a perturbation present the remainder exponent is pinned to
@@ -310,8 +302,9 @@ def frequency_trace(fld: ScalarField, params: ProblemParams,
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0.0) or np.any(radii > R0 + 1e-12):
         raise DomainError("radii must lie in (0, R0]")
+    params = fld.params
     Hs = _boundary_mass(fld, radii)
-    Ds = _scaled_energy(fld, radii, params, h)
+    Ds = _scaled_energy(fld, radii)
     ncal = Ds / Hs
 
     floor = -params.half_order
@@ -319,7 +312,7 @@ def frequency_trace(fld: ScalarField, params: ProblemParams,
         warnings.warn("frequency dipped below -(N-2s)/2: "
                       "lam is likely inadmissible", RuntimeWarning)
 
-    if _is_zero_h(h):
+    if params.h is None:
         g, d, c, fb = _fit_gamma(radii, ncal, None)
     else:
         delta = 2.0 * params.s - params.N / params.p
@@ -329,23 +322,21 @@ def frequency_trace(fld: ScalarField, params: ProblemParams,
                           fit_fallback=fb)
 
 
-def check_H_prime_identity(fld: ScalarField, params: ProblemParams,
-                           h: Expression | None = None,
-                           r: float = 0.5,
+def check_H_prime_identity(fld: ScalarField, r: float = 0.5,
                            delta: float | None = None) -> float:
     """Relative residual of H'(r) = 2 D(r) / r with fourth-order central
     differences of H in log radius."""
     if delta is None:
         delta = 1e-3 if fld.is_analytic else 0.04
     xs = math.log(r) + delta * np.array([-2.0, -1.0, 1.0, 2.0])
-    Hvals = [compute_H(fld, math.exp(x), params) for x in xs]
+    Hvals = [compute_H(fld, math.exp(x)) for x in xs]
     dHdx = (Hvals[0] - 8.0 * Hvals[1] + 8.0 * Hvals[2] - Hvals[3]) / (12.0 * delta)
     Hp = dHdx / r
-    rhs = 2.0 * compute_D(fld, r, params, h) / r
+    rhs = 2.0 * compute_D(fld, r) / r
     scale = max(abs(Hp), abs(rhs))
     # both sides at the finite-difference noise floor: the identity holds
     # trivially (constant fields)
-    if scale < 1e-9 * max(1.0, compute_H(fld, r, params) / r):
+    if scale < 1e-9 * max(1.0, compute_H(fld, r) / r):
         return 0.0
     return abs(Hp - rhs) / scale
 
@@ -361,7 +352,6 @@ class BlowupSnapshot:
     fld: ScalarField
     tau: float
     scale: float
-    params: ProblemParams
 
     def sphere_values(self, rho: float) -> np.ndarray:
         return self.fld.sphere_values(self.tau * rho) / self.scale
@@ -386,7 +376,7 @@ class BlowupSnapshot:
     def h1_distance(self, other: ScalarField, r_lo: float = 1e-4) -> float:
         """Weighted H1 distance on the unit half-ball between the snapshot
         and another field, by shell quadrature on the joint table's Grams."""
-        N, s = self.params.N, self.params.s
+        N, s = self.fld.params.N, self.fld.params.s
         plan = _radial_plan([r_lo, 1.0])
         rho = plan.rho
         T = np.vstack([self.fld.table, other.table])
@@ -403,13 +393,12 @@ class BlowupSnapshot:
         return math.sqrt(max(total, 0.0))
 
 
-def blowup(fld: ScalarField, tau: float, params: ProblemParams) -> BlowupSnapshot:
+def blowup(fld: ScalarField, tau: float) -> BlowupSnapshot:
     """Normalized rescaling at scale tau; requires H(tau) > 0."""
     if not 0.0 < tau <= 1.0:
         raise DomainError(f"tau must lie in (0, 1], got {tau}")
-    H = compute_H(fld, tau, params)
-    return BlowupSnapshot(fld=fld, tau=tau, scale=math.sqrt(H),
-                          params=params)
+    return BlowupSnapshot(fld=fld, tau=tau,
+                          scale=math.sqrt(compute_H(fld, tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +446,14 @@ class FourierTrace:
         return float((1.0 - frac) * y0 + frac * y1)
 
 
-def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus,
-                   params: ProblemParams,
-                   h: Expression | None = None) -> FourierTrace:
+def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
     """Mode coefficients phi_j(tau) by hemisphere quadrature and the
-    cumulative perturbation integrals Upsilon_j(tau) by log-spaced radial
-    quadrature of the cap-arc integrand."""
+    cumulative perturbation integrals Upsilon_j(tau) of the field's h by
+    log-spaced radial quadrature of the cap-arc integrand."""
+    params = fld.params
     if abs(params.lam - es.lam) > 1e-14:
-        raise DomainError("lam does not match the eigen system's lam")
+        raise DomainError("the field's lam does not match the eigen "
+                          "system's lam")
 
     taus = np.sort(np.asarray(taus, dtype=float))
     if taus[0] <= 0.0 or taus[-1] > 1.0:
@@ -475,7 +464,8 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus,
     phi = (forms.M @ es.vectors.T).T @ fld.table.T @ fld.coefficients(taus).T
 
     ups = np.zeros((k, len(taus)))
-    if not _is_zero_h(h):
+    h = params.h
+    if h is not None:
         r_lo = max(taus[0], fld.core_radius) * 1e-3
         plan = _radial_plan([r_lo, taus[-1]], per_decade=32)
         rho = plan.rho
@@ -541,8 +531,7 @@ def _power_weighted_integral(taus: np.ndarray, vals: np.ndarray,
     return total
 
 
-def beta_coefficients(ft: FourierTrace, gamma: float, R: float,
-                      params: ProblemParams) -> np.ndarray:
+def beta_coefficients(ft: FourierTrace, gamma: float, R: float) -> np.ndarray:
     """Limit-profile amplitudes
 
         beta_j = phi_j(R)/R^gamma
@@ -553,7 +542,7 @@ def beta_coefficients(ft: FourierTrace, gamma: float, R: float,
     endpoint treatment.  The value is R-independent for exact solutions."""
     if not 0.0 < R < 1.0:
         raise DomainError(f"R must lie in (0, 1), got {R}")
-    N, s = params.N, params.s
+    N, s = ft.es.params.N, ft.es.params.s
     denom = N + 2.0 * gamma - 2.0 * s
     out = np.zeros(len(ft.modes))
     for pos in range(len(ft.modes)):
@@ -582,8 +571,7 @@ class PohozaevReport:
     scale: float
 
 
-def pohozaev_check(fld: ScalarField, params: ProblemParams,
-                   h: Expression | None, r, tol: float = 1e-2
+def pohozaev_check(fld: ScalarField, r, tol: float = 1e-2
                    ) -> PohozaevReport | list[PohozaevReport]:
     """Evaluates both sides of the Pohozaev balance at radius r and the
     residual of the Green identity tying energy to the boundary flux.
@@ -595,16 +583,16 @@ def pohozaev_check(fld: ScalarField, params: ProblemParams,
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     mesh = fld.mesh
-    N, s = params.N, params.s
-    kappa = params.kappa
+    p = fld.params
+    N, s, lam, h, kappa = p.N, p.s, p.lam, p.h, p.kappa
 
-    norm_der, grad, circ_hardy, flux = _shell_terms(fld, radii, params)
+    norm_der, grad, circ_hardy, flux = _shell_terms(fld, radii)
 
     plan = _plan_for(fld, radii)
-    lam, vol, hardy, trace_h = _d_terms(fld, plan, radii, params, h)
+    vol, hardy, trace_h = _d_terms(fld, plan, radii)
 
     lhs = 0.5 * radii * (grad - kappa * lam * circ_hardy) - radii * norm_der
-    if not _is_zero_h(h):
+    if h is not None:
         circ_h = _equator_density(fld, _equator_rows(h, radii, mesh), radii,
                                   N)
         # Euler term int (x . grad h + N h) |Tr U|^2 on the plan's panels

@@ -32,14 +32,13 @@ from .cones import (SmoothedCone, smoothing_defect, smoothing_profile,
                     starshape_margin)
 from .config import RunConfig, parse_config
 from .errors import ConfigurationError, ConefracError, ExpressionError
-from .extension import (build_halfball_grid, manufactured_field, save_field,
-                        solve_extension)
+from .extension import (CG_TOL, build_halfball_grid, manufactured_field,
+                        save_field, solve_extension)
 from .hardy import hardy_constant_richardson, hardy_scan
 from .spectral import MULTIPLICITY_RTOL, solve_eigs
 from .sphercap import assemble, build_mesh
 from .svgplot import LineSeries, plot_svg
 
-CG_TOL = 1e-10
 _Result = tuple[list[str], dict]       # a task's outputs and manifest notes
 
 
@@ -153,12 +152,11 @@ def _task_scan(cfg: RunConfig, out: Path, threads: int) -> _Result:
     return ["scan.csv", "scan_lambda.svg"], {}
 
 
-def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
-                       h) -> list[str]:
+def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
     r0 = cfg.task_opts["r0"]
     lo = max(1e-2, 10.0 * fld.core_radius)
     radii = default_radii(R0=r0, n=cfg.task_opts["nradii"], r_min=lo)
-    trace = frequency_trace(fld, params, h, radii, R0=r0)
+    trace = frequency_trace(fld, radii, R0=r0)
     _write_csv(out / "frequency.csv", ["r", "H", "D", "Ncal"],
                list(zip(map(float, radii), map(float, trace.H),
                         map(float, trace.D), map(float, trace.Ncal))))
@@ -167,7 +165,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
              xlabel="r", ylabel="N", logx=True,
              title="Almgren frequency")
 
-    ft = fourier_coeffs(fld, es, radii, params, h)
+    ft = fourier_coeffs(fld, es, radii)
     rows = []
     for i, tau in enumerate(radii):
         for pos, j in enumerate(ft.modes):
@@ -175,13 +173,12 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
                          float(ft.ups[pos, i])))
     _write_csv(out / "fourier.csv", ["tau", "j", "phi_j", "Upsilon_j"], rows)
 
-    # dominant group and amplitudes at the configured reference radii
-    proj = np.array([ft.phi_at(pos, radii[0]) for pos in range(es.k)])
-    j0 = int(np.argmax(np.abs(proj)))
+    # dominant group at the smallest radius, amplitudes at the configured
+    # reference radii
+    j0 = int(np.argmax(np.abs(ft.phi[:, 0])))
     gamma = float(es.gamma[j0])
     rlist = cfg.task_opts["rlist"]
-    beta_by_R = {R: beta_coefficients(ft, gamma, R, params)
-                 for R in rlist}
+    beta_by_R = {R: beta_coefficients(ft, gamma, R) for R in rlist}
     members = es.group_members(j0)
     beta_ref = beta_by_R[rlist[len(rlist) // 2]]
     spreads = []
@@ -203,7 +200,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es, params,
         "pohozaev": [],
     }
     r_poho = np.linspace(0.3, 0.7, 5)
-    for r, rep in zip(r_poho, pohozaev_check(fld, params, h, r_poho)):
+    for r, rep in zip(r_poho, pohozaev_check(fld, r_poho)):
         summary["pohozaev"].append({
             "r": float(r), "lhs": rep.lhs, "rhs": rep.rhs,
             "satisfied": bool(rep.satisfied),
@@ -223,19 +220,16 @@ def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> _Result:
                  max(j for j, _ in cfg.task_opts["modes"]) + 1)
     es = solve_eigs(forms, params, k=k_need)
     fld = manufactured_field(es, cfg.task_opts["modes"])
-    return (_frequency_outputs(cfg, out, fld, es, params, None),
-            _eigen_notes(es))
+    return _frequency_outputs(cfg, out, fld, es), _eigen_notes(es)
 
 
 def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
     params = cfg.params()
-    cap = cfg.cap()
-    mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cap, cfg.grading)
+    mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cfg.cap(), cfg.grading)
     forms = assemble(mesh, params)
     es = solve_eigs(forms, params, k=cfg.task_opts["k"])
     grid = build_halfball_grid(cfg.nr, cfg.rmin, mesh)
 
-    h = cfg.task_opts.get("h")
     if "lid" in cfg.task_opts:
         lid_expr = cfg.task_opts["lid"]
         tgrid = np.repeat(mesh.t_nodes, mesh.ntheta)
@@ -251,9 +245,9 @@ def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
         lid = es.vectors[mode]
         lid_note = f"eigenmode {mode + 1} trace"
 
-    fld = solve_extension(grid, params, cap, h, lid, es=es, cg_tol=CG_TOL)
+    fld = solve_extension(grid, params, lid, es=es)
     save_field(out / "field.bin", fld)
-    outputs = _frequency_outputs(cfg, out, fld, es, params, h)
+    outputs = _frequency_outputs(cfg, out, fld, es)
     meta = fld.meta
     return ["field.bin"] + outputs, {"lid_choice": lid_note,
                                      "inner_mode": meta["inner_mode"],

@@ -23,16 +23,6 @@ from .params import ProblemParams
 
 __all__ = ["RunConfig", "parse_config", "TASKS"]
 
-TASKS = ("eig", "hardy", "scan", "frequency", "solve-ext", "smooth-cone")
-
-_KNOWN = {
-    "params": {"n", "s", "lambda", "p"},
-    "cone": {"preset", "g_plus", "g_minus"},
-    "mesh": {"nt", "ntheta", "grading", "nr", "rmin"},
-    "task": {"name", "k", "arcs", "modes", "r0", "nradii", "rlist",
-             "h", "lid", "lid_mode", "n", "samples"},
-}
-
 _TASK_KEYS = {
     "eig": {"name", "k"},
     "hardy": {"name"},
@@ -41,6 +31,15 @@ _TASK_KEYS = {
     "solve-ext": {"name", "h", "lid", "lid_mode", "r0", "nradii", "rlist",
                   "k"},
     "smooth-cone": {"name", "n", "samples"},
+}
+
+TASKS = tuple(_TASK_KEYS)
+
+_KNOWN = {
+    "params": {"n", "s", "lambda", "p"},
+    "cone": {"preset", "g_plus", "g_minus"},
+    "mesh": {"nt", "ntheta", "grading", "nr", "rmin"},
+    "task": set().union(*_TASK_KEYS.values()),
 }
 
 _DEFAULTS = {
@@ -75,7 +74,8 @@ class RunConfig:
     raw_text: str = ""
 
     def params(self) -> ProblemParams:
-        return ProblemParams(N=self.n_dim, s=self.s, lam=self.lam, p=self.p)
+        return ProblemParams(N=self.n_dim, s=self.s, lam=self.lam, p=self.p,
+                             h=self.task_opts.get("h"))
 
     def cap(self) -> SphericalCap:
         return cap_of_cone(self.cone_spec)

@@ -18,7 +18,8 @@ takes one iteration when h is absent.
 Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
 output, radially interpolated with 4-point stencils on the uniform-in-log
-shell grid); both are coefficient rows over a table of sphere vectors.
+shell grid); both are coefficient rows over a table of sphere vectors, and
+both own their problem (``params``, h included) and their mesh (the cap).
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ __all__ = [
     "save_field",
     "load_field",
 ]
+
+CG_TOL = 1e-10          # relative residual at which the extension CG stops
+CG_MAXITER = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +152,10 @@ class ScalarField:
     ``coefficients`` (one per radius) over a small ``table`` of hemisphere
     node vectors, so a sphere form x^T A y of samples is c^T (T A T^T) c on
     the cached ``grams``.  Below ``core_radius`` the field is a power of r.
+    ``params`` is the problem the field solves, h included.
     """
 
+    params: ProblemParams
     mesh: HemisphereMesh
     forms: AssembledForms
     core_radius = 0.0
@@ -191,6 +197,10 @@ class ManufacturedField(ScalarField):
         for j in self.modes:
             if not 0 <= j < self.es.k:
                 raise DomainError(f"mode index {j} out of range")
+
+    @property
+    def params(self) -> ProblemParams:
+        return self.es.params
 
     @property
     def mesh(self) -> HemisphereMesh:
@@ -244,8 +254,7 @@ class GridField(ScalarField):
     """
 
     def __init__(self, grid: HalfBallGrid, values: np.ndarray,
-                 params: ProblemParams, cap: SphericalCap,
-                 h: Expression | None = None, meta: dict | None = None,
+                 params: ProblemParams, meta: dict | None = None,
                  forms: AssembledForms | None = None):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_surfaces, grid.mesh.n_nodes):
@@ -253,8 +262,6 @@ class GridField(ScalarField):
         self.grid = grid
         self.values = self.table = values
         self.params = params
-        self.cap = cap
-        self.h = h
         self.meta = dict(meta or {})
         self.core_radius = grid.r_min
         self._grams = {}
@@ -331,15 +338,12 @@ class GridField(ScalarField):
 # the solver
 # ---------------------------------------------------------------------------
 
-def _is_zero_h(h) -> bool:
-    return h is None or (isinstance(h, Expression) and h.is_zero())
-
-
-def _trace_h_matrix(grid: HalfBallGrid, h: Expression,
-                    theta_segments: np.ndarray) -> sp.csr_matrix:
-    """Equator integral int h(x) Tr U Tr V dx over the cap segments, 4x4
-    Gauss per (radial cell, segment); entries on the full 3-D node set."""
+def _trace_h_matrix(grid: HalfBallGrid, h: Expression) -> sp.csr_matrix:
+    """Equator integral int h(x) Tr U Tr V dx over the mesh's cap segments,
+    4x4 Gauss per (radial cell, segment); entries on the full 3-D node
+    set."""
     mesh = grid.mesh
+    theta_segments = np.flatnonzero(mesh.segment_mask)
     xg, wg = np.polynomial.legendre.leggauss(4)
 
     def cells(lo, width):
@@ -389,7 +393,6 @@ class _FastDiagPreconditioner:
 
 
 def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
-                        cap: SphericalCap, h: Expression | None,
                         forms: AssembledForms):
     """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus
     the kappa_s h trace term, applied to full 3-D node vectors through its
@@ -402,10 +405,8 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
     # stiffness; the h term is a Gauss quadrature on the equator plane
     K_lam = forms.K - (params.lam * params.kappa) * forms.B
     trace_h = None
-    if h is not None:
-        mid = grid.mesh.theta_nodes + math.pi / grid.mesh.ntheta
-        segs = np.flatnonzero(np.asarray(cap.contains(mid), dtype=bool))
-        trace_h = params.kappa * _trace_h_matrix(grid, h, segs)
+    if params.h is not None:
+        trace_h = params.kappa * _trace_h_matrix(grid, params.h)
     shape = (grid.n_surfaces, grid.mesh.n_nodes)
     # one workspace: fresh full-size temporaries fault in every page
     ut, out, tmp = np.empty(shape[::-1]), np.empty(shape), np.empty(shape)
@@ -422,10 +423,10 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
 
 
 def solve_extension(grid: HalfBallGrid, params: ProblemParams,
-                    cap: SphericalCap, h: Expression | None,
-                    lid_data: np.ndarray, es: EigenSystem | None = None,
-                    cg_tol: float = 1e-10, maxiter: int = 20000) -> GridField:
-    """Discrete weak solution of the localized extension problem.
+                    lid_data: np.ndarray,
+                    es: EigenSystem | None = None) -> GridField:
+    """Discrete weak solution of the localized extension problem that
+    ``params`` (h included) poses on the cap of the grid's mesh.
 
     Dirichlet data: ``lid_data`` on the unit sphere (full hemisphere node
     vector; its values on Dirichlet equator nodes are forced to zero) and
@@ -436,9 +437,9 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     The admissibility lam < Lambda(cap) is enforced through the eigen system
     used for the modal bookkeeping (computed on the same mesh when not
-    supplied); its forms are the ones the solve and the returned field use.
-    The field's ``meta`` records the CG iteration count and the final
-    relative residual.
+    supplied, else on it at the same lam); its forms are the ones the solve
+    and the returned field use.  The field's ``meta`` records the CG
+    iteration count and the final relative residual.
     """
     mesh = grid.mesh
     if abs(mesh.s - params.s) > 1e-14:
@@ -448,18 +449,19 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         raise DomainError("lid data must be a full hemisphere node vector")
     lid[mesh.dirichlet_ids] = 0.0
 
-    h_is_zero = _is_zero_h(h)
+    h_is_zero = params.h is None
     if es is None:
         forms = assemble(mesh, params)
         es = solve_eigs(forms, params, k=min(10, mesh.n_free - 1))
     elif es.mesh is not mesh:
         raise DomainError("the eigen system belongs to a different mesh")
+    elif es.lam != params.lam:
+        raise DomainError("the eigen system was solved at a different lam")
     forms = es.forms
 
     n_h = mesh.n_nodes
     n_surf = grid.n_surfaces
-    operator, Sr, Mr = _extension_operator(grid, params, cap,
-                                           None if h_is_zero else h, forms)
+    operator, Sr, Mr = _extension_operator(grid, params, forms)
 
     # Dirichlet data on the outer shell, and on the inner one when h is
     # absent; the free dofs are the other shells x the free hemisphere dofs
@@ -491,7 +493,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     sol, info = spla.cg(
         spla.LinearOperator(shape, matvec=matvec, dtype=float), b,
-        rtol=cg_tol, atol=0.0, maxiter=maxiter, callback=count,
+        rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER, callback=count,
         M=spla.LinearOperator(shape, matvec=precond.apply, dtype=float))
     res = float(np.linalg.norm(matvec(sol) - b)
                 / max(np.linalg.norm(b), 1e-300))
@@ -501,10 +503,9 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
             f"residual {res:.3e}); check admissibility of lam = {params.lam}")
 
     u.flat[free] = sol
-    meta = {"inner_mode": inner_mode, "cg_tol": cg_tol,
-            "h_is_zero": h_is_zero, "cg_iters": iters[0],
+    meta = {"inner_mode": inner_mode, "cg_iters": iters[0],
             "cg_residual": res}
-    return GridField(grid, u, params, cap, h=h, meta=meta, forms=forms)
+    return GridField(grid, u, params, meta=meta, forms=forms)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +524,7 @@ def save_field(path, fld: GridField) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, fld.grid.n_surfaces,
                               mesh.nt, mesh.ntheta, fld.params.s,
-                              fld.params.lam, fld.cap.a, fld.cap.b,
+                              fld.params.lam, mesh.cap.a, mesh.cap.b,
                               fld.grid.r_min, mesh.grading))
         fld.grid.r_nodes.astype("<f8").tofile(fh)
         fld.values.astype("<f8").tofile(fh)
@@ -532,7 +533,9 @@ def save_field(path, fld: GridField) -> None:
 def load_field(path, params: ProblemParams | None = None) -> GridField:
     """Read a field written by ``save_field``.  A file whose header and
     payload disagree, that holds non-finite numbers, or whose shell radii
-    are not geometric raises DomainError."""
+    are not geometric raises DomainError, as do ``params`` whose s or lam
+    differ from the file's.  The field owns ``params``, by default the
+    file's s and lam without h."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC or len(raw) < _HEADER.size:
@@ -558,8 +561,10 @@ def load_field(path, params: ProblemParams | None = None) -> GridField:
     s, lam, cap_a, cap_b, r_min, grading = scalars
     if params is None:
         params = ProblemParams(s=s, lam=lam)
-    cap = SphericalCap(cap_a, cap_b)
-    mesh = build_mesh(nt, ntheta, s, cap, grading)
+    elif (params.s, params.lam) != (s, lam):
+        raise DomainError(f"{path} holds a field for s = {s}, lam = {lam},"
+                          f" not {params.s}, {params.lam}")
+    mesh = build_mesh(nt, ntheta, s, SphericalCap(cap_a, cap_b), grading)
     grid = HalfBallGrid(r_nodes=r_nodes, mesh=mesh)
     return GridField(grid, data[n_surf:].reshape(n_surf, nt * ntheta),
-                     params, cap)
+                     params)

@@ -1,5 +1,5 @@
-"""Scalar parameters and the closed-form maps between eigenvalues, vanishing
-orders and Hardy constants.
+"""The parameters of the problem and the closed-form maps between
+eigenvalues, vanishing orders and Hardy constants.
 
 Everything here is a pure function of a handful of reals; the heavier mesh and
 solver machinery lives in the other modules.
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
+from .expressions import Expression
 
 __all__ = [
     "ProblemParams",
@@ -38,7 +39,7 @@ def kappa_s(s: float) -> float:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Immutable scalar parameters of a run.
+    """Immutable parameters of the problem a run solves.
 
     Attributes
     ----------
@@ -54,6 +55,9 @@ class ProblemParams:
     p : float
         Integrability exponent of the bounded perturbation, > N / (2s).
         Defaults to 10 N / (2s).
+    h : Expression or None
+        Bounded perturbation in the trace condition; a zero expression is
+        stored as None, the unperturbed problem.
     kappa : float
         Derived trace-condition constant; filled in automatically.
     """
@@ -62,6 +66,7 @@ class ProblemParams:
     s: float = 0.5
     lam: float = 0.0
     p: float | None = None
+    h: Expression | None = None
     kappa: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -75,6 +80,8 @@ class ProblemParams:
         elif self.p <= p_min:
             raise DomainError(
                 f"p must exceed N/(2s) = {p_min:.6g}, got {self.p}")
+        if self.h is not None and self.h.is_zero():
+            object.__setattr__(self, "h", None)
         object.__setattr__(self, "kappa", kappa_s(self.s))
 
     @property

@@ -20,7 +20,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cones import SphericalCap
 from .errors import DomainError, InadmissibleLambdaError, NumericalError
 from .params import ProblemParams, gamma_from_mu
 from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
@@ -93,7 +92,6 @@ class EigenSystem:
     vectors: np.ndarray          # (k, n_nodes)
     gamma: np.ndarray
     group: np.ndarray
-    lam: float
     params: ProblemParams
     forms: AssembledForms
     hardy_lambda: float | None = None
@@ -106,12 +104,12 @@ class EigenSystem:
         return len(self.mu)
 
     @property
-    def mesh(self) -> HemisphereMesh:
-        return self.forms.mesh
+    def lam(self) -> float:
+        return self.params.lam
 
     @property
-    def cap(self) -> SphericalCap:
-        return self.forms.mesh.cap
+    def mesh(self) -> HemisphereMesh:
+        return self.forms.mesh
 
     def group_members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.group == self.group[j])
@@ -182,9 +180,8 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                       > MULTIPLICITY_RTOL * (1.0 + np.abs(w)))
 
     return EigenSystem(mu=w, vectors=full, gamma=gamma, group=group,
-                       lam=lam, params=params, forms=forms,
-                       hardy_lambda=lam_star, eigen_path=path, shift=shift,
-                       shift_retries=retries)
+                       params=params, forms=forms, hardy_lambda=lam_star,
+                       eigen_path=path, shift=shift, shift_retries=retries)
 
 
 def _sparse_smallest(forms, Mr, k, params):

@@ -65,6 +65,7 @@ class HemisphereMesh:
     t_nodes: np.ndarray
     theta_nodes: np.ndarray
     robin_mask: np.ndarray       # (ntheta,) equator nodes inside the cap
+    segment_mask: np.ndarray     # (ntheta,) segment midpoints in the cap
     free_nodes: np.ndarray       # retained dof -> node id
     dof_of_node: np.ndarray      # node id -> retained dof or -1
 
@@ -103,8 +104,8 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
     """Graded tensor mesh; refinement accumulates at the equator t = 0.
 
     Polar rows sit at t_i = (pi/2) (i / n_t)^grading for i = 0 .. n_t - 1,
-    so no node lands on the pole.  Equator nodes are classified against the
-    cap with the half-open convention [a, b).
+    so no node lands on the pole.  Equator nodes and segment midpoints are
+    classified against the cap with the half-open convention [a, b).
     """
     if n_t < 4 or n_theta < 4:
         raise DomainError("need n_t >= 4 and n_theta >= 4")
@@ -119,6 +120,8 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
     t_nodes = 0.5 * math.pi * (i / n_t) ** grading
     theta_nodes = 2.0 * math.pi * np.arange(n_theta) / n_theta
     robin_mask = np.asarray(cap.contains(theta_nodes), dtype=bool)
+    segment_mask = np.asarray(cap.contains(theta_nodes + math.pi / n_theta),
+                              dtype=bool)
 
     dirichlet = np.zeros(n_t * n_theta, dtype=bool)
     dirichlet[:n_theta] = ~robin_mask
@@ -128,8 +131,8 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
 
     return HemisphereMesh(nt=n_t, ntheta=n_theta, s=s, grading=grading,
                           cap=cap, t_nodes=t_nodes, theta_nodes=theta_nodes,
-                          robin_mask=robin_mask, free_nodes=free_nodes,
-                          dof_of_node=dof_of_node)
+                          robin_mask=robin_mask, segment_mask=segment_mask,
+                          free_nodes=free_nodes, dof_of_node=dof_of_node)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +220,12 @@ def polar_matrices(t_nodes: np.ndarray, s: float):
 
 
 def _azimuthal_matrices(mesh: HemisphereMesh):
-    """Periodic azimuthal mass, stiffness and cap-segment boundary mass.
-    A segment belongs to the cap when its midpoint does."""
+    """Periodic azimuthal mass, stiffness and cap-segment boundary mass
+    over the mesh's ``segment_mask``."""
     dtheta = 2.0 * math.pi / mesh.ntheta
     mass = dtheta / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     stiff = (1.0 / dtheta) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    seg_in = np.asarray(mesh.cap.contains(mesh.theta_nodes + 0.5 * dtheta),
-                        dtype=bool)
-    Bth = assemble_1d(seg_in[:, None, None] * mass, periodic=True)
+    Bth = assemble_1d(mesh.segment_mask[:, None, None] * mass, periodic=True)
     Bth.eliminate_zeros()
     cells = (mesh.ntheta, 2, 2)
     return (assemble_1d(np.broadcast_to(mass, cells), periodic=True),

@@ -34,21 +34,18 @@ def half_es(half_forms, half_params):
 
 
 @pytest.fixture(scope="session")
-def solver_field(half_es, half_params, half_cap):
-    """Extension solve with a constant perturbation, shared by the
+def solver_field(half_es):
+    """Extension solve with the constant perturbation h = 0.1, shared by the
     Green-identity / mode-profile diagnostics."""
     grid = build_halfball_grid(32, 1e-3, half_es.mesh)
-    h = parse_expression("0.1")
-    fld = solve_extension(grid, half_params, half_cap, h,
-                          half_es.vectors[0], es=half_es)
-    return fld, h
+    params = ProblemParams(s=HALF_S, lam=HALF_LAM,
+                           h=parse_expression("0.1"))
+    return solve_extension(grid, params, half_es.vectors[0], es=half_es)
 
 
 @pytest.fixture(scope="session")
-def solver_field_h0(half_es, half_params, half_cap):
+def solver_field_h0(half_es, half_params):
     """Extension solve without perturbation (inner boundary pinned to the
     dominant homogeneous mode)."""
     grid = build_halfball_grid(24, 1e-3, half_es.mesh)
-    fld = solve_extension(grid, half_params, half_cap, None,
-                          half_es.vectors[0], es=half_es)
-    return fld
+    return solve_extension(grid, half_params, half_es.vectors[0], es=half_es)

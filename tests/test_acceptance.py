@@ -143,28 +143,27 @@ def test_criterion_05_hardy_monotonicity():
                 f"tail {tail_rel:.3%}")
 
 
-def test_criterion_06_almgren_exact_on_pure_profiles(half_es, half_params):
+def test_criterion_06_almgren_exact_on_pure_profiles(half_es):
     fld = manufactured_field(half_es, [(0, 1.0)])
     g = half_es.gamma[0]
     radii = default_radii()          # 40 geometric radii
-    trace = frequency_trace(fld, half_params, None, radii)
+    trace = frequency_trace(fld, radii)
     dev_n = float(np.abs(trace.Ncal - g).max())
     dev_h = float(np.abs(trace.H / radii ** (2 * g) - 1.0).max())
-    dev_id = max(check_H_prime_identity(fld, half_params, None, r)
-                 for r in (0.1, 0.4, 0.7))
+    dev_id = max(check_H_prime_identity(fld, r) for r in (0.1, 0.4, 0.7))
     ok = dev_n < 1e-6 and dev_h < 1e-8 and dev_id <= 1e-8
     _report(6, "pure profiles: N(r) = gamma within 1e-6 across 40 radii, "
                "H/r^2gamma constant within 1e-8, H' = 2D/r within 1e-8",
             ok, f"N dev {dev_n:.1e}, H dev {dev_h:.1e}, id {dev_id:.1e}")
 
 
-def test_criterion_07_blowup_classification(half_es, half_params):
+def test_criterion_07_blowup_classification(half_es):
     # modes 0 and 3: gamma gap ~ 1.0 >= 0.3, amplitude 0.2
     g1, g2 = half_es.gamma[0], half_es.gamma[3]
     assert g2 - g1 >= 0.3
     fld = manufactured_field(half_es, [(0, 1.0), (3, 0.2)])
-    trace = frequency_trace(fld, half_params, None)
-    snap = blowup(fld, 1e-2, half_params)
+    trace = frequency_trace(fld)
+    snap = blowup(fld, 1e-2)
     off = snap.off_group_norm(half_es, 0)
     ok = abs(trace.gamma_hat - g1) < 1e-2 and off <= 0.05
     _report(7, "two-mode blow-up: gamma_hat = gamma_1 within 1e-2 and "
@@ -174,25 +173,24 @@ def test_criterion_07_blowup_classification(half_es, half_params):
 
 def test_criterion_08_end_to_end_extension():
     s, lam = 0.5, 0.1
-    p = ProblemParams(s=s, lam=lam)
+    p = ProblemParams(s=s, lam=lam, h=parse_expression("0.1"))
     cap = cap_of_cone(ConeProfile.half_plane())
     mesh = build_mesh(48, 96, s, cap, grading=2.0)
     forms = assemble(mesh, p)
     es = solve_eigs(forms, p, k=8)
     grid = build_halfball_grid(32, 1e-3, mesh)
-    h = parse_expression("0.1")
-    fld = solve_extension(grid, p, cap, h, es.vectors[0], es=es)
+    fld = solve_extension(grid, p, es.vectors[0], es=es)
 
     gamma1 = float(es.gamma[0])
     radii = default_radii(r_min=max(1e-2, 10.0 * grid.r_min))
-    trace = frequency_trace(fld, p, h, radii)
+    trace = frequency_trace(fld, radii)
     gamma_rel = abs(trace.gamma_hat - gamma1) / gamma1
 
-    ft = fourier_coeffs(fld, es, radii, p, h)
-    betas = [beta_coefficients(ft, gamma1, R, p)[0] for R in (0.3, 0.5, 0.7)]
+    ft = fourier_coeffs(fld, es, radii)
+    betas = [beta_coefficients(ft, gamma1, R)[0] for R in (0.3, 0.5, 0.7)]
     spread = (max(betas) - min(betas)) / max(abs(b) for b in betas)
 
-    poho_ok = all(pohozaev_check(fld, p, h, float(r)).satisfied
+    poho_ok = all(pohozaev_check(fld, float(r)).satisfied
                   for r in np.linspace(0.25, 0.75, 5))
 
     ok = gamma_rel < 0.05 and spread < 0.05 and poho_ok

@@ -2,6 +2,7 @@
 asymptotics, blow-up classification, mode profiles, amplitudes and the
 Pohozaev diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,11 +54,10 @@ def test_bilinear_rows_equal_single_row_calls(half_es):
 # H and D on manufactured fields
 # ---------------------------------------------------------------------------
 
-def test_H_pure_profile_power(pure, half_es, half_params):
+def test_H_pure_profile_power(pure, half_es):
     g = half_es.gamma[0]
     for r in (0.03, 0.2, 0.77):
-        assert compute_H(pure, r, half_params) == pytest.approx(
-            r ** (2 * g), rel=1e-12)
+        assert compute_H(pure, r) == pytest.approx(r ** (2 * g), rel=1e-12)
 
 
 def test_H_constant_field():
@@ -70,38 +70,38 @@ def test_H_constant_field():
     fld = manufactured_field(es, [(0, amp)])
     expected = 2.0 * math.pi / (2.0 - 2.0 * s)
     for r in (0.1, 0.5, 0.9):
-        assert compute_H(fld, r, p) == pytest.approx(expected, rel=1e-9)
-        assert abs(compute_D(fld, r, p)) < 1e-12
+        assert compute_H(fld, r) == pytest.approx(expected, rel=1e-9)
+        assert abs(compute_D(fld, r)) < 1e-12
 
 
-def test_H_scaling_under_dilation(pure, half_es, half_params):
+def test_H_scaling_under_dilation(pure, half_es):
     # H of z -> U(tau z) at radius r equals H_U(tau r)
     tau = 0.37
     scaled = manufactured_field(
         half_es, [(0, tau ** half_es.gamma[0])])
     for r in (0.1, 0.6):
-        assert compute_H(scaled, r, half_params) == pytest.approx(
-            compute_H(pure, tau * r, half_params), rel=1e-12)
+        assert compute_H(scaled, r) == pytest.approx(
+            compute_H(pure, tau * r), rel=1e-12)
 
 
-def test_D_pure_profile(pure, half_es, half_params):
+def test_D_pure_profile(pure, half_es):
     g = half_es.gamma[0]
     for r in (0.05, 0.4, 0.8):
-        D = compute_D(pure, r, half_params, None)
+        D = compute_D(pure, r)
         assert D == pytest.approx(g * r ** (2 * g), rel=1e-10)
 
 
-def test_frequency_trace_pure(pure, half_es, half_params):
+def test_frequency_trace_pure(pure, half_es):
     g = half_es.gamma[0]
-    trace = frequency_trace(pure, half_params, None)
+    trace = frequency_trace(pure)
     assert np.abs(trace.Ncal - g).max() < 1e-6
     assert np.abs(trace.H / trace.radii ** (2 * g) - 1.0).max() < 1e-8
     assert trace.gamma_hat == pytest.approx(g, abs=1e-8)
 
 
-def test_H_prime_identity_pure(pure, half_params):
+def test_H_prime_identity_pure(pure):
     for r in (0.2, 0.5):
-        res = check_H_prime_identity(pure, half_params, None, r)
+        res = check_H_prime_identity(pure, r)
         assert res <= 1e-8
 
 
@@ -112,12 +112,12 @@ def test_H_prime_identity_constant():
     mesh = build_mesh(12, 24, s, cap)
     es = solve_eigs(assemble(mesh, p), p, k=1)
     fld = manufactured_field(es, [(0, 1.0)])
-    assert check_H_prime_identity(fld, p, None, 0.5) == 0.0
+    assert check_H_prime_identity(fld, 0.5) == 0.0
 
 
-def test_two_mode_frequency(two_mode, half_es, half_params):
+def test_two_mode_frequency(two_mode, half_es):
     g1, g2 = half_es.gamma[0], half_es.gamma[3]
-    trace = frequency_trace(two_mode, half_params, None)
+    trace = frequency_trace(two_mode)
     # exact two-mode rational function of r^(2 dg)
     eps2 = 0.2 ** 2
     dg = g2 - g1
@@ -127,20 +127,19 @@ def test_two_mode_frequency(two_mode, half_es, half_params):
     assert np.all(np.diff(trace.Ncal) >= -1e-12)
     assert trace.gamma_hat == pytest.approx(g1, abs=1e-2)
     # brute-force small radius: N(1e-3) close to gamma_1
-    small = compute_D(two_mode, 1e-3, half_params, None) \
-        / compute_H(two_mode, 1e-3, half_params)
+    small = compute_D(two_mode, 1e-3) / compute_H(two_mode, 1e-3)
     assert small == pytest.approx(g1, abs=1e-5)
 
 
 def test_frequency_floor(two_mode, half_params):
-    trace = frequency_trace(two_mode, half_params, None)
+    trace = frequency_trace(two_mode)
     assert np.all(trace.Ncal > -half_params.half_order)
 
 
-def test_H_positive_enforced(half_es, half_params):
+def test_H_positive_enforced(half_es):
     zero = manufactured_field(half_es, [(0, 0.0)])
     with pytest.raises(NumericalError):
-        compute_H(zero, 0.5, half_params)
+        compute_H(zero, 0.5)
 
 
 @pytest.mark.parametrize("delta", [0.5, 2.0, 4.03])
@@ -176,124 +175,125 @@ def test_fit_keeps_its_branches():
 # blow-up snapshots
 # ---------------------------------------------------------------------------
 
-def test_blowup_normalization(two_mode, half_params):
+def test_blowup_normalization(two_mode):
     for tau in (1.0, 0.3, 1e-2):
-        snap = blowup(two_mode, tau, half_params)
+        snap = blowup(two_mode, tau)
         assert snap.boundary_norm() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_blowup_pure_profile_scale_invariant(pure, half_es, half_params):
-    snaps = [blowup(pure, tau, half_params) for tau in (1.0, 0.25, 1e-2)]
+def test_blowup_pure_profile_scale_invariant(pure, half_es):
+    snaps = [blowup(pure, tau) for tau in (1.0, 0.25, 1e-2)]
     vals = [s.sphere_values(0.6) for s in snaps]
     for v in vals[1:]:
         np.testing.assert_allclose(v, vals[0], rtol=1e-10, atol=1e-13)
 
 
-def test_blowup_two_mode_converges_to_leading(two_mode, pure, half_es,
-                                              half_params):
+def test_blowup_two_mode_converges_to_leading(two_mode, pure, half_es):
     dists = []
     for tau in (0.5, 0.25, 0.125):
-        snap = blowup(two_mode, tau, half_params)
+        snap = blowup(two_mode, tau)
         dists.append(snap.h1_distance(pure))
     assert dists[0] > dists[1] > dists[2]
     # decay rate tau^(g2 - g1), here about one power of two per halving
     assert dists[0] / dists[2] > 3.0
 
 
-def test_blowup_off_group_projection(two_mode, half_es, half_params):
-    snap = blowup(two_mode, 1e-2, half_params)
+def test_blowup_off_group_projection(two_mode, half_es):
+    snap = blowup(two_mode, 1e-2)
     assert snap.off_group_norm(half_es, 0) <= 0.05
     # and the in-group projection is close to one
     assert abs(snap.projection(half_es, 0)) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_blowup_off_group_tends_to_zero(two_mode, half_es, half_params):
+def test_blowup_off_group_tends_to_zero(two_mode, half_es):
     # the snapshot collapses onto the leading multiplicity group as tau -> 0
-    offs = [blowup(two_mode, tau, half_params).off_group_norm(half_es, 0)
+    offs = [blowup(two_mode, tau).off_group_norm(half_es, 0)
             for tau in (0.3, 0.1, 0.03)]
     assert offs[0] > offs[1] > offs[2]
     assert offs[2] < 1e-3
 
 
-def test_fourier_zeta_accessor(solver_field, half_es, half_params):
-    fld, h = solver_field
+def test_fourier_zeta_accessor(solver_field, half_es):
+    fld = solver_field
     taus = np.geomspace(0.1, 0.8, 40)
-    ft = fourier_coeffs(fld, half_es, taus, half_params, h)
+    ft = fourier_coeffs(fld, half_es, taus)
     z = ft.zeta(0)
     assert z.shape == taus.shape
     # forcing vanishes identically when h does
     pure_ft = fourier_coeffs(manufactured_field(half_es, [(0, 1.0)]),
-                             half_es, taus, half_params, None)
+                             half_es, taus)
     assert np.all(pure_ft.zeta(0) == 0.0)
 
 
-def test_blowup_validation(pure, half_params):
+def test_blowup_validation(pure):
     with pytest.raises(DomainError):
-        blowup(pure, 0.0, half_params)
+        blowup(pure, 0.0)
     with pytest.raises(DomainError):
-        blowup(pure, 1.5, half_params)
+        blowup(pure, 1.5)
 
 
 # ---------------------------------------------------------------------------
 # Fourier profiles and amplitudes
 # ---------------------------------------------------------------------------
 
-def test_fourier_pure_profile(pure, half_es, half_params):
+def test_fourier_pure_profile(pure, half_es):
     taus = default_radii()
-    ft = fourier_coeffs(pure, half_es, taus, half_params, None)
+    ft = fourier_coeffs(pure, half_es, taus)
     g = half_es.gamma[0]
     np.testing.assert_allclose(ft.phi[0], taus ** g, rtol=1e-10)
     assert np.abs(ft.phi[1:]).max() < 1e-8
     assert np.all(ft.ups == 0.0)
 
 
-def test_fourier_parseval(two_mode, half_es, half_params):
+def test_fourier_parseval(two_mode, half_es):
     taus = np.geomspace(1e-2, 0.8, 12)
-    ft = fourier_coeffs(two_mode, half_es, taus, half_params, None)
+    ft = fourier_coeffs(two_mode, half_es, taus)
     for i, tau in enumerate(taus):
-        H = compute_H(two_mode, tau, half_params)
+        H = compute_H(two_mode, tau)
         partial = 0.0
         for pos in range(half_es.k):
             partial += ft.phi[pos, i] ** 2
             assert partial <= H * (1.0 + 1e-8)
     # the two active modes already exhaust H
     recon = ft.phi[0] ** 2 + ft.phi[3] ** 2
-    Hs = np.array([compute_H(two_mode, t, half_params) for t in taus])
+    Hs = np.array([compute_H(two_mode, t) for t in taus])
     np.testing.assert_allclose(recon, Hs, rtol=1e-10)
 
 
-def test_fourier_provenance_checks(pure, half_es, half_params):
-    bad_params = ProblemParams(s=half_params.s, lam=0.0)
+def test_fourier_provenance_checks(half_es, half_params):
+    # a field solving the problem at another lam
+    bad_es = dataclasses.replace(
+        half_es, params=ProblemParams(s=half_params.s, lam=0.0))
     with pytest.raises(DomainError):
-        fourier_coeffs(pure, half_es, [0.5], bad_params, None)
+        fourier_coeffs(manufactured_field(bad_es, [(0, 1.0)]), half_es,
+                       [0.5])
 
 
-def test_beta_pure_profile(pure, half_es, half_params):
+def test_beta_pure_profile(pure, half_es):
     taus = default_radii()
-    ft = fourier_coeffs(pure, half_es, taus, half_params, None)
+    ft = fourier_coeffs(pure, half_es, taus)
     g = half_es.gamma[0]
-    values = [beta_coefficients(ft, g, R, half_params)[0]
-              for R in (0.3, 0.5, 0.7)]
+    values = [beta_coefficients(ft, g, R)[0] for R in (0.3, 0.5, 0.7)]
     assert max(values) - min(values) < 1e-6
     assert values[1] == pytest.approx(1.0, rel=1e-9)
     # off modes carry no amplitude
-    others = beta_coefficients(ft, g, 0.5, half_params)[1:]
+    others = beta_coefficients(ft, g, 0.5)[1:]
     assert np.abs(others).max() < 1e-8
 
 
-def test_beta_validation(pure, half_es, half_params):
-    ft = fourier_coeffs(pure, half_es, default_radii(), half_params, None)
+def test_beta_validation(pure, half_es):
+    ft = fourier_coeffs(pure, half_es, default_radii())
     with pytest.raises(DomainError):
-        beta_coefficients(ft, 0.5, 1.5, half_params)
+        beta_coefficients(ft, 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------
 # Pohozaev diagnostics
 # ---------------------------------------------------------------------------
 
-def test_pohozaev_pure_profile_equality(pure, half_params):
+def test_pohozaev_pure_profile_equality(pure):
     for r in (0.2, 0.5, 0.8):
-        rep = pohozaev_check(pure, half_params, None, r)
+        rep = pohozaev_check(pure, r)
         assert rep.satisfied
         assert abs(rep.lhs - rep.rhs) / rep.scale < 1e-6
         assert rep.green_residual < 1e-6
@@ -306,7 +306,7 @@ def test_pohozaev_constant_field_zero():
     mesh = build_mesh(12, 24, s, cap)
     es = solve_eigs(assemble(mesh, p), p, k=1)
     fld = manufactured_field(es, [(0, 1.0)])
-    rep = pohozaev_check(fld, p, None, 0.5)
+    rep = pohozaev_check(fld, 0.5)
     assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-12
     assert rep.green_residual < 1e-9 or rep.scale < 1e-10
 
@@ -315,37 +315,35 @@ def test_pohozaev_constant_field_zero():
 # solver-output diagnostics
 # ---------------------------------------------------------------------------
 
-def test_solver_field_green_identity(solver_field, half_params):
-    fld, h = solver_field
+def test_solver_field_green_identity(solver_field):
+    fld = solver_field
     for r in np.linspace(0.25, 0.75, 5):
-        rep = pohozaev_check(fld, half_params, h, float(r))
+        rep = pohozaev_check(fld, float(r))
         assert rep.green_residual < 0.01
         assert rep.satisfied
 
 
-def test_solver_field_H_prime_identity(solver_field, half_params):
-    fld, h = solver_field
+def test_solver_field_H_prime_identity(solver_field):
+    fld = solver_field
     for r in (0.3, 0.5):
-        res = check_H_prime_identity(fld, half_params, h, r)
+        res = check_H_prime_identity(fld, r)
         assert res <= 1e-2
 
 
-def test_solver_field_trace_matches_pointwise_D(solver_field, half_params):
+def test_solver_field_trace_matches_pointwise_D(solver_field):
     # one plan for all radii against a plan per radius: the panels differ,
     # the integrals agree to the quadrature error
-    fld, h = solver_field
+    fld = solver_field
     radii = default_radii(r_min=0.02, n=12)
-    trace = frequency_trace(fld, half_params, h, radii=radii)
+    trace = frequency_trace(fld, radii=radii)
     for r, H, D in zip(radii, trace.H, trace.D):
-        assert H == compute_H(fld, r, half_params)
-        assert D == pytest.approx(compute_D(fld, r, half_params, h),
-                                  rel=1e-7)
+        assert H == compute_H(fld, r)
+        assert D == pytest.approx(compute_D(fld, r), rel=1e-7)
 
 
-def test_solver_field_gamma_consistency(solver_field, half_es, half_params):
-    fld, h = solver_field
-    trace = frequency_trace(fld, half_params, h,
-                            radii=default_radii(r_min=0.02))
+def test_solver_field_gamma_consistency(solver_field, half_es):
+    fld = solver_field
+    trace = frequency_trace(fld, radii=default_radii(r_min=0.02))
     assert trace.gamma_hat == pytest.approx(half_es.gamma[0], abs=1e-2)
 
 
@@ -368,9 +366,9 @@ def test_solver_field_mode_ode_residual(solver_field, half_es, half_params):
     # tau^2-weighted norm, measured against the natural term scale
     # |mu| ||phi|| of the scaled equation (the forcing itself sits well
     # below the homogeneous terms for a bounded perturbation)
-    fld, h = solver_field
+    fld = solver_field
     taus = np.geomspace(0.15, 0.8, 120)
-    ft = fourier_coeffs(fld, half_es, taus, half_params, h)
+    ft = fourier_coeffs(fld, half_es, taus)
     x = np.log(taus)
     dx = x[1] - x[0]
     phi = ft.phi[0]
@@ -414,7 +412,7 @@ def _reference_terms(fld, radii, params, h):
     core = np.minimum(radii, lo) / lo
     tr = fld.sphere_values(rho)[:, fld.mesh.equator_ids]
     if fld.is_analytic:
-        vol, hardy = _manufactured_terms(fld, radii, params)
+        vol, hardy = _manufactured_terms(fld, radii)
         h_power = math.inf
     else:
         gloc = fld.local_power()
@@ -469,14 +467,23 @@ def _reference_pohozaev(fld, params, h, radii):
     return lhs, rhs, flux, np.abs(energy - flux) / scale
 
 
+def _posed(fld, params):
+    """The same field, owning the problem ``params`` instead of its own."""
+    from conefrac.extension import GridField, ManufacturedField
+    if fld.is_analytic:
+        return ManufacturedField(
+            es=dataclasses.replace(fld.es, params=params), modes=fld.modes,
+            betas=fld.betas)
+    return GridField(fld.grid, fld.values, params, forms=fld.forms)
+
+
 @pytest.mark.parametrize("kind", ["grid", "two_mode"])
 def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
-                                              pure, half_es, half_params,
-                                              half_cap):
+                                              pure, half_es, half_params):
     from conefrac.almgren import _bilinear, _radial_plan
     p, rel = half_params, 1e-12
     if kind == "grid":
-        fld = solver_field[0]
+        fld = solver_field
         shells = fld.grid.r_nodes[[3, 10, 20]]
         # below r_min (power continuation), on shells, between shells
         radii = np.sort(np.concatenate([[0.4 * fld.grid.r_min], shells,
@@ -489,7 +496,7 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
     c = fld.coefficients(radii)
     cg = fld.coefficients(radii, derivative=True)
     forms = fld.forms
-    H = np.array([compute_H(fld, r, p) for r in radii])
+    H = np.array([compute_H(fld, r) for r in radii])
     np.testing.assert_allclose(H, _per_node(forms.M, v), rtol=rel, atol=0)
     np.testing.assert_allclose(_bilinear(c, fld.grams["M"], cg),
                                _per_node(forms.M, v, g), rtol=rel, atol=0)
@@ -498,27 +505,28 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
 
     h = parse_expression("0.1 + 0.05*x1")
     for hh in (None, h):
-        vol, hardy, trace_h = _reference_terms(fld, radii, p, hh)
-        lam = fld.es.lam if fld.is_analytic else p.lam
+        fh = _posed(fld, dataclasses.replace(p, h=hh))
+        vol, hardy, trace_h = _reference_terms(fh, radii, p, hh)
+        lam = fh.es.lam if fh.is_analytic else p.lam
         D_ref = radii ** (2 * p.s - p.N) * (
             vol - p.kappa * (lam * hardy + trace_h))
-        D = frequency_trace(fld, p, hh, radii=radii).D
+        D = frequency_trace(fh, radii=radii).D
         np.testing.assert_allclose(D, D_ref, rtol=rel, atol=0)
 
-        lhs, rhs, flux, green = _reference_pohozaev(fld, p, hh, radii)
-        reps = pohozaev_check(fld, p, hh, radii)
+        lhs, rhs, flux, green = _reference_pohozaev(fh, p, hh, radii)
+        reps = pohozaev_check(fh, radii)
         np.testing.assert_allclose([q.lhs for q in reps], lhs, rtol=rel)
         np.testing.assert_allclose([q.rhs for q in reps], rhs, rtol=rel)
         # the residual is already relative to the scale
         np.testing.assert_allclose([q.green_residual for q in reps], green,
                                    rtol=0, atol=rel)
 
-    ft = fourier_coeffs(fld, half_es, radii, p, None)
+    ft = fourier_coeffs(_posed(fld, p), half_es, radii)
     phi_ref = half_es.vectors @ (half_es.forms.M @ v.T)
     np.testing.assert_allclose(ft.phi, phi_ref, rtol=0,
                                atol=rel * np.abs(phi_ref).max())
 
-    snap = blowup(fld, 0.3, p)
+    snap = blowup(fld, 0.3)
     w = snap.sphere_values(1.0)
     proj = half_es.vectors @ (forms.M @ w)
     others = np.setdiff1d(np.arange(half_es.k), half_es.group_members(0))
@@ -548,22 +556,19 @@ class _CountingForm:
         return self.A @ X
 
 
-def test_analyzer_products_do_not_scale_with_radii(solver_field, half_params,
-                                                   half_cap):
+def test_analyzer_products_do_not_scale_with_radii(solver_field):
     # the per-radius cost is O(table rows^2): the hemisphere-size forms
     # meet only the table, however many radii are asked for
-    import dataclasses
-
     from conefrac.extension import GridField
-    fld, h = solver_field
+    fld = solver_field
 
     def products(n):
         M, K = _CountingForm(fld.forms.M), _CountingForm(fld.forms.K)
-        fresh = GridField(fld.grid, fld.values, half_params, half_cap, h=h,
+        fresh = GridField(fld.grid, fld.values, fld.params,
                           forms=dataclasses.replace(fld.forms, M=M, K=K))
         radii = np.geomspace(0.02, 0.8, n)
-        frequency_trace(fresh, half_params, h, radii=radii)
-        pohozaev_check(fresh, half_params, h, radii)
+        frequency_trace(fresh, radii=radii)
+        pohozaev_check(fresh, radii)
         return M.vectors + K.vectors
 
     assert 0 < products(10) == products(20)

@@ -1,6 +1,7 @@
 """The half-ball solver: exactness oracles (constants, homogeneous
 profiles), linearity, convergence, and the field container behaviour."""
 
+import dataclasses
 import math
 import struct
 
@@ -36,49 +37,44 @@ def test_constant_solution_full_circle():
     cap = SphericalCap.full_circle()
     mesh = build_mesh(12, 24, s, cap)
     grid = build_halfball_grid(10, 1e-3, mesh)
-    fld = solve_extension(grid, p, cap, None, np.ones(mesh.n_nodes))
+    fld = solve_extension(grid, p, np.ones(mesh.n_nodes))
     assert np.abs(fld.values - 1.0).max() < 1e-9
 
 
-def test_homogeneous_profile_reproduction(half_es, half_params, half_cap,
-                                          half_forms):
+def test_homogeneous_profile_reproduction(half_es, half_params, half_forms):
     grid = build_halfball_grid(16, 1e-3, half_es.mesh)
-    fld = solve_extension(grid, half_params, half_cap, None,
-                          half_es.vectors[0], es=half_es)
+    fld = solve_extension(grid, half_params, half_es.vectors[0], es=half_es)
     err = _weighted_l2_error(fld, half_es, 0, grid, half_forms,
                              half_params.s)
     assert err < 0.03
     assert fld.meta["inner_mode"] == 0
 
 
-def test_trace_vanishes_off_cap(half_es, half_params, half_cap):
+def test_trace_vanishes_off_cap(half_es, half_params):
     grid = build_halfball_grid(8, 1e-2, half_es.mesh)
-    fld = solve_extension(grid, half_params, half_cap, None,
-                          half_es.vectors[0], es=half_es)
+    fld = solve_extension(grid, half_params, half_es.vectors[0], es=half_es)
     mesh = half_es.mesh
     assert np.abs(fld.values[:, mesh.dirichlet_ids]).max() == 0.0
 
 
-def test_linearity_in_boundary_data(half_es, half_params, half_cap):
+def test_linearity_in_boundary_data(half_es, half_params):
     grid = build_halfball_grid(8, 1e-2, half_es.mesh)
     lid = half_es.vectors[0]
-    f1 = solve_extension(grid, half_params, half_cap, None, lid, es=half_es)
-    f3 = solve_extension(grid, half_params, half_cap, None, 3.0 * lid,
-                         es=half_es)
+    f1 = solve_extension(grid, half_params, lid, es=half_es)
+    f3 = solve_extension(grid, half_params, 3.0 * lid, es=half_es)
     np.testing.assert_allclose(f3.values, 3.0 * f1.values,
                                rtol=1e-8, atol=1e-12)
 
 
-def test_perturbation_linear_response(half_es, half_params, half_cap):
+def test_perturbation_linear_response(half_es, half_params):
     # deviation from the homogeneous profile scales like the size of h
     grid = build_halfball_grid(10, 1e-2, half_es.mesh)
     lid = half_es.vectors[0]
-    base = solve_extension(grid, half_params, half_cap, None, lid,
-                           es=half_es)
+    base = solve_extension(grid, half_params, lid, es=half_es)
     devs = []
     for c in (0.1, 0.05):
-        fld = solve_extension(grid, half_params, half_cap,
-                              parse_expression(str(c)), lid, es=half_es)
+        posed = dataclasses.replace(half_params, h=parse_expression(str(c)))
+        fld = solve_extension(grid, posed, lid, es=half_es)
         # compare on the outer shells (the h-run uses a natural inner
         # boundary, the base run pins the inner shell)
         sel = slice(3, grid.n_surfaces)
@@ -94,8 +90,7 @@ def test_refinement_convergence(half_params, half_cap):
         forms = assemble(mesh, half_params)
         es = solve_eigs(forms, half_params, k=3)
         grid = build_halfball_grid(nr, 1e-3, mesh)
-        fld = solve_extension(grid, half_params, half_cap, None,
-                              es.vectors[0], es=es)
+        fld = solve_extension(grid, half_params, es.vectors[0], es=es)
         errors.append(_weighted_l2_error(fld, es, 0, grid, forms, s))
     assert errors[0] / errors[1] >= 1.5
 
@@ -136,17 +131,32 @@ def test_manufactured_field_validation(half_es):
 
 
 def test_field_save_load_round_trip(tmp_path, solver_field):
-    fld, _ = solver_field
+    fld = solver_field
     path = tmp_path / "field.bin"
     save_field(path, fld)
     back = load_field(path)
     np.testing.assert_allclose(back.values, fld.values, atol=0.0)
     np.testing.assert_allclose(back.grid.r_nodes, fld.grid.r_nodes)
-    assert back.cap.a == pytest.approx(fld.cap.a)
+    assert back.mesh.cap.a == pytest.approx(fld.mesh.cap.a)
     assert back.mesh.nt == fld.mesh.nt
+    assert (back.params.s, back.params.lam) == (fld.params.s, fld.params.lam)
+    assert back.params.h is None
+    # the file holds no h: given params carry it, and the field owns them
+    assert load_field(path, fld.params).params is fld.params
     # header is little-endian with the documented magic
     raw = path.read_bytes()
     assert raw[:4] == b"CFXF"
+
+
+@pytest.mark.parametrize("change", [{"lam": 0.2}, {"s": 0.6}])
+def test_load_rejects_params_that_disagree_with_the_file(tmp_path,
+                                                         solver_field_h0,
+                                                         change):
+    path = tmp_path / "field.bin"
+    save_field(path, solver_field_h0)
+    params = dataclasses.replace(solver_field_h0.params, **change)
+    with pytest.raises(DomainError):
+        load_field(path, params)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -247,10 +257,10 @@ def test_grid_validation(half_es):
         build_halfball_grid(8, 2.0, half_es.mesh)
 
 
-def test_solver_rejects_bad_lid(half_es, half_params, half_cap):
+def test_solver_rejects_bad_lid(half_es, half_params):
     grid = build_halfball_grid(8, 1e-2, half_es.mesh)
     with pytest.raises(DomainError):
-        solve_extension(grid, half_params, half_cap, None, np.ones(5))
+        solve_extension(grid, half_params, np.ones(5))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +301,7 @@ def test_fast_diag_preconditioner_is_exact_inverse(cap, ntheta, inner_free):
         assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
-def _assembled_operator(grid, params, cap, h, forms):
+def _assembled_operator(grid, params, forms):
     """The 3-D operator assembled with sp.kron, as the reference for the
     matrix-free one."""
     import scipy.sparse as sp
@@ -300,21 +310,20 @@ def _assembled_operator(grid, params, cap, h, forms):
     Sr, Mr = _radial_pair(grid, s, np.arange(grid.n_surfaces))
     A = (sp.kron(Sr, forms.M) + sp.kron(Mr, forms.K)
          - params.lam * params.kappa * sp.kron(Mr, forms.B))
-    if h is not None:
-        mid = grid.mesh.theta_nodes + math.pi / grid.mesh.ntheta
-        segs = np.flatnonzero(cap.contains(mid))
-        A = A - params.kappa * _trace_h_matrix(grid, h, segs)
+    if params.h is not None:
+        A = A - params.kappa * _trace_h_matrix(grid, params.h)
     return A.tocsr()
 
 
 @pytest.mark.parametrize("h", [None, "0.1 + 0.05*x1"])
 def test_matrix_free_operator_matches_assembled(half_params, half_cap, h):
     from conefrac.extension import _extension_operator
-    h = None if h is None else parse_expression(h)
-    forms = assemble(build_mesh(6, 12, half_params.s, half_cap), half_params)
+    params = dataclasses.replace(
+        half_params, h=None if h is None else parse_expression(h))
+    forms = assemble(build_mesh(6, 12, params.s, half_cap), params)
     grid = build_halfball_grid(6, 1e-2, forms.mesh)
-    A = _assembled_operator(grid, half_params, half_cap, h, forms)
-    apply, _, _ = _extension_operator(grid, half_params, half_cap, h, forms)
+    A = _assembled_operator(grid, params, forms)
+    apply, _, _ = _extension_operator(grid, params, forms)
     rng = np.random.default_rng(7)
     for u in rng.standard_normal((3, grid.n_nodes)):
         ref = A @ u
@@ -326,13 +335,13 @@ def test_matrix_free_operator_matches_assembled(half_params, half_cap, h):
 def test_solve_matches_direct_solve(half_params, half_cap, h):
     import scipy.sparse.linalg as spla
     h = None if h is None else parse_expression(h)
-    mesh = build_mesh(12, 24, half_params.s, half_cap)
-    forms = assemble(mesh, half_params)
-    es = solve_eigs(forms, half_params, k=4)
+    params = dataclasses.replace(half_params, h=h)
+    mesh = build_mesh(12, 24, params.s, half_cap)
+    forms = assemble(mesh, params)
+    es = solve_eigs(forms, params, k=4)
     grid = build_halfball_grid(8, 1e-2, mesh)
-    fld = solve_extension(grid, half_params, half_cap, h, es.vectors[0],
-                          es=es, cg_tol=1e-10)
-    assert fld.forms is forms
+    fld = solve_extension(grid, params, es.vectors[0], es=es)
+    assert fld.forms is forms and fld.params is params
     # the preconditioner inverts everything but the h term
     if h is None:
         assert fld.meta["cg_iters"] == 1
@@ -341,7 +350,7 @@ def test_solve_matches_direct_solve(half_params, half_cap, h):
     assert fld.meta["cg_residual"] <= 1e-10
 
     # the same Dirichlet data, solved directly on the assembled system
-    A = _assembled_operator(grid, half_params, half_cap, h, forms)
+    A = _assembled_operator(grid, params, forms)
     u = fld.values.ravel().copy()
     fixed = np.ones((grid.n_surfaces, mesh.n_nodes), dtype=bool)
     fixed[1 if h is None else 0:-1, mesh.free_nodes] = False
@@ -352,11 +361,11 @@ def test_solve_matches_direct_solve(half_params, half_cap, h):
     assert err <= 1e-8 * np.abs(direct).max()
 
 
-def test_batched_pohozaev_rows_equal_scalar_calls(half_es, half_params):
+def test_batched_pohozaev_rows_equal_scalar_calls(half_es):
     from conefrac.almgren import pohozaev_check
     fld = manufactured_field(half_es, [(0, 1.0), (3, 0.25)])
     radii = np.linspace(0.3, 0.7, 5)
-    reports = pohozaev_check(fld, half_params, None, radii)
+    reports = pohozaev_check(fld, radii)
     assert len(reports) == len(radii)
     for r, rep in zip(radii, reports):
-        assert rep == pohozaev_check(fld, half_params, None, float(r))
+        assert rep == pohozaev_check(fld, float(r))

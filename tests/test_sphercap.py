@@ -43,6 +43,8 @@ def test_half_circle_robin_count():
     angles = mesh.theta_nodes[mesh.robin_mask]
     np.testing.assert_allclose(
         angles, [math.pi, 1.25 * math.pi, 1.5 * math.pi, 1.75 * math.pi])
+    # a segment j -> j + 1 belongs to the cap when its midpoint does
+    assert list(np.flatnonzero(mesh.segment_mask)) == [4, 5, 6, 7]
 
 
 def test_every_equator_node_classified_once():
