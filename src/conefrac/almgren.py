@@ -28,6 +28,7 @@ from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .extension import ManufacturedField, ScalarField, table_grams
 from .spectral import EigenSystem
+from .sphercap import band_to_dense
 
 __all__ = [
     "FrequencyTrace",
@@ -73,8 +74,8 @@ def _equator_density(fld: ScalarField, weights: np.ndarray, rho: np.ndarray,
                      N: int) -> np.ndarray:
     """rho^(N-1) int weights |Tr U|^2 on the equator circle of each rho."""
     tr = fld.trace_values(rho)
-    return rho ** (N - 1) * _bilinear(weights * tr, fld.forms.Bth.toarray(),
-                                      tr)
+    return rho ** (N - 1) * _bilinear(weights * tr,
+                                      band_to_dense(fld.forms.Bth), tr)
 
 
 def _shell_terms(fld: ScalarField, rho: np.ndarray):
@@ -364,7 +365,7 @@ class BlowupSnapshot:
     def projection(self, es: EigenSystem, j) -> float:
         """Boundary-mass projection of the snapshot onto mode j, one per
         mode for an array of modes: psi_j^T M T^T times c(tau)."""
-        return ((self.fld.forms.M @ es.vectors[j].T).T @ self.fld.table.T
+        return (es.vectors[j] @ self.fld.forms.M @ self.fld.table.T
                 @ self.fld.coefficients(self.tau)) / self.scale
 
     def off_group_norm(self, es: EigenSystem, group_of: int) -> float:
@@ -449,11 +450,18 @@ class FourierTrace:
 def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
     """Mode coefficients phi_j(tau) by hemisphere quadrature and the
     cumulative perturbation integrals Upsilon_j(tau) of the field's h by
-    log-spaced radial quadrature of the cap-arc integrand."""
+    log-spaced radial quadrature of the cap-arc integrand.  A field at
+    another lam, or on a mesh of another size, s, grading or cap than the
+    eigen system's, raises DomainError."""
     params = fld.params
     if abs(params.lam - es.lam) > 1e-14:
         raise DomainError("the field's lam does not match the eigen "
                           "system's lam")
+    fm, em = fld.mesh, es.mesh
+    if ((fm.nt, fm.ntheta, fm.s, fm.grading, fm.cap)
+            != (em.nt, em.ntheta, em.s, em.grading, em.cap)):
+        raise DomainError("the field's mesh does not match the eigen "
+                          "system's mesh")
 
     taus = np.sort(np.asarray(taus, dtype=float))
     if taus[0] <= 0.0 or taus[-1] > 1.0:
@@ -461,7 +469,7 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
     forms = es.forms
     k = es.k
     # psi_j^T M T^T once, then c(tau) per radius
-    phi = (forms.M @ es.vectors.T).T @ fld.table.T @ fld.coefficients(taus).T
+    phi = (es.vectors @ forms.M) @ fld.table.T @ fld.coefficients(taus).T
 
     ups = np.zeros((k, len(taus)))
     h = params.h
@@ -473,7 +481,7 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
         hv = _equator_rows(h, rho, es.mesh)
         q = rho ** (params.N - 1) * (
             es.vectors[:, es.mesh.equator_ids]
-            @ (forms.Bth @ (hv * tr).T))
+            @ (band_to_dense(forms.Bth) @ (hv * tr).T))
         cumulative = np.cumsum(q * plan.w[None, :], axis=1)
         # Upsilon_j(tau) sums the nodes at or below tau
         pos = np.maximum(np.searchsorted(rho, taus, side="right") - 1, 0)

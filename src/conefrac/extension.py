@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cones import SphericalCap
@@ -39,7 +38,7 @@ from .expressions import Expression
 from .params import ProblemParams
 from .spectral import EigenSystem, homogeneous_profile, solve_eigs
 from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
-                       assemble, assemble_1d, build_mesh)
+                       assemble, band_to_dense, build_mesh, element_band)
 
 __all__ = [
     "HalfBallGrid",
@@ -104,8 +103,9 @@ def _power_primitive(a, b, w):
     return (b ** (w + 1.0) - a ** (w + 1.0)) / (w + 1.0)
 
 
-def radial_mass(r_nodes: np.ndarray, weight_exp: float) -> sp.csr_matrix:
-    """int r^w N_i N_j dr assembled over the shells, exact (power rule)."""
+def radial_mass(r_nodes: np.ndarray, weight_exp: float) -> np.ndarray:
+    """int r^w N_i N_j dr assembled over the shells, exact (power rule);
+    dense."""
     a, b = r_nodes[:-1], r_nodes[1:]
     dd = (b - a) ** 2
     p0 = _power_primitive(a, b, weight_exp)
@@ -114,16 +114,17 @@ def radial_mass(r_nodes: np.ndarray, weight_exp: float) -> sp.csr_matrix:
     m00 = (b * b * p0 - 2.0 * b * p1 + p2) / dd
     m01 = (-a * b * p0 + (a + b) * p1 - p2) / dd
     m11 = (a * a * p0 - 2.0 * a * p1 + p2) / dd
-    return assemble_1d(np.moveaxis(np.array([[m00, m01], [m01, m11]]),
-                                   -1, 0))
+    return band_to_dense(element_band(
+        np.moveaxis(np.array([[m00, m01], [m01, m11]]), -1, 0)))
 
 
-def radial_stiffness(r_nodes: np.ndarray, weight_exp: float) -> sp.csr_matrix:
-    """int r^w N_i' N_j' dr, exact."""
+def radial_stiffness(r_nodes: np.ndarray, weight_exp: float) -> np.ndarray:
+    """int r^w N_i' N_j' dr, exact; dense."""
     a, b = r_nodes[:-1], r_nodes[1:]
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return assemble_1d(sign * (_power_primitive(a, b, weight_exp)
-                               / (b - a) ** 2)[:, None, None])
+    return band_to_dense(element_band(
+        sign * (_power_primitive(a, b, weight_exp)
+                / (b - a) ** 2)[:, None, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +140,10 @@ def _sample(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
 def table_grams(forms: AssembledForms, table: np.ndarray) -> dict:
     """Gram matrices T A T^T of a table of hemisphere node vectors for
     A = M, K and B (B through Bth on the equator columns), keyed by name."""
-    tt = np.ascontiguousarray(table.T)     # fast sparse products
     eq = table[:, forms.mesh.equator_ids]
-    return {"M": table @ (forms.M @ tt), "K": table @ (forms.K @ tt),
-            "B": eq @ (forms.Bth @ eq.T)}
+    return {"M": (table @ forms.M) @ table.T,
+            "K": (table @ forms.K) @ table.T,
+            "B": eq @ (band_to_dense(forms.Bth) @ eq.T)}
 
 
 class ScalarField:
@@ -338,10 +339,11 @@ class GridField(ScalarField):
 # the solver
 # ---------------------------------------------------------------------------
 
-def _trace_h_matrix(grid: HalfBallGrid, h: Expression) -> sp.csr_matrix:
-    """Equator integral int h(x) Tr U Tr V dx over the mesh's cap segments,
-    4x4 Gauss per (radial cell, segment); entries on the full 3-D node
-    set."""
+def _trace_h(grid: HalfBallGrid, h: Expression):
+    """The equator form int h(x) Tr U Tr V dx over the mesh's cap segments,
+    4x4 Gauss per (radial cell, segment), as the map from a (shells, nodes)
+    block U to its (shells, ntheta) equator rows; the per-element 4 x 4
+    blocks are applied directly."""
     mesh = grid.mesh
     theta_segments = np.flatnonzero(mesh.segment_mask)
     xg, wg = np.polynomial.legendre.leggauss(4)
@@ -362,15 +364,19 @@ def _trace_h_matrix(grid: HalfBallGrid, h: Expression) -> sp.csr_matrix:
     W = (h.eval({"x1": x1, "x2": x2}) * (rq * wr)[:, :, None, None]
          * wth * np.ones_like(x1))                     # (cell, p, seg, q)
     E = np.einsum("cap,cbp,sdq,seq,cpsq->csadbe", Nr, Nr, Nt, Nt, W,
-                  optimize=True)
+                  optimize=True).reshape(-1, 4, 4)
+    # equator position (shell, node) of corner (a, d) of (cell, segment)
     shell = np.arange(len(rq))[:, None, None, None] + np.arange(2)[:, None]
     node = (theta_segments[:, None] + np.arange(2)) % mesh.ntheta
-    ids = np.broadcast_to(shell * mesh.n_nodes + node[:, None],
-                          E.shape[:4])                 # (cell, seg, a, d)
-    rows = np.broadcast_to(ids[..., None, None], E.shape)
-    cols = np.broadcast_to(ids[:, :, None, None], E.shape)
-    return sp.coo_matrix((E.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(grid.n_nodes,) * 2).tocsr()
+    ids = (shell * mesh.ntheta + node[:, None]).reshape(-1, 4)
+    shape = (grid.n_surfaces, mesh.ntheta)
+
+    def apply(U: np.ndarray) -> np.ndarray:
+        v = U[:, :mesh.ntheta].ravel()[ids]
+        return np.bincount(ids.ravel(), (E @ v[:, :, None]).ravel(),
+                           minlength=shape[0] * shape[1]).reshape(shape)
+
+    return apply
 
 
 class _FastDiagPreconditioner:
@@ -399,24 +405,23 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
     factors; returned with the dense radial matrices (S_r, M_r).  Its
     result lives in a workspace that the next application overwrites."""
     s = params.s
-    Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s).toarray()
-    Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s).toarray()
+    Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s)
+    Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s)
     # the lambda trace term is radially exact and joins the hemisphere
     # stiffness; the h term is a Gauss quadrature on the equator plane
-    K_lam = forms.K - (params.lam * params.kappa) * forms.B
-    trace_h = None
-    if params.h is not None:
-        trace_h = params.kappa * _trace_h_matrix(grid, params.h)
+    M, K_lam = forms.M, forms.K - (params.lam * params.kappa) * forms.B
+    trace_h = None if params.h is None else _trace_h(grid, params.h)
     shape = (grid.n_surfaces, grid.mesh.n_nodes)
+    n_eq = grid.mesh.ntheta
     # one workspace: fresh full-size temporaries fault in every page
-    ut, out, tmp = np.empty(shape[::-1]), np.empty(shape), np.empty(shape)
+    out, tmp = np.empty(shape), np.empty(shape)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        np.copyto(ut, u.reshape(shape).T)        # fast sparse products
-        np.matmul(Sr, (forms.M @ ut).T, out=out)
-        np.add(out, np.matmul(Mr, (K_lam @ ut).T, out=tmp), out=out)
+        U = u.reshape(shape)
+        np.matmul(Sr, U @ M, out=out)
+        np.add(out, np.matmul(Mr, U @ K_lam, out=tmp), out=out)
         if trace_h is not None:
-            np.subtract(out, (trace_h @ u).reshape(shape), out=out)
+            out[:, :n_eq] -= params.kappa * trace_h(U)
         return out.ravel()
 
     return apply, Sr, Mr

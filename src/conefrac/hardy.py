@@ -23,7 +23,8 @@ import scipy.linalg as sla
 from .cones import SphericalCap
 from .errors import DomainError, GeometryError, NumericalError
 from .params import ProblemParams
-from .sphercap import AssembledForms, HemisphereSolver, assemble, build_mesh
+from .sphercap import (AssembledForms, HemisphereSolver, assemble,
+                       band_to_dense, build_mesh)
 
 __all__ = [
     "HardyResult",
@@ -60,8 +61,8 @@ def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
     if params.N != 2:
         raise DomainError(f"the Hardy problem needs N = 2, got {params.N}")
     mesh = forms.mesh
-    Bth = forms.Bth.toarray()
-    b = mesh.robin_ids[np.diag(Bth)[mesh.robin_ids] > 0.0]
+    Bth = band_to_dense(forms.Bth)
+    b = mesh.robin_ids[forms.Bth[0, mesh.robin_ids] > 0.0]
     if len(b) == 0:
         raise GeometryError("empty cap: no boundary dofs to minimize over")
     solver = HemisphereSolver(forms, [params.half_order ** 2])

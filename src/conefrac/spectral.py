@@ -1,12 +1,12 @@
 """Eigenpairs of the weighted spherical problem with mixed boundary
 conditions, plus a separated 1-D oracle for the full-circle cap.
 
-The generalized pencil is (K - lam kappa B, M) on the retained dofs.  Its
+The generalized pencil is (K - lam kappa B, M) on the free nodes.  Its
 smallest eigenpairs come from shift-invert Lanczos (ARPACK mode 3) with the
 shift sigma parked just below the guaranteed spectrum bottom
--((N-2s)/2)^2 and (K - lam kappa B - sigma M)^-1 applied by
-``sphercap.HemisphereSolver``; dense ``eigh`` only where ARPACK cannot run
-(k >= n - 1).
+-((N-2s)/2)^2, (K - lam kappa B - sigma M)^-1 applied by
+``sphercap.HemisphereSolver`` and M through the factored forms; dense
+``eigh`` of the forms' free block only where ARPACK cannot run (k >= n - 1).
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError, InadmissibleLambdaError, NumericalError
 from .params import ProblemParams, gamma_from_mu
 from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
-                       polar_matrices)
+                       band_to_dense, polar_matrices)
 
 __all__ = [
     "EigenSystem",
@@ -115,7 +114,7 @@ class EigenSystem:
         return np.flatnonzero(self.group == self.group[j])
 
 
-def _fix_signs(V: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
+def _fix_signs(V: np.ndarray, M) -> np.ndarray:
     """Deterministic sign: weighted integral positive, falling back to the
     largest-magnitude nodal value when the integral nearly vanishes."""
     w = V @ (M @ np.ones(V.shape[1]))
@@ -156,12 +155,13 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
     shift, retries = None, 0
     if k >= n - 1:      # beyond ARPACK's reach
         path = "dense"
-        Kr, Mr = forms.pencil(lam, params.kappa)
-        w, V = sla.eigh(Kr.toarray(), Mr.toarray(),
-                        subset_by_index=[0, k - 1])
+        free = np.ix_(forms.mesh.free_nodes, forms.mesh.free_nodes)
+        A = forms.K - (lam * params.kappa) * forms.B
+        Mr = forms.M.toarray()[free]
+        w, V = sla.eigh(A.toarray()[free], Mr, subset_by_index=[0, k - 1])
     else:
         path = "arpack"
-        Mr = forms.reduced(forms.M)
+        Mr = _free_mass(forms)
         w, V, shift, retries = _sparse_smallest(forms, Mr, k, params)
     V = V.T
 
@@ -182,6 +182,22 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
     return EigenSystem(mu=w, vectors=full, gamma=gamma, group=group,
                        params=params, forms=forms, hardy_lambda=lam_star,
                        eigen_path=path, shift=shift, shift_retries=retries)
+
+
+def _free_mass(forms: AssembledForms) -> spla.LinearOperator:
+    """M on the free nodes: scatter onto the full node set, apply, gather.
+    The free nodes are the cap's equator nodes, then every later row."""
+    M, eq, n0 = forms.M, forms.mesh.robin_ids, forms.mesh.ntheta
+    full = np.zeros(forms.mesh.n_nodes)
+
+    def matvec(x):
+        x = x.ravel()
+        full[eq], full[n0:] = x[:len(eq)], x[len(eq):]
+        y = M @ full
+        return np.concatenate([y[eq], y[n0:]])
+
+    return spla.LinearOperator((forms.mesh.n_free,) * 2, matvec=matvec,
+                               dtype=float)
 
 
 def _sparse_smallest(forms, Mr, k, params):
@@ -252,9 +268,9 @@ def oracle_full_circle_1d(params: ProblemParams, azimuthal_index: int,
     i = np.arange(n_t, dtype=float)
     t_nodes = 0.5 * math.pi * (i / n_t) ** grading
     P0, P1, P2 = polar_matrices(t_nodes, params.s)
-    K = (P1 + float(azimuthal_index) ** 2 * P2).toarray()
+    K = band_to_dense(P1 + float(azimuthal_index) ** 2 * P2)
     K[0, 0] -= params.kappa * params.lam
-    M = P0.toarray()
+    M = band_to_dense(P0)
 
     w = sla.eigh(K, M, eigvals_only=True)
     return np.sort(w)

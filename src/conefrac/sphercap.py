@@ -4,11 +4,12 @@ The hemisphere is parametrized by polar height t in [0, pi/2) and azimuth
 theta in [0, 2 pi), with surface element cos t dt dtheta and degenerate
 weight (sin t)^(1-2s).  Bilinear elements on the tensor grid separate: the
 stiffness, mass and boundary forms are Kronecker products of polar and
-azimuthal 1-D matrices, and every 1-D matrix is summed from per-cell 2 x 2
-blocks by ``assemble_1d``.  The polar blocks fold all metric and weight
-factors into 1-D integrals computed either in closed form (substitution
-u = sin t) or by Gauss/Gauss-Jacobi quadrature, so the degenerate factor at
-the equator is integrated to near machine precision.
+azimuthal 1-D matrices.  The forms are kept as those factors, symmetric
+bands summed from per-cell 2 x 2 element blocks, and applied in banded
+passes; they are never assembled in 2-D.  The polar blocks fold all metric
+and weight factors into 1-D integrals computed either in closed form
+(substitution u = sin t) or by Gauss/Gauss-Jacobi quadrature, so the
+degenerate factor at the equator is integrated to near machine precision.
 
 The polar axis t = pi/2 carries no node: the last cell extends the ring
 values as constants in t and is integrated one-sidedly, which imposes
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cones import SphericalCap
 from .errors import DomainError, GeometryError, NumericalError
@@ -32,7 +32,8 @@ __all__ = [
     "AssembledForms",
     "build_mesh",
     "assemble",
-    "assemble_1d",
+    "element_band",
+    "band_to_dense",
     "HemisphereSolver",
     "polar_matrices",
     "weighted_surface_integral",
@@ -139,20 +140,23 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
 # 1-D element matrices
 # ---------------------------------------------------------------------------
 
-def assemble_1d(blocks, periodic: bool = False) -> sp.csr_matrix:
-    """Sum per-cell 2 x 2 element blocks (ncell, 2, 2) into a sparse 1-D
-    matrix.  Cell c couples nodes c and c + 1; with ``periodic`` there are
-    as many nodes as cells and the last cell wraps round to node 0."""
+def element_band(blocks, periodic: bool = False) -> np.ndarray:
+    """Sum per-cell 2 x 2 element blocks (ncell, 2, 2) into a symmetric
+    band (2, n): row 0 the diagonal, row 1 the coupling of node j to j + 1.
+    Cell c couples nodes c and c + 1; with ``periodic`` there are as many
+    nodes as cells and the last cell couples the last node to node 0, else
+    a zero cell closes the chain and the last coupling is 0."""
     blocks = np.asarray(blocks, dtype=float)
-    ncell = len(blocks)
-    n = ncell if periodic else ncell + 1
-    lo = np.arange(ncell)
-    ends = np.stack([lo, (lo + 1) % n])
-    rows = np.broadcast_to(ends[:, None, :], (2, 2, ncell))
-    cols = np.broadcast_to(ends[None, :, :], (2, 2, ncell))
-    return sp.coo_matrix((blocks.transpose(1, 2, 0).ravel(),
-                          (rows.ravel(), cols.ravel())),
-                         shape=(n, n)).tocsr()
+    if not periodic:
+        blocks = np.concatenate([blocks, np.zeros((1, 2, 2))])
+    return np.stack([blocks[:, 0, 0] + np.roll(blocks[:, 1, 1], 1),
+                     blocks[:, 0, 1]])
+
+
+def band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix of a band from ``element_band``."""
+    upper = np.roll(np.diag(band[1]), 1, axis=1)    # upper[j, j + 1]
+    return np.diag(band[0]) + upper + upper.T
 
 
 def _gauss_jacobi(n: int, beta: float):
@@ -216,85 +220,153 @@ def polar_matrices(t_nodes: np.ndarray, s: float):
     half = 0.5 * (0.5 * math.pi - t_last)
     tp = t_last + half * (xp + 1.0)
     W2[-1, 1, 1] += float(np.sum(half * wp * np.sin(tp) ** beta / np.cos(tp)))
-    return assemble_1d(W0), assemble_1d(W1), assemble_1d(W2)
+    return element_band(W0), element_band(W1), element_band(W2)
 
 
 def _azimuthal_matrices(mesh: HemisphereMesh):
     """Periodic azimuthal mass, stiffness and cap-segment boundary mass
-    over the mesh's ``segment_mask``."""
+    over the mesh's ``segment_mask``, as bands."""
     dtheta = 2.0 * math.pi / mesh.ntheta
     mass = dtheta / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     stiff = (1.0 / dtheta) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    Bth = assemble_1d(mesh.segment_mask[:, None, None] * mass, periodic=True)
-    Bth.eliminate_zeros()
     cells = (mesh.ntheta, 2, 2)
-    return (assemble_1d(np.broadcast_to(mass, cells), periodic=True),
-            assemble_1d(np.broadcast_to(stiff, cells), periodic=True), Bth)
+    return (element_band(np.broadcast_to(mass, cells), periodic=True),
+            element_band(np.broadcast_to(stiff, cells), periodic=True),
+            element_band(mesh.segment_mask[:, None, None] * mass,
+                         periodic=True))
 
 
 # ---------------------------------------------------------------------------
 # assembled forms
 # ---------------------------------------------------------------------------
 
+_CHUNK = 32768      # nodes per banded pass, so the workspaces stay in cache
+
+
 @dataclass(frozen=True)
 class AssembledForms:
-    """Symmetric forms of the weighted spherical problem on the full node set.
+    """Symmetric forms of the weighted spherical problem on the full node
+    set, held as their 1-D factors (bands from ``element_band``):
 
-    K  : stiffness (no Robin term), positive semi-definite
-    M  : weighted mass, positive definite
-    B  : equator boundary mass supported on cap dofs
+      K = P1 (x) Mth + P2 (x) Kth   stiffness (no Robin term), semi-definite
+      M = P0 (x) Mth                weighted mass, positive definite
+      B = e0 e0^T (x) Bth           equator boundary mass on the cap dofs
 
-    and the 1-D factors they are built from: the polar matrices P0, P1, P2,
-    the periodic (circulant) azimuthal mass Mth and stiffness Kth, and Bth,
-    the equator block of B.
+    with P0, P1, P2 the tridiagonal polar bands of ``polar_matrices``, Mth
+    and Kth the constant-coefficient circulants of the azimuthal mass and
+    stiffness, and Bth the periodic band of the cap segments on the equator
+    row e0.
     """
 
     mesh: HemisphereMesh
-    K: sp.csr_matrix
-    M: sp.csr_matrix
-    B: sp.csr_matrix
-    P0: sp.csr_matrix
-    P1: sp.csr_matrix
-    P2: sp.csr_matrix
-    Mth: sp.csr_matrix
-    Kth: sp.csr_matrix
-    Bth: sp.csr_matrix
+    P0: np.ndarray
+    P1: np.ndarray
+    P2: np.ndarray
+    Mth: np.ndarray
+    Kth: np.ndarray
+    Bth: np.ndarray
 
-    def reduced(self, mat: sp.csr_matrix) -> sp.csr_matrix:
-        f = self.mesh.free_nodes
-        return mat[f][:, f].tocsr()
+    @property
+    def K(self) -> _KronForm:
+        return _KronForm(self, k=1.0)
 
-    def pencil(self, lam: float, kappa: float):
-        """Reduced (K - lam kappa B, M) pair for the eigenproblem."""
-        A = self.K - (lam * kappa) * self.B
-        return self.reduced(A), self.reduced(self.M)
+    @property
+    def M(self) -> _KronForm:
+        return _KronForm(self, m=1.0)
+
+    @property
+    def B(self) -> _KronForm:
+        return _KronForm(self, b=1.0)
+
+
+class _KronForm:
+    """The form m M + k K + b B, applied to (rows, nt, ntheta) blocks.
+
+    With S[j] = X[j - 1] + X[j + 1] periodic in theta, Mth X = c_m X + n_m S
+    and Kth X = c_k X + n_k S, so m M + k K is A X + N S with A and N
+    tridiagonal in t: A = c_m (m P0 + k P1) + c_k k P2, N alike from n_m and
+    n_k.  b B adds b Bth on the equator row.  The form is symmetric: ``X @
+    form`` takes a row block, ``form @ x`` a vector or a column block.
+    """
+
+    __array_ufunc__ = None          # ndarray @ form defers to __rmatmul__
+
+    def __init__(self, forms: AssembledForms, m=0.0, k=0.0, b=0.0):
+        self.forms, self.coef, self.work = forms, (m, k, b), None
+        P = m * forms.P0 + k * forms.P1
+        A, N = (c * P + (c_k * k) * forms.P2
+                for c, c_k in zip(forms.Mth[:, 0], forms.Kth[:, 0]))
+        # diagonals and couplings of A and N repeated along theta, so that
+        # every pass below is one contiguous loop
+        self.bands = [np.repeat(F[i, :len(F[i]) - i, None],
+                                forms.mesh.ntheta, axis=1)
+                      for i in (0, 1) for F in (A, N)]
+        self.bth = b * forms.Bth
+
+    def __add__(self, other: _KronForm) -> _KronForm:
+        return _KronForm(self.forms,
+                         *(a + b for a, b in zip(self.coef, other.coef)))
+
+    def __sub__(self, other: _KronForm) -> _KronForm:
+        return self + (-1.0) * other
+
+    def __rmul__(self, c: float) -> _KronForm:
+        return _KronForm(self.forms, *(c * a for a in self.coef))
+
+    def __matmul__(self, x) -> np.ndarray:
+        return (np.asarray(x, dtype=float).T @ self).T
+
+    def __rmatmul__(self, X) -> np.ndarray:
+        mesh = self.forms.mesh
+        X = np.asarray(X, dtype=float)
+        Y = np.empty(X.shape)
+        Xb, Yb = (Z.reshape(-1, mesh.nt, mesh.ntheta) for Z in (X, Y))
+        rows = max(1, _CHUNK // mesh.n_nodes)
+        if self.work is None:
+            self.work = np.empty((2, rows, mesh.nt, mesh.ntheta))
+        for i in range(0, len(Xb), rows):
+            self._apply(Xb[i:i + rows], Yb[i:i + rows])
+        return Y
+
+    def _apply(self, X: np.ndarray, Y: np.ndarray) -> None:
+        S, T = self.work[:, :len(X)]
+        np.add(X[..., :-2], X[..., 2:], out=S[..., 1:-1])
+        np.add(X[..., -1], X[..., 1], out=S[..., 0])
+        np.add(X[..., -2], X[..., 0], out=S[..., -1])
+        dA, dN, oA, oN = self.bands
+        np.multiply(X, dA, out=Y)
+        Y += np.multiply(S, dN, out=T)
+        for Z, o in ((X, oA), (S, oN)):
+            Y[:, :-1] += np.multiply(Z[:, 1:], o, out=T[:, 1:])
+            Y[:, 1:] += np.multiply(Z[:, :-1], o, out=T[:, 1:])
+        if self.coef[2]:
+            (d, o), x = self.bth, X[:, 0]
+            Y[:, 0] += (d * x + o * np.roll(x, -1, axis=-1)
+                        + np.roll(o * x, 1, axis=-1))
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(self.forms.mesh.n_nodes)
+
+    def diagonal(self) -> np.ndarray:
+        d = self.bands[0].flatten()
+        d[:self.forms.mesh.ntheta] += self.bth[0]
+        return d
 
 
 def assemble(mesh: HemisphereMesh, params: ProblemParams) -> AssembledForms:
-    """Assemble stiffness, weighted mass and equator boundary mass as
-    Kronecker products of polar and azimuthal 1-D matrices:
-
-        K = P1 (x) Mth + P2 (x) Kth,   M = P0 (x) Mth,   B = e0 e0^T (x) Bth,
-
-    with (P0, P1, P2) from ``polar_matrices``, Mth and Kth the periodic
+    """The 1-D factors of the stiffness, weighted mass and equator boundary
+    mass: (P0, P1, P2) from ``polar_matrices``, Mth and Kth the periodic
     azimuthal mass and stiffness, and Bth the periodic mass over the cap
-    segments of the equator row e0.
-    """
+    segments of the equator row."""
     if params.N != 2:
         raise DomainError(f"the hemisphere forms need N = 2, got {params.N}")
     if abs(params.s - mesh.s) > 1e-14:
         raise DomainError("mesh was built for a different s")
-    P0, P1, P2 = polar_matrices(mesh.t_nodes, params.s)
-    Mth, Kth, Bth = _azimuthal_matrices(mesh)
-
-    K = (sp.kron(P1, Mth) + sp.kron(P2, Kth)).tocsr()
-    M = sp.kron(P0, Mth, format="csr")
-    if np.any(M.diagonal() <= 0.0):
+    forms = AssembledForms(mesh, *polar_matrices(mesh.t_nodes, params.s),
+                           *_azimuthal_matrices(mesh))
+    if np.any(forms.M.diagonal() <= 0.0):
         raise NumericalError("degenerate cell produced a singular mass")
-    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(mesh.nt, mesh.nt))
-    B = sp.kron(e0, Bth, format="csr")
-    return AssembledForms(mesh=mesh, K=K, M=M, B=B, P0=P0, P1=P1, P2=P2,
-                          Mth=Mth, Kth=Kth, Bth=Bth)
+    return forms
 
 
 def _form_integral(forms: AssembledForms, mat, f, g) -> float:
@@ -346,11 +418,11 @@ class HemisphereSolver:
         shifts = np.asarray(shifts, dtype=float)[:, None, None]
         self.free = mesh.free_nodes
         self.shape = (len(shifts), mesh.nt, mesh.ntheta)
-        m_k, w_k = (np.fft.rfft(C[:, [0]].toarray()[:, 0]).real
+        m_k, w_k = (np.fft.rfft(band_to_dense(C)[:, 0]).real
                     for C in (forms.Mth, forms.Kth))
 
         def band(offset):   # (n_shifts, nt - offset, n_modes)
-            p0, p1, p2 = (P.diagonal(offset)[:, None]
+            p0, p1, p2 = (P[offset, :mesh.nt - offset, None]
                           for P in (forms.P0, forms.P1, forms.P2))
             return (p1 + shifts * p0) * m_k + p2 * w_k
 
@@ -366,7 +438,7 @@ class HemisphereSolver:
         green = np.fft.irfft(self.col0[:, 0], n, axis=-1)
         self.green = green[:, (np.arange(n)[:, None] - np.arange(n)) % n]
         on_d = ~mesh.robin_mask
-        rho_b = rho * forms.Bth.toarray() * np.outer(~on_d, ~on_d)
+        rho_b = rho * band_to_dense(forms.Bth) * np.outer(~on_d, ~on_d)
         C = np.where(on_d[:, None], self.green, np.eye(n)) - rho_b @ self.green
         self.Q = np.linalg.solve(C, rho_b - np.diag(on_d.astype(float)))
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conefrac.cones import ConeProfile, cap_of_cone
 from conefrac.extension import build_halfball_grid, solve_extension
 from conefrac.expressions import parse_expression
 from conefrac.params import ProblemParams
 from conefrac.spectral import solve_eigs
-from conefrac.sphercap import assemble, build_mesh
+from conefrac.sphercap import assemble, band_to_dense, build_mesh
 
 HALF_S = 0.5
 HALF_LAM = 0.1
@@ -20,6 +21,24 @@ def half_params():
 @pytest.fixture(scope="session")
 def half_cap():
     return cap_of_cone(ConeProfile.half_plane())
+
+
+def kron_forms(forms):
+    """K, M and B assembled with scipy.sparse.kron from the dense 1-D
+    factors, an independent reference for the factored products."""
+    P0, P1, P2, Mth, Kth, Bth = (
+        sp.csr_matrix(band_to_dense(F))
+        for F in (forms.P0, forms.P1, forms.P2, forms.Mth, forms.Kth,
+                  forms.Bth))
+    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(forms.mesh.nt,) * 2)
+    return ((sp.kron(P1, Mth) + sp.kron(P2, Kth)).tocsr(),
+            sp.kron(P0, Mth, format="csr"), sp.kron(e0, Bth, format="csr"))
+
+
+def free_block(A, mesh):
+    """The free-node block of a sparse matrix on the full node set."""
+    f = mesh.free_nodes
+    return A[f][:, f].tocsr()
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ of the emitted CSV bytes."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -352,6 +353,24 @@ def test_runs_load_no_optimize_special_or_integrate(tmp_path):
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "solve-ext" / "manifest.json").exists()
+
+
+def test_sphercap_loads_no_scipy():
+    # the hemisphere forms and their solver need numpy only, and the
+    # package reaches scipy.sparse only through scipy.sparse.linalg
+    script = ("import sys\n"
+              "import conefrac.sphercap\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(conefrac.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+    imports = re.compile(r"\s*(?:import|from)\s+scipy\b")
+    for path in Path(conefrac.__file__).parent.glob("*.py"):
+        for line in path.read_text().splitlines():
+            if imports.match(line) and "sparse" in line:
+                assert "scipy.sparse.linalg" in line, (path.name, line)
 
 
 def test_cli_smooth_cone(tmp_path):

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import free_block, kron_forms
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import DomainError
@@ -16,7 +17,7 @@ from conefrac.extension import (build_halfball_grid, load_field,
 from conefrac.expressions import parse_expression
 from conefrac.params import ProblemParams
 from conefrac.spectral import solve_eigs
-from conefrac.sphercap import assemble, build_mesh
+from conefrac.sphercap import assemble, band_to_dense, build_mesh
 
 
 def _weighted_l2_error(fld, es, mode, grid, forms, s):
@@ -270,8 +271,8 @@ def test_solver_rejects_bad_lid(half_es, half_params):
 def _radial_pair(grid, s, shells):
     from conefrac.extension import radial_mass, radial_stiffness
     sel = np.ix_(shells, shells)
-    return (radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s).toarray()[sel],
-            radial_mass(grid.r_nodes, 1.0 - 2.0 * s).toarray()[sel])
+    return (radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s)[sel],
+            radial_mass(grid.r_nodes, 1.0 - 2.0 * s)[sel])
 
 
 @pytest.mark.parametrize("cap, ntheta, inner_free", [
@@ -292,9 +293,10 @@ def test_fast_diag_preconditioner_is_exact_inverse(cap, ntheta, inner_free):
         shells = np.arange(0 if inner_free else 1, grid.n_surfaces - 1)
         Sr, Mr = _radial_pair(grid, s, shells)
     p = ProblemParams(s=s, lam=0.1)
+    K, M, B = kron_forms(forms)
     for rho in (0.0, p.lam * p.kappa):     # exact in the lambda term too
-        A = (np.kron(Sr, forms.reduced(forms.M).toarray())
-             + np.kron(Mr, forms.reduced(forms.K - rho * forms.B).toarray()))
+        A = (np.kron(Sr, free_block(M, forms.mesh).toarray())
+             + np.kron(Mr, free_block(K - rho * B, forms.mesh).toarray()))
         precond = _FastDiagPreconditioner(Sr, Mr, forms, rho)
         P = np.column_stack([precond.apply(e) for e in np.eye(len(A))])
         exact = np.linalg.inv(A)
@@ -302,17 +304,69 @@ def test_fast_diag_preconditioner_is_exact_inverse(cap, ntheta, inner_free):
 
 
 def _assembled_operator(grid, params, forms):
-    """The 3-D operator assembled with sp.kron, as the reference for the
-    matrix-free one."""
+    """The 3-D operator assembled with sp.kron from the dense 1-D factors,
+    as the reference for the matrix-free one; the h trace term is the
+    matrix of ``_trace_h``, probed column by column on the equator."""
     import scipy.sparse as sp
-    from conefrac.extension import _trace_h_matrix
+    from conefrac.extension import _trace_h
     s = params.s
     Sr, Mr = _radial_pair(grid, s, np.arange(grid.n_surfaces))
-    A = (sp.kron(Sr, forms.M) + sp.kron(Mr, forms.K)
-         - params.lam * params.kappa * sp.kron(Mr, forms.B))
+    K, M, B = kron_forms(forms)
+    A = (sp.kron(Sr, M) + sp.kron(Mr, K)
+         - params.lam * params.kappa * sp.kron(Mr, B))
     if params.h is not None:
-        A = A - params.kappa * _trace_h_matrix(grid, params.h)
+        trace_h = _trace_h(grid, params.h)
+        shape = (grid.n_surfaces, grid.mesh.n_nodes)
+        eq = (np.arange(shape[0])[:, None] * shape[1]
+              + grid.mesh.equator_ids).ravel()
+        T = np.zeros((grid.n_nodes, grid.n_nodes))
+        for col in eq:
+            U = np.zeros(shape)
+            U.flat[col] = 1.0
+            T[eq, col] = trace_h(U).ravel()
+        A = A - params.kappa * sp.csr_matrix(T)
     return A.tocsr()
+
+
+def _segment_form(mesh, g):
+    """int g(theta) N_a N_b dtheta over the cap segments by 20-point
+    Gauss, as a dense ntheta x ntheta matrix."""
+    xg, wg = np.polynomial.legendre.leggauss(20)
+    dtheta = 2.0 * math.pi / mesh.ntheta
+    hats = np.array([1.0 - 0.5 * (xg + 1.0), 0.5 * (xg + 1.0)])
+    C = np.zeros((mesh.ntheta, mesh.ntheta))
+    for j in np.flatnonzero(mesh.segment_mask):
+        theta = mesh.theta_nodes[j] + 0.5 * dtheta * (xg + 1.0)
+        nodes = np.array([j, (j + 1) % mesh.ntheta])
+        C[np.ix_(nodes, nodes)] += (hats * (0.5 * dtheta * wg * g(theta))
+                                    ) @ hats.T
+    return C
+
+
+@pytest.mark.parametrize("cap", [cap_of_cone(ConeProfile.half_plane()),
+                                 SphericalCap(-0.7, 2.1)])   # wraps 0
+def test_separable_trace_h_matches_kron(cap):
+    # h = 0.3 and h = x1 = r cos(theta) separate in (r, theta): the equator
+    # form is kron(int r^(1+q) N_i N_j dr, int g N_a N_b dtheta); on 96
+    # segments the 4-point Gauss rule in theta is exact to rounding
+    from conefrac.extension import _trace_h, radial_mass
+    forms = assemble(build_mesh(6, 96, 0.5, cap), ProblemParams(s=0.5))
+    mesh = forms.mesh
+    grid = build_halfball_grid(6, 1e-2, mesh)
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((grid.n_surfaces, mesh.n_nodes))
+    for h, q, g in (("0.3", 0.0, lambda th: 0.3 + 0.0 * th),
+                    ("x1", 1.0, np.cos)):
+        ref = np.kron(radial_mass(grid.r_nodes, 1.0 + q),
+                      _segment_form(mesh, g))
+        if h == "0.3":
+            np.testing.assert_allclose(_segment_form(mesh, g),
+                                       0.3 * band_to_dense(forms.Bth),
+                                       rtol=0.0, atol=1e-15)
+        expect = ref @ U[:, :mesh.ntheta].ravel()
+        got = _trace_h(grid, parse_expression(h))(U)
+        np.testing.assert_allclose(got.ravel(), expect, rtol=0.0,
+                                   atol=1e-12 * np.abs(expect).max())
 
 
 @pytest.mark.parametrize("h", [None, "0.1 + 0.05*x1"])

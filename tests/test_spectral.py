@@ -7,19 +7,28 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import free_block, kron_forms
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import ConfigurationError, DomainError
 from conefrac.params import ProblemParams
 from conefrac.spectral import (homogeneous_profile, oracle_full_circle_1d,
                                solve_eigs)
-from conefrac.sphercap import assemble, build_mesh, polar_matrices
+from conefrac.sphercap import (assemble, band_to_dense, build_mesh,
+                               polar_matrices)
 
 
 def _eigs(nt, ntheta, s, cap, lam=0.0, k=8, grading=2.0, **kw):
     p = ProblemParams(s=s, lam=lam)
     mesh = build_mesh(nt, ntheta, s, cap, grading)
     return solve_eigs(assemble(mesh, p), p, k=k, **kw), p
+
+
+def _pencil(forms, p):
+    """The sparse pencil (K - lam kappa B, M) on the free nodes."""
+    K, M, B = kron_forms(forms)
+    return (free_block(K - p.lam * p.kappa * B, forms.mesh),
+            free_block(M, forms.mesh))
 
 
 def _distinct(mu, rtol=0.02):
@@ -87,7 +96,7 @@ def test_dense_and_sparse_paths_agree():
     forms = assemble(build_mesh(20, 40, 0.5, cap), p)
     es = solve_eigs(forms, p, k=6)
     assert es.eigen_path == "arpack"
-    Kr, Mr = forms.pencil(p.lam, p.kappa)
+    Kr, Mr = _pencil(forms, p)
     dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
                      subset_by_index=[0, 5])
     np.testing.assert_allclose(es.mu, dense, rtol=1e-9, atol=1e-9)
@@ -105,7 +114,7 @@ def test_arpack_matches_sparse_lu_shift_invert(cap):
     es = solve_eigs(forms, p, k=12)
     assert (es.eigen_path, es.shift_retries) == ("arpack", 0)
     assert es.shift < p.spectrum_floor
-    Kr, Mr = forms.pencil(p.lam, p.kappa)
+    Kr, Mr = _pencil(forms, p)
     n = Kr.shape[0]
     lu = splu((Kr - es.shift * Mr).tocsc())
     ref = eigsh(Kr, k=12, M=Mr, sigma=es.shift, which="LM",
@@ -119,7 +128,7 @@ def test_signs_and_groups_match_loop_reference(half_forms):
     """The vectorized sign and multiplicity-group conventions against the
     per-mode loops they replaced."""
     from conefrac.spectral import MULTIPLICITY_RTOL, _fix_signs
-    Mr = half_forms.reduced(half_forms.M)
+    Mr = free_block(kron_forms(half_forms)[1], half_forms.mesh)
     rng = np.random.default_rng(3)
     V = rng.standard_normal((6, Mr.shape[0]))
     V[0] -= (V[0] @ (Mr @ np.ones(len(V[0])))) / Mr.sum()   # zero integral
@@ -170,7 +179,7 @@ def test_inadmissible_lambda_raises_without_flag():
     assert es.eigen_path == "arpack"
     assert es.shift_retries >= 1
     assert es.mu.min() > es.shift
-    Kr, Mr = forms.pencil(p.lam, p.kappa)
+    Kr, Mr = _pencil(forms, p)
     dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
                      subset_by_index=[0, 2])
     np.testing.assert_allclose(es.mu, dense, rtol=1e-9)
@@ -244,7 +253,7 @@ def test_full_circle_pencil_is_union_of_fourier_modes():
     # omega_k is the ratio of the azimuthal stiffness and mass symbols
     p = ProblemParams(s=0.5, lam=0.1)
     mesh = build_mesh(8, 16, p.s, SphericalCap.full_circle())
-    K, M = assemble(mesh, p).pencil(p.lam, p.kappa)
+    K, M = _pencil(assemble(mesh, p), p)
     two_d = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
 
     P0, P1, P2 = polar_matrices(mesh.t_nodes, p.s)
@@ -253,9 +262,9 @@ def test_full_circle_pencil_is_union_of_fourier_modes():
     for k in range(mesh.ntheta):
         c = math.cos(k * dth)
         omega = 6.0 / dth ** 2 * (1.0 - c) / (2.0 + c)
-        K1 = (P1 + omega * P2).toarray()
+        K1 = band_to_dense(P1 + omega * P2)
         K1[0, 0] -= p.kappa * p.lam
-        union.extend(sla.eigh(K1, P0.toarray(), eigvals_only=True))
+        union.extend(sla.eigh(K1, band_to_dense(P0), eigvals_only=True))
     union = np.sort(union)
     assert len(union) == len(two_d) == mesh.n_free
     rel = np.abs(two_d - union) / (1.0 + np.abs(union))

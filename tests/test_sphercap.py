@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import free_block, kron_forms
 from scipy.integrate import quad
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
@@ -72,6 +73,47 @@ def test_gauss_jacobi_matches_scipy(s):
     np.testing.assert_allclose(weights, ref_weights, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99])
+def test_gauss_jacobi_moments_exact(s):
+    # the n-point rule integrates (1 + x)^m exactly for m < 2n:
+    # int_{-1}^{1} (1 + x)^(beta + m) dx = 2^(beta+m+1) / (beta + m + 1)
+    beta = 1.0 - 2.0 * s
+    nodes, weights = _gauss_jacobi(12, beta)
+    for m in range(24):
+        exact = 2.0 ** (beta + m + 1.0) / (beta + m + 1.0)
+        assert abs(weights @ (1.0 + nodes) ** m - exact) <= 5e-14 * exact
+
+
+@pytest.mark.parametrize("cap, ntheta", [
+    (SphericalCap.full_circle(), 8),
+    (SphericalCap(math.pi, 2 * math.pi), 24),    # half cap
+    (SphericalCap(-0.7, 2.1), 24),               # wraps theta = 0
+    (SphericalCap(math.pi, 2 * math.pi), 9),     # odd ntheta
+])
+def test_factored_forms_match_sparse_kron(cap, ntheta):
+    """form @ x, form @ X and X @ form against scipy.sparse.kron of the
+    dense 1-D factors; the dense forms are symmetric."""
+    p = ProblemParams(s=0.4, lam=0.1)
+    forms = assemble(build_mesh(7, ntheta, 0.4, cap), p)
+    K, M, B = kron_forms(forms)
+    rng = np.random.default_rng(11)
+    n = forms.mesh.n_nodes
+    x = rng.standard_normal(n)
+    X = rng.standard_normal((n, 5))
+    R = rng.standard_normal((9, n))
+    for form, ref in ((forms.K, K), (forms.M, M), (forms.B, B),
+                      (forms.K - 0.3 * forms.B + 1.7 * forms.M,
+                       K - 0.3 * B + 1.7 * M)):
+        tol = 1e-14 * abs(ref).max()
+        assert np.abs(form @ x - ref @ x).max() <= tol
+        assert np.abs(form @ X - ref @ X).max() <= tol
+        assert np.abs(R @ form - (ref @ R.T).T).max() <= tol
+        A = form.toarray()
+        assert np.abs(A - ref.toarray()).max() <= tol
+        assert np.array_equal(A, A.T)
+        assert np.abs(form.diagonal() - ref.diagonal()).max() <= tol
+
+
 def test_total_weighted_mass_closed_form():
     for s in (0.25, 0.5, 0.75):
         mesh = build_mesh(32, 64, s, SphericalCap.full_circle())
@@ -100,8 +142,10 @@ def test_forms_symmetric_and_definite():
     mesh = build_mesh(12, 24, 0.6, SphericalCap(math.pi, 2 * math.pi))
     forms = assemble(mesh, p)
     for mat in (forms.K, forms.M, forms.B):
-        assert abs(mat - mat.T).max() < 1e-13
-    Mr = forms.reduced(forms.M).toarray()
+        A = mat.toarray()
+        assert abs(A - A.T).max() < 1e-13
+    f = mesh.free_nodes
+    Mr = forms.M.toarray()[np.ix_(f, f)]
     assert np.linalg.eigvalsh(Mr).min() > 0.0
     # boundary mass supported exactly on the cap dofs
     diag = forms.B.diagonal()
@@ -216,14 +260,14 @@ def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
     mesh = forms.mesh
     shifts = np.array([0.3, 1.7, 25.0])
     eq = mesh.dof_of_node[mesh.robin_ids]
+    K, M, B = kron_forms(forms)
     for rho in (0.0, p.lam * p.kappa, 5.0):
         solver = HemisphereSolver(forms, shifts, rho)
         cols = [solver.solve(np.tile(e, (len(shifts), 1)))
                 for e in np.eye(mesh.n_free)]
         Z = solver.equator_inverse(mesh.robin_ids)
         for i, sigma in enumerate(shifts):
-            A = forms.reduced(forms.K - rho * forms.B
-                              + sigma * forms.M).toarray()
+            A = free_block(K - rho * B + sigma * M, mesh).toarray()
             exact = np.linalg.inv(A)
             P = np.column_stack([c[i] for c in cols])
             assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
