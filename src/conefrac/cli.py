@@ -64,7 +64,6 @@ def _write_hardy_csv(path: Path, arcs, results) -> None:
 
 
 def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
-    import scipy
     payload = {
         "config_sha256": hashlib.sha256(
             cfg.raw_text.encode("utf-8")).hexdigest(),
@@ -80,7 +79,6 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
                        "eig_group_rtol": MULTIPLICITY_RTOL},
         "versions": {"conefrac": __version__,
                      "numpy": np.__version__,
-                     "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "outputs": sorted(outputs),
         "notes": notes,

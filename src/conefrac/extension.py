@@ -12,8 +12,8 @@ is never assembled in 3-D: it is applied through its factors, and all but
 its h trace term is inverted exactly, without sparse factorization, by
 fast diagonalization: a generalized eigendecomposition in r, then per
 radial eigenvalue the hemisphere solver of ``sphercap``.  That inverse
-preconditions a conjugate-gradient solve of the full operator, which
-takes one iteration when h is absent.
+preconditions a conjugate-gradient solve of the full operator (``_pcg``),
+which takes one iteration when h is absent.
 
 Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
@@ -29,8 +29,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .cones import SphericalCap
 from .errors import DomainError, NumericalError
@@ -38,7 +36,8 @@ from .expressions import Expression
 from .params import ProblemParams
 from .spectral import EigenSystem, homogeneous_profile, solve_eigs
 from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
-                       assemble, band_to_dense, build_mesh, element_band)
+                       assemble, band_to_dense, build_mesh, eigh_pencil,
+                       element_band)
 
 __all__ = [
     "HalfBallGrid",
@@ -390,7 +389,7 @@ class _FastDiagPreconditioner:
 
     def __init__(self, Sr: np.ndarray, Mr: np.ndarray, forms: AssembledForms,
                  rho: float):
-        lam, self.W = sla.eigh(Sr, Mr)
+        lam, self.W = eigh_pencil(Sr, Mr)
         self.solver = HemisphereSolver(forms, lam, rho)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -425,6 +424,29 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
         return out.ravel()
 
     return apply, Sr, Mr
+
+
+def _pcg(matvec, precond, b: np.ndarray):
+    """Preconditioned conjugate gradients for the SPD system matvec(x) = b
+    from x = 0, stopping before the update at which |r| < CG_TOL |b|.
+    Returns the solution and the number of updates, CG_MAXITER when the
+    test never held."""
+    x, r, p = np.zeros_like(b), b.copy(), None
+    tol = CG_TOL * np.linalg.norm(b)
+    if tol == 0.0:                              # b = 0
+        return x, 0
+    for it in range(CG_MAXITER):
+        if np.linalg.norm(r) < tol:
+            return x, it
+        z = precond(r)
+        rho = np.dot(r, z)
+        p = z if p is None else (rho / rho_prev) * p + z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, CG_MAXITER
 
 
 def solve_extension(grid: HalfBallGrid, params: ProblemParams,
@@ -490,25 +512,17 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     sel = np.ix_(shell_sel, shell_sel)
     precond = _FastDiagPreconditioner(Sr[sel], Mr[sel], forms,
                                       params.lam * params.kappa)
-    shape = (len(free), len(free))
-    iters = [0]
-
-    def count(_):
-        iters[0] += 1
-
-    sol, info = spla.cg(
-        spla.LinearOperator(shape, matvec=matvec, dtype=float), b,
-        rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER, callback=count,
-        M=spla.LinearOperator(shape, matvec=precond.apply, dtype=float))
+    sol, iters = _pcg(matvec, precond.apply, b)
     res = float(np.linalg.norm(matvec(sol) - b)
                 / max(np.linalg.norm(b), 1e-300))
-    if info != 0:
+    if iters == CG_MAXITER:
         raise NumericalError(
-            f"conjugate gradients did not converge (info={info}, relative "
-            f"residual {res:.3e}); check admissibility of lam = {params.lam}")
+            f"conjugate gradients did not converge in {iters} iterations "
+            f"(relative residual {res:.3e}); check admissibility of lam = "
+            f"{params.lam}")
 
     u.flat[free] = sol
-    meta = {"inner_mode": inner_mode, "cg_iters": iters[0],
+    meta = {"inner_mode": inner_mode, "cg_iters": iters,
             "cg_residual": res}
     return GridField(grid, u, params, meta=meta, forms=forms)
 

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .cones import SphericalCap
 from .errors import DomainError, GeometryError, NumericalError
 from .params import ProblemParams
 from .sphercap import (AssembledForms, HemisphereSolver, assemble,
-                       band_to_dense, build_mesh)
+                       band_to_dense, build_mesh, eigh_pencil)
 
 __all__ = [
     "HardyResult",
@@ -68,11 +67,10 @@ def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
     solver = HemisphereSolver(forms, [params.half_order ** 2])
     Z = solver.equator_inverse(b)[0]      # the inverse Schur complement
     Z = 0.5 * (Z + Z.T)
-    # Lambda = 1 / mu_max; only the top eigenpair is computed
-    mu, Y = sla.eigh(Z @ (params.kappa * Bth[np.ix_(b, b)]) @ Z, Z,
-                     subset_by_index=[len(b) - 1] * 2)
+    # Lambda = 1 / mu_max, from the top eigenpair
+    mu, Y = eigh_pencil(Z @ (params.kappa * Bth[np.ix_(b, b)]) @ Z, Z)
     rhs = np.zeros((1, mesh.n_free))
-    rhs[0, mesh.dof_of_node[b]] = Y[:, 0]
+    rhs[0, mesh.dof_of_node[b]] = Y[:, -1]
     minimizer = np.zeros(mesh.n_nodes)
     minimizer[mesh.free_nodes] = solver.solve(rhs)[0]
     # fixed sign on the cap, unit boundary mass
@@ -82,7 +80,7 @@ def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
         minimizer = -minimizer
     bn = math.sqrt(params.kappa * float(minimizer @ (forms.B @ minimizer)))
     minimizer /= bn
-    return HardyResult(lambda_star=1.0 / float(mu[0]), minimizer=minimizer,
+    return HardyResult(lambda_star=1.0 / float(mu[-1]), minimizer=minimizer,
                        cap=mesh.cap, s=params.s,
                        mesh_level=(mesh.nt, mesh.ntheta))
 

@@ -2,11 +2,11 @@
 conditions, plus a separated 1-D oracle for the full-circle cap.
 
 The generalized pencil is (K - lam kappa B, M) on the free nodes.  Its
-smallest eigenpairs come from shift-invert Lanczos (ARPACK mode 3) with the
-shift sigma parked just below the guaranteed spectrum bottom
+smallest eigenpairs come from shift-invert Lanczos in the M inner product,
+with the shift sigma parked just below the guaranteed spectrum bottom
 -((N-2s)/2)^2, (K - lam kappa B - sigma M)^-1 applied by
-``sphercap.HemisphereSolver`` and M through the factored forms; dense
-``eigh`` of the forms' free block only where ARPACK cannot run (k >= n - 1).
+``sphercap.HemisphereSolver`` and M through the factored forms; the dense
+pencil of the forms' free block is solved only when k >= n - 1.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, InadmissibleLambdaError, NumericalError
 from .params import ProblemParams, gamma_from_mu
 from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
-                       band_to_dense, polar_matrices)
+                       band_to_dense, eigh_pencil, polar_matrices)
 
 __all__ = [
     "EigenSystem",
@@ -33,6 +31,7 @@ __all__ = [
 ]
 
 MULTIPLICITY_RTOL = 1e-6
+LANCZOS_CHECK = 4      # Lanczos steps between convergence checks
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ class EigenSystem:
     multiplicity-group id to every mode (eigenvalues within
     1e-6 (1 + |mu|) of each other share a group).  ``hardy_lambda`` is the
     cap's Hardy constant that lam was checked against, None when lam <= 0.
-    ``eigen_path`` is "arpack" or "dense", ``shift`` the final shift (None
+    ``eigen_path`` is "lanczos" or "dense", ``shift`` the final shift (None
     when dense) and ``shift_retries`` the number of times it was lowered.
     """
 
@@ -94,7 +93,7 @@ class EigenSystem:
     params: ProblemParams
     forms: AssembledForms
     hardy_lambda: float | None = None
-    eigen_path: str = "arpack"
+    eigen_path: str = "lanczos"
     shift: float | None = None
     shift_retries: int = 0
 
@@ -114,10 +113,11 @@ class EigenSystem:
         return np.flatnonzero(self.group == self.group[j])
 
 
-def _fix_signs(V: np.ndarray, M) -> np.ndarray:
-    """Deterministic sign: weighted integral positive, falling back to the
-    largest-magnitude nodal value when the integral nearly vanishes."""
-    w = V @ (M @ np.ones(V.shape[1]))
+def _fix_signs(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Deterministic sign: weighted integral V @ weight positive (weight =
+    M 1), falling back to the largest-magnitude nodal value when the
+    integral nearly vanishes."""
+    w = V @ weight
     lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
     return np.where((np.where(np.abs(w) > 1e-8, w, lead) < 0.0)[:, None],
                     -V, V)
@@ -153,21 +153,22 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
         raise DomainError(f"need 1 <= k <= {n}, got {k}")
 
     shift, retries = None, 0
-    if k >= n - 1:      # beyond ARPACK's reach
+    if k >= n - 1:      # the whole spectrum, or all but one mode
         path = "dense"
         free = np.ix_(forms.mesh.free_nodes, forms.mesh.free_nodes)
         A = forms.K - (lam * params.kappa) * forms.B
         Mr = forms.M.toarray()[free]
-        w, V = sla.eigh(A.toarray()[free], Mr, subset_by_index=[0, k - 1])
+        w, V = eigh_pencil(A.toarray()[free], Mr)
+        w, V, weight = w[:k], V[:, :k].T, Mr @ np.ones(n)
     else:
-        path = "arpack"
-        Mr = _free_mass(forms)
-        w, V, shift, retries = _sparse_smallest(forms, Mr, k, params)
-    V = V.T
+        path = "lanczos"
+        mass = _free_mass(forms)
+        w, V, shift, retries = _sparse_smallest(forms, mass, k, params)
+        weight = mass(np.ones(n))
 
     order = np.argsort(w, kind="stable")
     w = w[order]
-    V = _fix_signs(V[order], Mr)
+    V = _fix_signs(V[order], weight)
 
     full = np.zeros((k, forms.mesh.n_nodes))
     full[:, forms.mesh.free_nodes] = V
@@ -184,28 +185,28 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                        eigen_path=path, shift=shift, shift_retries=retries)
 
 
-def _free_mass(forms: AssembledForms) -> spla.LinearOperator:
-    """M on the free nodes: scatter onto the full node set, apply, gather.
-    The free nodes are the cap's equator nodes, then every later row."""
+def _free_mass(forms: AssembledForms):
+    """M on the free nodes as a function of one vector: scatter onto the
+    full node set, apply, gather.  The free nodes are the cap's equator
+    nodes, then every later row."""
     M, eq, n0 = forms.M, forms.mesh.robin_ids, forms.mesh.ntheta
     full = np.zeros(forms.mesh.n_nodes)
 
-    def matvec(x):
-        x = x.ravel()
+    def mass(x: np.ndarray) -> np.ndarray:
         full[eq], full[n0:] = x[:len(eq)], x[len(eq):]
         y = M @ full
         return np.concatenate([y[eq], y[n0:]])
 
-    return spla.LinearOperator((forms.mesh.n_free,) * 2, matvec=matvec,
-                               dtype=float)
+    return mass
 
 
-def _sparse_smallest(forms, Mr, k, params):
+def _sparse_smallest(forms, mass, k, params):
     """Shift-invert Lanczos with the shift sigma just below the spectrum
     floor, lowered while eigenvalues lie beneath it or the capacitance is
-    singular (sigma is an eigenvalue).  Returns the eigenpairs, the final
-    shift and the number of times it was lowered."""
-    n = Mr.shape[0]
+    singular (sigma is an eigenvalue).  Returns the eigenvalues, the
+    eigenvectors as rows, the final shift and the number of times it was
+    lowered."""
+    n = forms.mesh.n_free
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
     for retries in range(41):
@@ -225,17 +226,59 @@ def _sparse_smallest(forms, Mr, k, params):
         raise NumericalError("eigensolver shift selection failed: "
                              f"eigenvalues remain below {sigma:.6g}")
     v0 = np.ones(n) + 0.01 * np.sin(np.arange(n))
-    opinv = spla.LinearOperator(
-        (n, n), matvec=lambda x: solver.solve(x.reshape(1, -1))[0],
-        dtype=float)
-    # mode 3 with OPinv reads only the shape and dtype of K - lam kappa B
-    stiffness = spla.LinearOperator((n, n), matvec=None, dtype=float)
-    try:
-        w, V = spla.eigsh(stiffness, k=k, M=Mr, sigma=sigma, which="LM",
-                          v0=v0, OPinv=opinv)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    return w, V, sigma, retries
+    theta, V = _lanczos(lambda y: solver.solve(y[None])[0], mass, v0, k)
+    return sigma + 1.0 / theta, V, sigma, retries
+
+
+def _lanczos(opinv, mass, v0: np.ndarray, k: int):
+    """The k largest eigenpairs (theta_i, x_i) of OP = opinv(mass(.)),
+    self-adjoint and positive definite in the M inner product.
+
+    Lanczos in that inner product, each three-term step followed by one
+    full reorthogonalization, with no restart: the basis Q and its image
+    M Q grow until the k largest Ritz pairs of the recurrence's tridiagonal
+    T_m all meet |beta_m s_mi| <= eps theta_i (ARPACK's test at tol = 0),
+    checked every max(``LANCZOS_CHECK``, m / 16) steps so that the checks'
+    dense eigh of T_m costs O(m^3) in all, or until they span the whole
+    space.  A breakdown (beta_m at rounding level) before that raises
+    NumericalError.  Returns theta ascending and the Ritz vectors as
+    M-orthonormal rows.
+    """
+    n, eps = len(v0), np.finfo(float).eps
+    Q = np.empty((min(n, 6 * k + 20), n))
+    P = np.empty_like(Q)                    # P = M Q
+    alpha, beta = np.zeros(n), np.zeros(n)
+    p = mass(v0)
+    Q[0], P[0] = np.array([v0, p]) / math.sqrt(v0 @ p)
+    check = k                               # the step of the next check
+    for m in range(1, n + 1):
+        j = m - 1
+        r = opinv(P[j])
+        alpha[j] = r @ P[j]
+        r -= alpha[j] * Q[j]
+        if j:
+            r -= beta[j - 1] * Q[j - 1]
+        h = P[:m] @ r                       # full reorthogonalization
+        r -= h @ Q[:m]
+        alpha[j] += h[j]
+        p = mass(r)
+        beta[j] = math.sqrt(max(r @ p, 0.0))
+        breakdown = beta[j] <= eps * np.abs(alpha[:m]).max()
+        if m == n or (m >= k and (breakdown or m >= check)):
+            check = m + max(LANCZOS_CHECK, m // 16)
+            # eigh reads the lower triangle of T_m
+            theta, S = np.linalg.eigh(np.diag(alpha[:m])
+                                      + np.diag(beta[:j], -1))
+            theta, S = theta[-k:], S[:, -k:]
+            if m == n or np.all(np.abs(beta[j] * S[-1]) <= eps * theta):
+                return theta, S.T @ Q[:m]
+        if breakdown:
+            raise NumericalError(f"Lanczos broke down after {m} steps, "
+                                 f"before {k} eigenpairs converged")
+        if m == len(Q):                     # grow the basis
+            Q, P = (np.concatenate([X, np.empty((min(n, 2 * m) - m, n))])
+                    for X in (Q, P))
+        Q[m], P[m] = r / beta[j], p / beta[j]
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +315,7 @@ def oracle_full_circle_1d(params: ProblemParams, azimuthal_index: int,
     K[0, 0] -= params.kappa * params.lam
     M = band_to_dense(P0)
 
-    w = sla.eigh(K, M, eigvals_only=True)
-    return np.sort(w)
+    return eigh_pencil(K, M)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ __all__ = [
     "assemble",
     "element_band",
     "band_to_dense",
+    "eigh_pencil",
     "HemisphereSolver",
     "polar_matrices",
     "weighted_surface_integral",
@@ -157,6 +158,15 @@ def band_to_dense(band: np.ndarray) -> np.ndarray:
     """The dense symmetric matrix of a band from ``element_band``."""
     upper = np.roll(np.diag(band[1]), 1, axis=1)    # upper[j, j + 1]
     return np.diag(band[0]) + upper + upper.T
+
+
+def eigh_pencil(A: np.ndarray, B: np.ndarray):
+    """Eigenvalues, ascending, and B-orthonormal eigenvectors (columns) of
+    the dense symmetric-definite pencil (A, B), reduced through B = L L^T
+    to the standard problem L^-1 A L^-T y = w y, with x = L^-T y."""
+    Li = np.linalg.inv(np.linalg.cholesky(B))
+    w, Y = np.linalg.eigh(Li @ A @ Li.T)        # eigh reads the lower half
+    return w, Li.T @ Y
 
 
 def _gauss_jacobi(n: int, beta: float):
@@ -431,9 +441,9 @@ class HemisphereSolver:
             self.d[:, j] -= off[:, j - 1] ** 2 / self.d[:, j - 1]
         self.l = off / self.d[:, :-1]
 
-        e0 = np.zeros_like(self.d)
-        e0[:, 0] = 1.0
-        self.col0 = self._tridiag_solve(e0)
+        self.col0 = np.zeros_like(self.d)
+        self.col0[:, 0] = 1.0
+        self._tridiag_solve(self.col0)
         n = mesh.ntheta
         green = np.fft.irfft(self.col0[:, 0], n, axis=-1)
         self.green = green[:, (np.arange(n)[:, None] - np.arange(n)) % n]
@@ -441,27 +451,29 @@ class HemisphereSolver:
         rho_b = rho * band_to_dense(forms.Bth) * np.outer(~on_d, ~on_d)
         C = np.where(on_d[:, None], self.green, np.eye(n)) - rho_b @ self.green
         self.Q = np.linalg.solve(C, rho_b - np.diag(on_d.astype(float)))
+        # workspaces of ``solve``: U stays zero off the free nodes
+        self._U = np.zeros((len(shifts), mesh.n_nodes))
+        self._work = np.empty(self.col0.shape, dtype=complex)
 
-    def _tridiag_solve(self, Y: np.ndarray) -> np.ndarray:
-        """Solve T_ik x = y for every (i, k) at once; t is axis 1."""
-        Y = Y.copy()
+    def _tridiag_solve(self, Y: np.ndarray) -> None:
+        """Solve T_ik x = y in place for every (i, k) at once; t is axis 1."""
         for j in range(1, Y.shape[1]):
             Y[:, j] -= self.l[:, j - 1] * Y[:, j - 1]
         Y /= self.d
         for j in range(Y.shape[1] - 2, -1, -1):
             Y[:, j] -= self.l[:, j] * Y[:, j + 1]
-        return Y
 
     def solve(self, X: np.ndarray) -> np.ndarray:
         """Apply the inverse for shift i to row i of X; rows are vectors on
-        the free nodes."""
+        the free nodes.  The result is a new array."""
         m, nt, ntheta = self.shape
-        U = np.zeros((m, nt * ntheta))
-        U[:, self.free] = X
-        Y = self._tridiag_solve(np.fft.rfft(U.reshape(self.shape), axis=-1))
+        self._U[:, self.free] = X
+        Y = np.fft.rfft(self._U.reshape(self.shape), axis=-1)
+        self._tridiag_solve(Y)
         y_eq = np.fft.irfft(Y[:, 0], ntheta, axis=-1)
         w = (self.Q @ y_eq[:, :, None])[:, :, 0]
-        Y += self.col0 * np.fft.rfft(w, axis=-1)[:, None, :]
+        Y += np.multiply(self.col0, np.fft.rfft(w, axis=-1)[:, None, :],
+                         out=self._work)
         return np.fft.irfft(Y, ntheta, axis=-1).reshape(m, -1)[:, self.free]
 
     def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:

@@ -415,6 +415,40 @@ def test_solve_matches_direct_solve(half_params, half_cap, h):
     assert err <= 1e-8 * np.abs(direct).max()
 
 
+@pytest.mark.parametrize("h", ["0.05", "0.15"])
+def test_pcg_matches_scipy_cg(monkeypatch, half_cap, h):
+    """On the benchmark's solve-ext system (48 x 96, 32 shells) the numpy
+    PCG takes as many iterations as scipy's cg run on the same operator,
+    preconditioner and right-hand side, and returns the same solution."""
+    import scipy.sparse.linalg as spla
+
+    import conefrac.extension as ext
+    params = ProblemParams(s=0.5, lam=0.1, h=parse_expression(h))
+    mesh = build_mesh(48, 96, params.s, half_cap)
+    es = solve_eigs(assemble(mesh, params), params, k=8)
+    seen, pcg = {}, ext._pcg
+
+    def spy(matvec, precond, b):
+        seen.update(matvec=matvec, precond=precond, b=b.copy())
+        seen["x"], seen["iters"] = pcg(matvec, precond, b)
+        return seen["x"], seen["iters"]
+
+    monkeypatch.setattr(ext, "_pcg", spy)
+    fld = solve_extension(build_halfball_grid(32, 1e-3, mesh), params,
+                          es.vectors[1], es=es)
+    assert fld.meta["cg_iters"] == seen["iters"]
+    assert fld.meta["cg_residual"] <= 1e-10
+    n, count = len(seen["b"]), []
+    ref, info = spla.cg(
+        spla.LinearOperator((n, n), matvec=seen["matvec"], dtype=float),
+        seen["b"], rtol=ext.CG_TOL, atol=0.0, maxiter=ext.CG_MAXITER,
+        M=spla.LinearOperator((n, n), matvec=seen["precond"], dtype=float),
+        callback=count.append)
+    assert info == 0
+    assert len(count) == seen["iters"]
+    assert np.abs(seen["x"] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_batched_pohozaev_rows_equal_scalar_calls(half_es):
     from conefrac.almgren import pohozaev_check
     fld = manufactured_field(half_es, [(0, 1.0), (3, 0.25)])

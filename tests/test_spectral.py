@@ -12,8 +12,8 @@ from conftest import free_block, kron_forms
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import ConfigurationError, DomainError
 from conefrac.params import ProblemParams
-from conefrac.spectral import (homogeneous_profile, oracle_full_circle_1d,
-                               solve_eigs)
+from conefrac.spectral import (MULTIPLICITY_RTOL, homogeneous_profile,
+                               oracle_full_circle_1d, solve_eigs)
 from conefrac.sphercap import (assemble, band_to_dense, build_mesh,
                                polar_matrices)
 
@@ -95,39 +95,93 @@ def test_dense_and_sparse_paths_agree():
     p = ProblemParams(s=0.5)
     forms = assemble(build_mesh(20, 40, 0.5, cap), p)
     es = solve_eigs(forms, p, k=6)
-    assert es.eigen_path == "arpack"
+    assert es.eigen_path == "lanczos"
     Kr, Mr = _pencil(forms, p)
     dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
                      subset_by_index=[0, 5])
     np.testing.assert_allclose(es.mu, dense, rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("cap", [cap_of_cone(ConeProfile.half_plane()),
-                                 SphericalCap.full_circle(),
-                                 SphericalCap(-0.7, 2.1)])   # wraps 0
-def test_arpack_matches_sparse_lu_shift_invert(cap):
-    """The solver-based shift-invert agrees with eigsh applying a sparse LU
-    of K - lam kappa B - sigma M at the same shift."""
+def _check_against_eigsh(cap, lam, k=12):
+    """The numpy shift-invert Lanczos against scipy's ARPACK eigsh applying
+    a sparse LU of K - lam kappa B - sigma M at the same shift: eigenvalues
+    to 1e-12 relative (1e-12 absolute near zero), the same multiplicity
+    groups, and M-orthonormal eigenvectors."""
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
-    p = ProblemParams(s=0.5, lam=0.1)
+    p = ProblemParams(s=0.5, lam=lam)
     forms = assemble(build_mesh(48, 96, 0.5, cap), p)
-    es = solve_eigs(forms, p, k=12)
-    assert (es.eigen_path, es.shift_retries) == ("arpack", 0)
+    es = solve_eigs(forms, p, k=k)
+    assert (es.eigen_path, es.shift_retries) == ("lanczos", 0)
     assert es.shift < p.spectrum_floor
     Kr, Mr = _pencil(forms, p)
     n = Kr.shape[0]
     lu = splu((Kr - es.shift * Mr).tocsc())
-    ref = eigsh(Kr, k=12, M=Mr, sigma=es.shift, which="LM",
-                v0=np.ones(n) + 0.01 * np.sin(np.arange(n)),
-                OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
-                return_eigenvectors=False)
-    np.testing.assert_allclose(es.mu, np.sort(ref), rtol=1e-10, atol=0.0)
+    ref = np.sort(eigsh(
+        Kr, k=k, M=Mr, sigma=es.shift, which="LM",
+        v0=np.ones(n) + 0.01 * np.sin(np.arange(n)),
+        OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
+        return_eigenvectors=False))
+    np.testing.assert_allclose(es.mu, ref, rtol=1e-12, atol=1e-12)
+    gaps = np.abs(np.diff(ref)) > MULTIPLICITY_RTOL * (1.0 + np.abs(ref[1:]))
+    np.testing.assert_array_equal(es.group, np.cumsum(np.append(0, gaps)))
+    V = es.vectors[:, forms.mesh.free_nodes]
+    assert np.abs(V @ (Mr @ V.T) - np.eye(k)).max() < 1e-12
+    return es
+
+
+@pytest.mark.parametrize("cap", [cap_of_cone(ConeProfile.half_plane()),
+                                 SphericalCap.full_circle(),
+                                 SphericalCap(-0.7, 2.1)])   # wraps 0
+def test_arpack_matches_sparse_lu_shift_invert(cap):
+    es = _check_against_eigsh(cap, 0.1)
+    if cap.is_full:             # the cos/sin pairs are double
+        assert es.group.max() < es.k - 1
+
+
+def test_lanczos_many_modes_matches_sparse_lu_shift_invert():
+    """k = 60 takes the recurrence past 80 steps, where the convergence
+    checks space out beyond every fourth step."""
+    _check_against_eigsh(cap_of_cone(ConeProfile.half_plane()), 0.1, k=60)
+
+
+def test_lanczos_zero_mode_matches_sparse_lu_shift_invert():
+    """The full circle at lam = 0: the constant mode mu = 0 and the double
+    eigenvalues of the cos/sin pairs."""
+    es = _check_against_eigsh(SphericalCap.full_circle(), 0.0)
+    assert abs(es.mu[0]) < 1e-12
+    assert es.group.max() < es.k - 1
+
+
+def test_eigh_pencil_matches_scipy(half_forms, half_params):
+    """The Cholesky-reduced dense pencil solver against scipy.linalg.eigh on
+    the pencils it serves: the extension's radial (S_r, M_r), the Hardy
+    pencil (Z kappa B Z, Z) and a random symmetric-definite pair."""
+    from conefrac.extension import (build_halfball_grid, radial_mass,
+                                    radial_stiffness)
+    from conefrac.sphercap import HemisphereSolver, eigh_pencil
+    r = build_halfball_grid(32, 1e-3, half_forms.mesh).r_nodes
+    mesh, p = half_forms.mesh, half_params
+    b = mesh.robin_ids[half_forms.Bth[0, mesh.robin_ids] > 0.0]
+    Z = HemisphereSolver(half_forms, [p.half_order ** 2]).equator_inverse(b)[0]
+    Z = 0.5 * (Z + Z.T)
+    Bb = p.kappa * band_to_dense(half_forms.Bth)[np.ix_(b, b)]
+    X, Y = np.random.default_rng(5).standard_normal((2, 40, 40))
+    for A, B in ((radial_stiffness(r, 2.0)[1:-1, 1:-1],
+                  radial_mass(r, 0.0)[1:-1, 1:-1]),
+                 (Z @ Bb @ Z, Z),
+                 (X + X.T, Y @ Y.T + 40.0 * np.eye(40))):
+        w, V = eigh_pencil(A, B)
+        np.testing.assert_allclose(w, sla.eigh(A, B, eigvals_only=True),
+                                   rtol=1e-13, atol=0.0)
+        assert np.abs(V.T @ B @ V - np.eye(len(w))).max() < 1e-13
+        assert (np.abs(A @ V - B @ V * w).max()
+                <= 1e-13 * np.abs(A).max() * np.abs(V).max())
 
 
 def test_signs_and_groups_match_loop_reference(half_forms):
     """The vectorized sign and multiplicity-group conventions against the
     per-mode loops they replaced."""
-    from conefrac.spectral import MULTIPLICITY_RTOL, _fix_signs
+    from conefrac.spectral import _fix_signs
     Mr = free_block(kron_forms(half_forms)[1], half_forms.mesh)
     rng = np.random.default_rng(3)
     V = rng.standard_normal((6, Mr.shape[0]))
@@ -139,7 +193,7 @@ def test_signs_and_groups_match_loop_reference(half_forms):
         lead = w if abs(w) > 1e-8 else row[np.argmax(np.abs(row))]
         if lead < 0.0:
             row *= -1.0
-    np.testing.assert_array_equal(_fix_signs(V, Mr), ref)
+    np.testing.assert_array_equal(_fix_signs(V, Mw), ref)
     es, _ = _eigs(12, 24, 0.5, SphericalCap.full_circle(), k=6)
     gid, group = 0, [0]
     for i in range(1, es.k):
@@ -176,7 +230,7 @@ def test_inadmissible_lambda_raises_without_flag():
         es = solve_eigs(forms, p, k=3, allow_inadmissible=True)
     assert es.k == 3
     # eigenvalues far below the floor: the shift was lowered beneath them
-    assert es.eigen_path == "arpack"
+    assert es.eigen_path == "lanczos"
     assert es.shift_retries >= 1
     assert es.mu.min() > es.shift
     Kr, Mr = _pencil(forms, p)
