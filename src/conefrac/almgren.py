@@ -106,7 +106,8 @@ class _RadialPlan:
 
 
 def _radial_plan(edges, per_decade: int = 24) -> _RadialPlan:
-    edges = np.unique(np.asarray(edges, dtype=float))
+    edges = np.sort(np.asarray(edges, dtype=float))  # np.unique: numpy.ma
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     x = np.log(edges)
     n = np.maximum(1, np.ceil(np.diff(x) * per_decade
                               / math.log(10.0)).astype(int))

@@ -380,7 +380,8 @@ def _trace_h(grid: HalfBallGrid, h: Expression):
 
 class _FastDiagPreconditioner:
     """Exact inverse of kron(S_r, M_h) + kron(M_r, K_h - rho B_h) on the
-    free dofs, with no sparse factorization; SPD for admissible rho.
+    free dofs, with no sparse factorization; SPD for admissible rho.  Its
+    vectors are flat (shells, nodes) arrays that vanish on Dirichlet nodes.
 
     The generalized eigendecomposition S_r W = M_r W diag(lam) splits the
     operator into one hemisphere operator K_h - rho B_h + lam_i M_h per
@@ -491,7 +492,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     operator, Sr, Mr = _extension_operator(grid, params, forms)
 
     # Dirichlet data on the outer shell, and on the inner one when h is
-    # absent; the free dofs are the other shells x the free hemisphere dofs
+    # absent; the unknowns are the shells between, with zero Dirichlet columns
     u = np.zeros((n_surf, n_h))
     u[-1] = lid
     inner_mode = None
@@ -500,18 +501,21 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         j0 = inner_mode = int(np.argmax(np.abs(coeffs)
                                         * grid.r_min ** es.gamma))
         u[0] = coeffs[j0] * grid.r_min ** es.gamma[j0] * es.vectors[j0]
-    shell_sel = np.arange(1 if h_is_zero else 0, n_surf - 1)
-    free = (shell_sel[:, None] * n_h + mesh.free_nodes).ravel()
-    b = -operator(u.ravel())[free]
-    v = np.zeros(grid.n_nodes)              # zero off the free dofs
+    shells = slice(1 if h_is_zero else 0, n_surf - 1)
+    free = mesh.dof_of_node >= 0
+
+    def interior(y: np.ndarray) -> np.ndarray:
+        return (y.reshape(n_surf, n_h)[shells] * free).ravel()
+
+    b = -interior(operator(u))
+    v = np.zeros((n_surf, n_h))             # zero off the unknowns
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        v[free] = x
-        return operator(v)[free]
+        v[shells] = x.reshape(-1, n_h)
+        return interior(operator(v))
 
-    sel = np.ix_(shell_sel, shell_sel)
-    precond = _FastDiagPreconditioner(Sr[sel], Mr[sel], forms,
-                                      params.lam * params.kappa)
+    precond = _FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
+                                      forms, params.lam * params.kappa)
     sol, iters = _pcg(matvec, precond.apply, b)
     res = float(np.linalg.norm(matvec(sol) - b)
                 / max(np.linalg.norm(b), 1e-300))
@@ -521,7 +525,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
             f"(relative residual {res:.3e}); check admissibility of lam = "
             f"{params.lam}")
 
-    u.flat[free] = sol
+    u[shells] = sol.reshape(-1, n_h)
     meta = {"inner_mode": inner_mode, "cg_iters": iters,
             "cg_residual": res}
     return GridField(grid, u, params, meta=meta, forms=forms)

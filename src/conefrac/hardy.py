@@ -69,10 +69,9 @@ def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
     Z = 0.5 * (Z + Z.T)
     # Lambda = 1 / mu_max, from the top eigenpair
     mu, Y = eigh_pencil(Z @ (params.kappa * Bth[np.ix_(b, b)]) @ Z, Z)
-    rhs = np.zeros((1, mesh.n_free))
-    rhs[0, mesh.dof_of_node[b]] = Y[:, -1]
-    minimizer = np.zeros(mesh.n_nodes)
-    minimizer[mesh.free_nodes] = solver.solve(rhs)[0]
+    rhs = np.zeros((1, mesh.n_nodes))
+    rhs[0, b] = Y[:, -1]
+    minimizer = solver.solve(rhs)[0]
     # fixed sign on the cap, unit boundary mass
     tr = minimizer[mesh.equator_ids]
     lead = tr[np.argmax(np.abs(tr))]

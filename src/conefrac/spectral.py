@@ -5,8 +5,10 @@ The generalized pencil is (K - lam kappa B, M) on the free nodes.  Its
 smallest eigenpairs come from shift-invert Lanczos in the M inner product,
 with the shift sigma parked just below the guaranteed spectrum bottom
 -((N-2s)/2)^2, (K - lam kappa B - sigma M)^-1 applied by
-``sphercap.HemisphereSolver`` and M through the factored forms; the dense
-pencil of the forms' free block is solved only when k >= n - 1.
+``sphercap.HemisphereSolver`` (tridiagonal sweeps on the float view of its
+Fourier modes) and M through the factored forms, both on node arrays that
+vanish on the Dirichlet nodes.  The dense pencil of the forms' free block
+is solved only when k >= n - 1.
 """
 
 from __future__ import annotations
@@ -61,12 +63,8 @@ def hemisphere_interpolate(mesh: HemisphereMesh, values: np.ndarray,
         fi = np.where(width > 0.0, (t - mesh.t_nodes[i0]) / width, 0.0)
     fi = np.clip(fi, 0.0, 1.0)
 
-    v00 = vals[i0, j0]
-    v01 = vals[i0, j1]
-    v10 = vals[i1, j0]
-    v11 = vals[i1, j1]
-    return ((1 - fi) * ((1 - fj) * v00 + fj * v01)
-            + fi * ((1 - fj) * v10 + fj * v11))
+    return ((1 - fi) * ((1 - fj) * vals[i0, j0] + fj * vals[i0, j1])
+            + fi * ((1 - fj) * vals[i1, j0] + fj * vals[i1, j1]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +113,11 @@ class EigenSystem:
 
 def _fix_signs(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Deterministic sign: weighted integral V @ weight positive (weight =
-    M 1), falling back to the largest-magnitude nodal value when the
-    integral nearly vanishes."""
+    M 1), falling back when it nearly vanishes to the lowest node within
+    1e-8 of the largest magnitude, so that rounding breaks no mirror tie."""
     w = V @ weight
-    lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
+    near = np.abs(V) >= (1.0 - 1e-8) * np.abs(V).max(axis=1, keepdims=True)
+    lead = V[np.arange(len(V)), np.argmax(near, axis=1)]
     return np.where((np.where(np.abs(w) > 1e-8, w, lead) < 0.0)[:, None],
                     -V, V)
 
@@ -152,26 +151,22 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= {n}, got {k}")
 
+    mass = _free_mass(forms)
     shift, retries = None, 0
     if k >= n - 1:      # the whole spectrum, or all but one mode
         path = "dense"
         free = np.ix_(forms.mesh.free_nodes, forms.mesh.free_nodes)
         A = forms.K - (lam * params.kappa) * forms.B
-        Mr = forms.M.toarray()[free]
-        w, V = eigh_pencil(A.toarray()[free], Mr)
-        w, V, weight = w[:k], V[:, :k].T, Mr @ np.ones(n)
+        w, Vf = eigh_pencil(A.toarray()[free], forms.M.toarray()[free])
+        w, V = w[:k], np.zeros((k, forms.mesh.n_nodes))
+        V[:, forms.mesh.free_nodes] = Vf[:, :k].T
     else:
         path = "lanczos"
-        mass = _free_mass(forms)
         w, V, shift, retries = _sparse_smallest(forms, mass, k, params)
-        weight = mass(np.ones(n))
 
     order = np.argsort(w, kind="stable")
     w = w[order]
-    V = _fix_signs(V[order], weight)
-
-    full = np.zeros((k, forms.mesh.n_nodes))
-    full[:, forms.mesh.free_nodes] = V
+    V = _fix_signs(V[order], mass(forms.mesh.dof_of_node >= 0))   # M 1
 
     floor = params.spectrum_floor
     gamma = np.array([math.nan if mu < floor - 1e-6 * (1.0 + abs(mu))
@@ -180,22 +175,20 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
     group = np.cumsum(np.abs(np.diff(w, prepend=w[0]))
                       > MULTIPLICITY_RTOL * (1.0 + np.abs(w)))
 
-    return EigenSystem(mu=w, vectors=full, gamma=gamma, group=group,
+    return EigenSystem(mu=w, vectors=V, gamma=gamma, group=group,
                        params=params, forms=forms, hardy_lambda=lam_star,
                        eigen_path=path, shift=shift, shift_retries=retries)
 
 
 def _free_mass(forms: AssembledForms):
-    """M on the free nodes as a function of one vector: scatter onto the
-    full node set, apply, gather.  The free nodes are the cap's equator
-    nodes, then every later row."""
-    M, eq, n0 = forms.M, forms.mesh.robin_ids, forms.mesh.ntheta
-    full = np.zeros(forms.mesh.n_nodes)
+    """M on the free nodes as a function of one node vector that vanishes
+    on the Dirichlet nodes: apply M, then zero the Dirichlet rows."""
+    M, dirichlet = forms.M, forms.mesh.dirichlet_ids
 
     def mass(x: np.ndarray) -> np.ndarray:
-        full[eq], full[n0:] = x[:len(eq)], x[len(eq):]
-        y = M @ full
-        return np.concatenate([y[eq], y[n0:]])
+        y = M @ x
+        y[dirichlet] = 0.0
+        return y
 
     return mass
 
@@ -225,12 +218,13 @@ def _sparse_smallest(forms, mass, k, params):
     else:
         raise NumericalError("eigensolver shift selection failed: "
                              f"eigenvalues remain below {sigma:.6g}")
-    v0 = np.ones(n) + 0.01 * np.sin(np.arange(n))
-    theta, V = _lanczos(lambda y: solver.solve(y[None])[0], mass, v0, k)
+    v0 = np.zeros(forms.mesh.n_nodes)
+    v0[forms.mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
+    theta, V = _lanczos(lambda y: solver.solve(y[None])[0], mass, v0, k, n)
     return sigma + 1.0 / theta, V, sigma, retries
 
 
-def _lanczos(opinv, mass, v0: np.ndarray, k: int):
+def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
     """The k largest eigenpairs (theta_i, x_i) of OP = opinv(mass(.)),
     self-adjoint and positive definite in the M inner product.
 
@@ -239,13 +233,13 @@ def _lanczos(opinv, mass, v0: np.ndarray, k: int):
     M Q grow until the k largest Ritz pairs of the recurrence's tridiagonal
     T_m all meet |beta_m s_mi| <= eps theta_i (ARPACK's test at tol = 0),
     checked every max(``LANCZOS_CHECK``, m / 16) steps so that the checks'
-    dense eigh of T_m costs O(m^3) in all, or until they span the whole
-    space.  A breakdown (beta_m at rounding level) before that raises
-    NumericalError.  Returns theta ascending and the Ritz vectors as
-    M-orthonormal rows.
+    dense eigh of T_m costs O(m^3) in all, or until they span the space, of
+    dimension n (v0 may be longer, say with zeros on Dirichlet nodes).  A
+    breakdown (beta_m at rounding level) before that raises NumericalError.
+    Returns theta ascending and the Ritz vectors as M-orthonormal rows.
     """
-    n, eps = len(v0), np.finfo(float).eps
-    Q = np.empty((min(n, 6 * k + 20), n))
+    eps = np.finfo(float).eps
+    Q = np.empty((min(n, 6 * k + 20), len(v0)))
     P = np.empty_like(Q)                    # P = M Q
     alpha, beta = np.zeros(n), np.zeros(n)
     p = mass(v0)
@@ -276,7 +270,7 @@ def _lanczos(opinv, mass, v0: np.ndarray, k: int):
             raise NumericalError(f"Lanczos broke down after {m} steps, "
                                  f"before {k} eigenpairs converged")
         if m == len(Q):                     # grow the basis
-            Q, P = (np.concatenate([X, np.empty((min(n, 2 * m) - m, n))])
+            Q, P = (np.concatenate([X, np.empty_like(X[:min(n, 2 * m) - m])])
                     for X in (Q, P))
         Q[m], P[m] = r / beta[j], p / beta[j]
 

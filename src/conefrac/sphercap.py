@@ -411,22 +411,22 @@ class HemisphereSolver:
     A real FFT in theta turns K + sigma_i M on the full node set into the
     tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k and
     w_k the symbols of the circulant Mth and Kth; their LDL^T factors are
-    computed once.  On the equator row (K + sigma_i M)^-1 is the circulant
-    G_i of irfft(g_i), g_ik = [T_ik^-1]_00.  The Dirichlet nodes D and the
-    -rho B term both live on that row, so one capacitance system there
-    handles both (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
-    1971): with y = (K + sigma_i M)^-1 b, the solution is
+    computed once, repeated for the re and im parts so that the sweeps run
+    on the float view of the modes.  On the equator row (K + sigma_i M)^-1
+    is the circulant G_i of irfft(g_i), g_ik = [T_ik^-1]_00.  The Dirichlet
+    nodes D and the -rho B term both live on that row, so one capacitance
+    system there handles both (Buzbee, Dorr, George & Golub, SIAM J. Numer.
+    Anal. 8, 1971): with y = (K + sigma_i M)^-1 b, the solution is
     y + (K + sigma_i M)^-1 E w, E the equator injection, whose weights w
     (multipliers on D, rho Bth x on the free equator nodes F) solve
     C_i w = (rho Bth_FF - E_D E_D^T) y_eq, C_i = E_D E_D^T G_i + E_F E_F^T
     - rho Bth_FF G_i.  C_i is solved once for Q_i, w = Q_i y_eq; a singular
-    C_i raises LinAlgError.
+    C_i raises LinAlgError.  Vectors are node rows that vanish on D.
     """
 
     def __init__(self, forms: AssembledForms, shifts, rho: float = 0.0):
         mesh = forms.mesh
         shifts = np.asarray(shifts, dtype=float)[:, None, None]
-        self.free = mesh.free_nodes
         self.shape = (len(shifts), mesh.nt, mesh.ntheta)
         m_k, w_k = (np.fft.rfft(band_to_dense(C)[:, 0]).real
                     for C in (forms.Mth, forms.Kth))
@@ -436,45 +436,47 @@ class HemisphereSolver:
                           for P in (forms.P0, forms.P1, forms.P2))
             return (p1 + shifts * p0) * m_k + p2 * w_k
 
-        self.d, off = band(0), band(1)         # LDL^T, in place
+        d, off = band(0), band(1)              # LDL^T, in place
         for j in range(1, mesh.nt):
-            self.d[:, j] -= off[:, j - 1] ** 2 / self.d[:, j - 1]
-        self.l = off / self.d[:, :-1]
+            d[:, j] -= off[:, j - 1] ** 2 / d[:, j - 1]
+        l, self.d = (np.repeat(F, 2, axis=-1) for F in (off / d[:, :-1], d))
+        self.l = list(np.moveaxis(l, 1, 0))     # one row per t step
 
         self.col0 = np.zeros_like(self.d)
         self.col0[:, 0] = 1.0
         self._tridiag_solve(self.col0)
         n = mesh.ntheta
-        green = np.fft.irfft(self.col0[:, 0], n, axis=-1)
+        green = np.fft.irfft(self.col0[:, 0, ::2], n, axis=-1)
         self.green = green[:, (np.arange(n)[:, None] - np.arange(n)) % n]
-        on_d = ~mesh.robin_mask
+        self.on_d = on_d = ~mesh.robin_mask
         rho_b = rho * band_to_dense(forms.Bth) * np.outer(~on_d, ~on_d)
         C = np.where(on_d[:, None], self.green, np.eye(n)) - rho_b @ self.green
         self.Q = np.linalg.solve(C, rho_b - np.diag(on_d.astype(float)))
-        # workspaces of ``solve``: U stays zero off the free nodes
-        self._U = np.zeros((len(shifts), mesh.n_nodes))
-        self._work = np.empty(self.col0.shape, dtype=complex)
+        self._work = np.empty_like(self.col0)
 
     def _tridiag_solve(self, Y: np.ndarray) -> None:
-        """Solve T_ik x = y in place for every (i, k) at once; t is axis 1."""
-        for j in range(1, Y.shape[1]):
-            Y[:, j] -= self.l[:, j - 1] * Y[:, j - 1]
+        """Solve T_ik x = y in place for every (i, k) at once on the float
+        view Y (n_shifts, nt, 2 n_modes), one t row per step."""
+        rows, t = list(np.moveaxis(Y, 1, 0)), np.empty_like(Y[:, 0])
+        for l, x, y in zip(self.l, rows, rows[1:]):
+            y -= np.multiply(l, x, out=t)
         Y /= self.d
-        for j in range(Y.shape[1] - 2, -1, -1):
-            Y[:, j] -= self.l[:, j] * Y[:, j + 1]
+        for l, x, y in zip(self.l[::-1], rows[:0:-1], rows[-2::-1]):
+            y -= np.multiply(l, x, out=t)
 
     def solve(self, X: np.ndarray) -> np.ndarray:
-        """Apply the inverse for shift i to row i of X; rows are vectors on
-        the free nodes.  The result is a new array."""
+        """Apply the inverse for shift i to row i of X; rows are node
+        vectors that vanish on D, as do those of the result, a new array."""
         m, nt, ntheta = self.shape
-        self._U[:, self.free] = X
-        Y = np.fft.rfft(self._U.reshape(self.shape), axis=-1)
-        self._tridiag_solve(Y)
+        Y = np.fft.rfft(np.reshape(X, self.shape), axis=-1)
+        Yr = Y.view(float)              # re and im parts side by side
+        self._tridiag_solve(Yr)
         y_eq = np.fft.irfft(Y[:, 0], ntheta, axis=-1)
-        w = (self.Q @ y_eq[:, :, None])[:, :, 0]
-        Y += np.multiply(self.col0, np.fft.rfft(w, axis=-1)[:, None, :],
-                         out=self._work)
-        return np.fft.irfft(Y, ntheta, axis=-1).reshape(m, -1)[:, self.free]
+        w = np.fft.rfft((self.Q @ y_eq[:, :, None])[:, :, 0], axis=-1)
+        Yr += np.multiply(self.col0, w.view(float)[:, None], out=self._work)
+        U = np.fft.irfft(Y, ntheta, axis=-1)
+        U[:, 0, self.on_d] = 0.0
+        return U.reshape(m, -1)
 
     def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:
         """The block of the free-node inverse on free equator ``nodes``,

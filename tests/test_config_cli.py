@@ -330,7 +330,7 @@ def test_parse_config_loads_no_solver():
 
 def test_runs_load_no_optimize_special_or_integrate(tmp_path):
     # the runtime needs numpy only: the import and a run of each of the
-    # five tasks load no scipy module at all
+    # five tasks load no scipy module at all, and no numpy.ma either
     mesh = "[mesh]\nnt = 12\nntheta = 24\n"
     configs = {
         "eig": "[params]\ns = 0.5\nlambda = 0.1\n" + mesh
@@ -350,16 +350,19 @@ def test_runs_load_no_optimize_special_or_integrate(tmp_path):
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if m.split('.')[0] == 'scipy')\n"
+        "def ma_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[:2] == ['numpy', 'ma'])\n"
         "from conefrac.cli import run_task\n"
         "from conefrac.config import parse_config\n"
-        "print('import', scipy_modules())\n"
+        "print('import', scipy_modules(), ma_modules())\n"
         f"for name, text in {configs!r}.items():\n"
         f"    run_task(parse_config(text), {str(tmp_path)!r} + '/' + name)\n"
-        "    print(name, scipy_modules())\n")
+        "    print(name, scipy_modules(), ma_modules())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(conefrac.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == [f"{name} []" for name in
+    assert proc.stdout.splitlines() == [f"{name} [] []" for name in
                                         ["import", *configs]]
     for name in configs:
         assert (tmp_path / name / "manifest.json").exists()

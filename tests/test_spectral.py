@@ -102,6 +102,24 @@ def test_dense_and_sparse_paths_agree():
     np.testing.assert_allclose(es.mu, dense, rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_lanczos_spanning_the_free_space_matches_dense(half_cap, lam):
+    """With k = n_free - 2 on a 4 x 8 half cap the Lanczos basis must grow
+    to the whole free space (of dimension n_free, not the node count); its
+    eigenvalues match the dense path's to 1e-12 relative."""
+    p = ProblemParams(s=0.5, lam=lam)
+    forms = assemble(build_mesh(4, 8, 0.5, half_cap), p)
+    n = forms.mesh.n_free
+    assert n < forms.mesh.n_nodes
+    es = solve_eigs(forms, p, k=n - 2)
+    dense = solve_eigs(forms, p, k=n - 1)
+    assert (es.eigen_path, dense.eigen_path) == ("lanczos", "dense")
+    np.testing.assert_allclose(es.mu, dense.mu[:n - 2], rtol=1e-12, atol=0)
+    V = es.vectors[:, forms.mesh.free_nodes]
+    Mr = free_block(kron_forms(forms)[1], forms.mesh)
+    assert np.abs(V @ Mr @ V.T - np.eye(n - 2)).max() < 1e-12
+
+
 def _check_against_eigsh(cap, lam, k=12):
     """The numpy shift-invert Lanczos against scipy's ARPACK eigsh applying
     a sparse LU of K - lam kappa B - sigma M at the same shift: eigenvalues
@@ -202,6 +220,22 @@ def test_signs_and_groups_match_loop_reference(half_forms):
         group.append(gid)
     np.testing.assert_array_equal(es.group, group)
     assert es.group.max() < es.k - 1       # the cos/sin pairs share groups
+
+
+def test_sign_fallback_ignores_rounding_between_mirror_nodes():
+    """A mode with a vanishing integral whose two extreme nodes are equal
+    and opposite up to rounding, +-a (1 +- 1e-15), takes the sign of the
+    lower node whichever of the two rounding made larger."""
+    from conefrac.spectral import _fix_signs
+    a, weight = 0.7, np.ones(5)
+    V = np.array([[0.1, a * (1 + d1), 0.0, -a * (1 + d3), -0.1]
+                  for d1 in (-1e-15, 0.0, 1e-15)
+                  for d3 in (-1e-15, 0.0, 1e-15)])
+    assert np.abs(V @ weight).max() < 1e-8          # the fallback decides
+    for X in (V, -V):
+        fixed = _fix_signs(X, weight)
+        assert np.all(fixed[:, 1] > 0.0)
+        np.testing.assert_array_equal(np.abs(fixed), np.abs(V))
 
 
 def test_eigenvector_dirichlet_zeros(half_es):

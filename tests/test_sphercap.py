@@ -263,8 +263,8 @@ def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
     K, M, B = kron_forms(forms)
     for rho in (0.0, p.lam * p.kappa, 5.0):
         solver = HemisphereSolver(forms, shifts, rho)
-        cols = [solver.solve(np.tile(e, (len(shifts), 1)))
-                for e in np.eye(mesh.n_free)]
+        cols = [solver.solve(np.tile(e, (len(shifts), 1)))[:, mesh.free_nodes]
+                for e in np.eye(mesh.n_nodes)[mesh.free_nodes]]
         Z = solver.equator_inverse(mesh.robin_ids)
         for i, sigma in enumerate(shifts):
             A = free_block(K - rho * B + sigma * M, mesh).toarray()
@@ -278,3 +278,20 @@ def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
             assert np.sum(np.linalg.eigvalsh(Z[i] + Z[i].T) < 0.0) == n_neg
             if rho < 1.0:
                 assert n_neg == 0
+
+
+@pytest.mark.parametrize("cap", [SphericalCap(math.pi, 2 * math.pi),
+                                 SphericalCap(0.3, 2.0)])
+def test_hemisphere_solver_returns_exact_zeros_on_dirichlet_nodes(cap):
+    """Rows in and out of ``solve`` are node vectors; the result is exactly
+    zero on the Dirichlet nodes for every shift and Robin coefficient."""
+    p = ProblemParams(s=0.5, lam=0.1)
+    mesh = build_mesh(6, 12, 0.5, cap)
+    forms = assemble(mesh, p)
+    X = np.random.default_rng(5).standard_normal((3, mesh.n_nodes))
+    X[:, mesh.dirichlet_ids] = 0.0
+    for rho in (0.0, p.lam * p.kappa):
+        Y = HemisphereSolver(forms, [0.3, 1.7, 25.0], rho).solve(X)
+        assert Y.shape == X.shape
+        assert np.all(Y[:, mesh.dirichlet_ids] == 0.0)
+        assert np.abs(Y[:, mesh.free_nodes]).min() > 0.0
