@@ -21,6 +21,7 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .almgren import (beta_coefficients, default_radii, fourier_coeffs,
 from .cones import (SmoothedCone, smoothing_defect, smoothing_profile,
                     starshape_margin)
 from .config import RunConfig, parse_config
-from .errors import ConfigurationError, ConefracError, ExpressionError
+from .errors import ConfigurationError, ConefracError
 from .extension import (CG_TOL, build_halfball_grid, manufactured_field,
                         save_field, solve_extension)
 from .hardy import hardy_constant_richardson, hardy_scan
@@ -42,15 +43,12 @@ from .svgplot import LineSeries, plot_svg
 _Result = tuple[list[str], dict]       # a task's outputs and manifest notes
 
 
-def _f(x: float) -> str:
-    """Stable float formatting for reproducible CSV bytes."""
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Floats in round-trip format, for reproducible CSV bytes."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_f(v) if isinstance(v, float) else str(v)
+        lines.append(",".join(format(float(v), ".17g")
+                              if isinstance(v, float) else str(v)
                               for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -68,11 +66,9 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
         "config_sha256": hashlib.sha256(
             cfg.raw_text.encode("utf-8")).hexdigest(),
         "task": cfg.task,
-        "params": {"N": cfg.n_dim, "s": cfg.s, "lambda": cfg.lam,
-                   "p": cfg.params().p},
-        "cone": {"g_plus": cfg.cone_spec.g_plus,
-                 "g_minus": cfg.cone_spec.g_minus,
-                 "full": cfg.cone_spec.full},
+        "params": {"N": cfg.params.N, "s": cfg.params.s,
+                   "lambda": cfg.params.lam, "p": cfg.params.p},
+        "cone": asdict(cfg.cone_spec),
         "mesh": {"nt": cfg.nt, "ntheta": cfg.ntheta,
                  "grading": cfg.grading, "nr": cfg.nr, "rmin": cfg.rmin},
         "tolerances": {"cg_tol": CG_TOL,
@@ -98,14 +94,17 @@ def _eigen_notes(es) -> dict:
             "lambda_margin": None if lam_star is None else es.lam / lam_star}
 
 
+def _eigen_system(cfg: RunConfig, k: int):
+    """The run's mesh, its forms and their k lowest eigenpairs."""
+    mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.params.s, cfg.cap(), cfg.grading)
+    return solve_eigs(assemble(mesh, cfg.params), cfg.params, k=k)
+
+
 def _scaled(cfg: RunConfig, level: int) -> RunConfig:
     if level < 0:
         raise ConfigurationError([f"--mesh-level must be >= 0, got {level}"])
-    factor = 2 ** level
-    cfg.nt *= factor
-    cfg.ntheta *= factor
-    cfg.nr *= factor
-    return cfg
+    f = 2 ** level
+    return replace(cfg, nt=cfg.nt * f, ntheta=cfg.ntheta * f, nr=cfg.nr * f)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +113,7 @@ def _scaled(cfg: RunConfig, level: int) -> RunConfig:
 
 
 def _task_eig(cfg: RunConfig, out: Path, threads: int) -> _Result:
-    params = cfg.params()
-    mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cfg.cap(), cfg.grading)
-    forms = assemble(mesh, params)
-    es = solve_eigs(forms, params, k=cfg.task_opts["k"])
+    es = _eigen_system(cfg, cfg.task_opts["k"])
     rows = [(j + 1, float(es.mu[j]), float(es.gamma[j]), int(es.group[j]))
             for j in range(es.k)]
     _write_csv(out / "eig.csv", ["j", "mu", "gamma", "multiplicity_group"],
@@ -129,17 +125,15 @@ def _task_eig(cfg: RunConfig, out: Path, threads: int) -> _Result:
 
 
 def _task_hardy(cfg: RunConfig, out: Path, threads: int) -> _Result:
-    params = cfg.params()
-    res = hardy_constant_richardson(params, cfg.cap(), cfg.nt, cfg.ntheta,
+    res = hardy_constant_richardson(cfg.params, cfg.cap(), cfg.nt, cfg.ntheta,
                                     cfg.grading)
     _write_hardy_csv(out / "hardy.csv", [cfg.cap().length], [res])
     return ["hardy.csv"], {}
 
 
 def _task_scan(cfg: RunConfig, out: Path, threads: int) -> _Result:
-    params = cfg.params()
     arcs = cfg.task_opts["arcs"]
-    results = hardy_scan(arcs, params, cfg.nt, cfg.ntheta, cfg.grading,
+    results = hardy_scan(arcs, cfg.params, cfg.nt, cfg.ntheta, cfg.grading,
                          threads=threads)
     _write_hardy_csv(out / "scan.csv", arcs, results)
     plot_svg(out / "scan_lambda.svg",
@@ -211,39 +205,32 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
 
 
 def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> _Result:
-    params = cfg.params()
-    mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cfg.cap(), cfg.grading)
-    forms = assemble(mesh, params)
-    k_need = max(cfg.task_opts["k"],
-                 max(j for j, _ in cfg.task_opts["modes"]) + 1)
-    es = solve_eigs(forms, params, k=k_need)
+    es = _eigen_system(cfg, max(cfg.task_opts["k"], max(
+        j for j, _ in cfg.task_opts["modes"]) + 1))
     fld = manufactured_field(es, cfg.task_opts["modes"])
     return _frequency_outputs(cfg, out, fld, es), _eigen_notes(es)
 
 
 def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
-    params = cfg.params()
-    mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.s, cfg.cap(), cfg.grading)
-    forms = assemble(mesh, params)
-    es = solve_eigs(forms, params, k=cfg.task_opts["k"])
-    grid = build_halfball_grid(cfg.nr, cfg.rmin, mesh)
+    es = _eigen_system(cfg, cfg.task_opts["k"])
+    grid = build_halfball_grid(cfg.nr, cfg.rmin, es.mesh)
 
-    if "lid" in cfg.task_opts:
-        lid_expr = cfg.task_opts["lid"]
-        tgrid = np.repeat(mesh.t_nodes, mesh.ntheta)
-        thgrid = np.tile(mesh.theta_nodes, mesh.nt)
+    lid_expr = cfg.task_opts["lid"]
+    if lid_expr is not None:
+        tgrid = np.repeat(es.mesh.t_nodes, es.mesh.ntheta)
+        thgrid = np.tile(es.mesh.theta_nodes, es.mesh.nt)
         lid = np.asarray(lid_expr.eval({"t": tgrid, "theta": thgrid})
                          * np.ones_like(tgrid))
         lid_note = f"expression: {lid_expr.to_string()}"
     else:
         mode = cfg.task_opts["lid_mode"]
-        if mode >= es.k:
+        if mode > es.k:
             raise ConfigurationError(
-                [f"[task] lid_mode = {mode + 1} exceeds computed modes"])
-        lid = es.vectors[mode]
-        lid_note = f"eigenmode {mode + 1} trace"
+                [f"[task] lid_mode = {mode} exceeds computed modes"])
+        lid = es.vectors[mode - 1]
+        lid_note = f"eigenmode {mode} trace"
 
-    fld = solve_extension(grid, params, lid, es=es)
+    fld = solve_extension(grid, cfg.params, lid, es=es)
     save_field(out / "field.bin", fld)
     outputs = _frequency_outputs(cfg, out, fld, es)
     meta = fld.meta
@@ -348,23 +335,14 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 [f"config declares task '{cfg.task}' but the command line "
                  f"asked for '{args.task}'"])
-        cfg = _scaled(cfg, args.mesh_level)
-    except (ConfigurationError, ExpressionError) as exc:
-        if isinstance(exc, ConfigurationError):
-            for v in exc.violations:
-                print(f"config error: {v}", file=sys.stderr)
-        else:
-            print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        out = run_task(cfg, args.out, threads=args.threads)
+        out = run_task(_scaled(cfg, args.mesh_level), args.out,
+                       threads=args.threads)
     except ConfigurationError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
     except ConefracError as exc:
-        print(f"numerical failure in task '{cfg.task}': {exc}",
+        print(f"numerical failure in task '{args.task}': {exc}",
               file=sys.stderr)
         return 3
     print(f"wrote artifacts to {out}")

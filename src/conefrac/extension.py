@@ -34,7 +34,7 @@ from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .params import ProblemParams
-from .spectral import EigenSystem, homogeneous_profile, solve_eigs
+from .spectral import EigenSystem, homogeneous_profile
 from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
                        assemble, band_to_dense, build_mesh, eigh_pencil,
                        element_band)
@@ -451,8 +451,7 @@ def _pcg(matvec, precond, b: np.ndarray):
 
 
 def solve_extension(grid: HalfBallGrid, params: ProblemParams,
-                    lid_data: np.ndarray,
-                    es: EigenSystem | None = None) -> GridField:
+                    lid_data: np.ndarray, es: EigenSystem) -> GridField:
     """Discrete weak solution of the localized extension problem that
     ``params`` (h included) poses on the cap of the grid's mesh.
 
@@ -464,10 +463,10 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     analysis of the output should then stay above ~10 r_min.
 
     The admissibility lam < Lambda(cap) is enforced through the eigen system
-    used for the modal bookkeeping (computed on the same mesh when not
-    supplied, else on it at the same lam); its forms are the ones the solve
-    and the returned field use.  The field's ``meta`` records the CG
-    iteration count and the final relative residual.
+    ``es`` used for the modal bookkeeping, solved on the grid's mesh at the
+    same lam; its forms are the ones the solve and the returned field use.
+    The field's ``meta`` records the CG iteration count and the final
+    relative residual.
     """
     mesh = grid.mesh
     if abs(mesh.s - params.s) > 1e-14:
@@ -478,10 +477,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     lid[mesh.dirichlet_ids] = 0.0
 
     h_is_zero = params.h is None
-    if es is None:
-        forms = assemble(mesh, params)
-        es = solve_eigs(forms, params, k=min(10, mesh.n_free - 1))
-    elif es.mesh is not mesh:
+    if es.mesh is not mesh:
         raise DomainError("the eigen system belongs to a different mesh")
     elif es.lam != params.lam:
         raise DomainError("the eigen system was solved at a different lam")

@@ -58,7 +58,7 @@ def _fmt(v: float) -> str:
 
 
 def plot_svg(path, series, xlabel="", ylabel="", title="",
-             logx=False, logy=False):
+             logx=False):
     """Write a line plot of the given LineSeries list to ``path``."""
     series = [s for s in series if len(s.x) > 0]
     if not series:
@@ -67,11 +67,8 @@ def plot_svg(path, series, xlabel="", ylabel="", title="",
     def tx(v):
         return math.log10(v) if logx else v
 
-    def ty(v):
-        return math.log10(v) if logy else v
-
     xs = [tx(v) for s in series for v in s.x]
-    ys = [ty(v) for s in series for v in s.y]
+    ys = [v for s in series for v in s.y]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 <= x0:
@@ -89,7 +86,7 @@ def plot_svg(path, series, xlabel="", ylabel="", title="",
         return _ML + (tx(v) - x0) / (x1 - x0) * pw
 
     def py(v):
-        return _MT + ph - (ty(v) - y0) / (y1 - y0) * ph
+        return _MT + ph - (v - y0) / (y1 - y0) * ph
 
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
@@ -100,8 +97,7 @@ def plot_svg(path, series, xlabel="", ylabel="", title="",
 
     xticks = (_log_ticks(10.0 ** x0, 10.0 ** x1) if logx
               else _nice_ticks(x0, x1))
-    yticks = (_log_ticks(10.0 ** y0, 10.0 ** y1) if logy
-              else _nice_ticks(y0, y1))
+    yticks = _nice_ticks(y0, y1)
 
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                'fill="none" stroke="#444" stroke-width="1"/>')

@@ -32,8 +32,8 @@ name = eig
 def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL_EIG)
     assert cfg.task == "eig"
-    assert cfg.s == 0.5
-    assert cfg.lam == 0.0
+    assert cfg.params.s == 0.5
+    assert cfg.params.lam == 0.0
     assert cfg.nt == 48 and cfg.ntheta == 96
     assert cfg.task_opts["k"] == 10
     assert cfg.cap().length == pytest.approx(math.pi)
@@ -128,6 +128,90 @@ modes = 1:1.0, 4:0.2
 """
     cfg = parse_config(text)
     assert cfg.task_opts["modes"] == [(0, 1.0), (3, 0.2)]
+
+
+# the full violation list, text and order, of malformed configs
+PINNED_VIOLATIONS = {
+    "p_floor": (
+        "[params]\ns = 0.5\np = 1.5\n[task]\nname = eig\n",
+        ["[params] p = 1.5 must exceed N/(2s) = 2"]),
+    "arcs": (
+        "[task]\nname = scan\narcs = pi, pi/2, 7\n",
+        ["[task] arcs must be strictly increasing",
+         "[task] arcs must lie in (0, 2*pi]"]),
+    "lid_and_lid_mode": (
+        "[task]\nname = solve-ext\nlid = 1\nlid_mode = 2\n",
+        ["[task] give either lid or lid_mode, not both"]),
+    "star_shaped": (
+        "[cone]\ng_plus = 1.0\ng_minus = -0.5\n"
+        "[task]\nname = smooth-cone\nn = 3\n",
+        ["[task] n = 3 is below the star-shapedness threshold ceil(6M) = 6"]),
+    "unknown_keys": (
+        "[cone]\npresett = half\n[mesh]\nntheat = 32\n[task]\nname = eig\n",
+        ["unknown key 'presett' in [cone] (did you mean 'preset'?)",
+         "unknown key 'ntheat' in [mesh] (did you mean 'ntheta'?)"]),
+    "unknown_task": (
+        "[task]\nname = eigs\n",
+        ["[task] name = 'eigs': expected one of eig, hardy, scan, frequency, "
+         "solve-ext, smooth-cone (did you mean 'eig'?)"]),
+    "several": (
+        "[params]\ns = 2.0\nlambda = x\n[mesh]\nnt = 1\nrmin = 0\n"
+        "[solver]\ntol = 1\n[task]\nname = frequency\nk = 0\narcs = pi\n"
+        "modes = 0:1\nnradii = 3\n",
+        ["unknown section [solver]",
+         "[params] s = 2.0: s must lie strictly inside (0, 1)",
+         "[params] lambda = 'x': unknown identifier 'x' (variables: x1, x2, "
+         "r, theta, t) (at position 0)",
+         "[mesh] nt = 1: need nt >= 4",
+         "[mesh] rmin = 0.0: rmin must lie in (0, 1)",
+         "[task] key 'arcs' does not apply to task 'frequency'",
+         "[task] k = 0: k must be >= 1",
+         "[task] nradii = 3: need nradii >= 8",
+         "[task] modes = '0:1': mode index 0 must be >= 1 "
+         "(expected 'j:amplitude, ...', 1-based)"]),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_VIOLATIONS)
+def test_violation_list_pinned(case):
+    text, expected = PINNED_VIOLATIONS[case]
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(text)
+    assert err.value.violations == expected
+
+
+@pytest.mark.parametrize("rlist, violation", [
+    (",", "[task] rlist = ',': empty list"),
+    ("0.3, 1.5", "[task] rlist = [0.3, 1.5]: reference radii must lie in "
+                 "(0, 1)"),
+], ids=["empty", "outside"])
+def test_rlist_validated(tmp_path, capsys, rlist, violation):
+    text = f"[task]\nname = frequency\nrlist = {rlist}\n"
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(text)
+    assert err.value.violations == [violation]
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert main(["frequency", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {violation}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_names_every_task_key():
+    # each task's bullet in the README's "Task-specific keys" list names
+    # every key the config table accepts for that task
+    from conefrac.config import _KEYS
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Task-specific keys")[1].split("\n\n")[1]
+    bullets = dict(re.findall(r"^- `([\w-]+)`:(.*?)(?=^- |\Z)", block,
+                              re.M | re.S))
+    pairs = [(task, key) for (section, key), spec in _KEYS.items()
+             if section == "task" and spec.tasks is not None
+             for task in spec.tasks]
+    assert pairs
+    for task, key in pairs:
+        assert f"`{key}`" in bullets[task], (task, key)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +403,7 @@ def test_parse_config_loads_no_solver():
         "import sys\n"
         "from conefrac.config import parse_config\n"
         f"cfg = parse_config({_eig_config(0.1, 16, 32)!r})\n"
-        "assert cfg.lam == 0.1\n"
+        "assert cfg.params.lam == 0.1\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m in ('conefrac.hardy', 'conefrac.sphercap')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(conefrac.__file__).parents[1]))

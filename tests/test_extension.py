@@ -38,7 +38,8 @@ def test_constant_solution_full_circle():
     cap = SphericalCap.full_circle()
     mesh = build_mesh(12, 24, s, cap)
     grid = build_halfball_grid(10, 1e-3, mesh)
-    fld = solve_extension(grid, p, np.ones(mesh.n_nodes))
+    es = solve_eigs(assemble(mesh, p), p, k=10)
+    fld = solve_extension(grid, p, np.ones(mesh.n_nodes), es=es)
     assert np.abs(fld.values - 1.0).max() < 1e-9
 
 
@@ -261,7 +262,7 @@ def test_grid_validation(half_es):
 def test_solver_rejects_bad_lid(half_es, half_params):
     grid = build_halfball_grid(8, 1e-2, half_es.mesh)
     with pytest.raises(DomainError):
-        solve_extension(grid, half_params, np.ones(5))
+        solve_extension(grid, half_params, np.ones(5), es=half_es)
 
 
 # ---------------------------------------------------------------------------
