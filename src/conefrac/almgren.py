@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .expressions import Expression
-from .extension import ManufacturedField, ScalarField, table_grams
+from .extension import (ManufacturedField, ScalarField, equator_values,
+                        table_grams)
 from .spectral import EigenSystem
 from .sphercap import band_to_dense
 
@@ -63,11 +64,7 @@ def _bilinear(C: np.ndarray, G: np.ndarray,
 def _equator_rows(expr: Expression, rho: np.ndarray, mesh) -> np.ndarray:
     """expr at the equator nodes of the sphere of every radius in rho, one
     row per radius."""
-    th = mesh.theta_nodes
-    r = rho[:, None]
-    return np.asarray(expr.eval({"x1": r * np.cos(th), "x2": r * np.sin(th),
-                                 "r": r, "theta": th, "t": 0.0})
-                      * np.ones((len(rho), len(th))))
+    return equator_values(expr, rho[:, None], mesh.theta_nodes)
 
 
 def _equator_density(fld: ScalarField, weights: np.ndarray, rho: np.ndarray,
@@ -75,7 +72,7 @@ def _equator_density(fld: ScalarField, weights: np.ndarray, rho: np.ndarray,
     """rho^(N-1) int weights |Tr U|^2 on the equator circle of each rho."""
     tr = fld.trace_values(rho)
     return rho ** (N - 1) * _bilinear(weights * tr,
-                                      band_to_dense(fld.forms.Bth), tr)
+                                      band_to_dense(fld.mesh.Bth), tr)
 
 
 def _shell_terms(fld: ScalarField, rho: np.ndarray):
@@ -366,7 +363,7 @@ class BlowupSnapshot:
     def projection(self, es: EigenSystem, j) -> float:
         """Boundary-mass projection of the snapshot onto mode j, one per
         mode for an array of modes: psi_j^T M T^T times c(tau)."""
-        return (es.vectors[j] @ self.fld.forms.M @ self.fld.table.T
+        return (es.vectors[j] @ self.fld.mesh.M @ self.fld.table.T
                 @ self.fld.coefficients(self.tau)) / self.scale
 
     def off_group_norm(self, es: EigenSystem, group_of: int) -> float:
@@ -387,7 +384,7 @@ class BlowupSnapshot:
         dg = np.hstack([self.fld.coefficients(self.tau * rho, derivative=True)
                         * (self.tau / self.scale),
                         -other.coefficients(rho, derivative=True)])
-        G = table_grams(self.fld.forms, T)
+        G = table_grams(self.fld.mesh, T)
         f = (rho ** (N + 1 - 2 * s) * (_bilinear(dg, G["M"])
                                        + _bilinear(dv, G["M"]))
              + rho ** (N - 1 - 2 * s) * _bilinear(dv, G["K"]))
@@ -467,10 +464,9 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
     taus = np.sort(np.asarray(taus, dtype=float))
     if taus[0] <= 0.0 or taus[-1] > 1.0:
         raise DomainError("taus must lie in (0, 1]")
-    forms = es.forms
     k = es.k
     # psi_j^T M T^T once, then c(tau) per radius
-    phi = (es.vectors @ forms.M) @ fld.table.T @ fld.coefficients(taus).T
+    phi = (es.vectors @ es.mesh.M) @ fld.table.T @ fld.coefficients(taus).T
 
     ups = np.zeros((k, len(taus)))
     h = params.h
@@ -482,7 +478,7 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
         hv = _equator_rows(h, rho, es.mesh)
         q = rho ** (params.N - 1) * (
             es.vectors[:, es.mesh.equator_ids]
-            @ (band_to_dense(forms.Bth) @ (hv * tr).T))
+            @ (band_to_dense(es.mesh.Bth) @ (hv * tr).T))
         cumulative = np.cumsum(q * plan.w[None, :], axis=1)
         # Upsilon_j(tau) sums the nodes at or below tau
         pos = np.maximum(np.searchsorted(rho, taus, side="right") - 1, 0)
@@ -604,12 +600,14 @@ def pohozaev_check(fld: ScalarField, r, tol: float = 1e-2
     if h is not None:
         circ_h = _equator_density(fld, _equator_rows(h, radii, mesh), radii,
                                   N)
-        # Euler term int (x . grad h + N h) |Tr U|^2 on the plan's panels
+        # Euler term int (x . grad h + N h) |Tr U|^2 on the plan's panels,
+        # x . grad h = x1 h_x1 + x2 h_x2 + r h_r for h in x1, x2, r, theta
         rho = plan.rho
         x1 = rho[:, None] * np.cos(mesh.theta_nodes)
         x2 = rho[:, None] * np.sin(mesh.theta_nodes)
         mix = (_equator_rows(h.diff("x1"), rho, mesh) * x1
                + _equator_rows(h.diff("x2"), rho, mesh) * x2
+               + _equator_rows(h.diff("r"), rho, mesh) * rho[:, None]
                + N * _equator_rows(h, rho, mesh))
         euler = plan.integrate(_equator_density(fld, mix, rho, N), radii)
         lhs += 0.5 * kappa * euler - 0.5 * radii * kappa * circ_h

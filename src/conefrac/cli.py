@@ -37,7 +37,7 @@ from .extension import (CG_TOL, build_halfball_grid, manufactured_field,
                         save_field, solve_extension)
 from .hardy import hardy_constant_richardson, hardy_scan
 from .spectral import MULTIPLICITY_RTOL, solve_eigs
-from .sphercap import assemble, build_mesh
+from .sphercap import build_mesh
 from .svgplot import LineSeries, plot_svg
 
 _Result = tuple[list[str], dict]       # a task's outputs and manifest notes
@@ -95,9 +95,9 @@ def _eigen_notes(es) -> dict:
 
 
 def _eigen_system(cfg: RunConfig, k: int):
-    """The run's mesh, its forms and their k lowest eigenpairs."""
+    """The run's mesh and its k lowest eigenpairs."""
     mesh = build_mesh(cfg.nt, cfg.ntheta, cfg.params.s, cfg.cap(), cfg.grading)
-    return solve_eigs(assemble(mesh, cfg.params), cfg.params, k=k)
+    return solve_eigs(mesh, cfg.params, k=k)
 
 
 def _scaled(cfg: RunConfig, level: int) -> RunConfig:
@@ -224,9 +224,6 @@ def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
         lid_note = f"expression: {lid_expr.to_string()}"
     else:
         mode = cfg.task_opts["lid_mode"]
-        if mode > es.k:
-            raise ConfigurationError(
-                [f"[task] lid_mode = {mode} exceeds computed modes"])
         lid = es.vectors[mode - 1]
         lid_note = f"eigenmode {mode} trace"
 

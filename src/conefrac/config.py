@@ -165,11 +165,15 @@ def _arcs_ordered(vals: dict, cp):
         yield "[task] arcs must lie in (0, 2*pi]"
 
 
-def _lid_or_lid_mode(vals: dict, cp):
+def _lid_choice(vals: dict, cp):
+    mode, k = vals["task", "lid_mode"], vals["task", "k"]
     if cp.has_option("task", "lid") and cp.has_option("task", "lid_mode") \
-            and vals["task", "lid_mode"] is not None:
+            and mode is not None:
         vals["task", "lid"] = None
         yield "[task] give either lid or lid_mode, not both"
+    if None not in (mode, k) and mode > k:
+        yield (f"[task] lid_mode = {mode} exceeds k = {k}, the number of "
+               "computed modes")
 
 
 def _star_shaped(vals: dict, cp):
@@ -184,7 +188,7 @@ _RULES = {
     ("cone", "g_minus"): _slopes_override_preset,
     ("task", "name"): _task_keys_apply,
     ("task", "arcs"): _arcs_ordered,
-    ("task", "lid_mode"): _lid_or_lid_mode,
+    ("task", "lid_mode"): _lid_choice,
     ("task", "samples"): _star_shaped,
 }
 

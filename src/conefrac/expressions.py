@@ -62,7 +62,7 @@ class Num(Node):
         return Num(0.0)
 
     def render(self, parent_prec=0):
-        if self.value == int(self.value) and abs(self.value) < 1e15:
+        if abs(self.value) < 1e15 and self.value == int(self.value):
             return str(int(self.value))
         return repr(self.value)
 

@@ -35,9 +35,8 @@ from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .params import ProblemParams
 from .spectral import EigenSystem, homogeneous_profile
-from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
-                       assemble, band_to_dense, build_mesh, eigh_pencil,
-                       element_band)
+from .sphercap import (HemisphereMesh, HemisphereSolver, band_to_dense,
+                       build_mesh, eigh_pencil, element_band)
 
 __all__ = [
     "HalfBallGrid",
@@ -136,13 +135,14 @@ def _sample(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (coef[..., None, :] @ table)[..., 0, :]
 
 
-def table_grams(forms: AssembledForms, table: np.ndarray) -> dict:
-    """Gram matrices T A T^T of a table of hemisphere node vectors for
-    A = M, K and B (B through Bth on the equator columns), keyed by name."""
-    eq = table[:, forms.mesh.equator_ids]
-    return {"M": (table @ forms.M) @ table.T,
-            "K": (table @ forms.K) @ table.T,
-            "B": eq @ (band_to_dense(forms.Bth) @ eq.T)}
+def table_grams(mesh: HemisphereMesh, table: np.ndarray) -> dict:
+    """Gram matrices T A T^T of a table of node vectors of the mesh for its
+    forms A = M, K and B (B through Bth on the equator columns), keyed by
+    name."""
+    eq = table[:, mesh.equator_ids]
+    return {"M": (table @ mesh.M) @ table.T,
+            "K": (table @ mesh.K) @ table.T,
+            "B": eq @ (band_to_dense(mesh.Bth) @ eq.T)}
 
 
 class ScalarField:
@@ -152,20 +152,20 @@ class ScalarField:
     ``coefficients`` (one per radius) over a small ``table`` of hemisphere
     node vectors, so a sphere form x^T A y of samples is c^T (T A T^T) c on
     the cached ``grams``.  Below ``core_radius`` the field is a power of r.
-    ``params`` is the problem the field solves, h included.
+    ``params`` is the problem the field solves, h included, and ``mesh``
+    the hemisphere mesh whose forms the grams use.
     """
 
     params: ProblemParams
     mesh: HemisphereMesh
-    forms: AssembledForms
     core_radius = 0.0
     is_analytic = False
 
     @property
     def grams(self) -> dict:
-        """T A T^T for A = forms.M, forms.K and forms.B, keyed by name."""
+        """T A T^T for the mesh's forms A = M, K and B, keyed by name."""
         if not self._grams:
-            self._grams.update(table_grams(self.forms, self.table))
+            self._grams.update(table_grams(self.mesh, self.table))
         return self._grams
 
     def sphere_radial_derivative(self, r) -> np.ndarray:
@@ -205,10 +205,6 @@ class ManufacturedField(ScalarField):
     @property
     def mesh(self) -> HemisphereMesh:
         return self.es.mesh
-
-    @property
-    def forms(self) -> AssembledForms:
-        return self.es.forms
 
     @property
     def gammas(self) -> np.ndarray:
@@ -254,8 +250,8 @@ class GridField(ScalarField):
     """
 
     def __init__(self, grid: HalfBallGrid, values: np.ndarray,
-                 params: ProblemParams, meta: dict | None = None,
-                 forms: AssembledForms | None = None):
+                 params: ProblemParams, meta: dict | None = None):
+        grid.mesh.check_params(params)
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_surfaces, grid.mesh.n_nodes):
             raise DomainError("values have the wrong shape for the grid")
@@ -266,8 +262,6 @@ class GridField(ScalarField):
         self.core_radius = grid.r_min
         self._grams = {}
         self._gamma_loc = None
-        # the solve's forms, else the field's own
-        self.forms = assemble(grid.mesh, params) if forms is None else forms
 
     @property
     def mesh(self) -> HemisphereMesh:
@@ -338,6 +332,17 @@ class GridField(ScalarField):
 # the solver
 # ---------------------------------------------------------------------------
 
+def equator_values(expr: Expression, r, theta) -> np.ndarray:
+    """expr on the equator plane t = 0 at the polar coordinates (r, theta),
+    broadcast together, with x1 = r cos theta and x2 = r sin theta bound
+    too."""
+    return np.asarray(expr.eval({"x1": r * np.cos(theta),
+                                 "x2": r * np.sin(theta),
+                                 "r": r, "theta": theta, "t": 0.0})
+                      * np.ones(np.broadcast_shapes(np.shape(r),
+                                                    np.shape(theta))))
+
+
 def _trace_h(grid: HalfBallGrid, h: Expression):
     """The equator form int h(x) Tr U Tr V dx over the mesh's cap segments,
     4x4 Gauss per (radial cell, segment), as the map from a (shells, nodes)
@@ -358,10 +363,8 @@ def _trace_h(grid: HalfBallGrid, h: Expression):
     dtheta = 2.0 * math.pi / mesh.ntheta
     thq, wth, Nt = cells(mesh.theta_nodes[theta_segments],
                          np.full(len(theta_segments), dtheta))
-    x1 = rq[:, :, None, None] * np.cos(thq)
-    x2 = rq[:, :, None, None] * np.sin(thq)
-    W = (h.eval({"x1": x1, "x2": x2}) * (rq * wr)[:, :, None, None]
-         * wth * np.ones_like(x1))                     # (cell, p, seg, q)
+    W = (equator_values(h, rq[:, :, None, None], thq)
+         * (rq * wr)[:, :, None, None] * wth)          # (cell, p, seg, q)
     E = np.einsum("cap,cbp,sdq,seq,cpsq->csadbe", Nr, Nr, Nt, Nt, W,
                   optimize=True).reshape(-1, 4, 4)
     # equator position (shell, node) of corner (a, d) of (cell, segment)
@@ -388,18 +391,17 @@ class _FastDiagPreconditioner:
     radial eigenvalue, and ``HemisphereSolver`` inverts them all at once.
     """
 
-    def __init__(self, Sr: np.ndarray, Mr: np.ndarray, forms: AssembledForms,
+    def __init__(self, Sr: np.ndarray, Mr: np.ndarray, mesh: HemisphereMesh,
                  rho: float):
         lam, self.W = eigh_pencil(Sr, Mr)
-        self.solver = HemisphereSolver(forms, lam, rho)
+        self.solver = HemisphereSolver(mesh, lam, rho)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         X = self.W.T @ x.reshape(len(self.W), -1)
         return (self.W @ self.solver.solve(X)).ravel()
 
 
-def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
-                        forms: AssembledForms):
+def _extension_operator(grid: HalfBallGrid, params: ProblemParams):
     """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus
     the kappa_s h trace term, applied to full 3-D node vectors through its
     factors; returned with the dense radial matrices (S_r, M_r).  Its
@@ -409,10 +411,11 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams,
     Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s)
     # the lambda trace term is radially exact and joins the hemisphere
     # stiffness; the h term is a Gauss quadrature on the equator plane
-    M, K_lam = forms.M, forms.K - (params.lam * params.kappa) * forms.B
+    mesh = grid.mesh
+    M, K_lam = mesh.M, mesh.K - (params.lam * params.kappa) * mesh.B
     trace_h = None if params.h is None else _trace_h(grid, params.h)
-    shape = (grid.n_surfaces, grid.mesh.n_nodes)
-    n_eq = grid.mesh.ntheta
+    shape = (grid.n_surfaces, mesh.n_nodes)
+    n_eq = mesh.ntheta
     # one workspace: fresh full-size temporaries fault in every page
     out, tmp = np.empty(shape), np.empty(shape)
 
@@ -464,13 +467,12 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     The admissibility lam < Lambda(cap) is enforced through the eigen system
     ``es`` used for the modal bookkeeping, solved on the grid's mesh at the
-    same lam; its forms are the ones the solve and the returned field use.
+    same lam.
     The field's ``meta`` records the CG iteration count and the final
     relative residual.
     """
     mesh = grid.mesh
-    if abs(mesh.s - params.s) > 1e-14:
-        raise DomainError("grid mesh was built for a different s")
+    mesh.check_params(params)
     lid = np.asarray(lid_data, dtype=float).copy()
     if lid.shape != (mesh.n_nodes,):
         raise DomainError("lid data must be a full hemisphere node vector")
@@ -481,11 +483,10 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         raise DomainError("the eigen system belongs to a different mesh")
     elif es.lam != params.lam:
         raise DomainError("the eigen system was solved at a different lam")
-    forms = es.forms
 
     n_h = mesh.n_nodes
     n_surf = grid.n_surfaces
-    operator, Sr, Mr = _extension_operator(grid, params, forms)
+    operator, Sr, Mr = _extension_operator(grid, params)
 
     # Dirichlet data on the outer shell, and on the inner one when h is
     # absent; the unknowns are the shells between, with zero Dirichlet columns
@@ -493,7 +494,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     u[-1] = lid
     inner_mode = None
     if h_is_zero:
-        coeffs = es.vectors @ (forms.M @ lid)
+        coeffs = es.vectors @ (mesh.M @ lid)
         j0 = inner_mode = int(np.argmax(np.abs(coeffs)
                                         * grid.r_min ** es.gamma))
         u[0] = coeffs[j0] * grid.r_min ** es.gamma[j0] * es.vectors[j0]
@@ -511,7 +512,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         return interior(operator(v))
 
     precond = _FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
-                                      forms, params.lam * params.kappa)
+                                      mesh, params.lam * params.kappa)
     sol, iters = _pcg(matvec, precond.apply, b)
     res = float(np.linalg.norm(matvec(sol) - b)
                 / max(np.linalg.norm(b), 1e-300))
@@ -524,7 +525,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     u[shells] = sol.reshape(-1, n_h)
     meta = {"inner_mode": inner_mode, "cg_iters": iters,
             "cg_residual": res}
-    return GridField(grid, u, params, meta=meta, forms=forms)
+    return GridField(grid, u, params, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 from .cones import SphericalCap
 from .errors import DomainError, GeometryError, NumericalError
 from .params import ProblemParams
-from .sphercap import (AssembledForms, HemisphereSolver, assemble,
-                       band_to_dense, build_mesh, eigh_pencil)
+from .sphercap import (HemisphereMesh, HemisphereSolver, band_to_dense,
+                       build_mesh, eigh_pencil)
 
 __all__ = [
     "HardyResult",
@@ -50,21 +50,20 @@ class HardyResult:
     richardson: float | None = None
 
 
-def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
-    """Discrete best constant of the trace-Hardy inequality on the cap.
+def hardy_constant(mesh: HemisphereMesh, params: ProblemParams) -> HardyResult:
+    """Discrete best constant of the trace-Hardy inequality on the mesh's
+    cap.
 
     Minimizes psi^T (K + ((N-2s)/2)^2 M) psi / (kappa_s psi^T B psi) over the
     retained dofs; the reported minimizer attains the constant exactly in the
     discrete arithmetic.
     """
-    if params.N != 2:
-        raise DomainError(f"the Hardy problem needs N = 2, got {params.N}")
-    mesh = forms.mesh
-    Bth = band_to_dense(forms.Bth)
-    b = mesh.robin_ids[forms.Bth[0, mesh.robin_ids] > 0.0]
+    mesh.check_params(params)
+    Bth = band_to_dense(mesh.Bth)
+    b = mesh.robin_ids[mesh.Bth[0, mesh.robin_ids] > 0.0]
     if len(b) == 0:
         raise GeometryError("empty cap: no boundary dofs to minimize over")
-    solver = HemisphereSolver(forms, [params.half_order ** 2])
+    solver = HemisphereSolver(mesh, [params.half_order ** 2])
     Z = solver.equator_inverse(b)[0]      # the inverse Schur complement
     Z = 0.5 * (Z + Z.T)
     # Lambda = 1 / mu_max, from the top eigenpair
@@ -77,7 +76,7 @@ def hardy_constant(forms: AssembledForms, params: ProblemParams) -> HardyResult:
     lead = tr[np.argmax(np.abs(tr))]
     if lead < 0.0:
         minimizer = -minimizer
-    bn = math.sqrt(params.kappa * float(minimizer @ (forms.B @ minimizer)))
+    bn = math.sqrt(params.kappa * float(minimizer @ (mesh.B @ minimizer)))
     minimizer /= bn
     return HardyResult(lambda_star=1.0 / float(mu[-1]), minimizer=minimizer,
                        cap=mesh.cap, s=params.s,
@@ -89,9 +88,9 @@ def hardy_constant_richardson(params: ProblemParams, cap: SphericalCap,
                               grading: float = 2.0) -> HardyResult:
     """Hardy constant on an (nt, ntheta) mesh with a Richardson estimate
     extrapolated from the half-resolution level (second-order assumption)."""
-    fine = assemble(build_mesh(nt, ntheta, params.s, cap, grading), params)
-    coarse = assemble(build_mesh(max(nt // 2, 4), max(ntheta // 2, 4),
-                                 params.s, cap, grading), params)
+    fine = build_mesh(nt, ntheta, params.s, cap, grading)
+    coarse = build_mesh(max(nt // 2, 4), max(ntheta // 2, 4), params.s, cap,
+                        grading)
     res_f = hardy_constant(fine, params)
     res_c = hardy_constant(coarse, params)
     rich = res_f.lambda_star + (res_f.lambda_star - res_c.lambda_star) / 3.0

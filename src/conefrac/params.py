@@ -51,7 +51,7 @@ class ProblemParams:
     lam : float
         Coefficient of the singular potential.  Admissibility, lam below
         the cap's Hardy constant, is checked by ``spectral.solve_eigs`` on
-        the forms it solves, not here.
+        the mesh it solves on, not here.
     p : float
         Integrability exponent of the bounded perturbation, > N / (2s).
         Defaults to 10 N / (2s).

@@ -6,9 +6,9 @@ smallest eigenpairs come from shift-invert Lanczos in the M inner product,
 with the shift sigma parked just below the guaranteed spectrum bottom
 -((N-2s)/2)^2, (K - lam kappa B - sigma M)^-1 applied by
 ``sphercap.HemisphereSolver`` (tridiagonal sweeps on the float view of its
-Fourier modes) and M through the factored forms, both on node arrays that
-vanish on the Dirichlet nodes.  The dense pencil of the forms' free block
-is solved only when k >= n - 1.
+Fourier modes) and M through the mesh's factored forms, both on node arrays
+that vanish on the Dirichlet nodes.  The dense pencil of the forms' free
+block is solved only when k >= n - 1.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, InadmissibleLambdaError, NumericalError
 from .params import ProblemParams, gamma_from_mu
-from .sphercap import (AssembledForms, HemisphereMesh, HemisphereSolver,
-                       band_to_dense, eigh_pencil, polar_matrices)
+from .sphercap import (HemisphereMesh, HemisphereSolver, band_to_dense,
+                       eigh_pencil, polar_matrices)
 
 __all__ = [
     "EigenSystem",
@@ -89,7 +89,7 @@ class EigenSystem:
     gamma: np.ndarray
     group: np.ndarray
     params: ProblemParams
-    forms: AssembledForms
+    mesh: HemisphereMesh
     hardy_lambda: float | None = None
     eigen_path: str = "lanczos"
     shift: float | None = None
@@ -102,10 +102,6 @@ class EigenSystem:
     @property
     def lam(self) -> float:
         return self.params.lam
-
-    @property
-    def mesh(self) -> HemisphereMesh:
-        return self.forms.mesh
 
     def group_members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.group == self.group[j])
@@ -122,23 +118,24 @@ def _fix_signs(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
                     -V, V)
 
 
-def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
+def solve_eigs(mesh: HemisphereMesh, params: ProblemParams, k: int,
                allow_inadmissible: bool = False) -> EigenSystem:
-    """k smallest eigenpairs of (K - lam kappa B, M) on the retained dofs.
+    """k smallest eigenpairs of (K - lam kappa B, M) on the mesh's retained
+    dofs.
 
-    When lam > 0 the cap's Hardy constant is computed on the same forms;
+    When lam > 0 the cap's Hardy constant is computed on the same mesh;
     this is the one admissibility check of a run.  lam >= Lambda raises
     InadmissibleLambdaError unless ``allow_inadmissible`` is set, in which
     case a warning is emitted (the spectrum may dip below the floor).
     """
+    mesh.check_params(params)
     lam = params.lam
     lam_star = None
     if lam > 0.0:
         from .hardy import hardy_constant
-        lam_star = hardy_constant(forms, params).lambda_star
+        lam_star = hardy_constant(mesh, params).lambda_star
         if lam >= lam_star:
             if not allow_inadmissible:
-                mesh = forms.mesh
                 raise InadmissibleLambdaError(
                     f"lambda = {lam} is not admissible: the cap's Hardy "
                     f"constant on this {mesh.nt}x{mesh.ntheta} mesh is "
@@ -147,26 +144,26 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                 f"lam = {lam} >= Lambda = {lam_star:.6g}: eigenvalues may "
                 "fall below the spectrum floor", RuntimeWarning)
 
-    n = forms.mesh.n_free
+    n = mesh.n_free
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= {n}, got {k}")
 
-    mass = _free_mass(forms)
+    mass = _free_mass(mesh)
     shift, retries = None, 0
     if k >= n - 1:      # the whole spectrum, or all but one mode
         path = "dense"
-        free = np.ix_(forms.mesh.free_nodes, forms.mesh.free_nodes)
-        A = forms.K - (lam * params.kappa) * forms.B
-        w, Vf = eigh_pencil(A.toarray()[free], forms.M.toarray()[free])
-        w, V = w[:k], np.zeros((k, forms.mesh.n_nodes))
-        V[:, forms.mesh.free_nodes] = Vf[:, :k].T
+        free = np.ix_(mesh.free_nodes, mesh.free_nodes)
+        A = mesh.K - (lam * params.kappa) * mesh.B
+        w, Vf = eigh_pencil(A.toarray()[free], mesh.M.toarray()[free])
+        w, V = w[:k], np.zeros((k, mesh.n_nodes))
+        V[:, mesh.free_nodes] = Vf[:, :k].T
     else:
         path = "lanczos"
-        w, V, shift, retries = _sparse_smallest(forms, mass, k, params)
+        w, V, shift, retries = _sparse_smallest(mesh, mass, k, params)
 
     order = np.argsort(w, kind="stable")
     w = w[order]
-    V = _fix_signs(V[order], mass(forms.mesh.dof_of_node >= 0))   # M 1
+    V = _fix_signs(V[order], mass(mesh.dof_of_node >= 0))   # M 1
 
     floor = params.spectrum_floor
     gamma = np.array([math.nan if mu < floor - 1e-6 * (1.0 + abs(mu))
@@ -176,14 +173,14 @@ def solve_eigs(forms: AssembledForms, params: ProblemParams, k: int,
                       > MULTIPLICITY_RTOL * (1.0 + np.abs(w)))
 
     return EigenSystem(mu=w, vectors=V, gamma=gamma, group=group,
-                       params=params, forms=forms, hardy_lambda=lam_star,
+                       params=params, mesh=mesh, hardy_lambda=lam_star,
                        eigen_path=path, shift=shift, shift_retries=retries)
 
 
-def _free_mass(forms: AssembledForms):
+def _free_mass(mesh: HemisphereMesh):
     """M on the free nodes as a function of one node vector that vanishes
     on the Dirichlet nodes: apply M, then zero the Dirichlet rows."""
-    M, dirichlet = forms.M, forms.mesh.dirichlet_ids
+    M, dirichlet = mesh.M, mesh.dirichlet_ids
 
     def mass(x: np.ndarray) -> np.ndarray:
         y = M @ x
@@ -193,23 +190,23 @@ def _free_mass(forms: AssembledForms):
     return mass
 
 
-def _sparse_smallest(forms, mass, k, params):
+def _sparse_smallest(mesh, mass, k, params):
     """Shift-invert Lanczos with the shift sigma just below the spectrum
     floor, lowered while eigenvalues lie beneath it or the capacitance is
     singular (sigma is an eigenvalue).  Returns the eigenvalues, the
     eigenvectors as rows, the final shift and the number of times it was
     lowered."""
-    n = forms.mesh.n_free
+    n = mesh.n_free
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
     for retries in range(41):
         try:
-            solver = HemisphereSolver(forms, [-sigma],
+            solver = HemisphereSolver(mesh, [-sigma],
                                       params.lam * params.kappa)
             # off the equator row the operator is K - sigma M, positive
             # definite; by Sylvester's law of inertia it has as many
             # negative eigenvalues as its inverse's free equator block
-            Z = solver.equator_inverse(forms.mesh.robin_ids)[0]
+            Z = solver.equator_inverse(mesh.robin_ids)[0]
             if np.all(np.linalg.eigvalsh(Z + Z.T) > 0.0):
                 break
         except np.linalg.LinAlgError:
@@ -218,8 +215,8 @@ def _sparse_smallest(forms, mass, k, params):
     else:
         raise NumericalError("eigensolver shift selection failed: "
                              f"eigenvalues remain below {sigma:.6g}")
-    v0 = np.zeros(forms.mesh.n_nodes)
-    v0[forms.mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
+    v0 = np.zeros(mesh.n_nodes)
+    v0[mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
     theta, V = _lanczos(lambda y: solver.solve(y[None])[0], mass, v0, k, n)
     return sigma + 1.0 / theta, V, sigma, retries
 

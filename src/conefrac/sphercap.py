@@ -4,10 +4,10 @@ The hemisphere is parametrized by polar height t in [0, pi/2) and azimuth
 theta in [0, 2 pi), with surface element cos t dt dtheta and degenerate
 weight (sin t)^(1-2s).  Bilinear elements on the tensor grid separate: the
 stiffness, mass and boundary forms are Kronecker products of polar and
-azimuthal 1-D matrices.  The forms are kept as those factors, symmetric
-bands summed from per-cell 2 x 2 element blocks, and applied in banded
-passes; they are never assembled in 2-D.  The polar blocks fold all metric
-and weight factors into 1-D integrals computed either in closed form
+azimuthal 1-D matrices.  The mesh keeps the forms as those factors,
+symmetric bands summed from per-cell 2 x 2 element blocks, applied in
+banded passes; they are never assembled in 2-D.  The polar blocks fold all
+metric and weight factors into 1-D integrals computed either in closed form
 (substitution u = sin t) or by Gauss/Gauss-Jacobi quadrature, so the
 degenerate factor at the equator is integrated to near machine precision.
 
@@ -29,9 +29,7 @@ from .params import ProblemParams
 
 __all__ = [
     "HemisphereMesh",
-    "AssembledForms",
     "build_mesh",
-    "assemble",
     "element_band",
     "band_to_dense",
     "eigh_pencil",
@@ -51,7 +49,18 @@ _POLE_GAUSS_PTS = 16
 
 @dataclass(frozen=True)
 class HemisphereMesh:
-    """Tensor grid on the hemisphere with equator classification.
+    """Tensor grid on the hemisphere with equator classification, and the
+    symmetric forms of the weighted spherical problem on its full node set,
+    held as their 1-D factors (bands from ``element_band``):
+
+      K = P1 (x) Mth + P2 (x) Kth   stiffness (no Robin term), semi-definite
+      M = P0 (x) Mth                weighted mass, positive definite
+      B = e0 e0^T (x) Bth           equator boundary mass on the cap dofs
+
+    with P0, P1, P2 the tridiagonal polar bands of ``polar_matrices``, Mth
+    and Kth the constant-coefficient circulants of the azimuthal mass and
+    stiffness, and Bth the periodic band of the cap segments on the equator
+    row e0.
 
     Nodes are indexed by ``i * ntheta + j`` with ``i`` the polar row
     (``i = 0`` on the equator) and ``j`` the azimuthal column.  Row ``nt - 1``
@@ -70,6 +79,33 @@ class HemisphereMesh:
     segment_mask: np.ndarray     # (ntheta,) segment midpoints in the cap
     free_nodes: np.ndarray       # retained dof -> node id
     dof_of_node: np.ndarray      # node id -> retained dof or -1
+    P0: np.ndarray
+    P1: np.ndarray
+    P2: np.ndarray
+    Mth: np.ndarray
+    Kth: np.ndarray
+    Bth: np.ndarray
+
+    @property
+    def K(self) -> _KronForm:
+        return _KronForm(self, k=1.0)
+
+    @property
+    def M(self) -> _KronForm:
+        return _KronForm(self, m=1.0)
+
+    @property
+    def B(self) -> _KronForm:
+        return _KronForm(self, b=1.0)
+
+    def check_params(self, params: ProblemParams) -> None:
+        """Raise DomainError unless ``params`` pose their problem on this
+        mesh: the N = 2 hemisphere at the mesh's s."""
+        if params.N != 2:
+            raise DomainError(
+                f"the hemisphere forms need N = 2, got {params.N}")
+        if abs(params.s - self.s) > 1e-14:
+            raise DomainError("mesh was built for a different s")
 
     @property
     def n_nodes(self) -> int:
@@ -103,7 +139,8 @@ class HemisphereMesh:
 
 def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
                grading: float = 2.0) -> HemisphereMesh:
-    """Graded tensor mesh; refinement accumulates at the equator t = 0.
+    """Graded tensor mesh and its forms; refinement accumulates at the
+    equator t = 0.
 
     Polar rows sit at t_i = (pi/2) (i / n_t)^grading for i = 0 .. n_t - 1,
     so no node lands on the pole.  Equator nodes and segment midpoints are
@@ -131,10 +168,13 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
     dof_of_node = np.full(n_t * n_theta, -1, dtype=np.int64)
     dof_of_node[free_nodes] = np.arange(len(free_nodes))
 
-    return HemisphereMesh(nt=n_t, ntheta=n_theta, s=s, grading=grading,
-                          cap=cap, t_nodes=t_nodes, theta_nodes=theta_nodes,
-                          robin_mask=robin_mask, segment_mask=segment_mask,
-                          free_nodes=free_nodes, dof_of_node=dof_of_node)
+    mesh = HemisphereMesh(n_t, n_theta, s, grading, cap, t_nodes,
+                          theta_nodes, robin_mask, segment_mask, free_nodes,
+                          dof_of_node, *polar_matrices(t_nodes, s),
+                          *_azimuthal_matrices(n_theta, segment_mask))
+    if np.any(mesh.M.diagonal() <= 0.0):
+        raise NumericalError("degenerate cell produced a singular mass")
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -233,60 +273,23 @@ def polar_matrices(t_nodes: np.ndarray, s: float):
     return element_band(W0), element_band(W1), element_band(W2)
 
 
-def _azimuthal_matrices(mesh: HemisphereMesh):
+def _azimuthal_matrices(ntheta: int, segment_mask: np.ndarray):
     """Periodic azimuthal mass, stiffness and cap-segment boundary mass
-    over the mesh's ``segment_mask``, as bands."""
-    dtheta = 2.0 * math.pi / mesh.ntheta
+    over the ``segment_mask`` cells, as bands."""
+    dtheta = 2.0 * math.pi / ntheta
     mass = dtheta / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     stiff = (1.0 / dtheta) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    cells = (mesh.ntheta, 2, 2)
+    cells = (ntheta, 2, 2)
     return (element_band(np.broadcast_to(mass, cells), periodic=True),
             element_band(np.broadcast_to(stiff, cells), periodic=True),
-            element_band(mesh.segment_mask[:, None, None] * mass,
-                         periodic=True))
+            element_band(segment_mask[:, None, None] * mass, periodic=True))
 
 
 # ---------------------------------------------------------------------------
-# assembled forms
+# factored forms
 # ---------------------------------------------------------------------------
 
 _CHUNK = 32768      # nodes per banded pass, so the workspaces stay in cache
-
-
-@dataclass(frozen=True)
-class AssembledForms:
-    """Symmetric forms of the weighted spherical problem on the full node
-    set, held as their 1-D factors (bands from ``element_band``):
-
-      K = P1 (x) Mth + P2 (x) Kth   stiffness (no Robin term), semi-definite
-      M = P0 (x) Mth                weighted mass, positive definite
-      B = e0 e0^T (x) Bth           equator boundary mass on the cap dofs
-
-    with P0, P1, P2 the tridiagonal polar bands of ``polar_matrices``, Mth
-    and Kth the constant-coefficient circulants of the azimuthal mass and
-    stiffness, and Bth the periodic band of the cap segments on the equator
-    row e0.
-    """
-
-    mesh: HemisphereMesh
-    P0: np.ndarray
-    P1: np.ndarray
-    P2: np.ndarray
-    Mth: np.ndarray
-    Kth: np.ndarray
-    Bth: np.ndarray
-
-    @property
-    def K(self) -> _KronForm:
-        return _KronForm(self, k=1.0)
-
-    @property
-    def M(self) -> _KronForm:
-        return _KronForm(self, m=1.0)
-
-    @property
-    def B(self) -> _KronForm:
-        return _KronForm(self, b=1.0)
 
 
 class _KronForm:
@@ -301,33 +304,33 @@ class _KronForm:
 
     __array_ufunc__ = None          # ndarray @ form defers to __rmatmul__
 
-    def __init__(self, forms: AssembledForms, m=0.0, k=0.0, b=0.0):
-        self.forms, self.coef, self.work = forms, (m, k, b), None
-        P = m * forms.P0 + k * forms.P1
-        A, N = (c * P + (c_k * k) * forms.P2
-                for c, c_k in zip(forms.Mth[:, 0], forms.Kth[:, 0]))
+    def __init__(self, mesh: HemisphereMesh, m=0.0, k=0.0, b=0.0):
+        self.mesh, self.coef, self.work = mesh, (m, k, b), None
+        P = m * mesh.P0 + k * mesh.P1
+        A, N = (c * P + (c_k * k) * mesh.P2
+                for c, c_k in zip(mesh.Mth[:, 0], mesh.Kth[:, 0]))
         # diagonals and couplings of A and N repeated along theta, so that
         # every pass below is one contiguous loop
         self.bands = [np.repeat(F[i, :len(F[i]) - i, None],
-                                forms.mesh.ntheta, axis=1)
+                                mesh.ntheta, axis=1)
                       for i in (0, 1) for F in (A, N)]
-        self.bth = b * forms.Bth
+        self.bth = b * mesh.Bth
 
     def __add__(self, other: _KronForm) -> _KronForm:
-        return _KronForm(self.forms,
+        return _KronForm(self.mesh,
                          *(a + b for a, b in zip(self.coef, other.coef)))
 
     def __sub__(self, other: _KronForm) -> _KronForm:
         return self + (-1.0) * other
 
     def __rmul__(self, c: float) -> _KronForm:
-        return _KronForm(self.forms, *(c * a for a in self.coef))
+        return _KronForm(self.mesh, *(c * a for a in self.coef))
 
     def __matmul__(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float).T @ self).T
 
     def __rmatmul__(self, X) -> np.ndarray:
-        mesh = self.forms.mesh
+        mesh = self.mesh
         X = np.asarray(X, dtype=float)
         Y = np.empty(X.shape)
         Xb, Yb = (Z.reshape(-1, mesh.nt, mesh.ntheta) for Z in (X, Y))
@@ -355,48 +358,32 @@ class _KronForm:
                         + np.roll(o * x, 1, axis=-1))
 
     def toarray(self) -> np.ndarray:
-        return self @ np.eye(self.forms.mesh.n_nodes)
+        return self @ np.eye(self.mesh.n_nodes)
 
     def diagonal(self) -> np.ndarray:
         d = self.bands[0].flatten()
-        d[:self.forms.mesh.ntheta] += self.bth[0]
+        d[:self.mesh.ntheta] += self.bth[0]
         return d
 
 
-def assemble(mesh: HemisphereMesh, params: ProblemParams) -> AssembledForms:
-    """The 1-D factors of the stiffness, weighted mass and equator boundary
-    mass: (P0, P1, P2) from ``polar_matrices``, Mth and Kth the periodic
-    azimuthal mass and stiffness, and Bth the periodic mass over the cap
-    segments of the equator row."""
-    if params.N != 2:
-        raise DomainError(f"the hemisphere forms need N = 2, got {params.N}")
-    if abs(params.s - mesh.s) > 1e-14:
-        raise DomainError("mesh was built for a different s")
-    forms = AssembledForms(mesh, *polar_matrices(mesh.t_nodes, params.s),
-                           *_azimuthal_matrices(mesh))
-    if np.any(forms.M.diagonal() <= 0.0):
-        raise NumericalError("degenerate cell produced a singular mass")
-    return forms
-
-
-def _form_integral(forms: AssembledForms, mat, f, g) -> float:
+def _form_integral(mesh: HemisphereMesh, mat, f, g) -> float:
     f = np.asarray(f, dtype=float).ravel()
     g = np.ones_like(f) if g is None else np.asarray(g, dtype=float).ravel()
-    if f.shape != g.shape or f.shape != (forms.mesh.n_nodes,):
+    if f.shape != g.shape or f.shape != (mesh.n_nodes,):
         raise DomainError("grid function has the wrong length")
     return float(f @ (mat @ g))
 
 
-def weighted_surface_integral(forms: AssembledForms, f, g=None) -> float:
+def weighted_surface_integral(mesh: HemisphereMesh, f, g=None) -> float:
     """Quadrature of f (or f g) against the hemisphere weight, consistent
     with the assembled mass: returns f^T M g (g = 1 when omitted)."""
-    return _form_integral(forms, forms.M, f, g)
+    return _form_integral(mesh, mesh.M, f, g)
 
 
-def boundary_integral(forms: AssembledForms, f, g=None) -> float:
+def boundary_integral(mesh: HemisphereMesh, f, g=None) -> float:
     """Quadrature of f (or f g) over the cap arc, consistent with the
     boundary mass: f^T B g (g = 1 when omitted)."""
-    return _form_integral(forms, forms.B, f, g)
+    return _form_integral(mesh, mesh.B, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +411,15 @@ class HemisphereSolver:
     C_i raises LinAlgError.  Vectors are node rows that vanish on D.
     """
 
-    def __init__(self, forms: AssembledForms, shifts, rho: float = 0.0):
-        mesh = forms.mesh
+    def __init__(self, mesh: HemisphereMesh, shifts, rho: float = 0.0):
         shifts = np.asarray(shifts, dtype=float)[:, None, None]
         self.shape = (len(shifts), mesh.nt, mesh.ntheta)
         m_k, w_k = (np.fft.rfft(band_to_dense(C)[:, 0]).real
-                    for C in (forms.Mth, forms.Kth))
+                    for C in (mesh.Mth, mesh.Kth))
 
         def band(offset):   # (n_shifts, nt - offset, n_modes)
             p0, p1, p2 = (P[offset, :mesh.nt - offset, None]
-                          for P in (forms.P0, forms.P1, forms.P2))
+                          for P in (mesh.P0, mesh.P1, mesh.P2))
             return (p1 + shifts * p0) * m_k + p2 * w_k
 
         d, off = band(0), band(1)              # LDL^T, in place
@@ -449,7 +435,7 @@ class HemisphereSolver:
         green = np.fft.irfft(self.col0[:, 0, ::2], n, axis=-1)
         self.green = green[:, (np.arange(n)[:, None] - np.arange(n)) % n]
         self.on_d = on_d = ~mesh.robin_mask
-        rho_b = rho * band_to_dense(forms.Bth) * np.outer(~on_d, ~on_d)
+        rho_b = rho * band_to_dense(mesh.Bth) * np.outer(~on_d, ~on_d)
         C = np.where(on_d[:, None], self.green, np.eye(n)) - rho_b @ self.green
         self.Q = np.linalg.solve(C, rho_b - np.diag(on_d.astype(float)))
         self._work = np.empty_like(self.col0)

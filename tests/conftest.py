@@ -7,7 +7,7 @@ from conefrac.extension import build_halfball_grid, solve_extension
 from conefrac.expressions import parse_expression
 from conefrac.params import ProblemParams
 from conefrac.spectral import solve_eigs
-from conefrac.sphercap import assemble, band_to_dense, build_mesh
+from conefrac.sphercap import band_to_dense, build_mesh
 
 HALF_S = 0.5
 HALF_LAM = 0.1
@@ -23,14 +23,13 @@ def half_cap():
     return cap_of_cone(ConeProfile.half_plane())
 
 
-def kron_forms(forms):
-    """K, M and B assembled with scipy.sparse.kron from the dense 1-D
+def kron_forms(mesh):
+    """K, M and B assembled with scipy.sparse.kron from the mesh's dense 1-D
     factors, an independent reference for the factored products."""
     P0, P1, P2, Mth, Kth, Bth = (
         sp.csr_matrix(band_to_dense(F))
-        for F in (forms.P0, forms.P1, forms.P2, forms.Mth, forms.Kth,
-                  forms.Bth))
-    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(forms.mesh.nt,) * 2)
+        for F in (mesh.P0, mesh.P1, mesh.P2, mesh.Mth, mesh.Kth, mesh.Bth))
+    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(mesh.nt,) * 2)
     return ((sp.kron(P1, Mth) + sp.kron(P2, Kth)).tocsr(),
             sp.kron(P0, Mth, format="csr"), sp.kron(e0, Bth, format="csr"))
 
@@ -42,14 +41,13 @@ def free_block(A, mesh):
 
 
 @pytest.fixture(scope="session")
-def half_forms(half_params, half_cap):
-    mesh = build_mesh(24, 48, HALF_S, half_cap, grading=2.0)
-    return assemble(mesh, half_params)
+def half_mesh(half_cap):
+    return build_mesh(24, 48, HALF_S, half_cap, grading=2.0)
 
 
 @pytest.fixture(scope="session")
-def half_es(half_forms, half_params):
-    return solve_eigs(half_forms, half_params, k=8)
+def half_es(half_mesh, half_params):
+    return solve_eigs(half_mesh, half_params, k=8)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from conefrac.hardy import hardy_constant, hardy_scan
 from conefrac.params import (ProblemParams, hardy_constant_full_space,
                              kappa_s)
 from conefrac.spectral import oracle_full_circle_1d, solve_eigs
-from conefrac.sphercap import assemble, build_mesh
+from conefrac.sphercap import build_mesh
 
 ACCEPTANCE_MESH = (96, 192)
 
@@ -49,7 +49,7 @@ def _cluster(mu, rtol=0.02):
 def _solve(nt, ntheta, s, cap, lam=0.0, k=8, **kw):
     p = ProblemParams(s=s, lam=lam)
     mesh = build_mesh(nt, ntheta, s, cap, grading=2.0)
-    return solve_eigs(assemble(mesh, p), p, k=k, **kw), p
+    return solve_eigs(mesh, p, k=k, **kw), p
 
 
 def test_criterion_01_closed_form_constants():
@@ -115,12 +115,11 @@ def test_criterion_04_hardy_duality():
                     SphericalCap.centered(1.5 * math.pi, 1.5 * math.pi)):
             p0 = ProblemParams(s=s)
             mesh = build_mesh(48, 96, s, cap, grading=2.0)
-            forms = assemble(mesh, p0)
-            lam_star = hardy_constant(forms, p0).lambda_star
+            lam_star = hardy_constant(mesh, p0).lambda_star
             p = ProblemParams(s=s, lam=lam_star)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                es = solve_eigs(forms, p, k=1, allow_inadmissible=True)
+                es = solve_eigs(mesh, p, k=1, allow_inadmissible=True)
             worst = max(worst, abs(es.mu[0] + (1.0 - s) ** 2))
     _report(4, "Hardy duality: mu_1 at lam = Lambda equals -(1-s)^2 "
                "within 1e-3 (s in {0.5, 0.75}, half and 3/4 caps)",
@@ -176,8 +175,7 @@ def test_criterion_08_end_to_end_extension():
     p = ProblemParams(s=s, lam=lam, h=parse_expression("0.1"))
     cap = cap_of_cone(ConeProfile.half_plane())
     mesh = build_mesh(48, 96, s, cap, grading=2.0)
-    forms = assemble(mesh, p)
-    es = solve_eigs(forms, p, k=8)
+    es = solve_eigs(mesh, p, k=8)
     grid = build_halfball_grid(32, 1e-3, mesh)
     fld = solve_extension(grid, p, es.vectors[0], es=es)
 
@@ -243,11 +241,10 @@ def test_criterion_10_spectrum_floor(half_es, half_params):
     cap = cap_of_cone(ConeProfile.half_plane())
     p0 = ProblemParams(s=0.6)
     mesh = build_mesh(24, 48, 0.6, cap, grading=2.0)
-    forms = assemble(mesh, p0)
-    lam_star = hardy_constant(forms, p0).lambda_star
+    lam_star = hardy_constant(mesh, p0).lambda_star
     for frac in (0.25, 0.6, 0.95):
         p = ProblemParams(s=0.6, lam=frac * lam_star)
-        es = solve_eigs(forms, p, k=6)
+        es = solve_eigs(mesh, p, k=6)
         ok &= bool(np.all(es.mu > p.spectrum_floor))
     ok &= getattr(test_criterion_02_spectral_anchors, "floor_ok", True)
     _report(10, "spectrum floor: every computed mu_j above -((N-2s)/2)^2 "

@@ -19,7 +19,7 @@ from conefrac.extension import build_halfball_grid, manufactured_field, \
     solve_extension
 from conefrac.params import ProblemParams
 from conefrac.spectral import solve_eigs
-from conefrac.sphercap import _KronForm, assemble, band_to_dense, build_mesh
+from conefrac.sphercap import _KronForm, band_to_dense, build_mesh
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +37,10 @@ def test_bilinear_rows_equal_single_row_calls(half_es):
     # a row of a batched call must equal the call at that radius alone, bit
     # for bit, also for strided rows (equator columns of C-ordered samples)
     from conefrac.almgren import _bilinear
-    forms = half_es.forms
+    mesh = half_es.mesh
     rng = np.random.default_rng(5)
-    v = rng.standard_normal((7, forms.mesh.n_nodes))
-    for G, X in ((band_to_dense(forms.Bth), v[:, forms.mesh.equator_ids]),
+    v = rng.standard_normal((7, mesh.n_nodes))
+    for G, X in ((band_to_dense(mesh.Bth), v[:, mesh.equator_ids]),
                  (rng.standard_normal((66, 66)), v[:, :66])):
         Y = 1.0 + X ** 2
         rows = [(x[None].copy(), y[None].copy()) for x, y in zip(X, Y)]
@@ -65,7 +65,7 @@ def test_H_constant_field():
     p = ProblemParams(s=s, lam=0.0)
     cap = SphericalCap.full_circle()
     mesh = build_mesh(16, 32, s, cap)
-    es = solve_eigs(assemble(mesh, p), p, k=2)
+    es = solve_eigs(mesh, p, k=2)
     amp = 1.0 / es.vectors[0].mean()          # rescale psi_1 to the constant 1
     fld = manufactured_field(es, [(0, amp)])
     expected = 2.0 * math.pi / (2.0 - 2.0 * s)
@@ -110,7 +110,7 @@ def test_H_prime_identity_constant():
     p = ProblemParams(s=s, lam=0.0)
     cap = SphericalCap.full_circle()
     mesh = build_mesh(12, 24, s, cap)
-    es = solve_eigs(assemble(mesh, p), p, k=1)
+    es = solve_eigs(mesh, p, k=1)
     fld = manufactured_field(es, [(0, 1.0)])
     assert check_H_prime_identity(fld, 0.5) == 0.0
 
@@ -271,7 +271,7 @@ def test_fourier_provenance_checks(half_es, half_params):
     # a field on another cap, projected on a mesh of the same size
     def es_on(cap):
         mesh = build_mesh(12, 24, half_params.s, cap)
-        return solve_eigs(assemble(mesh, half_params), half_params, k=3)
+        return solve_eigs(mesh, half_params, k=3)
 
     fld = manufactured_field(es_on(SphericalCap(0.0, math.pi)), [(0, 1.0)])
     with pytest.raises(DomainError):
@@ -316,7 +316,7 @@ def test_pohozaev_constant_field_zero():
     p = ProblemParams(s=s, lam=0.0)
     cap = SphericalCap.full_circle()
     mesh = build_mesh(12, 24, s, cap)
-    es = solve_eigs(assemble(mesh, p), p, k=1)
+    es = solve_eigs(mesh, p, k=1)
     fld = manufactured_field(es, [(0, 1.0)])
     rep = pohozaev_check(fld, 0.5)
     assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-12
@@ -417,7 +417,7 @@ def _reference_terms(fld, radii, params, h):
     the analyzer's plan; manufactured fields keep their closed forms."""
     from conefrac.almgren import (_equator_rows, _manufactured_terms,
                                   _plan_for)
-    N, s, forms = params.N, params.s, fld.forms
+    N, s, mesh = params.N, params.s, fld.mesh
     plan = _plan_for(fld, radii)
     lo = plan.edges[0]
     rho = np.append(lo, plan.rho)
@@ -429,11 +429,11 @@ def _reference_terms(fld, radii, params, h):
     else:
         gloc = fld.local_power()
         e_vol = (rho ** (N + 1 - 2 * s)
-                 * _per_node(forms.M, fld.sphere_radial_derivative(rho))
+                 * _per_node(mesh.M, fld.sphere_radial_derivative(rho))
                  + rho ** (N - 1 - 2 * s)
-                 * _per_node(forms.K, fld.sphere_values(rho)))
+                 * _per_node(mesh.K, fld.sphere_values(rho)))
         e_hardy = rho ** (N - 1 - 2 * s) * _per_node(
-            band_to_dense(forms.Bth), tr)
+            band_to_dense(mesh.Bth), tr)
         power = N - 2.0 * s + 2.0 * gloc
         vol = (plan.integrate(e_vol[1:], radii)
                + e_vol[0] * lo / power * core ** power)
@@ -443,7 +443,7 @@ def _reference_terms(fld, radii, params, h):
     if h is None:
         return vol, hardy, np.zeros_like(vol)
     e_h = rho ** (N - 1) * _per_node(
-        band_to_dense(forms.Bth), _equator_rows(h, rho, fld.mesh) * tr, tr)
+        band_to_dense(mesh.Bth), _equator_rows(h, rho, fld.mesh) * tr, tr)
     return vol, hardy, (plan.integrate(e_h[1:], radii)
                         + e_h[0] * lo / h_power * core ** h_power)
 
@@ -451,14 +451,14 @@ def _reference_terms(fld, radii, params, h):
 def _reference_pohozaev(fld, params, h, radii):
     """(lhs, rhs, flux, green residual) from per-node samples."""
     from conefrac.almgren import _equator_rows, _plan_for
-    N, s, kappa, forms = params.N, params.s, params.kappa, fld.forms
+    N, s, kappa, mesh = params.N, params.s, params.kappa, fld.mesh
     lam = fld.es.lam if fld.is_analytic else params.lam
     v = fld.sphere_values(radii)
     g = fld.sphere_radial_derivative(radii)
     tr = v[:, fld.mesh.equator_ids]
-    norm_der = radii ** (N + 1 - 2 * s) * _per_node(forms.M, g)
-    grad = norm_der + radii ** (N - 1 - 2 * s) * _per_node(forms.K, v)
-    Bth = band_to_dense(forms.Bth)
+    norm_der = radii ** (N + 1 - 2 * s) * _per_node(mesh.M, g)
+    grad = norm_der + radii ** (N - 1 - 2 * s) * _per_node(mesh.K, v)
+    Bth = band_to_dense(mesh.Bth)
     circ_hardy = radii ** (N - 1 - 2 * s) * _per_node(Bth, tr)
     vol, hardy, trace_h = _reference_terms(fld, radii, params, h)
     lhs = 0.5 * radii * (grad - kappa * lam * circ_hardy) - radii * norm_der
@@ -475,7 +475,7 @@ def _reference_pohozaev(fld, params, h, radii):
             rho ** (N - 1) * _per_node(Bth, mix * trr, trr), radii)
         lhs += 0.5 * kappa * euler - 0.5 * radii * kappa * circ_h
     rhs = 0.5 * (N - 2.0 * s) * (vol - kappa * lam * hardy)
-    flux = radii ** (N + 1 - 2 * s) * _per_node(forms.M, v, g)
+    flux = radii ** (N + 1 - 2 * s) * _per_node(mesh.M, v, g)
     energy = vol - kappa * (lam * hardy + trace_h)
     scale = np.max(np.abs([energy, flux, lhs, rhs]), axis=0)
     return lhs, rhs, flux, np.abs(energy - flux) / scale
@@ -488,7 +488,7 @@ def _posed(fld, params):
         return ManufacturedField(
             es=dataclasses.replace(fld.es, params=params), modes=fld.modes,
             betas=fld.betas)
-    return GridField(fld.grid, fld.values, params, forms=fld.forms)
+    return GridField(fld.grid, fld.values, params)
 
 
 @pytest.mark.parametrize("kind", ["grid", "two_mode"])
@@ -509,13 +509,13 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
     g = fld.sphere_radial_derivative(radii)
     c = fld.coefficients(radii)
     cg = fld.coefficients(radii, derivative=True)
-    forms = fld.forms
+    mesh = fld.mesh
     H = np.array([compute_H(fld, r) for r in radii])
-    np.testing.assert_allclose(H, _per_node(forms.M, v), rtol=rel, atol=0)
+    np.testing.assert_allclose(H, _per_node(mesh.M, v), rtol=rel, atol=0)
     np.testing.assert_allclose(_bilinear(c, fld.grams["M"], cg),
-                               _per_node(forms.M, v, g), rtol=rel, atol=0)
+                               _per_node(mesh.M, v, g), rtol=rel, atol=0)
     np.testing.assert_allclose(_bilinear(c, fld.grams["K"]),
-                               _per_node(forms.K, v), rtol=rel, atol=0)
+                               _per_node(mesh.K, v), rtol=rel, atol=0)
 
     h = parse_expression("0.1 + 0.05*x1")
     for hh in (None, h):
@@ -536,13 +536,13 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
                                    rtol=0, atol=rel)
 
     ft = fourier_coeffs(_posed(fld, p), half_es, radii)
-    phi_ref = half_es.vectors @ (half_es.forms.M @ v.T)
+    phi_ref = half_es.vectors @ (half_es.mesh.M @ v.T)
     np.testing.assert_allclose(ft.phi, phi_ref, rtol=0,
                                atol=rel * np.abs(phi_ref).max())
 
     snap = blowup(fld, 0.3)
     w = snap.sphere_values(1.0)
-    proj = half_es.vectors @ (forms.M @ w)
+    proj = half_es.vectors @ (mesh.M @ w)
     others = np.setdiff1d(np.arange(half_es.k), half_es.group_members(0))
     assert snap.off_group_norm(half_es, 0) == pytest.approx(
         math.sqrt(sum(proj[others] ** 2)), rel=rel)
@@ -552,9 +552,9 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
     dg = (fld.sphere_radial_derivative(0.3 * rho) * 0.3 / snap.scale
           - pure.sphere_radial_derivative(rho))
     N, s = p.N, p.s
-    f = (rho ** (N + 1 - 2 * s) * (_per_node(forms.M, dg)
-                                   + _per_node(forms.M, dv))
-         + rho ** (N - 1 - 2 * s) * _per_node(forms.K, dv))
+    f = (rho ** (N + 1 - 2 * s) * (_per_node(mesh.M, dg)
+                                   + _per_node(mesh.M, dv))
+         + rho ** (N - 1 - 2 * s) * _per_node(mesh.K, dv))
     assert snap.h1_distance(pure) == pytest.approx(
         math.sqrt(plan.integrate(f, [1.0])[0]), rel=rel)
 
@@ -576,7 +576,7 @@ def test_analyzer_products_do_not_scale_with_radii(solver_field,
 
     def products(n):
         vectors[0] = 0
-        fresh = GridField(fld.grid, fld.values, fld.params, forms=fld.forms)
+        fresh = GridField(fld.grid, fld.values, fld.params)
         radii = np.geomspace(0.02, 0.8, n)
         frequency_trace(fresh, radii=radii)
         pohozaev_check(fresh, radii)

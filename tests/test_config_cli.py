@@ -198,6 +198,36 @@ def test_rlist_validated(tmp_path, capsys, rlist, violation):
     assert not (tmp_path / "out").exists()
 
 
+def test_lid_mode_checked_against_k(tmp_path, capsys):
+    text = ("[mesh]\nnt = 12\nntheta = 24\nnr = 8\n"
+            "[task]\nname = solve-ext\nlid_mode = 9\nk = 6\n")
+    violation = ("[task] lid_mode = 9 exceeds k = 6, the number of computed "
+                 "modes")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(text)
+    assert err.value.violations == [violation]
+    path = _write(tmp_path, text)
+    assert main(["solve-ext", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {violation}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("params", "s", "1e400"), ("params", "s", "-1e400"),
+    ("mesh", "nt", "1e400")])
+def test_overflowing_number_is_a_config_error(tmp_path, capsys, section, key,
+                                              value):
+    path = _write(tmp_path,
+                  f"[{section}]\n{key} = {value}\n[task]\nname = eig\n")
+    assert main(["eig", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: [{section}] {key} = '{value}': non-finite value")
+    assert "Traceback" not in err
+
+
 def test_readme_names_every_task_key():
     # each task's bullet in the README's "Task-specific keys" list names
     # every key the config table accepts for that task
@@ -380,7 +410,7 @@ def test_run_computes_hardy_and_assembles_once(tmp_path, monkeypatch):
     import conefrac.cli as cli
     import conefrac.hardy as hardy
     import conefrac.sphercap as sphercap
-    calls = {"hardy": 0, "assemble": 0}
+    calls = {"hardy": 0, "build_mesh": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -390,12 +420,13 @@ def test_run_computes_hardy_and_assembles_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hardy, "hardy_constant",
                         counted("hardy", hardy.hardy_constant))
-    assemble = counted("assemble", sphercap.assemble)
-    monkeypatch.setattr(sphercap, "assemble", assemble)
-    monkeypatch.setattr(cli, "assemble", assemble)
+    # the mesh assembles its forms when it is built
+    build = counted("build_mesh", sphercap.build_mesh)
+    monkeypatch.setattr(sphercap, "build_mesh", build)
+    monkeypatch.setattr(cli, "build_mesh", build)
     cfg = parse_config(_eig_config(0.1, 16, 32))
     run_task(cfg, tmp_path / "out")
-    assert calls == {"hardy": 1, "assemble": 1}
+    assert calls == {"hardy": 1, "build_mesh": 1}
 
 
 def test_parse_config_loads_no_solver():
@@ -601,6 +632,32 @@ k = 6
     for name in ("manifest.json", "field.bin", "summary.json"):
         assert (out / name).read_bytes() \
             == (tmp_path / "again" / name).read_bytes()
+
+
+@pytest.mark.parametrize("polar, cartesian", [
+    ("0.1*r", "0.1*(x1^2+x2^2)^0.5"),
+    ("0.1*cos(theta)", "0.1*x1/(x1^2+x2^2)^0.5"),
+], ids=["r", "theta"])
+def test_solve_ext_h_in_polar_variables(tmp_path, polar, cartesian):
+    # h may use r and theta on the equator plane; each spelling solves the
+    # same problem as its twin in x1, x2
+    from conefrac.extension import load_field
+    results = []
+    for name, h in (("polar", polar), ("cartesian", cartesian)):
+        path = _write(tmp_path, "[params]\ns = 0.5\nlambda = 0.1\n"
+                      "[mesh]\nnt = 12\nntheta = 24\nnr = 8\n"
+                      f"[task]\nname = solve-ext\nh = {h}\nk = 6\n",
+                      name=f"{name}.ini")
+        out = tmp_path / name
+        assert main(["solve-ext", "--config", str(path),
+                     "--out", str(out)]) == 0
+        poho = json.loads((out / "summary.json").read_text())["pohozaev"]
+        results.append((
+            load_field(out / "field.bin").values,
+            np.loadtxt(out / "frequency.csv", delimiter=",", skiprows=1),
+            [[rep["lhs"], rep["rhs"]] for rep in poho]))
+    for got, twin in zip(*results):
+        np.testing.assert_allclose(got, twin, rtol=1e-12)
 
 
 def test_run_task_mesh_level_scaling(tmp_path):

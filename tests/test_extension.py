@@ -17,18 +17,18 @@ from conefrac.extension import (build_halfball_grid, load_field,
 from conefrac.expressions import parse_expression
 from conefrac.params import ProblemParams
 from conefrac.spectral import solve_eigs
-from conefrac.sphercap import assemble, band_to_dense, build_mesh
+from conefrac.sphercap import band_to_dense, build_mesh
 
 
-def _weighted_l2_error(fld, es, mode, grid, forms, s):
+def _weighted_l2_error(fld, es, mode, grid, mesh, s):
     g = es.gamma[mode]
     num = den = 0.0
     for k, r in enumerate(grid.r_nodes):
         exact = r ** g * es.vectors[mode]
         diff = fld.values[k] - exact
         w = r ** (3.0 - 2.0 * s)
-        num += w * float(diff @ (forms.M @ diff))
-        den += w * float(exact @ (forms.M @ exact))
+        num += w * float(diff @ (mesh.M @ diff))
+        den += w * float(exact @ (mesh.M @ exact))
     return math.sqrt(num / den)
 
 
@@ -38,15 +38,15 @@ def test_constant_solution_full_circle():
     cap = SphericalCap.full_circle()
     mesh = build_mesh(12, 24, s, cap)
     grid = build_halfball_grid(10, 1e-3, mesh)
-    es = solve_eigs(assemble(mesh, p), p, k=10)
+    es = solve_eigs(mesh, p, k=10)
     fld = solve_extension(grid, p, np.ones(mesh.n_nodes), es=es)
     assert np.abs(fld.values - 1.0).max() < 1e-9
 
 
-def test_homogeneous_profile_reproduction(half_es, half_params, half_forms):
+def test_homogeneous_profile_reproduction(half_es, half_params, half_mesh):
     grid = build_halfball_grid(16, 1e-3, half_es.mesh)
     fld = solve_extension(grid, half_params, half_es.vectors[0], es=half_es)
-    err = _weighted_l2_error(fld, half_es, 0, grid, half_forms,
+    err = _weighted_l2_error(fld, half_es, 0, grid, half_mesh,
                              half_params.s)
     assert err < 0.03
     assert fld.meta["inner_mode"] == 0
@@ -89,11 +89,10 @@ def test_refinement_convergence(half_params, half_cap):
     errors = []
     for nt, ntheta, nr in ((12, 24, 8), (24, 48, 16)):
         mesh = build_mesh(nt, ntheta, s, half_cap)
-        forms = assemble(mesh, half_params)
-        es = solve_eigs(forms, half_params, k=3)
+        es = solve_eigs(mesh, half_params, k=3)
         grid = build_halfball_grid(nr, 1e-3, mesh)
         fld = solve_extension(grid, half_params, es.vectors[0], es=es)
-        errors.append(_weighted_l2_error(fld, es, 0, grid, forms, s))
+        errors.append(_weighted_l2_error(fld, es, 0, grid, mesh, s))
     assert errors[0] / errors[1] >= 1.5
 
 
@@ -286,28 +285,28 @@ def _radial_pair(grid, s, shells):
 def test_fast_diag_preconditioner_is_exact_inverse(cap, ntheta, inner_free):
     from conefrac.extension import _FastDiagPreconditioner
     s = 0.5
-    forms = assemble(build_mesh(5, ntheta, s, cap), ProblemParams(s=s))
+    mesh = build_mesh(5, ntheta, s, cap)
     if inner_free is None:
         Sr, Mr = np.array([[ProblemParams(s=s).half_order ** 2]]), np.eye(1)
     else:
-        grid = build_halfball_grid(5, 1e-2, forms.mesh)
+        grid = build_halfball_grid(5, 1e-2, mesh)
         shells = np.arange(0 if inner_free else 1, grid.n_surfaces - 1)
         Sr, Mr = _radial_pair(grid, s, shells)
     p = ProblemParams(s=s, lam=0.1)
-    K, M, B = kron_forms(forms)
+    K, M, B = kron_forms(mesh)
     for rho in (0.0, p.lam * p.kappa):     # exact in the lambda term too
-        A = (np.kron(Sr, free_block(M, forms.mesh).toarray())
-             + np.kron(Mr, free_block(K - rho * B, forms.mesh).toarray()))
-        precond = _FastDiagPreconditioner(Sr, Mr, forms, rho)
-        free = (np.arange(len(Sr))[:, None] * forms.mesh.n_nodes
-                + forms.mesh.free_nodes).ravel()
+        A = (np.kron(Sr, free_block(M, mesh).toarray())
+             + np.kron(Mr, free_block(K - rho * B, mesh).toarray()))
+        precond = _FastDiagPreconditioner(Sr, Mr, mesh, rho)
+        free = (np.arange(len(Sr))[:, None] * mesh.n_nodes
+                + mesh.free_nodes).ravel()
         P = np.column_stack([precond.apply(e)[free] for e in
-                             np.eye(len(Sr) * forms.mesh.n_nodes)[free]])
+                             np.eye(len(Sr) * mesh.n_nodes)[free]])
         exact = np.linalg.inv(A)
         assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
-def _assembled_operator(grid, params, forms):
+def _assembled_operator(grid, params, mesh):
     """The 3-D operator assembled with sp.kron from the dense 1-D factors,
     as the reference for the matrix-free one; the h trace term is the
     matrix of ``_trace_h``, probed column by column on the equator."""
@@ -315,7 +314,7 @@ def _assembled_operator(grid, params, forms):
     from conefrac.extension import _trace_h
     s = params.s
     Sr, Mr = _radial_pair(grid, s, np.arange(grid.n_surfaces))
-    K, M, B = kron_forms(forms)
+    K, M, B = kron_forms(mesh)
     A = (sp.kron(Sr, M) + sp.kron(Mr, K)
          - params.lam * params.kappa * sp.kron(Mr, B))
     if params.h is not None:
@@ -354,8 +353,7 @@ def test_separable_trace_h_matches_kron(cap):
     # form is kron(int r^(1+q) N_i N_j dr, int g N_a N_b dtheta); on 96
     # segments the 4-point Gauss rule in theta is exact to rounding
     from conefrac.extension import _trace_h, radial_mass
-    forms = assemble(build_mesh(6, 96, 0.5, cap), ProblemParams(s=0.5))
-    mesh = forms.mesh
+    mesh = build_mesh(6, 96, 0.5, cap)
     grid = build_halfball_grid(6, 1e-2, mesh)
     rng = np.random.default_rng(4)
     U = rng.standard_normal((grid.n_surfaces, mesh.n_nodes))
@@ -365,7 +363,7 @@ def test_separable_trace_h_matches_kron(cap):
                       _segment_form(mesh, g))
         if h == "0.3":
             np.testing.assert_allclose(_segment_form(mesh, g),
-                                       0.3 * band_to_dense(forms.Bth),
+                                       0.3 * band_to_dense(mesh.Bth),
                                        rtol=0.0, atol=1e-15)
         expect = ref @ U[:, :mesh.ntheta].ravel()
         got = _trace_h(grid, parse_expression(h))(U)
@@ -378,10 +376,10 @@ def test_matrix_free_operator_matches_assembled(half_params, half_cap, h):
     from conefrac.extension import _extension_operator
     params = dataclasses.replace(
         half_params, h=None if h is None else parse_expression(h))
-    forms = assemble(build_mesh(6, 12, params.s, half_cap), params)
-    grid = build_halfball_grid(6, 1e-2, forms.mesh)
-    A = _assembled_operator(grid, params, forms)
-    apply, _, _ = _extension_operator(grid, params, forms)
+    mesh = build_mesh(6, 12, params.s, half_cap)
+    grid = build_halfball_grid(6, 1e-2, mesh)
+    A = _assembled_operator(grid, params, mesh)
+    apply, _, _ = _extension_operator(grid, params)
     rng = np.random.default_rng(7)
     for u in rng.standard_normal((3, grid.n_nodes)):
         ref = A @ u
@@ -395,11 +393,10 @@ def test_solve_matches_direct_solve(half_params, half_cap, h):
     h = None if h is None else parse_expression(h)
     params = dataclasses.replace(half_params, h=h)
     mesh = build_mesh(12, 24, params.s, half_cap)
-    forms = assemble(mesh, params)
-    es = solve_eigs(forms, params, k=4)
+    es = solve_eigs(mesh, params, k=4)
     grid = build_halfball_grid(8, 1e-2, mesh)
     fld = solve_extension(grid, params, es.vectors[0], es=es)
-    assert fld.forms is forms and fld.params is params
+    assert fld.mesh is mesh and fld.params is params
     # the preconditioner inverts everything but the h term
     if h is None:
         assert fld.meta["cg_iters"] == 1
@@ -408,7 +405,7 @@ def test_solve_matches_direct_solve(half_params, half_cap, h):
     assert fld.meta["cg_residual"] <= 1e-10
 
     # the same Dirichlet data, solved directly on the assembled system
-    A = _assembled_operator(grid, params, forms)
+    A = _assembled_operator(grid, params, mesh)
     u = fld.values.ravel().copy()
     fixed = np.ones((grid.n_surfaces, mesh.n_nodes), dtype=bool)
     fixed[1 if h is None else 0:-1, mesh.free_nodes] = False
@@ -429,7 +426,7 @@ def test_pcg_matches_scipy_cg(monkeypatch, half_cap, h):
     import conefrac.extension as ext
     params = ProblemParams(s=0.5, lam=0.1, h=parse_expression(h))
     mesh = build_mesh(48, 96, params.s, half_cap)
-    es = solve_eigs(assemble(mesh, params), params, k=8)
+    es = solve_eigs(mesh, params, k=8)
     seen, pcg = {}, ext._pcg
 
     def spy(matvec, precond, b):

@@ -14,18 +14,18 @@ from conefrac.hardy import (hardy_constant, hardy_constant_richardson,
                             hardy_scan, radial_hardy_quotient)
 from conefrac.params import (ProblemParams, hardy_constant_full_space)
 from conefrac.spectral import solve_eigs
-from conefrac.sphercap import assemble, build_mesh
+from conefrac.sphercap import build_mesh
 
 
-def _forms(nt, ntheta, s, cap, grading=2.0):
+def _mesh(nt, ntheta, s, cap, grading=2.0):
     p = ProblemParams(s=s)
-    return assemble(build_mesh(nt, ntheta, s, cap, grading), p), p
+    return build_mesh(nt, ntheta, s, cap, grading), p
 
 
 def test_full_circle_matches_closed_form():
     for s in (0.25, 0.5, 0.75):
-        forms, p = _forms(48, 96, s, SphericalCap.full_circle())
-        res = hardy_constant(forms, p)
+        mesh, p = _mesh(48, 96, s, SphericalCap.full_circle())
+        res = hardy_constant(mesh, p)
         exact = hardy_constant_full_space(p)
         assert res.lambda_star == pytest.approx(exact, rel=0.02)
         assert res.lambda_star > 0.0
@@ -35,10 +35,10 @@ def test_full_circle_matches_closed_form():
 
 def test_half_circle_exceeds_full_circle():
     cap_half = cap_of_cone(ConeProfile.half_plane())
-    forms_h, p = _forms(32, 64, 0.5, cap_half)
-    forms_f, _ = _forms(32, 64, 0.5, SphericalCap.full_circle())
-    lam_h = hardy_constant(forms_h, p).lambda_star
-    lam_f = hardy_constant(forms_f, p).lambda_star
+    mesh_h, p = _mesh(32, 64, 0.5, cap_half)
+    mesh_f, _ = _mesh(32, 64, 0.5, SphericalCap.full_circle())
+    lam_h = hardy_constant(mesh_h, p).lambda_star
+    lam_f = hardy_constant(mesh_f, p).lambda_star
     assert lam_h > lam_f
 
 
@@ -59,12 +59,12 @@ SCHUR_CASES = [
 @pytest.mark.parametrize("nt, ntheta, cap, s", SCHUR_CASES)
 def test_schur_equals_full_pencil_oracle(nt, ntheta, cap, s):
     # dense oracle: the largest eigenvalue of (kappa B, A) is 1 / Lambda
-    forms, p = _forms(nt, ntheta, s, cap)
-    res = hardy_constant(forms, p)
-    f = np.ix_(forms.mesh.free_nodes, forms.mesh.free_nodes)
+    mesh, p = _mesh(nt, ntheta, s, cap)
+    res = hardy_constant(mesh, p)
+    f = np.ix_(mesh.free_nodes, mesh.free_nodes)
     c2 = p.half_order ** 2
-    A = (forms.K + c2 * forms.M).toarray()[f]
-    B = forms.B.toarray()[f]
+    A = (mesh.K + c2 * mesh.M).toarray()[f]
+    B = mesh.B.toarray()[f]
     w = sla.eigh(p.kappa * B, A, eigvals_only=True)
     assert 1.0 / w[-1] == pytest.approx(res.lambda_star, rel=1e-10)
 
@@ -73,21 +73,21 @@ def test_schur_equals_full_pencil_oracle(nt, ntheta, cap, s):
     pytest.param(16, 32, cap_of_cone(ConeProfile.half_plane()), 0.6,
                  id="half-16x32-s0.6")])
 def test_minimizer_attains_the_constant(nt, ntheta, cap, s):
-    forms, p = _forms(nt, ntheta, s, cap)
-    res = hardy_constant(forms, p)
+    mesh, p = _mesh(nt, ntheta, s, cap)
+    res = hardy_constant(mesh, p)
     v = res.minimizer
-    assert np.all(v[forms.mesh.dirichlet_ids] == 0.0)
+    assert np.all(v[mesh.dirichlet_ids] == 0.0)
     c2 = p.half_order ** 2
-    num = float(v @ (forms.K @ v)) + c2 * float(v @ (forms.M @ v))
-    den = p.kappa * float(v @ (forms.B @ v))
+    num = float(v @ (mesh.K @ v)) + c2 * float(v @ (mesh.M @ v))
+    den = p.kappa * float(v @ (mesh.B @ v))
     assert den == pytest.approx(1.0, rel=1e-12)
     assert num / den == pytest.approx(res.lambda_star, rel=1e-10)
 
 
 def test_minimizer_fixed_sign_on_cap():
-    forms, p = _forms(16, 32, 0.5, cap_of_cone(ConeProfile.half_plane()))
-    res = hardy_constant(forms, p)
-    tr = res.minimizer[forms.mesh.robin_ids]
+    mesh, p = _mesh(16, 32, 0.5, cap_of_cone(ConeProfile.half_plane()))
+    res = hardy_constant(mesh, p)
+    tr = res.minimizer[mesh.robin_ids]
     assert np.all(tr > 0.0)
 
 
@@ -97,12 +97,12 @@ def test_duality_with_spectral_problem():
     for s in (0.5, 0.75):
         for cone in (ConeProfile.half_plane(), ConeProfile(1.0, 1.0)):
             cap = cap_of_cone(cone)
-            forms, p0 = _forms(24, 48, s, cap)
-            lam_star = hardy_constant(forms, p0).lambda_star
+            mesh, p0 = _mesh(24, 48, s, cap)
+            lam_star = hardy_constant(mesh, p0).lambda_star
             p = ProblemParams(s=s, lam=lam_star)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                es = solve_eigs(forms, p, k=1, allow_inadmissible=True)
+                es = solve_eigs(mesh, p, k=1, allow_inadmissible=True)
             assert es.mu[0] == pytest.approx(-p.half_order ** 2, abs=1e-3)
 
 
@@ -111,26 +111,26 @@ def test_refinement_monotone_convergence():
     exact = hardy_constant_full_space(p)
     errors = []
     for nt, ntheta in ((16, 32), (32, 64), (64, 128)):
-        forms, _ = _forms(nt, ntheta, 0.25, SphericalCap.full_circle())
-        errors.append(abs(hardy_constant(forms, p).lambda_star - exact))
+        mesh, _ = _mesh(nt, ntheta, 0.25, SphericalCap.full_circle())
+        errors.append(abs(hardy_constant(mesh, p).lambda_star - exact))
     assert errors[0] > errors[1] > errors[2]
 
 
 def test_discrete_trace_inequality_random_vectors():
-    forms, p = _forms(12, 24, 0.5, cap_of_cone(ConeProfile.half_plane()))
-    lam_star = hardy_constant(forms, p).lambda_star
+    mesh, p = _mesh(12, 24, 0.5, cap_of_cone(ConeProfile.half_plane()))
+    lam_star = hardy_constant(mesh, p).lambda_star
     c2 = p.half_order ** 2
     rng = np.random.default_rng(14)
-    f = forms.mesh.free_nodes
+    f = mesh.free_nodes
     checked = 0
     while checked < 100:
-        v = np.zeros(forms.mesh.n_nodes)
+        v = np.zeros(mesh.n_nodes)
         v[f] = rng.standard_normal(len(f))
-        den = p.kappa * float(v @ (forms.B @ v))
+        den = p.kappa * float(v @ (mesh.B @ v))
         if den <= 1e-12:
             continue
         checked += 1
-        num = float(v @ (forms.K @ v)) + c2 * float(v @ (forms.M @ v))
+        num = float(v @ (mesh.K @ v)) + c2 * float(v @ (mesh.M @ v))
         assert num / den >= lam_star - 1e-10
 
 
@@ -167,8 +167,8 @@ def test_scan_threads_match_serial():
 def test_scan_single_full_arc_matches_direct():
     p = ProblemParams(s=0.5)
     results = hardy_scan([2.0 * math.pi], p, 16, 32)
-    forms, _ = _forms(16, 32, 0.5, SphericalCap.full_circle())
-    direct = hardy_constant(forms, p).lambda_star
+    mesh, _ = _mesh(16, 32, 0.5, SphericalCap.full_circle())
+    direct = hardy_constant(mesh, p).lambda_star
     assert results[0].lambda_star == pytest.approx(direct, rel=1e-12)
 
 
@@ -185,10 +185,9 @@ def test_empty_cap_error():
     cap = SphericalCap(0.0, 1e-6)
     p = ProblemParams(s=0.5)
     mesh = build_mesh(8, 16, 0.5, cap)
-    forms = assemble(mesh, p)
     from conefrac.errors import GeometryError
     with pytest.raises(GeometryError):
-        hardy_constant(forms, p)
+        hardy_constant(mesh, p)
 
 
 def test_hemisphere_code_rejects_other_dimensions():
@@ -196,9 +195,9 @@ def test_hemisphere_code_rejects_other_dimensions():
     mesh = build_mesh(8, 16, 0.5, cap_of_cone(ConeProfile.half_plane()))
     p3 = ProblemParams(N=3, s=0.5)
     with pytest.raises(DomainError):
-        assemble(mesh, p3)
+        solve_eigs(mesh, p3, k=1)
     with pytest.raises(DomainError):
-        hardy_constant(assemble(mesh, ProblemParams(s=0.5)), p3)
+        hardy_constant(mesh, p3)
 
 
 # ---------------------------------------------------------------------------

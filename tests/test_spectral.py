@@ -14,21 +14,20 @@ from conefrac.errors import ConfigurationError, DomainError
 from conefrac.params import ProblemParams
 from conefrac.spectral import (MULTIPLICITY_RTOL, homogeneous_profile,
                                oracle_full_circle_1d, solve_eigs)
-from conefrac.sphercap import (assemble, band_to_dense, build_mesh,
-                               polar_matrices)
+from conefrac.sphercap import band_to_dense, build_mesh, polar_matrices
 
 
 def _eigs(nt, ntheta, s, cap, lam=0.0, k=8, grading=2.0, **kw):
     p = ProblemParams(s=s, lam=lam)
     mesh = build_mesh(nt, ntheta, s, cap, grading)
-    return solve_eigs(assemble(mesh, p), p, k=k, **kw), p
+    return solve_eigs(mesh, p, k=k, **kw), p
 
 
-def _pencil(forms, p):
+def _pencil(mesh, p):
     """The sparse pencil (K - lam kappa B, M) on the free nodes."""
-    K, M, B = kron_forms(forms)
-    return (free_block(K - p.lam * p.kappa * B, forms.mesh),
-            free_block(M, forms.mesh))
+    K, M, B = kron_forms(mesh)
+    return (free_block(K - p.lam * p.kappa * B, mesh),
+            free_block(M, mesh))
 
 
 def _distinct(mu, rtol=0.02):
@@ -77,8 +76,8 @@ def test_spectrum_floor_for_admissible_lambda():
         assert np.all(es.mu > p.spectrum_floor)
 
 
-def test_m_orthonormality(half_es, half_forms):
-    G = half_es.vectors @ (half_forms.M @ half_es.vectors.T)
+def test_m_orthonormality(half_es, half_mesh):
+    G = half_es.vectors @ (half_mesh.M @ half_es.vectors.T)
     assert np.abs(G - np.eye(half_es.k)).max() < 1e-10
 
 
@@ -93,10 +92,10 @@ def test_first_eigenfunction_fixed_sign(half_es):
 def test_dense_and_sparse_paths_agree():
     cap = SphericalCap.full_circle()
     p = ProblemParams(s=0.5)
-    forms = assemble(build_mesh(20, 40, 0.5, cap), p)
-    es = solve_eigs(forms, p, k=6)
+    mesh = build_mesh(20, 40, 0.5, cap)
+    es = solve_eigs(mesh, p, k=6)
     assert es.eigen_path == "lanczos"
-    Kr, Mr = _pencil(forms, p)
+    Kr, Mr = _pencil(mesh, p)
     dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
                      subset_by_index=[0, 5])
     np.testing.assert_allclose(es.mu, dense, rtol=1e-9, atol=1e-9)
@@ -108,15 +107,15 @@ def test_lanczos_spanning_the_free_space_matches_dense(half_cap, lam):
     to the whole free space (of dimension n_free, not the node count); its
     eigenvalues match the dense path's to 1e-12 relative."""
     p = ProblemParams(s=0.5, lam=lam)
-    forms = assemble(build_mesh(4, 8, 0.5, half_cap), p)
-    n = forms.mesh.n_free
-    assert n < forms.mesh.n_nodes
-    es = solve_eigs(forms, p, k=n - 2)
-    dense = solve_eigs(forms, p, k=n - 1)
+    mesh = build_mesh(4, 8, 0.5, half_cap)
+    n = mesh.n_free
+    assert n < mesh.n_nodes
+    es = solve_eigs(mesh, p, k=n - 2)
+    dense = solve_eigs(mesh, p, k=n - 1)
     assert (es.eigen_path, dense.eigen_path) == ("lanczos", "dense")
     np.testing.assert_allclose(es.mu, dense.mu[:n - 2], rtol=1e-12, atol=0)
-    V = es.vectors[:, forms.mesh.free_nodes]
-    Mr = free_block(kron_forms(forms)[1], forms.mesh)
+    V = es.vectors[:, mesh.free_nodes]
+    Mr = free_block(kron_forms(mesh)[1], mesh)
     assert np.abs(V @ Mr @ V.T - np.eye(n - 2)).max() < 1e-12
 
 
@@ -127,11 +126,11 @@ def _check_against_eigsh(cap, lam, k=12):
     groups, and M-orthonormal eigenvectors."""
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
     p = ProblemParams(s=0.5, lam=lam)
-    forms = assemble(build_mesh(48, 96, 0.5, cap), p)
-    es = solve_eigs(forms, p, k=k)
+    mesh = build_mesh(48, 96, 0.5, cap)
+    es = solve_eigs(mesh, p, k=k)
     assert (es.eigen_path, es.shift_retries) == ("lanczos", 0)
     assert es.shift < p.spectrum_floor
-    Kr, Mr = _pencil(forms, p)
+    Kr, Mr = _pencil(mesh, p)
     n = Kr.shape[0]
     lu = splu((Kr - es.shift * Mr).tocsc())
     ref = np.sort(eigsh(
@@ -142,7 +141,7 @@ def _check_against_eigsh(cap, lam, k=12):
     np.testing.assert_allclose(es.mu, ref, rtol=1e-12, atol=1e-12)
     gaps = np.abs(np.diff(ref)) > MULTIPLICITY_RTOL * (1.0 + np.abs(ref[1:]))
     np.testing.assert_array_equal(es.group, np.cumsum(np.append(0, gaps)))
-    V = es.vectors[:, forms.mesh.free_nodes]
+    V = es.vectors[:, mesh.free_nodes]
     assert np.abs(V @ (Mr @ V.T) - np.eye(k)).max() < 1e-12
     return es
 
@@ -170,19 +169,19 @@ def test_lanczos_zero_mode_matches_sparse_lu_shift_invert():
     assert es.group.max() < es.k - 1
 
 
-def test_eigh_pencil_matches_scipy(half_forms, half_params):
+def test_eigh_pencil_matches_scipy(half_mesh, half_params):
     """The Cholesky-reduced dense pencil solver against scipy.linalg.eigh on
     the pencils it serves: the extension's radial (S_r, M_r), the Hardy
     pencil (Z kappa B Z, Z) and a random symmetric-definite pair."""
     from conefrac.extension import (build_halfball_grid, radial_mass,
                                     radial_stiffness)
     from conefrac.sphercap import HemisphereSolver, eigh_pencil
-    r = build_halfball_grid(32, 1e-3, half_forms.mesh).r_nodes
-    mesh, p = half_forms.mesh, half_params
-    b = mesh.robin_ids[half_forms.Bth[0, mesh.robin_ids] > 0.0]
-    Z = HemisphereSolver(half_forms, [p.half_order ** 2]).equator_inverse(b)[0]
+    r = build_halfball_grid(32, 1e-3, half_mesh).r_nodes
+    mesh, p = half_mesh, half_params
+    b = mesh.robin_ids[mesh.Bth[0, mesh.robin_ids] > 0.0]
+    Z = HemisphereSolver(mesh, [p.half_order ** 2]).equator_inverse(b)[0]
     Z = 0.5 * (Z + Z.T)
-    Bb = p.kappa * band_to_dense(half_forms.Bth)[np.ix_(b, b)]
+    Bb = p.kappa * band_to_dense(mesh.Bth)[np.ix_(b, b)]
     X, Y = np.random.default_rng(5).standard_normal((2, 40, 40))
     for A, B in ((radial_stiffness(r, 2.0)[1:-1, 1:-1],
                   radial_mass(r, 0.0)[1:-1, 1:-1]),
@@ -196,11 +195,11 @@ def test_eigh_pencil_matches_scipy(half_forms, half_params):
                 <= 1e-13 * np.abs(A).max() * np.abs(V).max())
 
 
-def test_signs_and_groups_match_loop_reference(half_forms):
+def test_signs_and_groups_match_loop_reference(half_mesh):
     """The vectorized sign and multiplicity-group conventions against the
     per-mode loops they replaced."""
     from conefrac.spectral import _fix_signs
-    Mr = free_block(kron_forms(half_forms)[1], half_forms.mesh)
+    Mr = free_block(kron_forms(half_mesh)[1], half_mesh)
     rng = np.random.default_rng(3)
     V = rng.standard_normal((6, Mr.shape[0]))
     V[0] -= (V[0] @ (Mr @ np.ones(len(V[0])))) / Mr.sum()   # zero integral
@@ -254,20 +253,19 @@ def test_inadmissible_lambda_raises_without_flag():
     cap = cap_of_cone(ConeProfile.half_plane())
     p = ProblemParams(s=0.5, lam=10.0)
     mesh = build_mesh(12, 24, 0.5, cap)
-    forms = assemble(mesh, p)
     with pytest.raises(DomainError) as err:
-        solve_eigs(forms, p, k=3)
+        solve_eigs(mesh, p, k=3)
     # the command line reports it as a config error (exit 2)
     assert isinstance(err.value, ConfigurationError)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        es = solve_eigs(forms, p, k=3, allow_inadmissible=True)
+        es = solve_eigs(mesh, p, k=3, allow_inadmissible=True)
     assert es.k == 3
     # eigenvalues far below the floor: the shift was lowered beneath them
     assert es.eigen_path == "lanczos"
     assert es.shift_retries >= 1
     assert es.mu.min() > es.shift
-    Kr, Mr = _pencil(forms, p)
+    Kr, Mr = _pencil(mesh, p)
     dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
                      subset_by_index=[0, 2])
     np.testing.assert_allclose(es.mu, dense, rtol=1e-9)
@@ -320,7 +318,7 @@ def test_oracle_2d_cross_validation():
             mesh = build_mesh(96, 192, s, cap)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                es = solve_eigs(assemble(mesh, p), p, k=8,
+                es = solve_eigs(mesh, p, k=8,
                                 allow_inadmissible=True)
             union = []
             for k_az in (0, 1, 2):
@@ -341,7 +339,7 @@ def test_full_circle_pencil_is_union_of_fourier_modes():
     # omega_k is the ratio of the azimuthal stiffness and mass symbols
     p = ProblemParams(s=0.5, lam=0.1)
     mesh = build_mesh(8, 16, p.s, SphericalCap.full_circle())
-    K, M = _pencil(assemble(mesh, p), p)
+    K, M = _pencil(mesh, p)
     two_d = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
 
     P0, P1, P2 = polar_matrices(mesh.t_nodes, p.s)
@@ -375,19 +373,19 @@ def test_domain_monotonicity_of_mu1():
         cap = SphericalCap.full_circle() if L >= 2 * math.pi - 1e-12 \
             else SphericalCap.centered(center, L)
         mesh = build_mesh(16, ntheta, s, cap)
-        mus.append(solve_eigs(assemble(mesh, p), p, k=1).mu[0])
+        mus.append(solve_eigs(mesh, p, k=1).mu[0])
     assert np.all(np.diff(mus) <= 1e-12)
 
 
-def test_lambda_monotonicity_of_mu1(half_forms):
+def test_lambda_monotonicity_of_mu1(half_mesh):
     from conefrac.hardy import hardy_constant
     s = 0.5
-    lam_star = hardy_constant(half_forms,
+    lam_star = hardy_constant(half_mesh,
                               ProblemParams(s=s)).lambda_star
     mus = []
     for frac in (0.0, 0.25, 0.5, 0.75):
         p = ProblemParams(s=s, lam=frac * lam_star)
-        mus.append(solve_eigs(half_forms, p, k=1).mu[0])
+        mus.append(solve_eigs(half_mesh, p, k=1).mu[0])
     assert np.all(np.diff(mus) < -1e-10)
 
 

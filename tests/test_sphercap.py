@@ -1,4 +1,4 @@
-"""Hemisphere mesh and assembled forms: quadrature exactness against
+"""Hemisphere mesh and its factored forms: quadrature exactness against
 adaptive oracles, mass consistency, and the weak-form building blocks."""
 
 import math
@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import DomainError, GeometryError
 from conefrac.params import ProblemParams
-from conefrac.sphercap import (HemisphereSolver, _gauss_jacobi, assemble,
+from conefrac.sphercap import (HemisphereSolver, _gauss_jacobi,
                                boundary_integral, build_mesh,
                                weighted_surface_integral)
 
@@ -93,16 +93,15 @@ def test_gauss_jacobi_moments_exact(s):
 def test_factored_forms_match_sparse_kron(cap, ntheta):
     """form @ x, form @ X and X @ form against scipy.sparse.kron of the
     dense 1-D factors; the dense forms are symmetric."""
-    p = ProblemParams(s=0.4, lam=0.1)
-    forms = assemble(build_mesh(7, ntheta, 0.4, cap), p)
-    K, M, B = kron_forms(forms)
+    mesh = build_mesh(7, ntheta, 0.4, cap)
+    K, M, B = kron_forms(mesh)
     rng = np.random.default_rng(11)
-    n = forms.mesh.n_nodes
+    n = mesh.n_nodes
     x = rng.standard_normal(n)
     X = rng.standard_normal((n, 5))
     R = rng.standard_normal((9, n))
-    for form, ref in ((forms.K, K), (forms.M, M), (forms.B, B),
-                      (forms.K - 0.3 * forms.B + 1.7 * forms.M,
+    for form, ref in ((mesh.K, K), (mesh.M, M), (mesh.B, B),
+                      (mesh.K - 0.3 * mesh.B + 1.7 * mesh.M,
                        K - 0.3 * B + 1.7 * M)):
         tol = 1e-14 * abs(ref).max()
         assert np.abs(form @ x - ref @ x).max() <= tol
@@ -117,54 +116,47 @@ def test_factored_forms_match_sparse_kron(cap, ntheta):
 def test_total_weighted_mass_closed_form():
     for s in (0.25, 0.5, 0.75):
         mesh = build_mesh(32, 64, s, SphericalCap.full_circle())
-        forms = assemble(mesh, ProblemParams(s=s))
-        total = weighted_surface_integral(forms, np.ones(mesh.n_nodes))
+        total = weighted_surface_integral(mesh, np.ones(mesh.n_nodes))
         assert total == pytest.approx(2.0 * math.pi / (2.0 - 2.0 * s),
                                       rel=1e-12)
 
 
 def test_total_mass_s_half_is_hemisphere_area():
     mesh = build_mesh(64, 128, 0.5, SphericalCap.full_circle())
-    forms = assemble(mesh, ProblemParams(s=0.5))
-    total = weighted_surface_integral(forms, np.ones(mesh.n_nodes))
+    total = weighted_surface_integral(mesh, np.ones(mesh.n_nodes))
     assert total == pytest.approx(2.0 * math.pi, abs=1e-6)
 
 
 def test_stiffness_annihilates_constants():
     mesh = build_mesh(24, 48, 0.4, SphericalCap.full_circle())
-    forms = assemble(mesh, ProblemParams(s=0.4))
-    resid = np.abs(forms.K @ np.ones(mesh.n_nodes)).max()
+    resid = np.abs(mesh.K @ np.ones(mesh.n_nodes)).max()
     assert resid <= 1e-10
 
 
 def test_forms_symmetric_and_definite():
-    p = ProblemParams(s=0.6)
     mesh = build_mesh(12, 24, 0.6, SphericalCap(math.pi, 2 * math.pi))
-    forms = assemble(mesh, p)
-    for mat in (forms.K, forms.M, forms.B):
+    for mat in (mesh.K, mesh.M, mesh.B):
         A = mat.toarray()
         assert abs(A - A.T).max() < 1e-13
     f = mesh.free_nodes
-    Mr = forms.M.toarray()[np.ix_(f, f)]
+    Mr = mesh.M.toarray()[np.ix_(f, f)]
     assert np.linalg.eigvalsh(Mr).min() > 0.0
     # boundary mass supported exactly on the cap dofs
-    diag = forms.B.diagonal()
+    diag = mesh.B.diagonal()
     support = np.flatnonzero(diag > 0.0)
     assert set(support) <= set(mesh.equator_ids.tolist())
-    eig_b = np.linalg.eigvalsh(forms.B.toarray())
+    eig_b = np.linalg.eigvalsh(mesh.B.toarray())
     assert eig_b.min() > -1e-14
 
 
 def test_mass_consistency_random_functions():
-    p = ProblemParams(s=0.5)
     mesh = build_mesh(12, 24, 0.5, SphericalCap.full_circle())
-    forms = assemble(mesh, p)
     rng = np.random.default_rng(8)
     for _ in range(10):
         f = rng.standard_normal(mesh.n_nodes)
         g = rng.standard_normal(mesh.n_nodes)
-        lhs = weighted_surface_integral(forms, f, g)
-        rhs = float(f @ (forms.M @ g))
+        lhs = weighted_surface_integral(mesh, f, g)
+        rhs = float(f @ (mesh.M @ g))
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
@@ -179,9 +171,8 @@ def test_surface_integral_against_adaptive_oracle():
     # integral of exp(sin t) against the weight, compared with scipy.quad
     for s in (0.25, 0.5, 0.75):
         mesh = build_mesh(96, 16, s, SphericalCap.full_circle())
-        forms = assemble(mesh, ProblemParams(s=s))
         f = np.repeat(np.exp(np.sin(mesh.t_nodes)), mesh.ntheta)
-        ours = weighted_surface_integral(forms, f)
+        ours = weighted_surface_integral(mesh, f)
         assert ours == pytest.approx(_smooth_oracle(s), rel=2e-4)
 
 
@@ -190,9 +181,8 @@ def test_refinement_reduces_interpolation_error():
     # integrand by at least a factor 3 (second-order convergence)
     def err(nt, s):
         mesh = build_mesh(nt, 8, s, SphericalCap.full_circle())
-        forms = assemble(mesh, ProblemParams(s=s))
         f = np.repeat(np.exp(np.sin(mesh.t_nodes)), mesh.ntheta)
-        return abs(weighted_surface_integral(forms, f) - _smooth_oracle(s))
+        return abs(weighted_surface_integral(mesh, f) - _smooth_oracle(s))
 
     for s in (0.25, 0.5, 0.75):
         errors = [err(nt, s) for nt in (16, 32, 64)]
@@ -203,45 +193,42 @@ def test_refinement_reduces_interpolation_error():
 def test_boundary_integral_half_circle():
     cap = SphericalCap(math.pi, 2.0 * math.pi)
     mesh = build_mesh(8, 64, 0.5, cap)
-    forms = assemble(mesh, ProblemParams(s=0.5))
-    total = boundary_integral(forms, np.ones(mesh.n_nodes))
+    total = boundary_integral(mesh, np.ones(mesh.n_nodes))
     assert total == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_boundary_integral_full_circle():
     mesh = build_mesh(8, 48, 0.5, SphericalCap.full_circle())
-    forms = assemble(mesh, ProblemParams(s=0.5))
-    total = boundary_integral(forms, np.ones(mesh.n_nodes))
+    total = boundary_integral(mesh, np.ones(mesh.n_nodes))
     assert total == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 def test_integral_shape_validation():
     mesh = build_mesh(8, 16, 0.5, SphericalCap.full_circle())
-    forms = assemble(mesh, ProblemParams(s=0.5))
     with pytest.raises(DomainError):
-        weighted_surface_integral(forms, np.ones(5))
+        weighted_surface_integral(mesh, np.ones(5))
     with pytest.raises(DomainError):
-        boundary_integral(forms, np.ones(mesh.n_nodes), np.ones(3))
+        boundary_integral(mesh, np.ones(mesh.n_nodes), np.ones(3))
 
 
-def test_assemble_rejects_wrong_s():
+def test_mesh_rejects_params_of_other_s():
     mesh = build_mesh(8, 16, 0.5, SphericalCap.full_circle())
     with pytest.raises(DomainError):
-        assemble(mesh, ProblemParams(s=0.6))
+        mesh.check_params(ProblemParams(s=0.6))
 
 
-def test_spherical_hardy_inequality_for_eigenfunctions(half_es, half_forms,
+def test_spherical_hardy_inequality_for_eigenfunctions(half_es, half_mesh,
                                                        half_params):
     # kappa Lambda int_cap psi^2 <= ((N-2s)/2)^2 int w psi^2 + int w |grad|^2
     from conefrac.hardy import hardy_constant
-    lam_star = hardy_constant(half_forms, half_params).lambda_star
+    lam_star = hardy_constant(half_mesh, half_params).lambda_star
     c2 = half_params.half_order ** 2
     for j in range(half_es.k):
         psi = half_es.vectors[j]
         lhs = half_params.kappa * lam_star * float(
-            psi @ (half_forms.B @ psi))
-        rhs = c2 * float(psi @ (half_forms.M @ psi)) \
-            + float(psi @ (half_forms.K @ psi))
+            psi @ (half_mesh.B @ psi))
+        rhs = c2 * float(psi @ (half_mesh.M @ psi)) \
+            + float(psi @ (half_mesh.K @ psi))
         assert lhs <= rhs * (1.0 + 1e-8)
 
 
@@ -256,13 +243,12 @@ def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
     of shifts, and its equator block is that inverse's, with the same
     inertia as the operator (rho = 5 makes it indefinite)."""
     p = ProblemParams(s=0.5, lam=0.1)
-    forms = assemble(build_mesh(5, ntheta, 0.5, cap), p)
-    mesh = forms.mesh
+    mesh = build_mesh(5, ntheta, 0.5, cap)
     shifts = np.array([0.3, 1.7, 25.0])
     eq = mesh.dof_of_node[mesh.robin_ids]
-    K, M, B = kron_forms(forms)
+    K, M, B = kron_forms(mesh)
     for rho in (0.0, p.lam * p.kappa, 5.0):
-        solver = HemisphereSolver(forms, shifts, rho)
+        solver = HemisphereSolver(mesh, shifts, rho)
         cols = [solver.solve(np.tile(e, (len(shifts), 1)))[:, mesh.free_nodes]
                 for e in np.eye(mesh.n_nodes)[mesh.free_nodes]]
         Z = solver.equator_inverse(mesh.robin_ids)
@@ -287,11 +273,10 @@ def test_hemisphere_solver_returns_exact_zeros_on_dirichlet_nodes(cap):
     zero on the Dirichlet nodes for every shift and Robin coefficient."""
     p = ProblemParams(s=0.5, lam=0.1)
     mesh = build_mesh(6, 12, 0.5, cap)
-    forms = assemble(mesh, p)
     X = np.random.default_rng(5).standard_normal((3, mesh.n_nodes))
     X[:, mesh.dirichlet_ids] = 0.0
     for rho in (0.0, p.lam * p.kappa):
-        Y = HemisphereSolver(forms, [0.3, 1.7, 25.0], rho).solve(X)
+        Y = HemisphereSolver(mesh, [0.3, 1.7, 25.0], rho).solve(X)
         assert Y.shape == X.shape
         assert np.all(Y[:, mesh.dirichlet_ids] == 0.0)
         assert np.abs(Y[:, mesh.free_nodes]).min() > 0.0
