@@ -165,17 +165,19 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
                          float(ft.ups[pos, i])))
     _write_csv(out / "fourier.csv", ["tau", "j", "phi_j", "Upsilon_j"], rows)
 
-    # dominant group at the smallest radius, amplitudes at the configured
-    # reference radii
+    # dominant group at the smallest radius, amplitudes of its modes only
+    # at the configured reference radii
     j0 = int(np.argmax(np.abs(ft.phi[:, 0])))
     gamma = float(es.gamma[j0])
-    rlist = cfg.task_opts["rlist"]
-    beta_by_R = {R: beta_coefficients(ft, gamma, R) for R in rlist}
     members = es.group_members(j0)
+    group = replace(ft, modes=members, phi=ft.phi[members],
+                    ups=ft.ups[members])
+    rlist = cfg.task_opts["rlist"]
+    beta_by_R = {R: beta_coefficients(group, gamma, R) for R in rlist}
     beta_ref = beta_by_R[rlist[len(rlist) // 2]]
     spreads = []
-    for m in members:
-        vals = [beta_by_R[R][m] for R in rlist]
+    for pos in range(len(members)):
+        vals = [beta_by_R[R][pos] for R in rlist]
         ref = max(abs(v) for v in vals)
         if ref > 0:
             spreads.append((max(vals) - min(vals)) / ref)
@@ -184,7 +186,8 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
         "gamma_eigen": gamma,
         "j0": j0 + 1,
         "multiplicity_group": [int(m) + 1 for m in members],
-        "beta": {str(int(m) + 1): float(beta_ref[m]) for m in members},
+        "beta": {str(int(m) + 1): float(beta_ref[pos])
+                 for pos, m in enumerate(members)},
         "betah_R_spread": max(spreads) if spreads else 0.0,
         "fit": {"exponent": trace.fit_exponent,
                 "coefficient": trace.fit_coefficient,

@@ -5,9 +5,10 @@ The constant is the smallest eigenvalue of the pencil
 equator nodes removed).  B lives on the cap nodes b of the equator only,
 so the pencil reduces to the Schur complement S of A onto b, whose inverse
 is the b block of A^-1.  ``sphercap.HemisphereSolver`` gives that block
-without factorizing A: it is G_bb - G_bD G_DD^-1 G_Db, with G the
-circulant equator block of the inverse of A on the full node set and D
-the Dirichlet equator nodes.  With Z = S^-1, the constant is 1 / mu_max
+without factorizing A: it is the b block of the inverse of the Schur
+complement (G^-1)_FF of A onto the free equator nodes F, with G the
+circulant equator block of the inverse of A on the full node set, applied
+through its Fourier symbol.  With Z = S^-1, the constant is 1 / mu_max
 of the small dense symmetric-definite pencil (Z kappa_s B_bb Z, Z), and
 the minimizer is A^-1 applied to the top eigenvector placed on b.
 """
@@ -30,7 +31,6 @@ __all__ = [
     "hardy_constant",
     "hardy_constant_richardson",
     "hardy_scan",
-    "radial_hardy_quotient",
 ]
 
 
@@ -133,38 +133,3 @@ def hardy_scan(arc_lengths, params: ProblemParams, nt: int, ntheta: int,
             raise NumericalError(
                 f"Hardy scan is not strictly decreasing: {values}")
     return results
-
-
-def radial_hardy_quotient(f_values, params: ProblemParams,
-                          r_nodes=None) -> float:
-    """Rayleigh quotient int r^(N+1-2s) |f'|^2 dr / int r^(N-1-2s) f^2 dr for
-    a grid function compactly supported in (0, 1).
-
-    The numerator integrates the piecewise-linear interpolant exactly (power
-    rule per interval); the denominator uses the trapezoidal rule.  Property
-    tests check the quotient against the closed-form infimum ((N-2s)/2)^2.
-    """
-    f = np.asarray(f_values, dtype=float)
-    if r_nodes is None:
-        r_nodes = np.linspace(0.0, 1.0, len(f))
-    r = np.asarray(r_nodes, dtype=float)
-    if len(r) != len(f) or len(f) < 3:
-        raise DomainError("need matching r and f arrays with >= 3 points")
-    fmax = np.abs(f).max()
-    if abs(f[0]) > 1e-12 * fmax or abs(f[-1]) > 1e-12 * fmax:
-        raise DomainError("f must vanish at both endpoints (compact support)")
-
-    a = params.N + 1.0 - 2.0 * params.s
-    b = params.N - 1.0 - 2.0 * params.s
-    dr = np.diff(r)
-    slopes = np.diff(f) / dr
-    num = float(np.sum(slopes ** 2
-                       * (r[1:] ** (a + 1.0) - r[:-1] ** (a + 1.0))
-                       / (a + 1.0)))
-    wgt = np.zeros_like(f)
-    pos = r > 0.0
-    wgt[pos] = r[pos] ** b * f[pos] ** 2
-    den = float(np.trapezoid(wgt, r))
-    if den <= 0.0:
-        raise DomainError("denominator vanishes: f is trivial")
-    return num / den

@@ -1,5 +1,5 @@
 """Eigenpairs of the weighted spherical problem with mixed boundary
-conditions, plus a separated 1-D oracle for the full-circle cap.
+conditions.
 
 The generalized pencil is (K - lam kappa B, M) on the free nodes.  Its
 smallest eigenpairs come from shift-invert Lanczos in the M inner product,
@@ -21,13 +21,11 @@ import numpy as np
 
 from .errors import DomainError, InadmissibleLambdaError, NumericalError
 from .params import ProblemParams, gamma_from_mu
-from .sphercap import (HemisphereMesh, HemisphereSolver, band_to_dense,
-                       eigh_pencil, polar_matrices)
+from .sphercap import HemisphereMesh, HemisphereSolver, eigh_pencil
 
 __all__ = [
     "EigenSystem",
     "solve_eigs",
-    "oracle_full_circle_1d",
     "homogeneous_profile",
     "hemisphere_interpolate",
 ]
@@ -192,10 +190,10 @@ def _free_mass(mesh: HemisphereMesh):
 
 def _sparse_smallest(mesh, mass, k, params):
     """Shift-invert Lanczos with the shift sigma just below the spectrum
-    floor, lowered while eigenvalues lie beneath it or the capacitance is
-    singular (sigma is an eigenvalue).  Returns the eigenvalues, the
-    eigenvectors as rows, the final shift and the number of times it was
-    lowered."""
+    floor, lowered while eigenvalues lie beneath it or the Schur complement
+    on the free equator nodes is singular (sigma is an eigenvalue).
+    Returns the eigenvalues, the eigenvectors as rows, the final shift and
+    the number of times it was lowered."""
     n = mesh.n_free
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
@@ -205,9 +203,8 @@ def _sparse_smallest(mesh, mass, k, params):
                                       params.lam * params.kappa)
             # off the equator row the operator is K - sigma M, positive
             # definite; by Sylvester's law of inertia it has as many
-            # negative eigenvalues as its inverse's free equator block
-            Z = solver.equator_inverse(mesh.robin_ids)[0]
-            if np.all(np.linalg.eigvalsh(Z + Z.T) > 0.0):
+            # negative eigenvalues as its Schur complement there
+            if np.all(np.linalg.eigvalsh(solver.schur[0]) > 0.0):
                 break
         except np.linalg.LinAlgError:
             pass
@@ -270,43 +267,6 @@ def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
             Q, P = (np.concatenate([X, np.empty_like(X[:min(n, 2 * m) - m])])
                     for X in (Q, P))
         Q[m], P[m] = r / beta[j], p / beta[j]
-
-
-# ---------------------------------------------------------------------------
-# separated 1-D oracle for the full circle
-# ---------------------------------------------------------------------------
-
-def oracle_full_circle_1d(params: ProblemParams, azimuthal_index: int,
-                          n_t: int, grading: float = 2.0) -> np.ndarray:
-    """Eigenvalues of the 1-D weighted Sturm-Liouville family obtained by
-    separating variables on the full circle.
-
-    For azimuthal index k the radial profile f solves
-
-        -((sin t)^(1-2s) cos t f')' + k^2 (sin t)^(1-2s) (cos t)^(-1) f
-            = mu (sin t)^(1-2s) cos t f   on (0, pi/2),
-
-    with the flux condition -lim_{t->0} (sin t)^(1-2s) f'(t)
-    = kappa_s lam f(0) at the equator and nothing imposed at the pole.
-    Discretized with the polar matrices of the 2-D assembly,
-    K = P1 + k^2 P2 - kappa_s lam e0 e0^T and M = P0, solved densely.
-    Returns all discrete eigenvalues, sorted.
-    """
-    if azimuthal_index < 0:
-        raise DomainError("azimuthal index must be >= 0")
-    if n_t < 4:
-        raise DomainError("need n_t >= 4")
-    if params.N != 2:
-        raise DomainError("the separated oracle is for N = 2")
-
-    i = np.arange(n_t, dtype=float)
-    t_nodes = 0.5 * math.pi * (i / n_t) ** grading
-    P0, P1, P2 = polar_matrices(t_nodes, params.s)
-    K = band_to_dense(P1 + float(azimuthal_index) ** 2 * P2)
-    K[0, 0] -= params.kappa * params.lam
-    M = band_to_dense(P0)
-
-    return eigh_pencil(K, M)[0]
 
 
 # ---------------------------------------------------------------------------

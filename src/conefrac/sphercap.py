@@ -35,8 +35,6 @@ __all__ = [
     "eigh_pencil",
     "HemisphereSolver",
     "polar_matrices",
-    "weighted_surface_integral",
-    "boundary_integral",
 ]
 
 _GAUSS_PTS = 12
@@ -366,49 +364,30 @@ class _KronForm:
         return d
 
 
-def _form_integral(mesh: HemisphereMesh, mat, f, g) -> float:
-    f = np.asarray(f, dtype=float).ravel()
-    g = np.ones_like(f) if g is None else np.asarray(g, dtype=float).ravel()
-    if f.shape != g.shape or f.shape != (mesh.n_nodes,):
-        raise DomainError("grid function has the wrong length")
-    return float(f @ (mat @ g))
-
-
-def weighted_surface_integral(mesh: HemisphereMesh, f, g=None) -> float:
-    """Quadrature of f (or f g) against the hemisphere weight, consistent
-    with the assembled mass: returns f^T M g (g = 1 when omitted)."""
-    return _form_integral(mesh, mesh.M, f, g)
-
-
-def boundary_integral(mesh: HemisphereMesh, f, g=None) -> float:
-    """Quadrature of f (or f g) over the cap arc, consistent with the
-    boundary mass: f^T B g (g = 1 when omitted)."""
-    return _form_integral(mesh, mesh.B, f, g)
-
-
 # ---------------------------------------------------------------------------
 # exact shifted solver
 # ---------------------------------------------------------------------------
 
 class HemisphereSolver:
     """Exact inverse of H_i = K - rho B + sigma_i M restricted to the free
-    nodes, for a batch of shifts sigma_i > 0 and a Robin coefficient
-    rho >= 0, with no sparse factorization.
+    nodes, for a batch of shifts sigma_i > 0 and a Robin coefficient rho,
+    with no sparse factorization.
 
-    A real FFT in theta turns K + sigma_i M on the full node set into the
-    tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k and
-    w_k the symbols of the circulant Mth and Kth; their LDL^T factors are
-    computed once, repeated for the re and im parts so that the sweeps run
-    on the float view of the modes.  On the equator row (K + sigma_i M)^-1
-    is the circulant G_i of irfft(g_i), g_ik = [T_ik^-1]_00.  The Dirichlet
-    nodes D and the -rho B term both live on that row, so one capacitance
-    system there handles both (Buzbee, Dorr, George & Golub, SIAM J. Numer.
-    Anal. 8, 1971): with y = (K + sigma_i M)^-1 b, the solution is
-    y + (K + sigma_i M)^-1 E w, E the equator injection, whose weights w
-    (multipliers on D, rho Bth x on the free equator nodes F) solve
-    C_i w = (rho Bth_FF - E_D E_D^T) y_eq, C_i = E_D E_D^T G_i + E_F E_F^T
-    - rho Bth_FF G_i.  C_i is solved once for Q_i, w = Q_i y_eq; a singular
-    C_i raises LinAlgError.  Vectors are node rows that vanish on D.
+    A real FFT in theta turns A_i = K + sigma_i M on the full node set into
+    the tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k
+    and w_k the symbols of the circulant Mth and Kth; their LDL^T factors
+    are computed once, repeated for the re and im parts so that the sweeps
+    run on the float view of the modes.  On the equator row A_i^-1 is the
+    circulant G_i of symbol g_ik = [T_ik^-1]_00, so the Schur complement of
+    A_i onto the equator is the circulant G_i^-1 of symbol 1 / g_ik.  The
+    Dirichlet nodes D and the -rho B term both live on that row, and the
+    Schur complement of H_i onto the free equator nodes F is the symmetric
+    S_i = (G_i^-1)_FF - rho Bth_FF (Proskurowski & Widlund, Math. Comp. 30,
+    1976), kept as ``schur`` and inverted once per shift; a singular S_i
+    raises LinAlgError.  With y = A_i^-1 b and u = G_i^-1 y_E, the solution
+    has x_F = S_i^-1 u_F and x_D = 0 on the equator, and is y + A_i^-1 E w
+    with E the equator injection and w = G_i^-1 (x_E - y_E).  Vectors are
+    node rows that vanish on D.
     """
 
     def __init__(self, mesh: HemisphereMesh, shifts, rho: float = 0.0):
@@ -432,12 +411,14 @@ class HemisphereSolver:
         self.col0[:, 0] = 1.0
         self._tridiag_solve(self.col0)
         n = mesh.ntheta
-        green = np.fft.irfft(self.col0[:, 0, ::2], n, axis=-1)
-        self.green = green[:, (np.arange(n)[:, None] - np.arange(n)) % n]
-        self.on_d = on_d = ~mesh.robin_mask
-        rho_b = rho * band_to_dense(mesh.Bth) * np.outer(~on_d, ~on_d)
-        C = np.where(on_d[:, None], self.green, np.eye(n)) - rho_b @ self.green
-        self.Q = np.linalg.solve(C, rho_b - np.diag(on_d.astype(float)))
+        self.ginv = 1.0 / self.col0[:, 0, ::2]  # symbol of G_i^-1
+        # G_i^-1 by the distance of two nodes, so that S_i is symmetric
+        ginv = np.fft.irfft(self.ginv, n, axis=-1)
+        self.robin, F = mesh.robin_mask, mesh.robin_ids
+        dist = np.abs(F[:, None] - F)
+        self.schur = (ginv[:, np.minimum(dist, n - dist)]
+                      - rho * band_to_dense(mesh.Bth)[np.ix_(F, F)])
+        self.schur_inv = np.linalg.inv(self.schur)
         self._work = np.empty_like(self.col0)
 
     def _tridiag_solve(self, Y: np.ndarray) -> None:
@@ -457,15 +438,18 @@ class HemisphereSolver:
         Y = np.fft.rfft(np.reshape(X, self.shape), axis=-1)
         Yr = Y.view(float)              # re and im parts side by side
         self._tridiag_solve(Yr)
-        y_eq = np.fft.irfft(Y[:, 0], ntheta, axis=-1)
-        w = np.fft.rfft((self.Q @ y_eq[:, :, None])[:, :, 0], axis=-1)
+        u = np.fft.irfft(self.ginv * Y[:, 0], ntheta, axis=-1)
+        x_eq = np.zeros((m, ntheta))
+        x_eq[:, self.robin] = (self.schur_inv
+                               @ u[:, self.robin, None])[:, :, 0]
+        w = self.ginv * (np.fft.rfft(x_eq, axis=-1) - Y[:, 0])
         Yr += np.multiply(self.col0, w.view(float)[:, None], out=self._work)
         U = np.fft.irfft(Y, ntheta, axis=-1)
-        U[:, 0, self.on_d] = 0.0
+        U[:, 0, ~self.robin] = 0.0
         return U.reshape(m, -1)
 
     def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:
-        """The block of the free-node inverse on free equator ``nodes``,
-        G_i + G_i Q_i G_i restricted to them; one square block per shift."""
-        G = self.green[:, nodes]
-        return G[:, :, nodes] + G @ self.Q @ self.green[:, :, nodes]
+        """The block of the free-node inverse on free equator ``nodes``, the
+        same block of S_i^-1; one square block per shift."""
+        pos = np.searchsorted(np.flatnonzero(self.robin), nodes)
+        return self.schur_inv[:, pos[:, None], pos]

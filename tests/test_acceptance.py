@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import oracle_full_circle_1d
 
 from conefrac.almgren import (beta_coefficients, blowup,
                               check_H_prime_identity, compute_D, compute_H,
@@ -21,7 +22,7 @@ from conefrac.extension import (build_halfball_grid, manufactured_field,
 from conefrac.hardy import hardy_constant, hardy_scan
 from conefrac.params import (ProblemParams, hardy_constant_full_space,
                              kappa_s)
-from conefrac.spectral import oracle_full_circle_1d, solve_eigs
+from conefrac.spectral import solve_eigs
 from conefrac.sphercap import build_mesh
 
 ACCEPTANCE_MESH = (96, 192)

@@ -634,6 +634,23 @@ k = 6
             == (tmp_path / "again" / name).read_bytes()
 
 
+def test_solve_ext_beta_only_for_the_dominant_group(tmp_path):
+    # modes 3 and 6 lie outside the dominant group and their Upsilon tails
+    # decay too slowly for the amplitude integrals; the summary reports the
+    # group's beta only, so the run must not fail on the other modes
+    path = _write(tmp_path, "[params]\ns = 0.5\nlambda = 0.1\n"
+                  "[cone]\npreset = half\n"
+                  "[mesh]\nnt = 12\nntheta = 24\nnr = 8\n"
+                  "[task]\nname = solve-ext\nh = 0.05\nlid_mode = 2\n"
+                  "k = 6\n")
+    out = tmp_path / "out"
+    assert main(["solve-ext", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["j0"] == 2
+    assert sorted(map(int, summary["beta"])) == summary["multiplicity_group"]
+    assert all(math.isfinite(b) for b in summary["beta"].values())
+
+
 @pytest.mark.parametrize("polar, cartesian", [
     ("0.1*r", "0.1*(x1^2+x2^2)^0.5"),
     ("0.1*cos(theta)", "0.1*x1/(x1^2+x2^2)^0.5"),

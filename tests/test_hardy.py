@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import radial_hardy_quotient
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import DomainError, NumericalError
 from conefrac.hardy import (hardy_constant, hardy_constant_richardson,
-                            hardy_scan, radial_hardy_quotient)
+                            hardy_scan)
 from conefrac.params import (ProblemParams, hardy_constant_full_space)
 from conefrac.spectral import solve_eigs
 from conefrac.sphercap import build_mesh

@@ -7,13 +7,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import free_block, kron_forms
+from conftest import free_block, kron_forms, oracle_full_circle_1d
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import ConfigurationError, DomainError
 from conefrac.params import ProblemParams
 from conefrac.spectral import (MULTIPLICITY_RTOL, homogeneous_profile,
-                               oracle_full_circle_1d, solve_eigs)
+                               solve_eigs)
 from conefrac.sphercap import band_to_dense, build_mesh, polar_matrices
 
 

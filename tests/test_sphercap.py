@@ -5,15 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import free_block, kron_forms
+from conftest import (boundary_integral, free_block, kron_forms,
+                      weighted_surface_integral)
 from scipy.integrate import quad
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import DomainError, GeometryError
 from conefrac.params import ProblemParams
-from conefrac.sphercap import (HemisphereSolver, _gauss_jacobi,
-                               boundary_integral, build_mesh,
-                               weighted_surface_integral)
+from conefrac.sphercap import HemisphereSolver, _gauss_jacobi, build_mesh
 
 
 def test_mesh_nodes_uniform_grading():
@@ -237,6 +236,9 @@ def test_spherical_hardy_inequality_for_eigenfunctions(half_es, half_mesh,
     (SphericalCap(math.pi, 2 * math.pi), 8),     # half cap
     (SphericalCap(0.3, 2.0), 12),                # Dirichlet set wraps 0
     (SphericalCap(math.pi, 2 * math.pi), 9),     # odd ntheta
+    (SphericalCap(0.3, 0.9), 12),                # one free equator node
+    (SphericalCap(0.1, 1.2), 12),                # two
+    (SphericalCap(0.3, 1.5), 16),                # three
 ])
 def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
     """The solver inverts K - rho B + sigma_i M on the free nodes for a batch
@@ -252,6 +254,7 @@ def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
         cols = [solver.solve(np.tile(e, (len(shifts), 1)))[:, mesh.free_nodes]
                 for e in np.eye(mesh.n_nodes)[mesh.free_nodes]]
         Z = solver.equator_inverse(mesh.robin_ids)
+        assert Z.shape == (len(shifts), len(eq), len(eq))
         for i, sigma in enumerate(shifts):
             A = free_block(K - rho * B + sigma * M, mesh).toarray()
             exact = np.linalg.inv(A)
