@@ -492,11 +492,8 @@ def _power_weighted_integral(taus: np.ndarray, vals: np.ndarray,
     """int_0^R t^alpha vals(t) dt with vals sampled on the tau grid: linear
     interpolation between samples integrated against the exact power, plus a
     fitted power tail below the first sample."""
-    x = taus
-    y = vals
-    sel = x <= R * (1.0 + 1e-12)
-    x = x[sel]
-    y = y[sel]
+    sel = taus <= R * (1.0 + 1e-12)
+    x, y = taus[sel], vals[sel]
     if len(x) < 2:
         raise DomainError("need at least two samples below R")
     if x[-1] < R * (1.0 - 1e-12):
@@ -553,10 +550,14 @@ def beta_coefficients(ft: FourierTrace, gamma: float, R: float) -> np.ndarray:
     for pos in range(len(ft.modes)):
         beta = ft.phi_at(pos, R) / R ** gamma
         if np.any(ft.ups[pos] != 0.0):
-            i1 = _power_weighted_integral(ft.taus, ft.ups[pos],
-                                          -N - 1.0 + 2.0 * s - gamma, R)
-            i2 = _power_weighted_integral(ft.taus, ft.ups[pos],
-                                          gamma - 1.0, R)
+            try:
+                i1 = _power_weighted_integral(ft.taus, ft.ups[pos],
+                                              -N - 1.0 + 2.0 * s - gamma, R)
+                i2 = _power_weighted_integral(ft.taus, ft.ups[pos],
+                                              gamma - 1.0, R)
+            except NumericalError as exc:
+                raise NumericalError(f"beta of mode {int(ft.modes[pos]) + 1}"
+                                     f" at R = {R:g}: {exc}") from exc
             beta += (N + gamma - 2.0 * s) / denom * i1
             beta += gamma * R ** (-N + 2.0 * s - 2.0 * gamma) / denom * i2
         out[pos] = beta

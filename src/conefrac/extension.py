@@ -11,9 +11,9 @@ operator
 is never assembled in 3-D: it is applied through its factors, and all but
 its h trace term is inverted exactly, without sparse factorization, by
 fast diagonalization: a generalized eigendecomposition in r, then per
-radial eigenvalue the hemisphere solver of ``sphercap``.  That inverse
-preconditions a conjugate-gradient solve of the full operator (``_pcg``),
-which takes one iteration when h is absent.
+radial eigenvalue the hemisphere solver of ``sphercap``.  The h term
+couples only the free equator nodes, so conjugate gradients (``_pcg``) run
+on that trace alone, a capacitance-matrix method (Buzbee et al., 1971).
 
 Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
@@ -382,30 +382,40 @@ def _trace_h(grid: HalfBallGrid, h: Expression):
 
 
 class _FastDiagPreconditioner:
-    """Exact inverse of kron(S_r, M_h) + kron(M_r, K_h - rho B_h) on the
-    free dofs, with no sparse factorization; SPD for admissible rho.  Its
+    """Exact inverse of A0 = kron(S_r, M_h) + kron(M_r, K_h - rho B_h) on
+    the free dofs, with no sparse factorization; SPD for admissible rho.  Its
     vectors are flat (shells, nodes) arrays that vanish on Dirichlet nodes.
 
     The generalized eigendecomposition S_r W = M_r W diag(lam) splits the
     operator into one hemisphere operator K_h - rho B_h + lam_i M_h per
-    radial eigenvalue, and ``HemisphereSolver`` inverts them all at once.
+    radial eigenvalue, and ``HemisphereSolver`` inverts them all at once;
+    its Schur complements S_i on the free equator nodes give ``trace``.
     """
 
     def __init__(self, Sr: np.ndarray, Mr: np.ndarray, mesh: HemisphereMesh,
                  rho: float):
         lam, self.W = eigh_pencil(Sr, Mr)
         self.solver = HemisphereSolver(mesh, lam, rho)
+        self._trace = ((self.W, self.solver.schur_inv),
+                       (Mr @ self.W, self.solver.schur))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         X = self.W.T @ x.reshape(len(self.W), -1)
         return (self.W @ self.solver.solve(X)).ravel()
 
+    def trace(self, y: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Z y = E^T A0^-1 E y = (W x I) diag(S_i^-1) (W^T x I) y, E the free
+        equator nodes F, y flat (shells, F); Z^-1 y from M_r W, S_i."""
+        W, S = self._trace[inverse]
+        Y = W.T @ y.reshape(len(W), -1)
+        return (W @ (S @ Y[:, :, None])[:, :, 0]).ravel()
+
 
 def _extension_operator(grid: HalfBallGrid, params: ProblemParams):
     """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus
     the kappa_s h trace term, applied to full 3-D node vectors through its
-    factors; returned with the dense radial matrices (S_r, M_r).  Its
-    result lives in a workspace that the next application overwrites."""
+    factors; returned with S_r, M_r and the h trace form (None without h).
+    Its result lives in a workspace that the next application overwrites."""
     s = params.s
     Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s)
     Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s)
@@ -427,14 +437,14 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams):
             out[:, :n_eq] -= params.kappa * trace_h(U)
         return out.ravel()
 
-    return apply, Sr, Mr
+    return apply, Sr, Mr, trace_h
 
 
 def _pcg(matvec, precond, b: np.ndarray):
-    """Preconditioned conjugate gradients for the SPD system matvec(x) = b
-    from x = 0, stopping before the update at which |r| < CG_TOL |b|.
-    Returns the solution and the number of updates, CG_MAXITER when the
-    test never held."""
+    """Preconditioned CG for the SPD system matvec(x) = b (the extension's
+    equator trace) from x = 0, stopping before the update at which
+    |r| < CG_TOL |b|.  Returns the solution and the number of updates,
+    CG_MAXITER when the test never held."""
     x, r, p = np.zeros_like(b), b.copy(), None
     tol = CG_TOL * np.linalg.norm(b)
     if tol == 0.0:                              # b = 0
@@ -468,8 +478,10 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     The admissibility lam < Lambda(cap) is enforced through the eigen system
     ``es`` used for the modal bookkeeping, solved on the grid's mesh at the
     same lam.
-    The field's ``meta`` records the CG iteration count and the final
-    relative residual.
+    A = A0 - E H E^T, A0 inverted by ``_FastDiagPreconditioner``, H the h
+    form on the free equator nodes E: CG solves (Z^-1 - H) y = Z^-1 E^T x0
+    for y = E^T x, x0 = A0^-1 b, Z = E^T A0^-1 E; x = A0^-1 (b + E H y) is
+    refined once.  ``meta``: the trace CG's iterations, the 3-D residual.
     """
     mesh = grid.mesh
     mesh.check_params(params)
@@ -486,7 +498,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     n_h = mesh.n_nodes
     n_surf = grid.n_surfaces
-    operator, Sr, Mr = _extension_operator(grid, params)
+    operator, Sr, Mr, trace_h = _extension_operator(grid, params)
 
     # Dirichlet data on the outer shell, and on the inner one when h is
     # absent; the unknowns are the shells between, with zero Dirichlet columns
@@ -505,16 +517,29 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         return (y.reshape(n_surf, n_h)[shells] * free).ravel()
 
     b = -interior(operator(u))
-    v = np.zeros((n_surf, n_h))             # zero off the unknowns
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        v[shells] = x.reshape(-1, n_h)
-        return interior(operator(v))
+    def residual(x: np.ndarray) -> np.ndarray:      # b - A x, x into u
+        u[shells] = x.reshape(-1, n_h)
+        return -interior(operator(u))
 
-    precond = _FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
-                                      mesh, params.lam * params.kappa)
-    sol, iters = _pcg(matvec, precond.apply, b)
-    res = float(np.linalg.norm(matvec(sol) - b)
+    F, v_eq = mesh.robin_ids, np.zeros((n_surf, mesh.ntheta))
+
+    def trace_form(y: np.ndarray) -> np.ndarray:        # H y
+        v_eq[shells, F] = y.reshape(-1, len(F))
+        return (0.0 * y if trace_h is None
+                else params.kappa * trace_h(v_eq)[shells, F].ravel())
+
+    fast = _FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
+                                   mesh, params.lam * params.kappa)
+    x = fast.apply(b)
+    y, iters = _pcg(lambda y: fast.trace(y, True) - trace_form(y), fast.trace,
+                    fast.trace(x.reshape(-1, n_h)[:, F].ravel(), True))
+    if trace_h is not None:
+        rhs = b.reshape(-1, n_h).copy()
+        rhs[:, F] += trace_form(y).reshape(-1, len(F))
+        x = fast.apply(rhs)
+        x += fast.apply(residual(x))        # one refinement step
+    res = float(np.linalg.norm(residual(x))
                 / max(np.linalg.norm(b), 1e-300))
     if iters == CG_MAXITER:
         raise NumericalError(
@@ -522,7 +547,6 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
             f"(relative residual {res:.3e}); check admissibility of lam = "
             f"{params.lam}")
 
-    u[shells] = sol.reshape(-1, n_h)
     meta = {"inner_mode": inner_mode, "cg_iters": iters,
             "cg_residual": res}
     return GridField(grid, u, params, meta=meta)

@@ -651,6 +651,21 @@ def test_solve_ext_beta_only_for_the_dominant_group(tmp_path):
     assert all(math.isfinite(b) for b in summary["beta"].values())
 
 
+def test_solve_ext_divergent_beta_tail_names_mode_and_radius(tmp_path,
+                                                             capsys):
+    # at s = 0.02 the dominant mode's own Upsilon tail makes the amplitude
+    # integrals diverge: a stated numerical failure that names mode and R
+    path = _write(tmp_path, "[params]\ns = 0.02\nlambda = 0\n"
+                  "[cone]\npreset = full\n"
+                  "[mesh]\nnt = 6\nntheta = 12\nnr = 8\n"
+                  "[task]\nname = solve-ext\nh = 0.5\nk = 4\n")
+    code = main(["solve-ext", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "beta of mode 1 at R = 0.3: Upsilon tail decays too slowly" in err
+
+
 @pytest.mark.parametrize("polar, cartesian", [
     ("0.1*r", "0.1*(x1^2+x2^2)^0.5"),
     ("0.1*cos(theta)", "0.1*x1/(x1^2+x2^2)^0.5"),

@@ -379,7 +379,7 @@ def test_matrix_free_operator_matches_assembled(half_params, half_cap, h):
     mesh = build_mesh(6, 12, params.s, half_cap)
     grid = build_halfball_grid(6, 1e-2, mesh)
     A = _assembled_operator(grid, params, mesh)
-    apply, _, _ = _extension_operator(grid, params)
+    apply, *_ = _extension_operator(grid, params)
     rng = np.random.default_rng(7)
     for u in rng.standard_normal((3, grid.n_nodes)):
         ref = A @ u
@@ -387,7 +387,8 @@ def test_matrix_free_operator_matches_assembled(half_params, half_cap, h):
                                    atol=1e-13 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("h", [None, "0.1"])
+@pytest.mark.parametrize("h", [None, "0.1", "0.1*x1 + 0.05*x2^2",
+                               "0.1*cos(theta)"])
 def test_solve_matches_direct_solve(half_params, half_cap, h):
     import scipy.sparse.linalg as spla
     h = None if h is None else parse_expression(h)
@@ -420,7 +421,8 @@ def test_solve_matches_direct_solve(half_params, half_cap, h):
 def test_pcg_matches_scipy_cg(monkeypatch, half_cap, h):
     """On the benchmark's solve-ext system (48 x 96, 32 shells) the numpy
     PCG takes as many iterations as scipy's cg run on the same operator,
-    preconditioner and right-hand side, and returns the same solution."""
+    preconditioner and right-hand side, and returns the same solution; the
+    system is the equator-trace one that ``solve_extension`` iterates on."""
     import scipy.sparse.linalg as spla
 
     import conefrac.extension as ext
@@ -448,6 +450,41 @@ def test_pcg_matches_scipy_cg(monkeypatch, half_cap, h):
     assert info == 0
     assert len(count) == seen["iters"]
     assert np.abs(seen["x"] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("h", [None, "0.15"])
+def test_solve_applies_operator_and_fast_inverse_at_most_three_times(
+        monkeypatch, half_params, half_cap, h):
+    # the CG runs on the equator trace: the 3-D operator builds the right-
+    # hand side, refines once and checks the residual; the fast inverse
+    # solves for x0, for the trace correction and for the refinement
+    import conefrac.extension as ext
+    params = dataclasses.replace(
+        half_params, h=None if h is None else parse_expression(h))
+    mesh = build_mesh(12, 24, params.s, half_cap)
+    es = solve_eigs(mesh, params, k=4)
+    counts = {"operator": 0, "fast": 0}
+    make_operator, fast_apply = (ext._extension_operator,
+                                 ext._FastDiagPreconditioner.apply)
+
+    def spy_operator(grid, params):
+        apply, *rest = make_operator(grid, params)
+
+        def counted(u):
+            counts["operator"] += 1
+            return apply(u)
+        return (counted, *rest)
+
+    def spy_fast(self, x):
+        counts["fast"] += 1
+        return fast_apply(self, x)
+
+    monkeypatch.setattr(ext, "_extension_operator", spy_operator)
+    monkeypatch.setattr(ext._FastDiagPreconditioner, "apply", spy_fast)
+    fld = solve_extension(build_halfball_grid(8, 1e-2, mesh), params,
+                          es.vectors[0], es=es)
+    assert fld.meta["cg_iters"] >= 1
+    assert counts["operator"] <= 3 and counts["fast"] <= 3
 
 
 def test_batched_pohozaev_rows_equal_scalar_calls(half_es):
