@@ -239,7 +239,6 @@ class FrequencyTrace:
     D: np.ndarray
     Ncal: np.ndarray
     gamma_hat: float
-    R0: float
     fit_exponent: float | None
     fit_coefficient: float | None
     fit_fallback: bool
@@ -288,19 +287,16 @@ def _fit_gamma(radii, ncal, delta_fixed=None):
     return float(g), float(d), float(c), False
 
 
-def frequency_trace(fld: ScalarField, radii=None,
-                    R0: float = 0.8) -> FrequencyTrace:
-    """Pointwise frequency on the radii grid plus the r -> 0 extrapolation.
+def frequency_trace(fld: ScalarField, radii=None) -> FrequencyTrace:
+    """Pointwise frequency on the radii grid (``default_radii`` if None),
+    ascending in (0, 1], plus the r -> 0 extrapolation.
 
     With a perturbation present the remainder exponent is pinned to
     2s - N/p; without one the exponent is free.  An ill-conditioned fit
     falls back to the smallest-radius frequency value.
     """
-    if radii is None:
-        radii = default_radii(R0)
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0.0) or np.any(radii > R0 + 1e-12):
-        raise DomainError("radii must lie in (0, R0]")
+    radii = np.asarray(default_radii() if radii is None else radii,
+                       dtype=float)
     params = fld.params
     Hs = _boundary_mass(fld, radii)
     Ds = _scaled_energy(fld, radii)
@@ -317,16 +313,13 @@ def frequency_trace(fld: ScalarField, radii=None,
         delta = 2.0 * params.s - params.N / params.p
         g, d, c, fb = _fit_gamma(radii, ncal, delta)
     return FrequencyTrace(radii=radii, H=Hs, D=Ds, Ncal=ncal, gamma_hat=g,
-                          R0=R0, fit_exponent=d, fit_coefficient=c,
-                          fit_fallback=fb)
+                          fit_exponent=d, fit_coefficient=c, fit_fallback=fb)
 
 
-def check_H_prime_identity(fld: ScalarField, r: float = 0.5,
-                           delta: float | None = None) -> float:
+def check_H_prime_identity(fld: ScalarField, r: float = 0.5) -> float:
     """Relative residual of H'(r) = 2 D(r) / r with fourth-order central
-    differences of H in log radius."""
-    if delta is None:
-        delta = 1e-3 if fld.is_analytic else 0.04
+    differences of H in log radius, step 1e-3 (0.04 on a grid field)."""
+    delta = 1e-3 if fld.is_analytic else 0.04
     xs = math.log(r) + delta * np.array([-2.0, -1.0, 1.0, 2.0])
     Hvals = [compute_H(fld, math.exp(x)) for x in xs]
     dHdx = (Hvals[0] - 8.0 * Hvals[1] + 8.0 * Hvals[2] - Hvals[3]) / (12.0 * delta)
@@ -372,11 +365,11 @@ class BlowupSnapshot:
         others = np.setdiff1d(np.arange(es.k), es.group_members(group_of))
         return float(np.linalg.norm(self.projection(es, others)))
 
-    def h1_distance(self, other: ScalarField, r_lo: float = 1e-4) -> float:
-        """Weighted H1 distance on the unit half-ball between the snapshot
-        and another field, by shell quadrature on the joint table's Grams."""
+    def h1_distance(self, other: ScalarField) -> float:
+        """Weighted H1 distance on the unit half-ball (radii 1e-4 to 1)
+        between the snapshot and another field, on the joint table's Grams."""
         N, s = self.fld.params.N, self.fld.params.s
-        plan = _radial_plan([r_lo, 1.0])
+        plan = _radial_plan([1e-4, 1.0])
         rho = plan.rho
         T = np.vstack([self.fld.table, other.table])
         dv = np.hstack([self.fld.coefficients(self.tau * rho) / self.scale,
@@ -577,12 +570,12 @@ class PohozaevReport:
     scale: float
 
 
-def pohozaev_check(fld: ScalarField, r, tol: float = 1e-2
+def pohozaev_check(fld: ScalarField, r
                    ) -> PohozaevReport | list[PohozaevReport]:
     """Evaluates both sides of the Pohozaev balance at radius r and the
     residual of the Green identity tying energy to the boundary flux.
 
-    lhs >= rhs - tol * scale is reported as ``satisfied``; homogeneous
+    lhs >= rhs - 1e-2 * scale is reported as ``satisfied``; homogeneous
     fields saturate the balance (equality).  An array of radii gives one
     report per radius, all from one radial plan with an edge at every
     radius.
@@ -619,7 +612,7 @@ def pohozaev_check(fld: ScalarField, r, tol: float = 1e-2
     scale = np.maximum(np.max(np.abs([energy, flux, lhs, rhs]), axis=0),
                        1e-300)
     green = np.abs(energy - flux) / scale
-    satisfied = lhs >= rhs - tol * scale
+    satisfied = lhs >= rhs - 1e-2 * scale
     reports = [PohozaevReport(lhs=float(a), rhs=float(b), satisfied=bool(c),
                               green_residual=float(d), scale=float(e))
                for a, b, c, d, e in zip(lhs, rhs, satisfied, green, scale)]

@@ -1,15 +1,16 @@
 """Command-line front end.
 
-    conefrac <task> --config path [--out dir] [--threads k] [--mesh-level L]
+    conefrac <task> --config path [--out dir] [--mesh-level L]
 
 Every run writes its artifacts (CSV / JSON / SVG, plus the binary field for
 the extension task) into the output directory together with a manifest that
 records the config hash, resolved parameters, mesh sizes, tolerances and
-library versions.  Outputs are deterministic: no timestamps, stable float
-formatting, fixed iteration orders (determinism is guaranteed in
-single-threaded mode).
+library versions.  Every task runs on one thread, and its outputs are
+deterministic: no timestamps, stable float formatting, fixed iteration
+orders, so a rerun writes the same bytes.
 
-Exit codes: 0 success, 2 config error (an inadmissible lambda included),
+Exit codes: 0 success, 2 config error (an inadmissible lambda, a lid in
+x1, x2 or r, and reference radii outside the analyzer's radii included),
 3 numerical failure.
 """
 
@@ -27,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .almgren import (beta_coefficients, default_radii, fourier_coeffs,
-                      frequency_trace, pohozaev_check)
+from .almgren import (beta_coefficients, fourier_coeffs, frequency_trace,
+                      pohozaev_check)
 from .cones import (SmoothedCone, smoothing_defect, smoothing_profile,
                     starshape_margin)
-from .config import RunConfig, parse_config
+from .config import RunConfig, analyzer_radii, parse_config
 from .errors import ConfigurationError, ConefracError
 from .extension import (CG_TOL, build_halfball_grid, manufactured_field,
                         save_field, solve_extension)
@@ -112,7 +113,7 @@ def _scaled(cfg: RunConfig, level: int) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _task_eig(cfg: RunConfig, out: Path, threads: int) -> _Result:
+def _task_eig(cfg: RunConfig, out: Path) -> _Result:
     es = _eigen_system(cfg, cfg.task_opts["k"])
     rows = [(j + 1, float(es.mu[j]), float(es.gamma[j]), int(es.group[j]))
             for j in range(es.k)]
@@ -124,17 +125,16 @@ def _task_eig(cfg: RunConfig, out: Path, threads: int) -> _Result:
     return ["eig.csv", "eig_ladder.svg"], _eigen_notes(es)
 
 
-def _task_hardy(cfg: RunConfig, out: Path, threads: int) -> _Result:
+def _task_hardy(cfg: RunConfig, out: Path) -> _Result:
     res = hardy_constant_richardson(cfg.params, cfg.cap(), cfg.nt, cfg.ntheta,
                                     cfg.grading)
     _write_hardy_csv(out / "hardy.csv", [cfg.cap().length], [res])
     return ["hardy.csv"], {}
 
 
-def _task_scan(cfg: RunConfig, out: Path, threads: int) -> _Result:
+def _task_scan(cfg: RunConfig, out: Path) -> _Result:
     arcs = cfg.task_opts["arcs"]
-    results = hardy_scan(arcs, cfg.params, cfg.nt, cfg.ntheta, cfg.grading,
-                         threads=threads)
+    results = hardy_scan(arcs, cfg.params, cfg.nt, cfg.ntheta, cfg.grading)
     _write_hardy_csv(out / "scan.csv", arcs, results)
     plot_svg(out / "scan_lambda.svg",
              [LineSeries(arcs, [r.lambda_star for r in results],
@@ -145,10 +145,9 @@ def _task_scan(cfg: RunConfig, out: Path, threads: int) -> _Result:
 
 
 def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
-    r0 = cfg.task_opts["r0"]
-    lo = max(1e-2, 10.0 * fld.core_radius)
-    radii = default_radii(R0=r0, n=cfg.task_opts["nradii"], r_min=lo)
-    trace = frequency_trace(fld, radii, R0=r0)
+    radii = analyzer_radii(cfg.task_opts["r0"], cfg.task_opts["nradii"],
+                           fld.core_radius)
+    trace = frequency_trace(fld, radii)
     _write_csv(out / "frequency.csv", ["r", "H", "D", "Ncal"],
                list(zip(map(float, radii), map(float, trace.H),
                         map(float, trace.D), map(float, trace.Ncal))))
@@ -207,14 +206,14 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
             "summary.json"]
 
 
-def _task_frequency(cfg: RunConfig, out: Path, threads: int) -> _Result:
+def _task_frequency(cfg: RunConfig, out: Path) -> _Result:
     es = _eigen_system(cfg, max(cfg.task_opts["k"], max(
         j for j, _ in cfg.task_opts["modes"]) + 1))
     fld = manufactured_field(es, cfg.task_opts["modes"])
     return _frequency_outputs(cfg, out, fld, es), _eigen_notes(es)
 
 
-def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
+def _task_solve_ext(cfg: RunConfig, out: Path) -> _Result:
     es = _eigen_system(cfg, cfg.task_opts["k"])
     grid = build_halfball_grid(cfg.nr, cfg.rmin, es.mesh)
 
@@ -241,7 +240,7 @@ def _task_solve_ext(cfg: RunConfig, out: Path, threads: int) -> _Result:
                                      **_eigen_notes(es)}
 
 
-def _task_smooth_cone(cfg: RunConfig, out: Path, threads: int) -> _Result:
+def _task_smooth_cone(cfg: RunConfig, out: Path) -> _Result:
     n = cfg.task_opts["n"]
     samples = cfg.task_opts["samples"]
     sc = SmoothedCone(cfg.cone_spec, n)
@@ -292,12 +291,13 @@ _TASK_RUNNERS = {
 
 def run_task(cfg: RunConfig, out_dir, threads: int = 1) -> Path:
     """Run one task and write its artifact bundle; returns the out dir.
-    A failed task removes the directories this call created, if any."""
+    A failed task removes the directories this call created, if any.
+    Every task runs on one thread; ``threads`` is unused, kept for callers."""
     out = Path(out_dir)
     created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     try:
-        outputs, notes = _TASK_RUNNERS[cfg.task](cfg, out, threads)
+        outputs, notes = _TASK_RUNNERS[cfg.task](cfg, out)
         _manifest(out, cfg, outputs + ["manifest.json"], notes)
     except BaseException:
         for top in created[-1:]:
@@ -316,9 +316,6 @@ def main(argv=None) -> int:
                     help="which pipeline to run (must match the config)")
     ap.add_argument("--config", required=True, help="path to the INI config")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="module-internal parallelism (determinism is "
-                         "asserted single-threaded)")
     ap.add_argument("--mesh-level", type=int, default=0,
                     help="refine every mesh dimension by 2^L (L >= 0)")
     args = ap.parse_args(argv)
@@ -335,8 +332,7 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 [f"config declares task '{cfg.task}' but the command line "
                  f"asked for '{args.task}'"])
-        out = run_task(_scaled(cfg, args.mesh_level), args.out,
-                       threads=args.threads)
+        out = run_task(_scaled(cfg, args.mesh_level), args.out)
     except ConfigurationError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

@@ -11,7 +11,7 @@ returned in closed form on the two flat regimes so they can be tested exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -314,14 +314,14 @@ class SmoothedCone:
         return bool(out) if out.ndim == 0 else out
 
 
-def starshape_margin(sc: SmoothedCone, point, tol: float = 1e-10) -> float:
+def starshape_margin(sc: SmoothedCone, point) -> float:
     """grad F . x at a boundary point of C_n, with F(x) = x2 - psi_n(x1).
 
     The construction guarantees a lower bound 3/(4n) once n >= ceil(6M).
-    Errors out if the point does not satisfy x2 = psi_n(x1) within ``tol``.
+    Errors out if the point is off the graph x2 = psi_n(x1) by over 1e-10.
     """
     x1, x2 = float(point[0]), float(point[1])
-    if abs(x2 - sc.psi(x1)) > tol * max(1.0, abs(x2)):
+    if abs(x2 - sc.psi(x1)) > 1e-10 * max(1.0, abs(x2)):
         raise DomainError(
             f"point ({x1}, {x2}) is not on the graph x2 = psi_n(x1)")
     # grad F . x = x2 - psi_n'(x1) x1 = 1/n + g (f_n - |x1| f_n')
@@ -332,19 +332,13 @@ def starshape_margin(sc: SmoothedCone, point, tol: float = 1e-10) -> float:
 @dataclass(frozen=True)
 class ApproxDomain:
     """Upper half-space approximating domain
-    Omega_n = {(x1, x2, t) : x2 < psi_n(x1) + (n/3) f_n(t)} cap B^+_{R0}.
+    Omega_n = {(x1, x2, t) : x2 < psi_n(x1) + (n/3) f_n(t)} cap B^+_1.
 
     Boundary pieces: the thin disc part sigma_n (t = 0, inside C_n), the
-    spherical part tau_n (|z| = R0), and the graph part gamma_n.
+    spherical part tau_n (|z| = 1), and the graph part gamma_n.
     """
 
     smoothed: SmoothedCone
-    R0: float = 1.0
-    tol: float = field(default=1e-9)
-
-    def __post_init__(self):
-        if self.R0 <= 0.0:
-            raise DomainError(f"R0 must be positive, got {self.R0}")
 
     def gauge(self, z) -> float:
         """G(z) = x2 - psi_n(x1) - (n/3) f_n(t); Omega_n is {G < 0}."""
@@ -374,17 +368,17 @@ def omega_n_membership(ad: ApproxDomain, z) -> bool:
 
 def classify_point(ad: ApproxDomain, z) -> str:
     """Classify z against Omega_n: one of interior, sigma_n, tau_n, gamma_n,
-    exterior.  Boundary detection uses the domain tolerance."""
+    exterior.  Boundary detection uses the tolerance 1e-9."""
     z = np.asarray(z, dtype=float)
     if z.shape != (3,):
         raise DomainError("z must be a point of R^3")
     _, x2, t = z
     r = float(np.linalg.norm(z))
-    tol = ad.tol
+    tol = 1e-9
     G = ad.gauge(z)
-    if t < -tol or r > ad.R0 + tol:
+    if t < -tol or r > 1.0 + tol:
         return "exterior"
-    on_sphere = abs(r - ad.R0) <= tol
+    on_sphere = abs(r - 1.0) <= tol
     on_graph = abs(G) <= tol * max(1.0, abs(x2))
     if t <= tol:
         # thin disc piece: inside C_n, inside the ball

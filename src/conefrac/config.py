@@ -4,9 +4,9 @@ Every key of the flat INI sections is declared once, in the table ``_KEYS``:
 the tasks it applies to, its default, its parser and its check.  Every
 violation is collected before reporting, so a bad config fails with the full
 list.  Numbers go through the expression parser (so ``pi/2`` works); h and
-lid are expression strings.  Parsing solves nothing: whether lambda lies
-below the cone's Hardy constant is decided by the eigen solve on the run's
-own mesh.
+lid are expression strings, lid in t and theta only.  Parsing solves
+nothing: whether lambda lies below the cone's Hardy constant is decided by
+the eigen solve on the run's own mesh.
 """
 
 from __future__ import annotations
@@ -15,14 +15,16 @@ import configparser
 import difflib
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .cones import ConeProfile, SphericalCap, cap_of_cone
 from .errors import ConfigurationError, ExpressionError
 from .expressions import parse_expression
 from .params import ProblemParams
 
-__all__ = ["RunConfig", "parse_config", "TASKS"]
+__all__ = ["RunConfig", "parse_config", "analyzer_radii", "TASKS"]
 
 TASKS = ("eig", "hardy", "scan", "frequency", "solve-ext", "smooth-cone")
 
@@ -52,6 +54,12 @@ def _preset(text: str) -> ConeProfile:
     if text not in ("half", "full"):
         raise ValueError("expected 'half' or 'full'")
     return ConeProfile(full=text == "full")
+
+
+def analyzer_radii(r0: float, n: int, core_radius: float) -> np.ndarray:
+    """The frequency analyzer's n geometric radii up to r0, from 1e-2 or ten
+    times the field's core radius (a grid field's rmin) if that is larger."""
+    return np.geomspace(max(1e-2, 10.0 * core_radius), r0, n)
 
 
 def _modes(text: str) -> list[tuple[int, float]]:
@@ -115,7 +123,9 @@ _KEYS = {
     ("task", "h"): _Key(("solve-ext",), None, parse_expression),
     ("task", "lid_mode"): _Key(("solve-ext",), "1", _int, lambda v: v >= 1,
                                "lid_mode is 1-based"),
-    ("task", "lid"): _Key(("solve-ext",), None, parse_expression),
+    ("task", "lid"): _Key(("solve-ext",), None, parse_expression,
+                          lambda v: v.variables() <= {"t", "theta"},
+                          "lid is an expression in t and theta only"),
     ("task", "n"): _Key(("smooth-cone",), "12", _int, lambda v: v >= 1,
                         "n must be >= 1"),
     ("task", "samples"): _Key(("smooth-cone",), "1000", _int,
@@ -165,6 +175,23 @@ def _arcs_ordered(vals: dict, cp):
         yield "[task] arcs must lie in (0, 2*pi]"
 
 
+def _analyzer_range(vals: dict, cp):
+    # beta at R reads the analyzer's profiles at R and integrates them from
+    # the vertex up to R, so R needs two of the radii at or below it
+    r0, n, rlist = (vals["task", k] for k in ("r0", "nradii", "rlist"))
+    rmin = vals["mesh", "rmin"] if vals["task", "name"] == "solve-ext" else 0.0
+    if None in (r0, n, rmin):
+        return
+    lo, second = analyzer_radii(r0, n, rmin)[:2]
+    if lo >= r0:
+        yield (f"[task] r0 = {r0} must exceed the analyzer's smallest radius "
+               f"{lo:g}" + (" = 10 * [mesh] rmin" if lo > 1e-2 else ""))
+    elif rlist and not all(second <= R <= r0 for R in rlist):
+        yield (f"[task] rlist = {rlist}: reference radii must lie in "
+               f"[{second:.8g}, {r0}], from the analyzer's second radius "
+               "to r0")
+
+
 def _lid_choice(vals: dict, cp):
     mode, k = vals["task", "lid_mode"], vals["task", "k"]
     if cp.has_option("task", "lid") and cp.has_option("task", "lid_mode") \
@@ -188,6 +215,7 @@ _RULES = {
     ("cone", "g_minus"): _slopes_override_preset,
     ("task", "name"): _task_keys_apply,
     ("task", "arcs"): _arcs_ordered,
+    ("task", "rlist"): _analyzer_range,
     ("task", "lid_mode"): _lid_choice,
     ("task", "samples"): _star_shaped,
 }
@@ -205,8 +233,8 @@ class RunConfig:
     grading: float
     nr: int
     rmin: float
-    task_opts: dict = dc_field(default_factory=dict)
-    raw_text: str = ""
+    task_opts: dict
+    raw_text: str
 
     def cap(self) -> SphericalCap:
         return cap_of_cone(self.cone_spec)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ExpressionError
 
-__all__ = ["Expression", "parse_expression", "evaluate"]
+__all__ = ["Expression", "parse_expression"]
 
 VARIABLES = ("x1", "x2", "r", "theta", "t")
 FUNCTIONS = {
@@ -432,9 +432,6 @@ class Expression:
     root: Node
     source: str
 
-    def __call__(self, **bindings):
-        return self.eval(bindings)
-
     def eval(self, bindings: dict):
         """Value at the bindings; a non-finite result raises."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -450,6 +447,11 @@ class Expression:
             raise ExpressionError(f"cannot differentiate w.r.t. {var!r}")
         node = self.root.diff(var)
         return Expression(node, node.render())
+
+    def variables(self) -> frozenset[str]:
+        """The variables the expression reads."""
+        return frozenset(tok.text for tok in _tokenize(self.source)
+                         if tok.text in VARIABLES)
 
     def to_string(self) -> str:
         return self.root.render()
@@ -467,7 +469,3 @@ def parse_expression(text: str) -> Expression:
     tokens = _tokenize(text)
     root = _Parser(tokens, text).parse()
     return Expression(root, text)
-
-
-def evaluate(expr: Expression, bindings: dict):
-    return expr.eval(bindings)

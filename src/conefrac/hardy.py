@@ -100,13 +100,12 @@ def hardy_constant_richardson(params: ProblemParams, cap: SphericalCap,
 
 
 def hardy_scan(arc_lengths, params: ProblemParams, nt: int, ntheta: int,
-               grading: float = 2.0, center: float = 1.5 * math.pi,
-               threads: int = 1) -> list[HardyResult]:
+               grading: float = 2.0) -> list[HardyResult]:
     """Hardy constants over a strictly increasing list of arc lengths.
 
-    Caps are centered at ``center`` so successive cones are strictly nested;
-    the resulting constants must be strictly decreasing and the scan raises
-    NumericalError if the computed sequence violates that by more than 1e-6.
+    Caps are centered on the downward direction 3 pi/2, so the cones are
+    nested; the constants must then strictly decrease, and the scan raises
+    NumericalError where they fail to by more than 1e-6.
     """
     arcs = [float(a) for a in arc_lengths]
     if any(b - a <= 0.0 for a, b in zip(arcs, arcs[1:])):
@@ -114,19 +113,11 @@ def hardy_scan(arc_lengths, params: ProblemParams, nt: int, ntheta: int,
     if arcs[0] <= 0.0 or arcs[-1] > 2.0 * math.pi + 1e-12:
         raise DomainError("arc lengths must lie in (0, 2 pi]")
 
-    def one(length: float) -> HardyResult:
-        cap = (SphericalCap.full_circle()
-               if length >= 2.0 * math.pi - 1e-12
-               else SphericalCap.centered(center, length))
-        return hardy_constant_richardson(params, cap, nt, ntheta, grading)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, arcs))
-    else:
-        results = [one(a) for a in arcs]
-
+    caps = [SphericalCap.full_circle() if a >= 2.0 * math.pi - 1e-12
+            else SphericalCap.centered(1.5 * math.pi, a)
+            for a in arcs]
+    results = [hardy_constant_richardson(params, cap, nt, ntheta, grading)
+               for cap in caps]
     values = [r.lambda_star for r in results]
     for a, b in zip(values, values[1:]):
         if not b < a - 1e-6:

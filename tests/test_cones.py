@@ -274,7 +274,7 @@ def test_cone_contained_in_smoothing():
 # ---------------------------------------------------------------------------
 
 def _domain(n=16):
-    return ApproxDomain(SmoothedCone(ConeProfile.half_plane(), n), R0=1.0)
+    return ApproxDomain(SmoothedCone(ConeProfile.half_plane(), n))
 
 
 def test_omega_n_interior_point():
@@ -309,7 +309,7 @@ def test_omega_n_boundary_pieces():
 def test_gamma_n_margin_bound():
     cone = ConeProfile(1.0, 1.0)
     n = 12
-    ad = ApproxDomain(SmoothedCone(cone, n), R0=1.0)
+    ad = ApproxDomain(SmoothedCone(cone, n))
     rng = np.random.default_rng(17)
     margins = []
     for _ in range(1000):
@@ -318,7 +318,7 @@ def test_gamma_n_margin_bound():
         x2 = float(ad.smoothed.psi(x1)) \
             + (n / 3.0) * float(smoothing_profile(n, t))
         z = (x1, x2, t)
-        if np.linalg.norm(z) >= ad.R0:
+        if np.linalg.norm(z) >= 1.0:
             continue
         margins.append(ad.gamma_margin(z))
     margins = np.array(margins)

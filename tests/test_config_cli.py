@@ -180,11 +180,24 @@ def test_violation_list_pinned(case):
     assert err.value.violations == expected
 
 
+# the analyzer's radii run geometrically from 0.01 to r0 (40 of them), and
+# beta at R needs two of them at or below R; a case that sets r0 carries
+# its line after the rlist value
 @pytest.mark.parametrize("rlist, violation", [
     (",", "[task] rlist = ',': empty list"),
     ("0.3, 1.5", "[task] rlist = [0.3, 1.5]: reference radii must lie in "
                  "(0, 1)"),
-], ids=["empty", "outside"])
+    ("0.004, 0.005, 0.3",
+     "[task] rlist = [0.004, 0.005, 0.3]: reference radii must lie in "
+     "[0.011189152, 0.8], from the analyzer's second radius to r0"),
+    ("0.6, 0.7, 0.75\nr0 = 0.5",
+     "[task] rlist = [0.6, 0.7, 0.75]: reference radii must lie in "
+     "[0.011055117, 0.5], from the analyzer's second radius to r0"),
+    ("0.3, 0.5, 0.7\nr0 = 0.5",        # the default rlist
+     "[task] rlist = [0.3, 0.5, 0.7]: reference radii must lie in "
+     "[0.011055117, 0.5], from the analyzer's second radius to r0"),
+], ids=["empty", "outside", "below_analyzer", "above_r0",
+        "default_above_r0"])
 def test_rlist_validated(tmp_path, capsys, rlist, violation):
     text = f"[task]\nname = frequency\nrlist = {rlist}\n"
     with pytest.raises(ConfigurationError) as err:
@@ -193,6 +206,28 @@ def test_rlist_validated(tmp_path, capsys, rlist, violation):
     path = tmp_path / "run.ini"
     path.write_text(text)
     assert main(["frequency", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {violation}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rmin, task_key, violation", [
+    ("0.1", "h = 0.05", "[task] r0 = 0.8 must exceed the analyzer's smallest "
+                        "radius 1 = 10 * [mesh] rmin"),
+    ("1e-3", "lid = x1 + 1", "[task] lid = x1 + 1: lid is an expression in t "
+                             "and theta only"),
+], ids=["empty_analyzer_range", "lid_in_x1"])
+def test_solve_ext_violations_found_at_parse_time(tmp_path, capsys, rmin,
+                                                  task_key, violation):
+    # each of these ran the whole solve and then exited 3
+    text = ("[params]\ns = 0.5\nlambda = 0.1\n[cone]\npreset = half\n"
+            f"[mesh]\nnt = 6\nntheta = 12\nnr = 6\nrmin = {rmin}\n"
+            f"[task]\nname = solve-ext\n{task_key}\n")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(text)
+    assert err.value.violations == [violation]
+    path = _write(tmp_path, text)
+    assert main(["solve-ext", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {violation}\n"
     assert not (tmp_path / "out").exists()
@@ -443,23 +478,40 @@ def test_parse_config_loads_no_solver():
     assert proc.stdout.strip() == "[]"
 
 
+# one small config for each of the five tasks that solve
+_MESH = "[mesh]\nnt = 12\nntheta = 24\n"
+SMALL_CONFIGS = {
+    "eig": "[params]\ns = 0.5\nlambda = 0.1\n" + _MESH
+           + "[task]\nname = eig\nk = 4\n",
+    "hardy": "[params]\ns = 0.5\n" + _MESH + "[task]\nname = hardy\n",
+    "scan": "[params]\ns = 0.5\n" + _MESH
+            + "[task]\nname = scan\narcs = pi, 2*pi\n",
+    "frequency": "[params]\ns = 0.5\nlambda = 0.1\n[mesh]\nnt = 16\n"
+                 "ntheta = 32\n[task]\nname = frequency\nk = 6\n"
+                 "modes = 1:1.0, 4:0.2\n",
+    "solve-ext": "[params]\ns = 0.5\nlambda = 0.1\n[mesh]\nnt = 12\n"
+                 "ntheta = 24\nnr = 8\nrmin = 1e-2\n[task]\n"
+                 "name = solve-ext\nh = 0.05\nlid_mode = 1\nk = 6\n",
+}
+
+
+@pytest.mark.parametrize("task", ["hardy", "scan", "frequency", "solve-ext"])
+def test_cli_rerun_is_byte_identical(tmp_path, task):
+    path = _write(tmp_path, SMALL_CONFIGS[task])
+    for out in ("a", "b"):
+        assert main([task, "--config", str(path),
+                     "--out", str(tmp_path / out)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert "manifest.json" in names
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_runs_load_no_optimize_special_or_integrate(tmp_path):
     # the runtime needs numpy only: the import and a run of each of the
     # five tasks load no scipy module at all, and no numpy.ma either
-    mesh = "[mesh]\nnt = 12\nntheta = 24\n"
-    configs = {
-        "eig": "[params]\ns = 0.5\nlambda = 0.1\n" + mesh
-               + "[task]\nname = eig\nk = 4\n",
-        "hardy": "[params]\ns = 0.5\n" + mesh + "[task]\nname = hardy\n",
-        "scan": "[params]\ns = 0.5\n" + mesh
-                + "[task]\nname = scan\narcs = pi, 2*pi\n",
-        "frequency": "[params]\ns = 0.5\nlambda = 0.1\n[mesh]\nnt = 16\n"
-                     "ntheta = 32\n[task]\nname = frequency\nk = 6\n"
-                     "modes = 1:1.0, 4:0.2\n",
-        "solve-ext": "[params]\ns = 0.5\nlambda = 0.1\n[mesh]\nnt = 12\n"
-                     "ntheta = 24\nnr = 8\nrmin = 1e-2\n[task]\n"
-                     "name = solve-ext\nh = 0.05\nlid_mode = 1\nk = 6\n",
-    }
     script = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -471,15 +523,15 @@ def test_runs_load_no_optimize_special_or_integrate(tmp_path):
         "from conefrac.cli import run_task\n"
         "from conefrac.config import parse_config\n"
         "print('import', scipy_modules(), ma_modules())\n"
-        f"for name, text in {configs!r}.items():\n"
+        f"for name, text in {SMALL_CONFIGS!r}.items():\n"
         f"    run_task(parse_config(text), {str(tmp_path)!r} + '/' + name)\n"
         "    print(name, scipy_modules(), ma_modules())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(conefrac.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [f"{name} [] []" for name in
-                                        ["import", *configs]]
-    for name in configs:
+                                        ["import", *SMALL_CONFIGS]]
+    for name in SMALL_CONFIGS:
         assert (tmp_path / name / "manifest.json").exists()
 
 

@@ -73,6 +73,12 @@ def test_unknown_identifier():
         parse_expression("foo(2)")
 
 
+def test_variables_read():
+    e = parse_expression("sin(x1) * r^2 + pow(t, -theta) / (1 - pi)")
+    assert e.variables() == {"x1", "r", "t", "theta"}
+    assert parse_expression("2 * pi").variables() == set()
+
+
 def test_unbound_variable_at_eval():
     e = parse_expression("x1 + x2")
     with pytest.raises(ExpressionError):

@@ -156,15 +156,6 @@ def test_scan_strictly_decreasing():
                                        rel=0.02)
 
 
-def test_scan_threads_match_serial():
-    p = ProblemParams(s=0.5)
-    arcs = [0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi]
-    serial, threaded = (hardy_scan(arcs, p, 24, 48, threads=k)
-                        for k in (1, 2))
-    assert ([(r.lambda_star, r.richardson) for r in threaded]
-            == [(r.lambda_star, r.richardson) for r in serial])
-
-
 def test_scan_single_full_arc_matches_direct():
     p = ProblemParams(s=0.5)
     results = hardy_scan([2.0 * math.pi], p, 16, 32)
