@@ -44,7 +44,6 @@ __all__ = [
     "fourier_coeffs",
     "beta_coefficients",
     "pohozaev_check",
-    "default_radii",
 ]
 
 
@@ -224,12 +223,6 @@ def compute_D(fld: ScalarField, r: float) -> float:
 # frequency traces
 # ---------------------------------------------------------------------------
 
-def default_radii(R0: float = 0.8, n: int = 40,
-                  r_min: float = 1e-2) -> np.ndarray:
-    """Geometric radii grid used by the analyzer, 40 points by default."""
-    return np.geomspace(r_min, R0, n)
-
-
 @dataclass(frozen=True)
 class FrequencyTrace:
     """Radial profiles H, D, N = D/H with the extrapolated order estimate."""
@@ -287,16 +280,15 @@ def _fit_gamma(radii, ncal, delta_fixed=None):
     return float(g), float(d), float(c), False
 
 
-def frequency_trace(fld: ScalarField, radii=None) -> FrequencyTrace:
-    """Pointwise frequency on the radii grid (``default_radii`` if None),
-    ascending in (0, 1], plus the r -> 0 extrapolation.
+def frequency_trace(fld: ScalarField, radii) -> FrequencyTrace:
+    """Pointwise frequency on the radii, ascending in (0, 1] (the CLI takes
+    them from ``config.analyzer_radii``), plus the r -> 0 extrapolation.
 
     With a perturbation present the remainder exponent is pinned to
     2s - N/p; without one the exponent is free.  An ill-conditioned fit
     falls back to the smallest-radius frequency value.
     """
-    radii = np.asarray(default_radii() if radii is None else radii,
-                       dtype=float)
+    radii = np.asarray(radii, dtype=float)
     params = fld.params
     Hs = _boundary_mass(fld, radii)
     Ds = _scaled_energy(fld, radii)
@@ -406,15 +398,6 @@ class FourierTrace:
     phi: np.ndarray          # (n_modes, n_tau)
     ups: np.ndarray          # (n_modes, n_tau)
     es: EigenSystem
-
-    def zeta(self, j_pos: int) -> np.ndarray:
-        """Forcing profile tau^(2s-N-1) Upsilon' of the j_pos-th mode, by
-        finite differences on the log-spaced tau grid."""
-        params = self.es.params
-        x = np.log(self.taus)
-        dups = np.gradient(self.ups[j_pos], x)
-        return self.taus ** (2.0 * params.s - params.N - 1.0) \
-            * dups / self.taus
 
     def phi_at(self, j_pos: int, R: float) -> float:
         """phi of the j_pos-th stored mode at radius R.

@@ -39,7 +39,7 @@ from .extension import (CG_TOL, build_halfball_grid, manufactured_field,
 from .hardy import hardy_constant_richardson, hardy_scan
 from .spectral import MULTIPLICITY_RTOL, solve_eigs
 from .sphercap import build_mesh
-from .svgplot import LineSeries, plot_svg
+from .svgplot import plot_svg
 
 _Result = tuple[list[str], dict]       # a task's outputs and manifest notes
 
@@ -70,8 +70,7 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
         "params": {"N": cfg.params.N, "s": cfg.params.s,
                    "lambda": cfg.params.lam, "p": cfg.params.p},
         "cone": asdict(cfg.cone_spec),
-        "mesh": {"nt": cfg.nt, "ntheta": cfg.ntheta,
-                 "grading": cfg.grading, "nr": cfg.nr, "rmin": cfg.rmin},
+        "mesh": cfg.mesh_keys(),
         "tolerances": {"cg_tol": CG_TOL,
                        "eig_group_rtol": MULTIPLICITY_RTOL},
         "versions": {"conefrac": __version__,
@@ -119,8 +118,7 @@ def _task_eig(cfg: RunConfig, out: Path) -> _Result:
             for j in range(es.k)]
     _write_csv(out / "eig.csv", ["j", "mu", "gamma", "multiplicity_group"],
                rows)
-    plot_svg(out / "eig_ladder.svg",
-             [LineSeries(range(1, es.k + 1), es.mu, "mu_j")],
+    plot_svg(out / "eig_ladder.svg", range(1, es.k + 1), es.mu, "mu_j",
              xlabel="j", ylabel="mu", title="eigenvalue ladder")
     return ["eig.csv", "eig_ladder.svg"], _eigen_notes(es)
 
@@ -136,9 +134,8 @@ def _task_scan(cfg: RunConfig, out: Path) -> _Result:
     arcs = cfg.task_opts["arcs"]
     results = hardy_scan(arcs, cfg.params, cfg.nt, cfg.ntheta, cfg.grading)
     _write_hardy_csv(out / "scan.csv", arcs, results)
-    plot_svg(out / "scan_lambda.svg",
-             [LineSeries(arcs, [r.lambda_star for r in results],
-                         "Lambda")],
+    plot_svg(out / "scan_lambda.svg", arcs,
+             [r.lambda_star for r in results], "Lambda",
              xlabel="arc length", ylabel="Lambda",
              title="Hardy constant vs cap size")
     return ["scan.csv", "scan_lambda.svg"], {}
@@ -151,8 +148,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
     _write_csv(out / "frequency.csv", ["r", "H", "D", "Ncal"],
                list(zip(map(float, radii), map(float, trace.H),
                         map(float, trace.D), map(float, trace.Ncal))))
-    plot_svg(out / "frequency_ncal.svg",
-             [LineSeries(radii, trace.Ncal, "N(r)")],
+    plot_svg(out / "frequency_ncal.svg", radii, trace.Ncal, "N(r)",
              xlabel="r", ylabel="N", logx=True,
              title="Almgren frequency")
 

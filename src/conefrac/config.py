@@ -105,9 +105,10 @@ _KEYS = {
                              "need ntheta >= 4"),
     ("mesh", "grading"): _Key(None, "2.0", _const, lambda v: v >= 1.0,
                               "grading must be >= 1"),
-    ("mesh", "nr"): _Key(None, "24", _int, lambda v: v >= 5, "need nr >= 5"),
-    ("mesh", "rmin"): _Key(None, "1e-3", _const, lambda v: 0.0 < v < 1.0,
-                           "rmin must lie in (0, 1)"),
+    ("mesh", "nr"): _Key(("solve-ext",), "24", _int, lambda v: v >= 5,
+                         "need nr >= 5"),
+    ("mesh", "rmin"): _Key(("solve-ext",), "1e-3", _const,
+                           lambda v: 0.0 < v < 1.0, "rmin must lie in (0, 1)"),
     ("task", "name"): _Key(None, None, str),
     ("task", "k"): _Key(("eig", *_FREQ), "10", _int, lambda v: v >= 1,
                         "k must be >= 1"),
@@ -161,10 +162,12 @@ def _task_keys_apply(vals: dict, cp):
         yield (f"[task] name = {task!r}: expected one of "
                + ", ".join(TASKS) + _suggest(task, TASKS))
     else:
-        for key in cp["task"]:
-            spec = _KEYS.get(("task", key))
-            if spec and spec.tasks and task not in spec.tasks:
-                yield f"[task] key '{key}' does not apply to task '{task}'"
+        for section in ("mesh", "task"):
+            for key in cp[section] if cp.has_section(section) else ():
+                spec = _KEYS.get((section, key))
+                if spec and spec.tasks and task not in spec.tasks:
+                    yield (f"[{section}] key '{key}' does not apply to task "
+                           f"'{task}'")
 
 
 def _arcs_ordered(vals: dict, cp):
@@ -239,6 +242,12 @@ class RunConfig:
     def cap(self) -> SphericalCap:
         return cap_of_cone(self.cone_spec)
 
+    def mesh_keys(self) -> dict:
+        """The [mesh] values that apply to the task, by key."""
+        return {key: getattr(self, key)
+                for (section, key), spec in _KEYS.items() if section == "mesh"
+                and (spec.tasks is None or self.task in spec.tasks)}
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; a ConfigurationError carries
@@ -263,8 +272,10 @@ def parse_config(text: str) -> RunConfig:
 
     vals: dict = {}
     for (section, key), spec in _KEYS.items():
-        if (section, key) in vals \
-                or spec.tasks and vals["task", "name"] not in spec.tasks:
+        # [mesh] keys come before the task name: they are read for every
+        # task, and _task_keys_apply rejects those set for another task
+        if (section, key) in vals or section == "task" and spec.tasks \
+                and vals["task", "name"] not in spec.tasks:
             continue
         raw = cp.get(section, key, fallback=spec.default)
         val = None

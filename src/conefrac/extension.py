@@ -34,7 +34,7 @@ from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .params import ProblemParams
-from .spectral import EigenSystem, homogeneous_profile
+from .spectral import EigenSystem
 from .sphercap import (HemisphereMesh, HemisphereSolver, band_to_dense,
                        build_mesh, eigh_pencil, element_band)
 
@@ -222,11 +222,6 @@ class ManufacturedField(ScalarField):
 
     def sphere_values(self, r) -> np.ndarray:
         return _sample(self.coefficients(r), self.table)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Pointwise values at (..., 3) upper half-space points."""
-        return sum(beta * homogeneous_profile(self.es, j)(points)
-                   for j, beta in zip(self.modes, self.betas))
 
 
 def manufactured_field(es: EigenSystem, coefficients) -> ManufacturedField:
@@ -479,9 +474,10 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     ``es`` used for the modal bookkeeping, solved on the grid's mesh at the
     same lam.
     A = A0 - E H E^T, A0 inverted by ``_FastDiagPreconditioner``, H the h
-    form on the free equator nodes E: CG solves (Z^-1 - H) y = Z^-1 E^T x0
-    for y = E^T x, x0 = A0^-1 b, Z = E^T A0^-1 E; x = A0^-1 (b + E H y) is
-    refined once.  ``meta``: the trace CG's iterations, the 3-D residual.
+    form on the free equator nodes E.  Without h, x = A0^-1 b.  With h, CG
+    solves (Z^-1 - H) y = Z^-1 E^T x0 for y = E^T x, x0 = A0^-1 b,
+    Z = E^T A0^-1 E; x = A0^-1 (b + E H y) is refined once.  ``meta``: the
+    trace CG's iterations (0 without h), the 3-D residual.
     """
     mesh = grid.mesh
     mesh.check_params(params)
@@ -526,15 +522,15 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     def trace_form(y: np.ndarray) -> np.ndarray:        # H y
         v_eq[shells, F] = y.reshape(-1, len(F))
-        return (0.0 * y if trace_h is None
-                else params.kappa * trace_h(v_eq)[shells, F].ravel())
+        return params.kappa * trace_h(v_eq)[shells, F].ravel()
 
     fast = _FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
                                    mesh, params.lam * params.kappa)
-    x = fast.apply(b)
-    y, iters = _pcg(lambda y: fast.trace(y, True) - trace_form(y), fast.trace,
-                    fast.trace(x.reshape(-1, n_h)[:, F].ravel(), True))
+    x, iters = fast.apply(b), 0             # without h, A = A0
     if trace_h is not None:
+        y, iters = _pcg(lambda y: fast.trace(y, True) - trace_form(y),
+                        fast.trace,
+                        fast.trace(x.reshape(-1, n_h)[:, F].ravel(), True))
         rhs = b.reshape(-1, n_h).copy()
         rhs[:, F] += trace_form(y).reshape(-1, len(F))
         x = fast.apply(rhs)

@@ -23,46 +23,10 @@ from .errors import DomainError, InadmissibleLambdaError, NumericalError
 from .params import ProblemParams, gamma_from_mu
 from .sphercap import HemisphereMesh, HemisphereSolver, eigh_pencil
 
-__all__ = [
-    "EigenSystem",
-    "solve_eigs",
-    "homogeneous_profile",
-    "hemisphere_interpolate",
-]
+__all__ = ["EigenSystem", "solve_eigs"]
 
 MULTIPLICITY_RTOL = 1e-6
 LANCZOS_CHECK = 4      # Lanczos steps between convergence checks
-
-
-# ---------------------------------------------------------------------------
-# hemisphere interpolation (shared by profiles and fields)
-# ---------------------------------------------------------------------------
-
-def hemisphere_interpolate(mesh: HemisphereMesh, values: np.ndarray,
-                           t, theta) -> np.ndarray:
-    """Bilinear interpolation of a node function at polar height(s) t and
-    azimuth(s) theta.  Beyond the last ring the value is extended constant in
-    t (matching the pole-cell treatment of the assembly); theta wraps."""
-    vals = np.asarray(values, dtype=float).reshape(mesh.nt, mesh.ntheta)
-    t = np.asarray(t, dtype=float)
-    theta = np.mod(np.asarray(theta, dtype=float), 2.0 * math.pi)
-    t, theta = np.broadcast_arrays(t, theta)
-
-    dtheta = 2.0 * math.pi / mesh.ntheta
-    j0 = np.floor(theta / dtheta).astype(int) % mesh.ntheta
-    j1 = (j0 + 1) % mesh.ntheta
-    fj = theta / dtheta - np.floor(theta / dtheta)
-
-    i0 = np.clip(np.searchsorted(mesh.t_nodes, t, side="right") - 1,
-                 0, mesh.nt - 1)
-    i1 = np.minimum(i0 + 1, mesh.nt - 1)
-    width = mesh.t_nodes[i1] - mesh.t_nodes[i0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fi = np.where(width > 0.0, (t - mesh.t_nodes[i0]) / width, 0.0)
-    fi = np.clip(fi, 0.0, 1.0)
-
-    return ((1 - fi) * ((1 - fj) * vals[i0, j0] + fj * vals[i0, j1])
-            + fi * ((1 - fj) * vals[i1, j0] + fj * vals[i1, j1]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +232,3 @@ def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
                     for X in (Q, P))
         Q[m], P[m] = r / beta[j], p / beta[j]
 
-
-# ---------------------------------------------------------------------------
-# homogeneous profiles
-# ---------------------------------------------------------------------------
-
-def homogeneous_profile(es: EigenSystem, j: int):
-    """Evaluator of the homogeneous field |z|^gamma_j psi_j(z/|z|) on the
-    upper half-space, using bilinear interpolation of psi_j on the mesh and
-    the exact radial power.  Accepts points of shape (..., 3)."""
-    if not 0 <= j < es.k:
-        raise DomainError(f"mode index {j} out of range (k = {es.k})")
-    gamma = float(es.gamma[j])
-    values = es.vectors[j]
-    mesh = es.mesh
-
-    def evaluate(points):
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        r = np.linalg.norm(pts, axis=-1)
-        out = np.zeros(r.shape)
-        ok = r > 0.0
-        tpol = np.zeros_like(r)
-        theta = np.zeros_like(r)
-        with np.errstate(invalid="ignore"):
-            tpol[ok] = np.arcsin(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
-            theta[ok] = np.arctan2(pts[ok, 1], pts[ok, 0])
-        psi = hemisphere_interpolate(mesh, values, tpol, theta)
-        out[ok] = r[ok] ** gamma * psi[ok]
-        if gamma == 0.0:
-            out[~ok] = psi[~ok]
-        return float(out[0]) if single else out
-
-    return evaluate

@@ -125,15 +125,6 @@ class HemisphereMesh:
     def dirichlet_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.robin_mask)
 
-    def node_positions(self) -> np.ndarray:
-        """Cartesian coordinates of mesh nodes on the unit hemisphere."""
-        t = self.t_nodes[:, None]
-        th = self.theta_nodes[None, :]
-        x = np.cos(t) * np.cos(th)
-        y = np.cos(t) * np.sin(th)
-        z = np.sin(t) * np.ones_like(th)
-        return np.stack([x, y, z], axis=-1).reshape(-1, 3)
-
 
 def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
                grading: float = 2.0) -> HemisphereMesh:

@@ -1,26 +1,19 @@
 """Minimal SVG line plots for the diagnostic figures.
 
-Zero dependencies: axes, nice-number ticks, optional log scales, polylines
-with a small palette, and a legend.  Figures are diagnostics; every number
-behind them is also emitted as CSV by the CLI.
+Zero dependencies: axes, nice-number ticks, an optional log x scale, and one
+labelled polyline per figure.  Figures are diagnostics; every number behind
+them is also emitted as CSV by the CLI.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["LineSeries", "plot_svg"]
+__all__ = ["plot_svg"]
 
-_PALETTE = ("#1f6fb2", "#d1495b", "#3a9d5d", "#8a5bb8", "#c98a1f", "#3b3b3b")
+_COLOR = "#1f6fb2"
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 72, 20, 34, 52
-
-
-class LineSeries:
-    def __init__(self, x, y, label=""):
-        self.x = [float(v) for v in x]
-        self.y = [float(v) for v in y]
-        self.label = label
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 6):
@@ -57,20 +50,18 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def plot_svg(path, series, xlabel="", ylabel="", title="",
+def plot_svg(path, x, y, label, xlabel="", ylabel="", title="",
              logx=False):
-    """Write a line plot of the given LineSeries list to ``path``."""
-    series = [s for s in series if len(s.x) > 0]
-    if not series:
-        raise ValueError("nothing to plot")
+    """Write the line through the points (x, y), named ``label`` in the
+    legend, to ``path``."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
 
     def tx(v):
         return math.log10(v) if logx else v
 
-    xs = [tx(v) for s in series for v in s.x]
-    ys = [v for s in series for v in s.y]
+    xs = [tx(v) for v in x]
     x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    y0, y1 = min(y), max(y)
     if x1 <= x0:
         x1 = x0 + 1.0
     if y1 <= y0:
@@ -129,20 +120,15 @@ def plot_svg(path, series, xlabel="", ylabel="", title="",
                f'font-family="sans-serif" font-size="12" '
                f'transform="rotate(-90 16 {_MT + ph / 2})">{ylabel}</text>')
 
-    for idx, s in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
-                       for x, y in zip(s.x, s.y))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   'stroke-width="1.6"/>')
-        if s.label:
-            ly = _MT + 16 + 16 * idx
-            out.append(f'<line x1="{_ML + pw - 120}" y1="{ly - 4}" '
-                       f'x2="{_ML + pw - 96}" y2="{ly - 4}" stroke="{color}" '
-                       'stroke-width="2"/>')
-            out.append(f'<text x="{_ML + pw - 90}" y="{ly}" '
-                       f'font-family="sans-serif" font-size="11">'
-                       f'{s.label}</text>')
+    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+    out.append(f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" '
+               'stroke-width="1.6"/>')
+    ly = _MT + 16
+    out.append(f'<line x1="{_ML + pw - 120}" y1="{ly - 4}" '
+               f'x2="{_ML + pw - 96}" y2="{ly - 4}" stroke="{_COLOR}" '
+               'stroke-width="2"/>')
+    out.append(f'<text x="{_ML + pw - 90}" y="{ly}" '
+               f'font-family="sans-serif" font-size="11">{label}</text>')
 
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

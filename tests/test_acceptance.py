@@ -11,11 +11,11 @@ from conftest import oracle_full_circle_1d
 
 from conefrac.almgren import (beta_coefficients, blowup,
                               check_H_prime_identity, compute_D, compute_H,
-                              default_radii, fourier_coeffs, frequency_trace,
-                              pohozaev_check)
+                              fourier_coeffs, frequency_trace, pohozaev_check)
 from conefrac.cones import (ConeProfile, SmoothedCone, SphericalCap,
                             cap_of_cone, smoothing_defect, smoothing_profile,
                             starshape_margin)
+from conefrac.config import analyzer_radii
 from conefrac.expressions import parse_expression
 from conefrac.extension import (build_halfball_grid, manufactured_field,
                                 solve_extension)
@@ -146,7 +146,7 @@ def test_criterion_05_hardy_monotonicity():
 def test_criterion_06_almgren_exact_on_pure_profiles(half_es):
     fld = manufactured_field(half_es, [(0, 1.0)])
     g = half_es.gamma[0]
-    radii = default_radii()          # 40 geometric radii
+    radii = analyzer_radii(0.8, 40, fld.core_radius)    # 40 geometric radii
     trace = frequency_trace(fld, radii)
     dev_n = float(np.abs(trace.Ncal - g).max())
     dev_h = float(np.abs(trace.H / radii ** (2 * g) - 1.0).max())
@@ -162,7 +162,7 @@ def test_criterion_07_blowup_classification(half_es):
     g1, g2 = half_es.gamma[0], half_es.gamma[3]
     assert g2 - g1 >= 0.3
     fld = manufactured_field(half_es, [(0, 1.0), (3, 0.2)])
-    trace = frequency_trace(fld)
+    trace = frequency_trace(fld, analyzer_radii(0.8, 40, fld.core_radius))
     snap = blowup(fld, 1e-2)
     off = snap.off_group_norm(half_es, 0)
     ok = abs(trace.gamma_hat - g1) < 1e-2 and off <= 0.05
@@ -181,7 +181,7 @@ def test_criterion_08_end_to_end_extension():
     fld = solve_extension(grid, p, es.vectors[0], es=es)
 
     gamma1 = float(es.gamma[0])
-    radii = default_radii(r_min=max(1e-2, 10.0 * grid.r_min))
+    radii = analyzer_radii(0.8, 40, fld.core_radius)
     trace = frequency_trace(fld, radii)
     gamma_rel = abs(trace.gamma_hat - gamma1) / gamma1
 

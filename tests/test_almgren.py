@@ -10,9 +10,9 @@ import pytest
 
 from conefrac.almgren import (_fit_gamma, beta_coefficients, blowup,
                               check_H_prime_identity, compute_D, compute_H,
-                              default_radii, fourier_coeffs, frequency_trace,
-                              pohozaev_check)
+                              fourier_coeffs, frequency_trace, pohozaev_check)
 from conefrac.cones import SphericalCap
+from conefrac.config import analyzer_radii
 from conefrac.errors import DomainError, NumericalError
 from conefrac.expressions import parse_expression
 from conefrac.extension import build_halfball_grid, manufactured_field, \
@@ -93,7 +93,7 @@ def test_D_pure_profile(pure, half_es):
 
 def test_frequency_trace_pure(pure, half_es):
     g = half_es.gamma[0]
-    trace = frequency_trace(pure)
+    trace = frequency_trace(pure, analyzer_radii(0.8, 40, pure.core_radius))
     assert np.abs(trace.Ncal - g).max() < 1e-6
     assert np.abs(trace.H / trace.radii ** (2 * g) - 1.0).max() < 1e-8
     assert trace.gamma_hat == pytest.approx(g, abs=1e-8)
@@ -117,7 +117,8 @@ def test_H_prime_identity_constant():
 
 def test_two_mode_frequency(two_mode, half_es):
     g1, g2 = half_es.gamma[0], half_es.gamma[3]
-    trace = frequency_trace(two_mode)
+    trace = frequency_trace(two_mode,
+                            analyzer_radii(0.8, 40, two_mode.core_radius))
     # exact two-mode rational function of r^(2 dg)
     eps2 = 0.2 ** 2
     dg = g2 - g1
@@ -132,7 +133,8 @@ def test_two_mode_frequency(two_mode, half_es):
 
 
 def test_frequency_floor(two_mode, half_params):
-    trace = frequency_trace(two_mode)
+    trace = frequency_trace(two_mode,
+                            analyzer_radii(0.8, 40, two_mode.core_radius))
     assert np.all(trace.Ncal > -half_params.half_order)
 
 
@@ -157,7 +159,7 @@ def test_fit_recovers_synthetic_remainder(delta, c):
 
 
 def test_fit_keeps_its_branches():
-    radii = default_radii()
+    radii = np.geomspace(1e-2, 0.8, 40)
     # a flat N has no remainder to fit
     assert _fit_gamma(radii, np.full(40, 0.75)) == (0.75, None, 0.0, False)
     # a pinned exponent is a linear fit
@@ -213,18 +215,6 @@ def test_blowup_off_group_tends_to_zero(two_mode, half_es):
     assert offs[2] < 1e-3
 
 
-def test_fourier_zeta_accessor(solver_field, half_es):
-    fld = solver_field
-    taus = np.geomspace(0.1, 0.8, 40)
-    ft = fourier_coeffs(fld, half_es, taus)
-    z = ft.zeta(0)
-    assert z.shape == taus.shape
-    # forcing vanishes identically when h does
-    pure_ft = fourier_coeffs(manufactured_field(half_es, [(0, 1.0)]),
-                             half_es, taus)
-    assert np.all(pure_ft.zeta(0) == 0.0)
-
-
 def test_blowup_validation(pure):
     with pytest.raises(DomainError):
         blowup(pure, 0.0)
@@ -237,7 +227,7 @@ def test_blowup_validation(pure):
 # ---------------------------------------------------------------------------
 
 def test_fourier_pure_profile(pure, half_es):
-    taus = default_radii()
+    taus = analyzer_radii(0.8, 40, pure.core_radius)
     ft = fourier_coeffs(pure, half_es, taus)
     g = half_es.gamma[0]
     np.testing.assert_allclose(ft.phi[0], taus ** g, rtol=1e-10)
@@ -282,7 +272,7 @@ def test_fourier_provenance_checks(half_es, half_params):
 
 
 def test_beta_pure_profile(pure, half_es):
-    taus = default_radii()
+    taus = analyzer_radii(0.8, 40, pure.core_radius)
     ft = fourier_coeffs(pure, half_es, taus)
     g = half_es.gamma[0]
     values = [beta_coefficients(ft, g, R)[0] for R in (0.3, 0.5, 0.7)]
@@ -294,7 +284,8 @@ def test_beta_pure_profile(pure, half_es):
 
 
 def test_beta_validation(pure, half_es):
-    ft = fourier_coeffs(pure, half_es, default_radii())
+    ft = fourier_coeffs(pure, half_es,
+                        analyzer_radii(0.8, 40, pure.core_radius))
     with pytest.raises(DomainError):
         beta_coefficients(ft, 0.5, 1.5)
 
@@ -346,7 +337,7 @@ def test_solver_field_trace_matches_pointwise_D(solver_field):
     # one plan for all radii against a plan per radius: the panels differ,
     # the integrals agree to the quadrature error
     fld = solver_field
-    radii = default_radii(r_min=0.02, n=12)
+    radii = np.geomspace(0.02, 0.8, 12)
     trace = frequency_trace(fld, radii=radii)
     for r, H, D in zip(radii, trace.H, trace.D):
         assert H == compute_H(fld, r)
@@ -355,7 +346,7 @@ def test_solver_field_trace_matches_pointwise_D(solver_field):
 
 def test_solver_field_gamma_consistency(solver_field, half_es):
     fld = solver_field
-    trace = frequency_trace(fld, radii=default_radii(r_min=0.02))
+    trace = frequency_trace(fld, radii=np.geomspace(0.02, 0.8, 40))
     assert trace.gamma_hat == pytest.approx(half_es.gamma[0], abs=1e-2)
 
 

@@ -1,10 +1,12 @@
 """Config validation and the CLI artifact pipeline, including determinism
 of the emitted CSV bytes."""
 
+import importlib
 import json
 import math
 import os
 import re
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +156,10 @@ PINNED_VIOLATIONS = {
         "[task]\nname = eigs\n",
         ["[task] name = 'eigs': expected one of eig, hardy, scan, frequency, "
          "solve-ext, smooth-cone (did you mean 'eig'?)"]),
+    "mesh_keys_off_task": (        # only solve-ext builds the shell grid
+        "[mesh]\nnr = 5\nrmin = 0.5\n[task]\nname = frequency\n",
+        ["[mesh] key 'nr' does not apply to task 'frequency'",
+         "[mesh] key 'rmin' does not apply to task 'frequency'"]),
     "several": (
         "[params]\ns = 2.0\nlambda = x\n[mesh]\nnt = 1\nrmin = 0\n"
         "[solver]\ntol = 1\n[task]\nname = frequency\nk = 0\narcs = pi\n"
@@ -164,6 +170,7 @@ PINNED_VIOLATIONS = {
          "r, theta, t) (at position 0)",
          "[mesh] nt = 1: need nt >= 4",
          "[mesh] rmin = 0.0: rmin must lie in (0, 1)",
+         "[mesh] key 'rmin' does not apply to task 'frequency'",
          "[task] key 'arcs' does not apply to task 'frequency'",
          "[task] k = 0: k must be >= 1",
          "[task] nradii = 3: need nradii >= 8",
@@ -319,6 +326,7 @@ def test_cli_eig_artifacts(tmp_path):
     assert "config_sha256" in manifest
     assert sorted(manifest["outputs"]) == ["eig.csv", "eig_ladder.svg",
                                            "manifest.json"]
+    assert sorted(manifest["mesh"]) == ["grading", "nt", "ntheta"]
     header, first = (out / "eig.csv").read_text().splitlines()[:2]
     assert header == "j,mu,gamma,multiplicity_group"
     assert first.startswith("1,")
@@ -535,6 +543,14 @@ def test_runs_load_no_optimize_special_or_integrate(tmp_path):
         assert (tmp_path / name / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("module", ["conefrac"] + [
+    f"conefrac.{m.name}" for m in pkgutil.iter_modules(conefrac.__path__)])
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ())
+            if not hasattr(mod, name)] == []
+
+
 def test_sphercap_loads_no_scipy():
     # no conefrac module imports scipy, at the top or inside a function
     script = ("import sys\n"
@@ -671,6 +687,7 @@ k = 6
     assert (out / "field.bin").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "field.bin" in manifest["outputs"]
+    assert (manifest["mesh"]["nr"], manifest["mesh"]["rmin"]) == (10, 1e-2)
     assert "lid_choice" in manifest["notes"]
     # solver statistics, byte-identical on a rerun
     assert 0 < manifest["notes"]["cg_iters"] < 50

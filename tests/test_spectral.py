@@ -12,8 +12,7 @@ from conftest import free_block, kron_forms, oracle_full_circle_1d
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import ConfigurationError, DomainError
 from conefrac.params import ProblemParams
-from conefrac.spectral import (MULTIPLICITY_RTOL, homogeneous_profile,
-                               solve_eigs)
+from conefrac.spectral import MULTIPLICITY_RTOL, solve_eigs
 from conefrac.sphercap import band_to_dense, build_mesh, polar_matrices
 
 
@@ -398,40 +397,3 @@ def test_eigenvalue_convergence_under_refinement():
         errors.append(abs(es.mu[1] - exact))
     assert errors[0] > errors[1] > errors[2]
 
-
-# ---------------------------------------------------------------------------
-# homogeneous profiles
-# ---------------------------------------------------------------------------
-
-def test_profile_on_unit_sphere(half_es):
-    ev = homogeneous_profile(half_es, 1)
-    mesh = half_es.mesh
-    pos = mesh.node_positions()
-    vals = ev(pos)
-    np.testing.assert_allclose(vals, half_es.vectors[1],
-                               rtol=1e-10, atol=1e-12)
-
-
-def test_profile_homogeneity(half_es):
-    ev = homogeneous_profile(half_es, 0)
-    g = half_es.gamma[0]
-    rng = np.random.default_rng(6)
-    pts = rng.standard_normal((50, 3))
-    pts[:, 2] = np.abs(pts[:, 2])
-    base = ev(pts)
-    for tau in (0.5, 0.25):
-        np.testing.assert_allclose(ev(tau * pts), tau ** g * base,
-                                   rtol=1e-10, atol=1e-13)
-
-
-def test_profile_constant_mode():
-    es, _ = _eigs(12, 24, 0.5, SphericalCap.full_circle(), k=1)
-    ev = homogeneous_profile(es, 0)
-    pts = np.array([[0.3, 0.1, 0.2], [0.0, 0.0, 0.9], [0.5, -0.4, 0.1]])
-    vals = ev(pts)
-    assert np.ptp(vals) < 1e-10 * abs(vals[0])
-
-
-def test_profile_index_validation(half_es):
-    with pytest.raises(DomainError):
-        homogeneous_profile(half_es, 99)
