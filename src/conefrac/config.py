@@ -6,7 +6,7 @@ violation is collected before reporting, so a bad config fails with the full
 list.  Numbers go through the expression parser (so ``pi/2`` works); h and
 lid are expression strings, lid in t and theta only.  Parsing solves
 nothing: whether lambda lies below the cone's Hardy constant is decided by
-the eigen solve on the run's own mesh.
+the eigen solve on the run's own mesh, bar the full plane's closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .cones import ConeProfile, SphericalCap, cap_of_cone
 from .errors import ConfigurationError, ExpressionError
 from .expressions import parse_expression
-from .params import ProblemParams
+from .params import ProblemParams, hardy_constant_full_space
 
 __all__ = ["RunConfig", "parse_config", "analyzer_radii", "TASKS"]
 
@@ -195,6 +195,17 @@ def _analyzer_range(vals: dict, cp):
                "to r0")
 
 
+def _full_plane_hardy(vals: dict, cp):
+    # a closed form, so no solve; filed under [task] k, which only the
+    # tasks that check lambda read
+    n, s, lam = (vals["params", k] for k in ("n", "s", "lambda"))
+    cone = vals["cone", "preset"]
+    if None not in (n, s, lam, cone) and cone.full and lam >= (
+            bound := hardy_constant_full_space(ProblemParams(N=n, s=s))):
+        yield (f"[params] lambda = {lam} is not admissible: the full plane's "
+               f"trace-Hardy constant is {bound:.6g} (closed form)")
+
+
 def _lid_choice(vals: dict, cp):
     mode, k = vals["task", "lid_mode"], vals["task", "k"]
     if cp.has_option("task", "lid") and cp.has_option("task", "lid_mode") \
@@ -217,6 +228,7 @@ _RULES = {
     ("params", "p"): _p_floor,
     ("cone", "g_minus"): _slopes_override_preset,
     ("task", "name"): _task_keys_apply,
+    ("task", "k"): _full_plane_hardy,
     ("task", "arcs"): _arcs_ordered,
     ("task", "rlist"): _analyzer_range,
     ("task", "lid_mode"): _lid_choice,
@@ -252,7 +264,8 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; a ConfigurationError carries
     every violation found.  Nothing is solved here: lambda's admissibility
-    depends on the run's mesh and is decided by ``spectral.solve_eigs``."""
+    depends on the run's mesh and is decided by ``spectral.solve_eigs``,
+    bar the full plane's closed-form constant."""
     violations: list[str] = []
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:

@@ -10,8 +10,7 @@ Grammar (standard precedence, ``^`` right-associative, unary minus):
 
 Identifiers are restricted to the variables {x1, x2, r, theta, t} and the
 function names {sin, cos, exp, log, abs, pow}.  Evaluation is numpy-aware so
-grid functions can be produced in one call; symbolic differentiation with
-respect to a variable is provided for the Pohozaev terms that need grad h.
+grid functions can be produced in one call.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ class Node:
     def eval(self, bindings):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def diff(self, var):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def render(self, parent_prec=0):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -57,9 +53,6 @@ class Num(Node):
 
     def eval(self, bindings):
         return self.value
-
-    def diff(self, var):
-        return Num(0.0)
 
     def render(self, parent_prec=0):
         if abs(self.value) < 1e15 and self.value == int(self.value):
@@ -76,9 +69,6 @@ class Var(Node):
             raise ExpressionError(
                 f"unbound variable '{self.name}' (have {sorted(bindings)})")
         return bindings[self.name]
-
-    def diff(self, var):
-        return Num(1.0) if self.name == var else Num(0.0)
 
     def render(self, parent_prec=0):
         return self.name
@@ -112,30 +102,6 @@ class BinOp(Node):
             return _power(a, b, self.render(), bindings)
         raise ExpressionError(f"unknown operator {self.op}")
 
-    def diff(self, var):
-        a, b = self.left, self.right
-        da, db = a.diff(var), b.diff(var)
-        if self.op in ("+", "-"):
-            return _simplify(BinOp(self.op, da, db))
-        if self.op == "*":
-            return _simplify(BinOp("+", _simplify(BinOp("*", da, b)),
-                                   _simplify(BinOp("*", a, db))))
-        if self.op == "/":
-            num = BinOp("-", _simplify(BinOp("*", da, b)),
-                        _simplify(BinOp("*", a, db)))
-            return _simplify(BinOp("/", _simplify(num),
-                                   _simplify(BinOp("^", b, Num(2.0)))))
-        if self.op == "^":
-            # general rule a^b (b' log a + b a'/a); constant exponents reduce
-            if isinstance(b, Num):
-                return _simplify(BinOp("*", BinOp("*", b, BinOp(
-                    "^", a, Num(b.value - 1.0))), da))
-            term1 = BinOp("*", db, Call("log", (a,)))
-            term2 = BinOp("/", BinOp("*", b, da), a)
-            return _simplify(BinOp("*", BinOp("^", a, b),
-                                   BinOp("+", term1, term2)))
-        raise ExpressionError(f"cannot differentiate operator {self.op}")
-
     def render(self, parent_prec=0):
         prec = _PREC[self.op]
         left = self.left.render(prec)
@@ -155,9 +121,6 @@ class Neg(Node):
 
     def eval(self, bindings):
         return -self.child.eval(bindings)
-
-    def diff(self, var):
-        return _simplify(Neg(self.child.diff(var)))
 
     def render(self, parent_prec=0):
         text = f"-{self.child.render(_PREC['neg'])}"
@@ -183,26 +146,6 @@ class Call(Node):
         fn, _ = FUNCTIONS[self.name]
         return fn(vals[0])
 
-    def diff(self, var):
-        u = self.args[0]
-        du = u.diff(var)
-        if self.name == "sin":
-            outer = Call("cos", (u,))
-        elif self.name == "cos":
-            outer = Neg(Call("sin", (u,)))
-        elif self.name == "exp":
-            outer = Call("exp", (u,))
-        elif self.name == "log":
-            outer = BinOp("/", Num(1.0), u)
-        elif self.name == "abs":
-            # a.e. derivative sign(u) = u / |u|
-            outer = BinOp("/", u, Call("abs", (u,)))
-        elif self.name == "pow":
-            return BinOp("^", self.args[0], self.args[1]).diff(var)
-        else:
-            raise ExpressionError(f"cannot differentiate {self.name}")
-        return _simplify(BinOp("*", _simplify(outer), du))
-
     def render(self, parent_prec=0):
         inner = ", ".join(a.render(0) for a in self.args)
         return f"{self.name}({inner})"
@@ -226,46 +169,6 @@ def _fmt_bindings(bindings):
         parts.append(f"{key}={val:.6g}" if np.isscalar(val)
                      else f"{key}=<array>")
     return "{" + ", ".join(parts) + "}"
-
-
-def _simplify(node: Node) -> Node:
-    """Fold constants and drop additive/multiplicative identities; keeps the
-    derivative trees readable, no deep rewriting."""
-    if isinstance(node, Neg):
-        if isinstance(node.child, Num):
-            return Num(-node.child.value)
-        return node
-    if not isinstance(node, BinOp):
-        return node
-    a, b = node.left, node.right
-    if isinstance(a, Num) and isinstance(b, Num):
-        try:
-            return Num(BinOp(node.op, a, b).eval({}))
-        except ExpressionError:
-            return node
-    if node.op == "*":
-        if (isinstance(a, Num) and a.value == 0.0) or \
-                (isinstance(b, Num) and b.value == 0.0):
-            return Num(0.0)
-        if isinstance(a, Num) and a.value == 1.0:
-            return b
-        if isinstance(b, Num) and b.value == 1.0:
-            return a
-    if node.op == "+":
-        if isinstance(a, Num) and a.value == 0.0:
-            return b
-        if isinstance(b, Num) and b.value == 0.0:
-            return a
-    if node.op == "-" and isinstance(b, Num) and b.value == 0.0:
-        return a
-    if node.op == "/" and isinstance(b, Num) and b.value == 1.0:
-        return a
-    if node.op == "^" and isinstance(b, Num):
-        if b.value == 1.0:
-            return a
-        if b.value == 0.0:
-            return Num(1.0)
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +330,7 @@ class _Parser:
 @dataclass(frozen=True)
 class Expression:
     """Parsed arithmetic expression.  Evaluation accepts scalars or numpy
-    arrays in the bindings; differentiation is symbolic."""
+    arrays in the bindings."""
 
     root: Node
     source: str
@@ -441,12 +344,6 @@ class Expression:
                 f"non-finite value of '{self.to_string()}' with bindings "
                 f"{_fmt_bindings(bindings)}")
         return value
-
-    def diff(self, var: str) -> "Expression":
-        if var not in VARIABLES:
-            raise ExpressionError(f"cannot differentiate w.r.t. {var!r}")
-        node = self.root.diff(var)
-        return Expression(node, node.render())
 
     def variables(self) -> frozenset[str]:
         """The variables the expression reads."""

@@ -314,6 +314,44 @@ def test_pohozaev_constant_field_zero():
     assert rep.green_residual < 1e-9 or rep.scale < 1e-10
 
 
+def test_pohozaev_h_term_matches_the_euler_form(two_mode, half_es):
+    # the h part of the balance in its Euler form,
+    #   kappa/2 int rho^(N-1) (x . grad h + N h) |Tr U|^2 - kappa/2 R circ_h,
+    # with x . grad h = rho d_rho h by central differences along rays and
+    # the radial integral by Gauss-Legendre in log radius from 1e-12
+    h = parse_expression("0.1 + 0.05*x1*x2 + 0.02*r")
+    params = dataclasses.replace(half_es.params, h=h)
+    fh = dataclasses.replace(two_mode, es=dataclasses.replace(
+        half_es, params=params))
+    N, kappa, mesh = params.N, params.kappa, half_es.mesh
+    Bth = band_to_dense(mesh.Bth)
+    theta = mesh.theta_nodes
+
+    def h_on(rho):
+        x1, x2 = rho * np.cos(theta), rho * np.sin(theta)
+        return h.eval({"x1": x1, "x2": x2, "r": rho, "theta": theta,
+                       "t": 0.0}) * np.ones_like(theta)
+
+    def circle(rho, weights):      # rho^(N-1) int weights |Tr U|^2
+        tr = fh.sphere_values(rho)[mesh.equator_ids]
+        return rho ** (N - 1) * ((weights * tr) @ Bth @ tr)
+
+    def euler_density(rho, eps=1e-5):
+        x_grad_h = (h_on(rho * (1 + eps)) - h_on(rho * (1 - eps))) / (2 * eps)
+        return circle(rho, x_grad_h + N * h_on(rho))
+
+    xg, wg = np.polynomial.legendre.leggauss(200)
+    radii = np.array([0.05, 0.3, 0.5, 0.7])
+    reps, bare = pohozaev_check(fh, radii), pohozaev_check(two_mode, radii)
+    for R, rep, rep0 in zip(radii, reps, bare):
+        lo, hi = math.log(1e-12), math.log(R)
+        rho = np.exp(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
+        weights = 0.5 * (hi - lo) * wg * rho
+        euler = sum(w * euler_density(r) for r, w in zip(rho, weights))
+        h_part = 0.5 * kappa * (euler - R * circle(R, h_on(R)))
+        assert abs(rep.lhs - rep0.lhs - h_part) < 1e-8 * rep.scale
+
+
 # ---------------------------------------------------------------------------
 # solver-output diagnostics
 # ---------------------------------------------------------------------------
@@ -454,17 +492,15 @@ def _reference_pohozaev(fld, params, h, radii):
     vol, hardy, trace_h = _reference_terms(fld, radii, params, h)
     lhs = 0.5 * radii * (grad - kappa * lam * circ_hardy) - radii * norm_der
     if h is not None:
-        circ_h = radii ** (N - 1) * _per_node(
-            Bth, _equator_rows(h, radii, fld.mesh) * tr, tr)
-        rho = _plan_for(fld, radii).rho
-        th = fld.mesh.theta_nodes
-        mix = (_equator_rows(h.diff("x1"), rho, fld.mesh) * np.cos(th)
-               + _equator_rows(h.diff("x2"), rho, fld.mesh) * np.sin(th)
-               ) * rho[:, None] + N * _equator_rows(h, rho, fld.mesh)
+        # the h part by parts in the radius: -kappa/2 int rho^N h d|Tr U|^2
+        plan = _plan_for(fld, radii)
+        rho = plan.rho
+        hv = _equator_rows(h, rho, fld.mesh)
         trr = fld.sphere_values(rho)[:, fld.mesh.equator_ids]
-        euler = _plan_for(fld, radii).integrate(
-            rho ** (N - 1) * _per_node(Bth, mix * trr, trr), radii)
-        lhs += 0.5 * kappa * euler - 0.5 * radii * kappa * circ_h
+        dtrr = fld.sphere_radial_derivative(rho)[:, fld.mesh.equator_ids]
+        d_mass = rho ** N * (_per_node(Bth, hv * dtrr, trr)
+                             + _per_node(Bth, hv * trr, dtrr))
+        lhs -= 0.5 * kappa * plan.integrate(d_mass, radii)
     rhs = 0.5 * (N - 2.0 * s) * (vol - kappa * lam * hardy)
     flux = radii ** (N + 1 - 2 * s) * _per_node(mesh.M, v, g)
     energy = vol - kappa * (lam * hardy + trace_h)

@@ -286,6 +286,15 @@ def test_readme_names_every_task_key():
         assert f"`{key}`" in bullets[task], (task, key)
 
 
+def test_readme_api_sketch_runs(capsys):
+    # the README's one python block runs as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------
@@ -406,17 +415,31 @@ def test_inadmissible_lambda_rejected_with_value(tmp_path, capsys):
     assert not any((tmp_path / "out").glob("*"))
 
 
+def test_full_plane_lambda_above_closed_form_rejected_at_parse(tmp_path,
+                                                               capsys):
+    # at s = 0.1 the run mesh's Hardy constant overestimates the full
+    # plane's (0.88 at 48x96); the closed form 0.774542 decides at parse
+    cfg_path = _write(tmp_path, _eig_config(0.8, 48, 96, preset="full",
+                                            s=0.1))
+    out = tmp_path / "out"
+    assert main(["eig", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Hardy" in err and "0.774542" in err
+    assert not out.exists()
+
+
+# lambda = 0.785 passes parsing and fails the Hardy check of the 12x24 run
+# mesh (0.78301), after the output directory is made
+
 def test_failed_run_removes_the_output_directory_it_created(tmp_path):
-    cfg_path = _write(tmp_path, _eig_config(0.5, 48, 96, preset="full",
-                                            s=0.75))
+    cfg_path = _write(tmp_path, _eig_config(0.785, 12, 24))
     out = tmp_path / "runs" / "out"
     assert main(["eig", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not (tmp_path / "runs").exists()
 
 
 def test_failed_run_leaves_an_existing_directory_as_it_was(tmp_path):
-    cfg_path = _write(tmp_path, _eig_config(0.5, 48, 96, preset="full",
-                                            s=0.75))
+    cfg_path = _write(tmp_path, _eig_config(0.785, 12, 24))
     out = tmp_path / "out"
     out.mkdir()
     (out / "keep.txt").write_text("earlier run")
@@ -738,10 +761,12 @@ def test_solve_ext_divergent_beta_tail_names_mode_and_radius(tmp_path,
 @pytest.mark.parametrize("polar, cartesian", [
     ("0.1*r", "0.1*(x1^2+x2^2)^0.5"),
     ("0.1*cos(theta)", "0.1*x1/(x1^2+x2^2)^0.5"),
-], ids=["r", "theta"])
+    ("0.1*r*abs(sin(theta))", "0.1*abs(x2)"),
+], ids=["r", "theta", "abs"])
 def test_solve_ext_h_in_polar_variables(tmp_path, polar, cartesian):
     # h may use r and theta on the equator plane; each spelling solves the
-    # same problem as its twin in x1, x2
+    # same problem as its twin in x1, x2.  A bounded h need not be smooth:
+    # the Pohozaev check reads h and never its gradient
     from conefrac.extension import load_field
     results = []
     for name, h in (("polar", polar), ("cartesian", cartesian)):
@@ -753,6 +778,7 @@ def test_solve_ext_h_in_polar_variables(tmp_path, polar, cartesian):
         assert main(["solve-ext", "--config", str(path),
                      "--out", str(out)]) == 0
         poho = json.loads((out / "summary.json").read_text())["pohozaev"]
+        assert all(rep["satisfied"] for rep in poho)
         results.append((
             load_field(out / "field.bin").values,
             np.loadtxt(out / "frequency.csv", delimiter=",", skiprows=1),

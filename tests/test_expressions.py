@@ -166,27 +166,3 @@ def test_non_finite_values_raise():
     with pytest.raises(ExpressionError):
         parse_expression("x1 ^ 400").eval({"x1": np.array([1.0, 10.0])})
 
-
-def test_symbolic_derivative_against_finite_differences():
-    cases = [
-        ("x1^2 * x2", "x1"),
-        ("sin(x1 * x2)", "x2"),
-        ("exp(-x1) / (1 + x2^2)", "x1"),
-        ("pow(x1, 3) - 2 * x1", "x1"),
-        ("log(1 + x1^2)", "x1"),
-    ]
-    pt = {"x1": 0.8, "x2": -0.6}
-    for text, var in cases:
-        e = parse_expression(text)
-        d = e.diff(var)
-        eps = 1e-6
-        hi = dict(pt)
-        lo = dict(pt)
-        hi[var] += eps
-        lo[var] -= eps
-        fd = (e.eval(hi) - e.eval(lo)) / (2 * eps)
-        assert d.eval(pt) == pytest.approx(fd, rel=1e-7, abs=1e-9)
-
-
-def test_derivative_of_constant_is_zero():
-    assert parse_expression("3 * pi").diff("x1").eval({}) == 0.0
