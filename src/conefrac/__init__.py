@@ -8,13 +8,13 @@ from .cones import (ApproxDomain, ConeProfile, SmoothedCone, SphericalCap,
                     cap_of_cone, distance_to_boundary, smoothing_profile)
 from .errors import (ConefracError, ConfigurationError, DomainError,
                      ExpressionError, GeometryError, NumericalError)
-from .params import (OrderEigenPairing, ProblemParams, gamma_from_mu,
-                     hardy_constant_full_space, kappa_s, mu_from_gamma)
+from .params import (ProblemParams, gamma_from_mu, hardy_constant_full_space,
+                     kappa_s, mu_from_gamma)
 
 __all__ = [
     "__version__",
-    "ProblemParams", "OrderEigenPairing", "kappa_s", "gamma_from_mu",
-    "mu_from_gamma", "hardy_constant_full_space",
+    "ProblemParams", "kappa_s", "gamma_from_mu", "mu_from_gamma",
+    "hardy_constant_full_space",
     "ConeProfile", "SphericalCap", "SmoothedCone", "ApproxDomain",
     "cap_of_cone", "distance_to_boundary", "smoothing_profile",
     "ConefracError", "DomainError", "GeometryError", "ConfigurationError",

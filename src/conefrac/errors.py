@@ -28,6 +28,11 @@ class InadmissibleLambdaError(DomainError, ConfigurationError):
     eigen solve, reported by the command line as a config error."""
 
 
+class UnresolvedCapError(GeometryError, ConfigurationError):
+    """No free equator node of the mesh touches a cap segment: the mesh
+    cannot see the cap, a config error at the command line."""
+
+
 class NumericalError(ConefracError):
     """A solver failed to converge or produced an inconsistent result."""
 

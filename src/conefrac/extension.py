@@ -573,9 +573,9 @@ def save_field(path, fld: GridField) -> None:
 def load_field(path, params: ProblemParams | None = None) -> GridField:
     """Read a field written by ``save_field``.  A file whose header and
     payload disagree, that holds non-finite numbers, or whose shell radii
-    are not geometric raises DomainError, as do ``params`` whose s or lam
-    differ from the file's.  The field owns ``params``, by default the
-    file's s and lam without h."""
+    are not geometric from the header's r_min to 1 raises DomainError, as
+    do ``params`` whose s or lam differ from the file's.  The field owns
+    ``params``, by default the file's s and lam without h."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC or len(raw) < _HEADER.size:
@@ -593,12 +593,14 @@ def load_field(path, params: ProblemParams | None = None) -> GridField:
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).copy()
     if not (np.all(np.isfinite(data)) and np.all(np.isfinite(scalars))):
         raise DomainError(f"{path} holds non-finite values")
+    s, lam, cap_a, cap_b, r_min, grading = scalars
     r_nodes = data[:n_surf]
     ratio = r_nodes[1:] / r_nodes[:-1]
-    if r_nodes[0] <= 0.0 or not np.allclose(ratio, ratio[0], rtol=1e-9,
-                                            atol=0.0) or ratio[0] <= 1.0:
-        raise DomainError(f"{path}: shell radii are not geometric")
-    s, lam, cap_a, cap_b, r_min, grading = scalars
+    if (r_nodes[0] <= 0.0 or r_nodes[0] != r_min or ratio[0] <= 1.0
+            or abs(r_nodes[-1] - 1.0) > 1e-12
+            or not np.allclose(ratio, ratio[0], rtol=1e-9, atol=0.0)):
+        raise DomainError(f"{path}: shell radii are not geometric from "
+                          f"r_min = {r_min} to 1")
     if params is None:
         params = ProblemParams(s=s, lam=lam)
     elif (params.s, params.lam) != (s, lam):

@@ -15,7 +15,6 @@ from .expressions import Expression
 
 __all__ = [
     "ProblemParams",
-    "OrderEigenPairing",
     "kappa_s",
     "gamma_from_mu",
     "mu_from_gamma",
@@ -114,33 +113,6 @@ def gamma_from_mu(mu: float, params: ProblemParams) -> float:
 def mu_from_gamma(gamma: float, params: ProblemParams) -> float:
     """Inverse map mu = gamma (gamma + N - 2s); total for gamma >= -(N-2s)/2."""
     return gamma * (gamma + params.N - 2.0 * params.s)
-
-
-@dataclass(frozen=True)
-class OrderEigenPairing:
-    """An eigenvalue together with its vanishing order, both ways consistent."""
-
-    mu: float
-    gamma: float
-    N: int
-    s: float
-
-    @classmethod
-    def from_mu(cls, mu: float, params: ProblemParams) -> "OrderEigenPairing":
-        return cls(mu=mu, gamma=gamma_from_mu(mu, params),
-                   N=params.N, s=params.s)
-
-    @classmethod
-    def from_gamma(cls, gamma: float, params: ProblemParams) -> "OrderEigenPairing":
-        c = params.half_order
-        if gamma < -c:
-            raise DomainError(f"gamma = {gamma} below -{c:.12g}")
-        return cls(mu=mu_from_gamma(gamma, params), gamma=gamma,
-                   N=params.N, s=params.s)
-
-    def residual(self) -> float:
-        """Defect of the simultaneous identities tying mu and gamma."""
-        return abs(self.mu - self.gamma * (self.gamma + self.N - 2.0 * self.s))
 
 
 def hardy_constant_full_space(params: ProblemParams) -> float:

@@ -14,7 +14,6 @@ block is solved only when k >= n - 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,8 @@ class EigenSystem:
     multiplicity-group id to every mode (eigenvalues within
     1e-6 (1 + |mu|) of each other share a group).  ``hardy_lambda`` is the
     cap's Hardy constant that lam was checked against, None when lam <= 0.
-    ``eigen_path`` is "lanczos" or "dense", ``shift`` the final shift (None
-    when dense) and ``shift_retries`` the number of times it was lowered.
+    ``eigen_path`` is "lanczos" or "dense", ``shift`` the Lanczos shift
+    (None when dense).
     """
 
     mu: np.ndarray
@@ -55,7 +54,6 @@ class EigenSystem:
     hardy_lambda: float | None = None
     eigen_path: str = "lanczos"
     shift: float | None = None
-    shift_retries: int = 0
 
     @property
     def k(self) -> int:
@@ -80,15 +78,15 @@ def _fix_signs(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
                     -V, V)
 
 
-def solve_eigs(mesh: HemisphereMesh, params: ProblemParams, k: int,
-               allow_inadmissible: bool = False) -> EigenSystem:
+def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
+               k: int) -> EigenSystem:
     """k smallest eigenpairs of (K - lam kappa B, M) on the mesh's retained
     dofs.
 
-    When lam > 0 the cap's Hardy constant is computed on the same mesh;
-    this is the one admissibility check of a run.  lam >= Lambda raises
-    InadmissibleLambdaError unless ``allow_inadmissible`` is set, in which
-    case a warning is emitted (the spectrum may dip below the floor).
+    When lam > 0 the cap's Hardy constant Lambda_h is computed on the same
+    mesh; this is the one admissibility check of a run, and lam >= Lambda_h
+    always raises InadmissibleLambdaError.  Below it the spectrum lies
+    above the floor -((N-2s)/2)^2.
     """
     mesh.check_params(params)
     lam = params.lam
@@ -97,21 +95,17 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams, k: int,
         from .hardy import hardy_constant
         lam_star = hardy_constant(mesh, params).lambda_star
         if lam >= lam_star:
-            if not allow_inadmissible:
-                raise InadmissibleLambdaError(
-                    f"lambda = {lam} is not admissible: the cap's Hardy "
-                    f"constant on this {mesh.nt}x{mesh.ntheta} mesh is "
-                    f"{lam_star:.6g}")
-            warnings.warn(
-                f"lam = {lam} >= Lambda = {lam_star:.6g}: eigenvalues may "
-                "fall below the spectrum floor", RuntimeWarning)
+            raise InadmissibleLambdaError(
+                f"lambda = {lam} is not admissible: the cap's Hardy "
+                f"constant on this {mesh.nt}x{mesh.ntheta} mesh is "
+                f"{lam_star:.6g}")
 
     n = mesh.n_free
     if k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= {n}, got {k}")
 
     mass = _free_mass(mesh)
-    shift, retries = None, 0
+    shift = None
     if k >= n - 1:      # the whole spectrum, or all but one mode
         path = "dense"
         free = np.ix_(mesh.free_nodes, mesh.free_nodes)
@@ -121,22 +115,22 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams, k: int,
         V[:, mesh.free_nodes] = Vf[:, :k].T
     else:
         path = "lanczos"
-        w, V, shift, retries = _sparse_smallest(mesh, mass, k, params)
+        w, V, shift = _sparse_smallest(mesh, mass, k, params)
 
     order = np.argsort(w, kind="stable")
     w = w[order]
     V = _fix_signs(V[order], mass(mesh.dof_of_node >= 0))   # M 1
 
+    # near lam = Lambda_h, mu_1 may round to just below the floor
     floor = params.spectrum_floor
-    gamma = np.array([math.nan if mu < floor - 1e-6 * (1.0 + abs(mu))
-                      else gamma_from_mu(max(mu, floor), params) for mu in w])
+    gamma = np.array([gamma_from_mu(max(mu, floor), params) for mu in w])
     # a new group wherever consecutive eigenvalues differ by more than rtol
     group = np.cumsum(np.abs(np.diff(w, prepend=w[0]))
                       > MULTIPLICITY_RTOL * (1.0 + np.abs(w)))
 
     return EigenSystem(mu=w, vectors=V, gamma=gamma, group=group,
                        params=params, mesh=mesh, hardy_lambda=lam_star,
-                       eigen_path=path, shift=shift, shift_retries=retries)
+                       eigen_path=path, shift=shift)
 
 
 def _free_mass(mesh: HemisphereMesh):
@@ -153,33 +147,23 @@ def _free_mass(mesh: HemisphereMesh):
 
 
 def _sparse_smallest(mesh, mass, k, params):
-    """Shift-invert Lanczos with the shift sigma just below the spectrum
-    floor, lowered while eigenvalues lie beneath it or the Schur complement
-    on the free equator nodes is singular (sigma is an eigenvalue).
-    Returns the eigenvalues, the eigenvectors as rows, the final shift and
-    the number of times it was lowered."""
+    """Shift-invert Lanczos at sigma = -1.01 c^2 - 0.05 (1 + c^2) < -c^2,
+    c^2 = ((N-2s)/2)^2; returns the eigenvalues, the eigenvectors as rows
+    and sigma.  The shift needs no check: for lam <= 0, K - lam kappa B >= 0,
+    and for 0 < lam < Lambda_h (same mesh and free nodes, as ``solve_eigs``
+    enforces) the discrete Hardy inequality kappa B <= (K + c^2 M) /
+    Lambda_h gives K - lam kappa B >= (1 - lam/Lambda_h) K
+    - (lam/Lambda_h) c^2 M >= -c^2 M.  So K - lam kappa B - sigma M and its
+    Schur complement on the free equator nodes, which ``HemisphereSolver``
+    inverts, are positive definite."""
     n = mesh.n_free
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
-    for retries in range(41):
-        try:
-            solver = HemisphereSolver(mesh, [-sigma],
-                                      params.lam * params.kappa)
-            # off the equator row the operator is K - sigma M, positive
-            # definite; by Sylvester's law of inertia it has as many
-            # negative eigenvalues as its Schur complement there
-            if np.all(np.linalg.eigvalsh(solver.schur[0]) > 0.0):
-                break
-        except np.linalg.LinAlgError:
-            pass
-        sigma = 2.0 * sigma - 1.0
-    else:
-        raise NumericalError("eigensolver shift selection failed: "
-                             f"eigenvalues remain below {sigma:.6g}")
+    solver = HemisphereSolver(mesh, [-sigma], params.lam * params.kappa)
     v0 = np.zeros(mesh.n_nodes)
     v0[mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
     theta, V = _lanczos(lambda y: solver.solve(y[None])[0], mass, v0, k, n)
-    return sigma + 1.0 / theta, V, sigma, retries
+    return sigma + 1.0 / theta, V, sigma
 
 
 def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):

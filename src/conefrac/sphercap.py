@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import SphericalCap
-from .errors import DomainError, GeometryError, NumericalError
+from .errors import (DomainError, GeometryError, NumericalError,
+                     UnresolvedCapError)
 from .params import ProblemParams
 
 __all__ = [
@@ -133,7 +134,9 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
 
     Polar rows sit at t_i = (pi/2) (i / n_t)^grading for i = 0 .. n_t - 1,
     so no node lands on the pole.  Equator nodes and segment midpoints are
-    classified against the cap with the half-open convention [a, b).
+    classified against the cap with the half-open convention [a, b).  A
+    cap that no free equator node's segments reach raises
+    UnresolvedCapError.
     """
     if n_t < 4 or n_theta < 4:
         raise DomainError("need n_t >= 4 and n_theta >= 4")
@@ -150,6 +153,11 @@ def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
     robin_mask = np.asarray(cap.contains(theta_nodes), dtype=bool)
     segment_mask = np.asarray(cap.contains(theta_nodes + math.pi / n_theta),
                               dtype=bool)
+    if not np.any(robin_mask & (segment_mask | np.roll(segment_mask, 1))):
+        raise UnresolvedCapError(
+            f"a cap of arc {cap.length:.6g} is not resolved on the {n_t}x"
+            f"{n_theta} mesh: no free equator node touches a cap segment; "
+            f"ntheta >= {math.ceil(4.0 * math.pi / cap.length)} resolves it")
 
     dirichlet = np.zeros(n_t * n_theta, dtype=bool)
     dirichlet[:n_theta] = ~robin_mask

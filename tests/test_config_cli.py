@@ -353,7 +353,6 @@ def test_cli_determinism(tmp_path):
     notes = json.loads((tmp_path / "a" / "manifest.json").read_text())["notes"]
     assert notes == {"eigen_path": "lanczos",
                      "eigen_shift": pytest.approx(-0.315, rel=1e-15),
-                     "shift_retries": 0,
                      "hardy_lambda": None, "lambda_margin": None}
 
 
@@ -470,6 +469,37 @@ def test_cli_lambda_admitted_on_fine_run_mesh(tmp_path):
         (tmp_path / "out" / "manifest.json").read_text())["notes"]
     assert notes["hardy_lambda"] == pytest.approx(0.79942, abs=1e-5)
     assert notes["lambda_margin"] < 1.0
+
+
+# slopes -10 on both sides leave an arc of 0.199, under one 12x24 segment
+# (0.262); scan's Richardson level of a 12x24 config is 6x12, whose
+# segments (0.524) miss an arc of 0.5
+
+NARROW_CAP = ("[params]\ns = 0.5\nlambda = {lam}\n\n[cone]\ng_plus = -10\n"
+              "g_minus = -10\n\n[mesh]\nnt = 12\nntheta = 24\n\n[task]\n"
+              "name = eig\nk = 3\n")
+NARROW_SCAN = ("[params]\ns = 0.5\n\n[mesh]\nnt = 12\nntheta = 24\n\n"
+               "[task]\nname = scan\narcs = 0.5, 1.0\n")
+
+
+@pytest.mark.parametrize("task, text, mesh", [
+    ("eig", NARROW_CAP.format(lam=0), "12x24"),
+    ("eig", NARROW_CAP.format(lam=0.1), "12x24"),
+    ("scan", NARROW_SCAN, "6x12"),
+], ids=["eig_lam0", "eig_lam01", "scan"])
+def test_cli_unresolved_cap_exit_code(tmp_path, capsys, task, text, mesh):
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([task, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "not resolved" in err and mesh in err
+    assert not out.exists()
+
+
+def test_cli_unresolved_cap_resolved_on_finer_level(tmp_path):
+    cfg_path = _write(tmp_path, NARROW_SCAN)
+    assert main(["scan", "--config", str(cfg_path), "--mesh-level", "1",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_computes_hardy_and_assembles_once(tmp_path, monkeypatch):
@@ -649,7 +679,7 @@ k = 6
     assert notes["lambda_margin"] == pytest.approx(
         0.1 / notes["hardy_lambda"], rel=1e-15)
     assert 0.0 < notes["lambda_margin"] < 1.0
-    assert (notes["eigen_path"], notes["shift_retries"]) == ("lanczos", 0)
+    assert notes["eigen_path"] == "lanczos"
     assert notes["eigen_shift"] < -0.25
     assert main(["frequency", "--config", str(cfg_path),
                  "--out", str(tmp_path / "again")]) == 0
@@ -717,7 +747,6 @@ k = 6
     assert 0.0 < manifest["notes"]["cg_residual"] <= 1e-10
     assert 0.0 < manifest["notes"]["lambda_margin"] < 1.0
     assert manifest["notes"]["eigen_path"] == "lanczos"
-    assert manifest["notes"]["shift_retries"] == 0
     assert manifest["notes"]["eigen_shift"] < -0.25
     assert main(["solve-ext", "--config", str(cfg_path),
                  "--out", str(tmp_path / "again")]) == 0

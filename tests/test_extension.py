@@ -170,6 +170,14 @@ def _one_more_shell(raw):
     return _put("<I", 8, struct.unpack_from("<I", raw, 8)[0] + 1)(raw)
 
 
+def _scaled_radii(raw):
+    # geometric radii from 0.9 r_min to 0.9, the header's r_min following
+    n_surf = struct.unpack_from("<I", raw, 8)[0]
+    r = np.frombuffer(bytes(raw[HEADER:HEADER + 8 * n_surf]), "<f8") * 0.9
+    raw[HEADER:HEADER + 8 * n_surf] = r.tobytes()
+    return _put("<d", HEADER - 16, r[0])(raw)
+
+
 def _five_shells(raw):
     # a consistent file with too few shells for the radial slope stencils
     n_surf, nt, ntheta = struct.unpack_from("<3I", raw, 8)
@@ -188,6 +196,8 @@ def _five_shells(raw):
     _put("<d", HEADER + 8 * 40, math.inf),      # non-finite node value
     _put("<d", HEADER + 8 * 3, 0.5),            # non-geometric radii
     _five_shells,
+    _put("<d", HEADER - 16, 0.5),               # header r_min off the radii
+    _scaled_radii,                              # last shell radius 0.9
 ])
 def test_load_rejects_corrupt_files(tmp_path, solver_field_h0, edit):
     path = tmp_path / "field.bin"

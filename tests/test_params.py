@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as sp_gamma
 
 from conefrac.errors import DomainError
-from conefrac.params import (OrderEigenPairing, ProblemParams, gamma_from_mu,
+from conefrac.params import (ProblemParams, gamma_from_mu,
                              hardy_constant_full_space, kappa_s,
                              mu_from_gamma)
 
@@ -154,14 +154,6 @@ def test_gamma_strictly_increasing_in_mu():
     mus = np.sort(rng.uniform(p.spectrum_floor + 1e-9, 50.0, 500))
     gs = np.array([gamma_from_mu(m, p) for m in mus])
     assert np.all(np.diff(gs) > 0.0)
-
-
-def test_pairing_consistency():
-    p = ProblemParams(N=2, s=0.5)
-    pair = OrderEigenPairing.from_mu(2.0, p)
-    assert pair.residual() < 1e-12
-    pair2 = OrderEigenPairing.from_gamma(pair.gamma, p)
-    assert pair2.mu == pytest.approx(pair.mu, rel=1e-12)
 
 
 def test_hardy_full_space_values():

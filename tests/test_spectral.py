@@ -2,7 +2,6 @@
 separated 1-D oracle, and the qualitative monotonicity structure."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,15 +10,17 @@ from conftest import free_block, kron_forms, oracle_full_circle_1d
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
 from conefrac.errors import ConfigurationError, DomainError
+from conefrac.hardy import hardy_constant
 from conefrac.params import ProblemParams
 from conefrac.spectral import MULTIPLICITY_RTOL, solve_eigs
-from conefrac.sphercap import band_to_dense, build_mesh, polar_matrices
+from conefrac.sphercap import (HemisphereSolver, band_to_dense, build_mesh,
+                               polar_matrices)
 
 
-def _eigs(nt, ntheta, s, cap, lam=0.0, k=8, grading=2.0, **kw):
+def _eigs(nt, ntheta, s, cap, lam=0.0, k=8, grading=2.0):
     p = ProblemParams(s=s, lam=lam)
     mesh = build_mesh(nt, ntheta, s, cap, grading)
-    return solve_eigs(mesh, p, k=k, **kw), p
+    return solve_eigs(mesh, p, k=k), p
 
 
 def _pencil(mesh, p):
@@ -127,7 +128,7 @@ def _check_against_eigsh(cap, lam, k=12):
     p = ProblemParams(s=0.5, lam=lam)
     mesh = build_mesh(48, 96, 0.5, cap)
     es = solve_eigs(mesh, p, k=k)
-    assert (es.eigen_path, es.shift_retries) == ("lanczos", 0)
+    assert es.eigen_path == "lanczos"
     assert es.shift < p.spectrum_floor
     Kr, Mr = _pencil(mesh, p)
     n = Kr.shape[0]
@@ -256,18 +257,25 @@ def test_inadmissible_lambda_raises_without_flag():
         solve_eigs(mesh, p, k=3)
     # the command line reports it as a config error (exit 2)
     assert isinstance(err.value, ConfigurationError)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        es = solve_eigs(mesh, p, k=3, allow_inadmissible=True)
-    assert es.k == 3
-    # eigenvalues far below the floor: the shift was lowered beneath them
-    assert es.eigen_path == "lanczos"
-    assert es.shift_retries >= 1
-    assert es.mu.min() > es.shift
-    Kr, Mr = _pencil(mesh, p)
-    dense = sla.eigh(Kr.toarray(), Mr.toarray(), eigvals_only=True,
-                     subset_by_index=[0, 2])
-    np.testing.assert_allclose(es.mu, dense, rtol=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("cap", [
+    cap_of_cone(ConeProfile.half_plane()),
+    SphericalCap.centered(1.5 * math.pi, 1.5 * math.pi),
+    SphericalCap.full_circle()], ids=["half", "three_quarter", "full"])
+def test_fixed_shift_is_below_every_admissible_spectrum(cap, s):
+    # below the mesh's own Hardy constant the fixed Lanczos shift lies
+    # beneath the spectrum, so the Schur complement that the shift-invert
+    # solver inverts is positive definite, up to the largest admissible lam
+    mesh = build_mesh(12, 24, s, cap)
+    lam_star = hardy_constant(mesh, ProblemParams(s=s)).lambda_star
+    for lam in (-0.5, 0.3 * lam_star, 0.9 * lam_star,
+                math.nextafter(lam_star, 0.0)):
+        p = ProblemParams(s=s, lam=lam)
+        sigma = solve_eigs(mesh, p, k=1).shift
+        solver = HemisphereSolver(mesh, [-sigma], lam * p.kappa)
+        assert np.linalg.eigvalsh(solver.schur[0]).min() > 0.0, lam
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +314,15 @@ def test_oracle_family_containing_order_one_s_quarter():
 
 def test_oracle_2d_cross_validation():
     # five smallest 2-D eigenvalues vs the union over k in {0,1,2} of the
-    # 1-D families, within 0.5 percent.  The pair (s = 0.75, lam = 0.1)
-    # exceeds the full-space Hardy constant (about 0.0592), so the
-    # exploration override is used: the two discretizations of the same
-    # pencil must still agree.
+    # 1-D families, within 0.5 percent.  lam = 0.1 is left out at
+    # s = 0.75, where it exceeds the full-space Hardy constant (about
+    # 0.0592).
     cap = SphericalCap.full_circle()
     for s in (0.25, 0.5, 0.75):
-        for lam in (0.0, 0.1):
+        for lam in (0.0, 0.1) if s < 0.75 else (0.0,):
             p = ProblemParams(s=s, lam=lam)
             mesh = build_mesh(96, 192, s, cap)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                es = solve_eigs(mesh, p, k=8,
-                                allow_inadmissible=True)
+            es = solve_eigs(mesh, p, k=8)
             union = []
             for k_az in (0, 1, 2):
                 fam = oracle_full_circle_1d(p, k_az, 1000)
