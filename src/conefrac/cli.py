@@ -9,9 +9,9 @@ library versions.  Every task runs on one thread, and its outputs are
 deterministic: no timestamps, stable float formatting, fixed iteration
 orders, so a rerun writes the same bytes.
 
-Exit codes: 0 success, 2 config error (an inadmissible lambda, a cap the
-mesh does not resolve, a lid in x1, x2 or r, and reference radii outside
-the analyzer's radii included), 3 numerical failure.
+Exit codes: 0 success, 2 config error (an inadmissible lambda or k, a cap
+the mesh does not resolve, a lid in x1, x2 or r, and reference radii
+outside the analyzer's radii included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -85,11 +85,12 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
 
 
 def _eigen_notes(es) -> dict:
-    """How the eigen solve ran: its path and Lanczos shift, the Hardy
-    constant it checked lam against and the margin lam / Lambda (both None
-    when lam <= 0)."""
+    """How the eigen solve ran: its path, Lanczos shift and step count, the
+    Hardy constant it checked lam against and the margin lam / Lambda (both
+    None when lam <= 0)."""
     lam_star = es.hardy_lambda
     return {"eigen_path": es.eigen_path, "eigen_shift": es.shift,
+            "lanczos_steps": es.lanczos_steps,
             "hardy_lambda": lam_star,
             "lambda_margin": None if lam_star is None else es.lam / lam_star}
 

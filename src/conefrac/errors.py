@@ -28,6 +28,10 @@ class InadmissibleLambdaError(DomainError, ConfigurationError):
     eigen solve, reported by the command line as a config error."""
 
 
+class ModeCountError(DomainError, ConfigurationError):
+    """k is not in 1 .. the mesh's free dof count; a config error."""
+
+
 class UnresolvedCapError(GeometryError, ConfigurationError):
     """No free equator node of the mesh touches a cap segment: the mesh
     cannot see the cap, a config error at the command line."""

@@ -2,13 +2,11 @@
 conditions.
 
 The generalized pencil is (K - lam kappa B, M) on the free nodes.  Its
-smallest eigenpairs come from shift-invert Lanczos in the M inner product,
-with the shift sigma parked just below the guaranteed spectrum bottom
--((N-2s)/2)^2, (K - lam kappa B - sigma M)^-1 applied by
-``sphercap.HemisphereSolver`` (tridiagonal sweeps on the float view of its
-Fourier modes) and M through the mesh's factored forms, both on node arrays
-that vanish on the Dirichlet nodes.  The dense pencil of the forms' free
-block is solved only when k >= n - 1.
+smallest eigenpairs come from shift-invert Lanczos in the M inner product
+(Parlett, The Symmetric Eigenvalue Problem, 1980) with the shift sigma just
+below the spectrum floor -((N-2s)/2)^2, on the mesh's theta modes, where
+(K - lam kappa B - sigma M)^-1 and M = m_k P0 read node values on the
+equator row alone; the dense pencil is solved only when k >= n - 1.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InadmissibleLambdaError, NumericalError
+from .errors import InadmissibleLambdaError, ModeCountError, NumericalError
 from .params import ProblemParams, gamma_from_mu
 from .sphercap import HemisphereMesh, HemisphereSolver, eigh_pencil
 
@@ -41,8 +39,8 @@ class EigenSystem:
     multiplicity-group id to every mode (eigenvalues within
     1e-6 (1 + |mu|) of each other share a group).  ``hardy_lambda`` is the
     cap's Hardy constant that lam was checked against, None when lam <= 0.
-    ``eigen_path`` is "lanczos" or "dense", ``shift`` the Lanczos shift
-    (None when dense).
+    ``eigen_path`` is "lanczos" or "dense", ``shift`` the Lanczos shift and
+    ``lanczos_steps`` its step count (both None when dense).
     """
 
     mu: np.ndarray
@@ -54,6 +52,7 @@ class EigenSystem:
     hardy_lambda: float | None = None
     eigen_path: str = "lanczos"
     shift: float | None = None
+    lanczos_steps: int | None = None
 
     @property
     def k(self) -> int:
@@ -89,6 +88,9 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
     above the floor -((N-2s)/2)^2.
     """
     mesh.check_params(params)
+    n = mesh.n_free
+    if k < 1 or k > n:
+        raise ModeCountError(f"need 1 <= k <= {n} on this mesh, got k = {k}")
     lam = params.lam
     lam_star = None
     if lam > 0.0:
@@ -100,12 +102,7 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
                 f"constant on this {mesh.nt}x{mesh.ntheta} mesh is "
                 f"{lam_star:.6g}")
 
-    n = mesh.n_free
-    if k < 1 or k > n:
-        raise DomainError(f"need 1 <= k <= {n}, got {k}")
-
-    mass = _free_mass(mesh)
-    shift = None
+    shift = steps = None
     if k >= n - 1:      # the whole spectrum, or all but one mode
         path = "dense"
         free = np.ix_(mesh.free_nodes, mesh.free_nodes)
@@ -115,11 +112,11 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
         V[:, mesh.free_nodes] = Vf[:, :k].T
     else:
         path = "lanczos"
-        w, V, shift = _sparse_smallest(mesh, mass, k, params)
+        w, V, shift, steps = _sparse_smallest(mesh, k, params)
 
     order = np.argsort(w, kind="stable")
     w = w[order]
-    V = _fix_signs(V[order], mass(mesh.dof_of_node >= 0))   # M 1
+    V = _fix_signs(V[order], mesh.M @ (mesh.dof_of_node >= 0))
 
     # near lam = Lambda_h, mu_1 may round to just below the floor
     floor = params.spectrum_floor
@@ -130,40 +127,54 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
 
     return EigenSystem(mu=w, vectors=V, gamma=gamma, group=group,
                        params=params, mesh=mesh, hardy_lambda=lam_star,
-                       eigen_path=path, shift=shift)
+                       eigen_path=path, shift=shift, lanczos_steps=steps)
 
 
 def _free_mass(mesh: HemisphereMesh):
-    """M on the free nodes as a function of one node vector that vanishes
-    on the Dirichlet nodes: apply M, then zero the Dirichlet rows."""
-    M, dirichlet = mesh.M, mesh.dirichlet_ids
+    """M on the free nodes for the float view of mode rows: m_k P0 per mode
+    between two ``project_free``, the first on the Lanczos vector in place."""
+    d, o = mesh.P0[:, :, None] * np.repeat(mesh.symbol(mesh.Mth), 2)
 
-    def mass(x: np.ndarray) -> np.ndarray:
-        y = M @ x
-        y[dirichlet] = 0.0
-        return y
+    def mass(z: np.ndarray) -> np.ndarray:
+        Z = z.reshape(mesh.nt, -1)
+        mesh.project_free(Z.view(complex))
+        Y = d * Z
+        Y[:-1] += o[:-1] * Z[1:]
+        Y[1:] += o[:-1] * Z[:-1]
+        mesh.project_free(Y.view(complex))
+        return Y.reshape(-1)
 
     return mass
 
 
-def _sparse_smallest(mesh, mass, k, params):
+def _sparse_smallest(mesh, k, params):
     """Shift-invert Lanczos at sigma = -1.01 c^2 - 0.05 (1 + c^2) < -c^2,
-    c^2 = ((N-2s)/2)^2; returns the eigenvalues, the eigenvectors as rows
-    and sigma.  The shift needs no check: for lam <= 0, K - lam kappa B >= 0,
-    and for 0 < lam < Lambda_h (same mesh and free nodes, as ``solve_eigs``
-    enforces) the discrete Hardy inequality kappa B <= (K + c^2 M) /
-    Lambda_h gives K - lam kappa B >= (1 - lam/Lambda_h) K
-    - (lam/Lambda_h) c^2 M >= -c^2 M.  So K - lam kappa B - sigma M and its
-    Schur complement on the free equator nodes, which ``HemisphereSolver``
-    inverts, are positive definite."""
+    c^2 = ((N-2s)/2)^2; returns the eigenvalues, the eigenvectors as node
+    rows, sigma and the number of Lanczos steps.  The shift needs no check:
+    for lam <= 0, K - lam kappa B >= 0, and for 0 < lam < Lambda_h (same
+    mesh and free nodes, as ``solve_eigs`` enforces) the discrete Hardy
+    inequality kappa B <= (K + c^2 M) / Lambda_h gives K - lam kappa B >=
+    (1 - lam/Lambda_h) K - (lam/Lambda_h) c^2 M >= -c^2 M.  So K - lam
+    kappa B - sigma M and its Schur complement on the free equator nodes,
+    which ``HemisphereSolver`` inverts, are positive definite."""
     n = mesh.n_free
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
     solver = HemisphereSolver(mesh, [-sigma], params.lam * params.kappa)
-    v0 = np.zeros(mesh.n_nodes)
-    v0[mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
-    theta, V = _lanczos(lambda y: solver.solve(y[None])[0], mass, v0, k, n)
-    return sigma + 1.0 / theta, V, sigma
+    v0 = np.zeros((mesh.nt, mesh.ntheta))
+    v0.flat[mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
+    scale = np.repeat(mesh.mode_scale, 2)   # solve_rfft takes plain rfft
+
+    def opinv(y: np.ndarray) -> np.ndarray:
+        Y = (y.reshape(mesh.nt, -1) / scale).view(complex)[None]
+        Y = solver.solve_rfft(Y).view(float)
+        return np.multiply(Y, scale, out=Y).ravel()
+
+    theta, V, steps = _lanczos(opinv, _free_mass(mesh),
+                               mesh.to_modes(v0).view(float).ravel(), k, n)
+    V = mesh.from_modes(V.reshape(k, mesh.nt, -1).view(complex))
+    V[:, 0, ~mesh.robin_mask] = 0.0
+    return sigma + 1.0 / theta, V.reshape(k, -1), sigma, steps
 
 
 def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
@@ -176,9 +187,9 @@ def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
     T_m all meet |beta_m s_mi| <= eps theta_i (ARPACK's test at tol = 0),
     checked every max(``LANCZOS_CHECK``, m / 16) steps so that the checks'
     dense eigh of T_m costs O(m^3) in all, or until they span the space, of
-    dimension n (v0 may be longer, say with zeros on Dirichlet nodes).  A
+    dimension n (v0 may be longer; mode rows also span Dirichlet nodes).  A
     breakdown (beta_m at rounding level) before that raises NumericalError.
-    Returns theta ascending and the Ritz vectors as M-orthonormal rows.
+    Returns theta ascending, the Ritz vectors as M-orthonormal rows, and m.
     """
     eps = np.finfo(float).eps
     Q = np.empty((min(n, 6 * k + 20), len(v0)))
@@ -207,7 +218,7 @@ def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
                                       + np.diag(beta[:j], -1))
             theta, S = theta[-k:], S[:, -k:]
             if m == n or np.all(np.abs(beta[j] * S[-1]) <= eps * theta):
-                return theta, S.T @ Q[:m]
+                return theta, S.T @ Q[:m], m
         if breakdown:
             raise NumericalError(f"Lanczos broke down after {m} steps, "
                                  f"before {k} eigenpairs converged")

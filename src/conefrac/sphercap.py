@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,29 @@ class HemisphereMesh:
     @property
     def dirichlet_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.robin_mask)
+
+    @cached_property
+    def mode_scale(self) -> np.ndarray:
+        """sqrt(c_k / ntheta): c_k = 1 for the self-conjugate modes, else 2."""
+        k = np.arange(self.ntheta // 2 + 1)
+        return np.sqrt(np.where(2 * k % self.ntheta, 2.0, 1.0) / self.ntheta)
+
+    def to_modes(self, X: np.ndarray) -> np.ndarray:
+        """Modes of node rows (..., ntheta): rfft scaled to an isometry."""
+        return np.fft.rfft(X, axis=-1) * self.mode_scale
+
+    def from_modes(self, Z: np.ndarray) -> np.ndarray:
+        """Node rows (..., ntheta) of scaled coefficients."""
+        return np.fft.irfft(Z / self.mode_scale, self.ntheta, axis=-1)
+
+    def project_free(self, Z: np.ndarray) -> None:
+        """Zero the Dirichlet nodes of mode rows (..., nt, n_modes) in place."""
+        Z[..., 0, :] = self.to_modes(self.from_modes(Z[..., 0, :])
+                                     * self.robin_mask)
+
+    def symbol(self, band: np.ndarray) -> np.ndarray:
+        """Eigenvalue per mode of a circulant band (Mth, Kth)."""
+        return np.fft.rfft(band_to_dense(band)[:, 0]).real
 
 
 def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
@@ -373,27 +397,28 @@ class HemisphereSolver:
     with no sparse factorization.
 
     A real FFT in theta turns A_i = K + sigma_i M on the full node set into
-    the tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k
-    and w_k the symbols of the circulant Mth and Kth; their LDL^T factors
-    are computed once, repeated for the re and im parts so that the sweeps
-    run on the float view of the modes.  On the equator row A_i^-1 is the
-    circulant G_i of symbol g_ik = [T_ik^-1]_00, so the Schur complement of
-    A_i onto the equator is the circulant G_i^-1 of symbol 1 / g_ik.  The
-    Dirichlet nodes D and the -rho B term both live on that row, and the
-    Schur complement of H_i onto the free equator nodes F is the symmetric
+    the tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k and
+    w_k the symbols of the circulant Mth and Kth (Buzbee, Golub & Nielson,
+    SIAM J. Numer. Anal. 7, 1970); their LDL^T factors are computed once,
+    repeated for the re and im parts so that the sweeps run on the float
+    view of the modes.  On the equator row A_i^-1 is the circulant G_i of
+    symbol g_ik = [T_ik^-1]_00, so the Schur complement of A_i onto the
+    equator is the circulant G_i^-1 of symbol 1 / g_ik.  The Dirichlet
+    nodes D and the -rho B term both live on that row, and the Schur
+    complement of H_i onto the free equator nodes F is the symmetric
     S_i = (G_i^-1)_FF - rho Bth_FF (Proskurowski & Widlund, Math. Comp. 30,
     1976), kept as ``schur`` and inverted once per shift; a singular S_i
     raises LinAlgError.  With y = A_i^-1 b and u = G_i^-1 y_E, the solution
     has x_F = S_i^-1 u_F and x_D = 0 on the equator, and is y + A_i^-1 E w
-    with E the equator injection and w = G_i^-1 (x_E - y_E).  Vectors are
-    node rows that vanish on D.
+    with E the equator injection and w = G_i^-1 (x_E - y_E).  ``solve_rfft``
+    runs this on rfft rows, with 1-row transforms for the equator; ``solve``
+    wraps it for node rows.
     """
 
     def __init__(self, mesh: HemisphereMesh, shifts, rho: float = 0.0):
         shifts = np.asarray(shifts, dtype=float)[:, None, None]
         self.shape = (len(shifts), mesh.nt, mesh.ntheta)
-        m_k, w_k = (np.fft.rfft(band_to_dense(C)[:, 0]).real
-                    for C in (mesh.Mth, mesh.Kth))
+        m_k, w_k = mesh.symbol(mesh.Mth), mesh.symbol(mesh.Kth)
 
         def band(offset):   # (n_shifts, nt - offset, n_modes)
             p0, p1, p2 = (P[offset, :mesh.nt - offset, None]
@@ -430,22 +455,26 @@ class HemisphereSolver:
         for l, x, y in zip(self.l[::-1], rows[:0:-1], rows[-2::-1]):
             y -= np.multiply(l, x, out=t)
 
+    def solve_rfft(self, Y: np.ndarray) -> np.ndarray:
+        """Apply the inverse for shift i in place to Y[i] (nt, n_modes), the
+        rfft in theta of a node row that is 0 on D, as is the result's."""
+        Yr = Y.view(float)              # re and im parts side by side
+        self._tridiag_solve(Yr)
+        u = np.fft.irfft(self.ginv * Y[:, 0], self.shape[-1], axis=-1)
+        u[:, self.robin] = (self.schur_inv @ u[:, self.robin, None])[:, :, 0]
+        x_eq = np.fft.rfft(u * self.robin, axis=-1)     # x_D = 0
+        w = self.ginv * (x_eq - Y[:, 0])
+        Yr += np.multiply(self.col0, w.view(float)[:, None], out=self._work)
+        Y[:, 0] = x_eq
+        return Y
+
     def solve(self, X: np.ndarray) -> np.ndarray:
         """Apply the inverse for shift i to row i of X; rows are node
         vectors that vanish on D, as do those of the result, a new array."""
-        m, nt, ntheta = self.shape
-        Y = np.fft.rfft(np.reshape(X, self.shape), axis=-1)
-        Yr = Y.view(float)              # re and im parts side by side
-        self._tridiag_solve(Yr)
-        u = np.fft.irfft(self.ginv * Y[:, 0], ntheta, axis=-1)
-        x_eq = np.zeros((m, ntheta))
-        x_eq[:, self.robin] = (self.schur_inv
-                               @ u[:, self.robin, None])[:, :, 0]
-        w = self.ginv * (np.fft.rfft(x_eq, axis=-1) - Y[:, 0])
-        Yr += np.multiply(self.col0, w.view(float)[:, None], out=self._work)
-        U = np.fft.irfft(Y, ntheta, axis=-1)
+        Y = self.solve_rfft(np.fft.rfft(np.reshape(X, self.shape), axis=-1))
+        U = np.fft.irfft(Y, self.shape[-1], axis=-1)
         U[:, 0, ~self.robin] = 0.0
-        return U.reshape(m, -1)
+        return U.reshape(len(U), -1)
 
     def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:
         """The block of the free-node inverse on free equator ``nodes``, the

@@ -353,6 +353,7 @@ def test_cli_determinism(tmp_path):
     notes = json.loads((tmp_path / "a" / "manifest.json").read_text())["notes"]
     assert notes == {"eigen_path": "lanczos",
                      "eigen_shift": pytest.approx(-0.315, rel=1e-15),
+                     "lanczos_steps": 28,
                      "hardy_lambda": None, "lambda_margin": None}
 
 
@@ -386,13 +387,36 @@ def test_cli_missing_config(tmp_path):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # k far beyond the dof count trips the eigensolver precondition
-    text = SMALL_EIG.replace("k = 4", "k = 100000")
-    cfg_path = _write(tmp_path, text)
-    code = main(["eig", "--config", str(cfg_path),
+    # two arcs that cover the same equator nodes give equal Hardy constants,
+    # which the nested scan must see strictly decrease
+    cfg_path = _write(tmp_path, "[params]\ns = 0.5\n[mesh]\nnt = 8\n"
+                      "ntheta = 16\n[task]\nname = scan\narcs = 3.0, 3.01\n")
+    code = main(["scan", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", [40, 100000])
+def test_cli_k_above_free_dofs_is_config_error(tmp_path, capsys,
+                                               monkeypatch, k):
+    # a 4x8 half cap has 28 free dofs: k beyond them is rejected before the
+    # Hardy solve, as a config error that leaves no output directory
+    from conefrac import hardy
+
+    def no_hardy(*args):
+        raise AssertionError("the Hardy solve ran")
+
+    monkeypatch.setattr(hardy, "hardy_constant", no_hardy)
+    cfg_path = _write(tmp_path, _eig_config(0.1, 4, 8).replace(
+        "k = 4", f"k = {k}"))
+    code = main(["eig", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"need 1 <= k <= 28 on this mesh, got k = {k}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _eig_config(lam, nt, ntheta, preset="half", s=0.5):

@@ -123,7 +123,9 @@ def _check_against_eigsh(cap, lam, k=12):
     """The numpy shift-invert Lanczos against scipy's ARPACK eigsh applying
     a sparse LU of K - lam kappa B - sigma M at the same shift: eigenvalues
     to 1e-12 relative (1e-12 absolute near zero), the same multiplicity
-    groups, and M-orthonormal eigenvectors."""
+    groups, M-orthonormal eigenvectors, and |<v, v_ref>_M| >= 1 - 1e-10
+    for every mode alone in its group, the last group aside (its partners
+    may lie beyond k)."""
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
     p = ProblemParams(s=0.5, lam=lam)
     mesh = build_mesh(48, 96, 0.5, cap)
@@ -133,16 +135,23 @@ def _check_against_eigsh(cap, lam, k=12):
     Kr, Mr = _pencil(mesh, p)
     n = Kr.shape[0]
     lu = splu((Kr - es.shift * Mr).tocsc())
-    ref = np.sort(eigsh(
+    ref, V_ref = eigsh(
         Kr, k=k, M=Mr, sigma=es.shift, which="LM",
         v0=np.ones(n) + 0.01 * np.sin(np.arange(n)),
-        OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
-        return_eigenvectors=False))
+        OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float))
+    order = np.argsort(ref)
+    ref, V_ref = ref[order], V_ref[:, order]
     np.testing.assert_allclose(es.mu, ref, rtol=1e-12, atol=1e-12)
     gaps = np.abs(np.diff(ref)) > MULTIPLICITY_RTOL * (1.0 + np.abs(ref[1:]))
     np.testing.assert_array_equal(es.group, np.cumsum(np.append(0, gaps)))
     V = es.vectors[:, mesh.free_nodes]
     assert np.abs(V @ (Mr @ V.T) - np.eye(k)).max() < 1e-12
+    V_ref /= np.sqrt(np.einsum("ij,ij->j", V_ref, Mr @ V_ref))
+    alone = [j for j in range(k) if len(es.group_members(j)) == 1
+             and es.group[j] != es.group[-1]]
+    assert alone
+    overlap = np.abs(np.einsum("ij,ij->j", V[alone].T, Mr @ V_ref[:, alone]))
+    assert overlap.min() >= 1.0 - 1e-10, overlap
     return es
 
 
@@ -153,6 +162,37 @@ def test_arpack_matches_sparse_lu_shift_invert(cap):
     es = _check_against_eigsh(cap, 0.1)
     if cap.is_full:             # the cos/sin pairs are double
         assert es.group.max() < es.k - 1
+
+
+def test_lanczos_on_odd_ntheta_matches_dense_pencil(half_cap):
+    """12 x 25 has no Nyquist mode: the Lanczos eigenvalues match the
+    dense path's to 1e-12 relative, and the eigenvectors are exact zeros
+    on every Dirichlet node.  (scipy's dense eigh differs from both by up
+    to 2.5e-12 here, so it is no reference at this tolerance.)"""
+    p = ProblemParams(s=0.5, lam=0.1)
+    mesh = build_mesh(12, 25, 0.5, half_cap)
+    es = solve_eigs(mesh, p, k=12)
+    dense = solve_eigs(mesh, p, k=mesh.n_free - 1)
+    assert (es.eigen_path, dense.eigen_path) == ("lanczos", "dense")
+    np.testing.assert_allclose(es.mu, dense.mu[:12], rtol=1e-12, atol=0)
+    assert np.all(es.vectors[:, mesh.dirichlet_ids] == 0.0)
+
+
+@pytest.mark.parametrize("ntheta", [24, 25])
+def test_mode_space_free_mass_matches_node_space(half_cap, ntheta):
+    """The Lanczos mass in mode coordinates is M with the Dirichlet rows
+    zeroed, on node vectors that vanish on D, to 1e-13 of its maximum."""
+    from conefrac.spectral import _free_mass
+    mesh = build_mesh(6, ntheta, 0.5, half_cap)
+    X = np.random.default_rng(4).standard_normal((3, mesh.n_nodes))
+    X[:, mesh.dirichlet_ids] = 0.0
+    ref = X @ mesh.M
+    ref[:, mesh.dirichlet_ids] = 0.0
+    mass = _free_mass(mesh)
+    for x, y in zip(X, ref):
+        z = mesh.to_modes(x.reshape(mesh.nt, -1)).view(float).ravel()
+        got = mesh.from_modes(mass(z).view(complex).reshape(mesh.nt, -1))
+        assert np.abs(got.ravel() - y).max() <= 1e-13 * np.abs(y).max()
 
 
 def test_lanczos_many_modes_matches_sparse_lu_shift_invert():

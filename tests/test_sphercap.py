@@ -283,3 +283,15 @@ def test_hemisphere_solver_returns_exact_zeros_on_dirichlet_nodes(cap):
         assert Y.shape == X.shape
         assert np.all(Y[:, mesh.dirichlet_ids] == 0.0)
         assert np.abs(Y[:, mesh.free_nodes]).min() > 0.0
+
+
+@pytest.mark.parametrize("ntheta", [24, 25])
+def test_mode_basis_is_an_isometry_of_node_rows(half_cap, ntheta):
+    """The float view of ``to_modes`` keeps dot products of node rows, with
+    or without a Nyquist mode, and ``from_modes`` inverts it."""
+    mesh = build_mesh(6, ntheta, 0.5, half_cap)
+    X = np.random.default_rng(2).standard_normal((4, mesh.nt, ntheta))
+    Z = mesh.to_modes(X)
+    Zf, Xf = Z.reshape(4, -1).view(float), X.reshape(4, -1)
+    np.testing.assert_allclose(Zf @ Zf.T, Xf @ Xf.T, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(mesh.from_modes(Z), X, rtol=0, atol=1e-14)
