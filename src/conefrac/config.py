@@ -35,7 +35,10 @@ def _const(text: str) -> float:
 
 
 def _int(text: str) -> int:
-    return int(_const(text))
+    value = _const(text)
+    if not value.is_integer():
+        raise ValueError(f"{value} is not an integer")
+    return int(value)
 
 
 def _numbers(text: str) -> list[float]:

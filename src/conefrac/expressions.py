@@ -1,21 +1,27 @@
-"""Tiny arithmetic expression language for perturbations and boundary data.
+"""Arithmetic expression language for perturbations and boundary data.
 
-Grammar (standard precedence, ``^`` right-associative, unary minus):
+An expression is Python expression syntax with ``^`` as the power, read by
+``ast.parse`` and kept only if every node lies in a whitelist:
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
+- decimal literals (``2``, ``.5``, ``5.``, ``1e-3``; no underscores,
+  prefixes or imaginary parts) and the constant ``pi``;
+- the variables {x1, x2, r, theta, t};
+- binary ``+ - * / ^`` and unary ``+ -``, with Python's precedence (``^``
+  binds tighter than unary minus and is right-associative);
+- the calls sin, cos, exp, log, abs (one argument) and pow (two).
 
-Identifiers are restricted to the variables {x1, x2, r, theta, t} and the
-function names {sin, cos, exp, log, abs, pow}.  Evaluation is numpy-aware so
-grid functions can be produced in one call.
+Python's own ``**``, ``//``, ``%``, comparisons, attributes, keywords,
+comments, strings and trailing commas are rejected.  Nothing is compiled or
+executed: a private evaluator walks the tree, numpy-aware so grid functions
+come in one call.  Error positions index the source text.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,131 +40,24 @@ FUNCTIONS = {
     "pow": (None, 2),
 }
 
-
-# ---------------------------------------------------------------------------
-# AST nodes
-# ---------------------------------------------------------------------------
-
-class Node:
-    def eval(self, bindings):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def render(self, parent_prec=0):  # pragma: no cover - abstract
-        raise NotImplementedError
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: None}
+# characters outside the language, Python's power and a trailing comma
+_FOREIGN = re.compile(r"[^0-9A-Za-z_.+\-*/^(),\s]|\*\*|,\s*\)")
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# deeper trees are rejected, so evaluating and printing never recurse far
+_MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Num(Node):
-    value: float
-
-    def eval(self, bindings):
-        return self.value
-
-    def render(self, parent_prec=0):
-        if abs(self.value) < 1e15 and self.value == int(self.value):
-            return str(int(self.value))
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    name: str
-
-    def eval(self, bindings):
-        if self.name not in bindings:
-            raise ExpressionError(
-                f"unbound variable '{self.name}' (have {sorted(bindings)})")
-        return bindings[self.name]
-
-    def render(self, parent_prec=0):
-        return self.name
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-@dataclass(frozen=True)
-class BinOp(Node):
-    op: str
-    left: Node
-    right: Node
-
-    def eval(self, bindings):
-        a = self.left.eval(bindings)
-        b = self.right.eval(bindings)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(np.asarray(b) == 0):
-                raise ExpressionError(
-                    f"division by zero in '{self.render()}' with "
-                    f"bindings {_fmt_bindings(bindings)}")
-            return a / b
-        if self.op == "^":
-            return _power(a, b, self.render(), bindings)
-        raise ExpressionError(f"unknown operator {self.op}")
-
-    def render(self, parent_prec=0):
-        prec = _PREC[self.op]
-        left = self.left.render(prec)
-        # left-assoc ops need a tighter right side; ^ is right-assoc
-        right_prec = prec if self.op == "^" else prec + 1
-        right = self.right.render(right_prec)
-        text = f"{left} {self.op} {right}" if self.op != "^" \
-            else f"{left}^{right}"
-        if prec < parent_prec:
-            return f"({text})"
-        return text
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    child: Node
-
-    def eval(self, bindings):
-        return -self.child.eval(bindings)
-
-    def render(self, parent_prec=0):
-        text = f"-{self.child.render(_PREC['neg'])}"
-        if _PREC["neg"] < parent_prec:
-            return f"({text})"
-        return text
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    name: str
-    args: tuple
-
-    def eval(self, bindings):
-        vals = [a.eval(bindings) for a in self.args]
-        if self.name == "pow":
-            return _power(vals[0], vals[1], self.render(), bindings)
-        if self.name == "log":
-            if np.any(np.asarray(vals[0]) <= 0):
-                raise ExpressionError(
-                    f"log of non-positive value in '{self.render()}' with "
-                    f"bindings {_fmt_bindings(bindings)}")
-        fn, _ = FUNCTIONS[self.name]
-        return fn(vals[0])
-
-    def render(self, parent_prec=0):
-        inner = ", ".join(a.render(0) for a in self.args)
-        return f"{self.name}({inner})"
-
-
-def _power(a, b, text, bindings):
+def _power(a, b, node, bindings):
     with np.errstate(invalid="raise", divide="raise", over="raise"):
         try:
             return np.power(a, b) if isinstance(a, np.ndarray) \
                 or isinstance(b, np.ndarray) else math.pow(a, b)
         except (FloatingPointError, ValueError, OverflowError) as exc:
             raise ExpressionError(
-                f"invalid power in '{text}' with bindings "
+                f"invalid power in '{_render(node)}' with bindings "
                 f"{_fmt_bindings(bindings)}: {exc}") from exc
 
 
@@ -171,174 +70,98 @@ def _fmt_bindings(bindings):
     return "{" + ", ".join(parts) + "}"
 
 
-# ---------------------------------------------------------------------------
-# tokenizer and parser
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+def _render(node) -> str:
+    return ast.unparse(node).replace("**", "^")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_e = False
-            while j < n and (text[j].isdigit() or text[j] == "."
-                             or text[j] in "eE"
-                             or (seen_e and text[j] in "+-"
-                                 and text[j - 1] in "eE")):
-                if text[j] in "eE":
-                    seen_e = True
-                j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", position=i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+def _check(node, text: str, cols: list, depth: int = 0) -> None:
+    """Raise unless every node under ``node`` is in the language; ``text``
+    is the parsed Python text and ``cols[i]`` the source index of its i-th
+    character."""
+    def fail(message):
+        return ExpressionError(message, position=cols[node.col_offset])
+
+    if depth > _MAX_DEPTH:
+        raise fail(f"expression nested deeper than {_MAX_DEPTH} levels")
+    children = ()
+    if isinstance(node, ast.Constant):
+        literal = text[node.col_offset:node.end_col_offset]
+        if not _DECIMAL.fullmatch(literal):
+            raise fail(f"malformed number {literal!r}")
+        if not math.isfinite(float(literal)):
+            raise fail(f"non-finite value {literal}")
+    elif isinstance(node, ast.Name):
+        if node.id not in VARIABLES and node.id != "pi":
+            raise fail(f"unknown identifier {node.id!r} "
+                       f"(variables: {', '.join(VARIABLES)})")
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op,
+                                                      (ast.UAdd, ast.USub)):
+        children = (node.operand,)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        children = (node.left, node.right)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.col_offset == node.col_offset and not node.keywords:
+        # called by its bare name, so (sin)(1) is rejected
+        name = node.func.id
+        if name not in FUNCTIONS:
+            raise fail(f"unknown function {name!r}")
+        if len(node.args) != FUNCTIONS[name][1]:
+            raise fail(f"{name} takes {FUNCTIONS[name][1]} argument(s), "
+                       f"got {len(node.args)}")
+        children = node.args
+    else:
+        raise fail(f"unsupported syntax {type(node).__name__}")
+    for child in children:
+        _check(child, text, cols, depth + 1)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], source: str):
-        self.tokens = tokens
-        self.source = source
-        self.idx = 0
-
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> _Token:
-        tok = self.tok
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        if self.tok.kind != kind:
+def _value(node, bindings):
+    """Value of a checked tree at the bindings."""
+    if isinstance(node, ast.Constant):
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return math.pi
+        if node.id not in bindings:
             raise ExpressionError(
-                f"expected {kind!r}, found {self.tok.text or 'end of input'!r}",
-                position=self.tok.pos)
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.tok.kind != "end":
+                f"unbound variable '{node.id}' (have {sorted(bindings)})")
+        return bindings[node.id]
+    if isinstance(node, ast.UnaryOp):
+        v = _value(node.operand, bindings)
+        return -v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.Call):
+        args = [_value(a, bindings) for a in node.args]
+        name = node.func.id
+        if name == "pow":
+            return _power(*args, node, bindings)
+        if name == "log" and np.any(np.asarray(args[0]) <= 0):
             raise ExpressionError(
-                f"trailing input {self.tok.text!r}", position=self.tok.pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.tok.kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.tok.kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.tok.kind == "-":
-            self.advance()
-            return Neg(self.unary())
-        if self.tok.kind == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.tok.kind == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Node:
-        tok = self.tok
-        if tok.kind == "num":
-            self.advance()
-            try:
-                return Num(float(tok.text))
-            except ValueError:
-                raise ExpressionError(
-                    f"malformed number {tok.text!r}", position=tok.pos)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if self.tok.kind == "(":
-                if name not in FUNCTIONS:
-                    raise ExpressionError(
-                        f"unknown function {name!r}", position=tok.pos)
-                self.advance()
-                args = [self.expr()]
-                while self.tok.kind == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                _, arity = FUNCTIONS[name]
-                if len(args) != arity:
-                    raise ExpressionError(
-                        f"{name} takes {arity} argument(s), got {len(args)}",
-                        position=tok.pos)
-                return Call(name, tuple(args))
-            if name == "pi":
-                return Num(math.pi)
-            if name not in VARIABLES:
-                raise ExpressionError(
-                    f"unknown identifier {name!r} "
-                    f"(variables: {', '.join(VARIABLES)})", position=tok.pos)
-            return Var(name)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
+                f"log of non-positive value in '{_render(node)}' with "
+                f"bindings {_fmt_bindings(bindings)}")
+        return FUNCTIONS[name][0](args[0])
+    a = _value(node.left, bindings)
+    b = _value(node.right, bindings)
+    if isinstance(node.op, ast.Pow):
+        return _power(a, b, node, bindings)
+    if isinstance(node.op, ast.Div) and np.any(np.asarray(b) == 0):
         raise ExpressionError(
-            f"expected a value, found {tok.text or 'end of input'!r}",
-            position=tok.pos)
+            f"division by zero in '{_render(node)}' with "
+            f"bindings {_fmt_bindings(bindings)}")
+    return _BINOPS[type(node.op)](a, b)
 
-
-# ---------------------------------------------------------------------------
-# public facade
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Expression:
     """Parsed arithmetic expression.  Evaluation accepts scalars or numpy
     arrays in the bindings."""
 
-    root: Node
+    root: ast.expr
     source: str
 
     def eval(self, bindings: dict):
         """Value at the bindings; a non-finite result raises."""
         with np.errstate(over="ignore", invalid="ignore"):
-            value = self.root.eval(bindings)
+            value = _value(self.root, bindings)
         if not np.all(np.isfinite(value)):
             raise ExpressionError(
                 f"non-finite value of '{self.to_string()}' with bindings "
@@ -347,14 +170,15 @@ class Expression:
 
     def variables(self) -> frozenset[str]:
         """The variables the expression reads."""
-        return frozenset(tok.text for tok in _tokenize(self.source)
-                         if tok.text in VARIABLES)
+        return frozenset(node.id for node in ast.walk(self.root)
+                         if isinstance(node, ast.Name)
+                         and node.id in VARIABLES)
 
     def to_string(self) -> str:
-        return self.root.render()
+        return _render(self.root)
 
     def is_zero(self) -> bool:
-        return isinstance(self.root, Num) and self.root.value == 0.0
+        return isinstance(self.root, ast.Constant) and self.root.value == 0
 
     def __str__(self):
         return self.to_string()
@@ -363,6 +187,19 @@ class Expression:
 def parse_expression(text: str) -> Expression:
     """Parse ``text`` into an Expression; raises ExpressionError with the
     offending position on malformed input."""
-    tokens = _tokenize(text)
-    root = _Parser(tokens, text).parse()
+    if m := _FOREIGN.search(text):
+        raise ExpressionError(f"unexpected {m.group()!r}", position=m.start())
+    # Python reads one line without leading blanks, and ** for ^
+    lead = len(text) - len(text.lstrip())
+    source = re.sub(r"\s", " ", text[lead:]).replace("^", "**")
+    cols = [i for i in range(lead, len(text))
+            for _ in range(2 if text[i] == "^" else 1)] + [len(text)]
+    try:
+        root = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        col = min(max((exc.offset or 1) - 1, 0), len(cols) - 1)
+        raise ExpressionError(exc.msg, position=cols[col]) from None
+    except (RecursionError, MemoryError):   # the parser's own depth limits
+        raise ExpressionError("expression nested too deeply") from None
+    _check(root, source, cols)
     return Expression(root, text)

@@ -160,6 +160,11 @@ PINNED_VIOLATIONS = {
         "[mesh]\nnr = 5\nrmin = 0.5\n[task]\nname = frequency\n",
         ["[mesh] key 'nr' does not apply to task 'frequency'",
          "[mesh] key 'rmin' does not apply to task 'frequency'"]),
+    "non_integral_counts": (
+        "[mesh]\nnt = 12.9\nntheta = 24.5\n[task]\nname = eig\nk = 2.7\n",
+        ["[mesh] nt = '12.9': 12.9 is not an integer",
+         "[mesh] ntheta = '24.5': 24.5 is not an integer",
+         "[task] k = '2.7': 2.7 is not an integer"]),
     "several": (
         "[params]\ns = 2.0\nlambda = x\n[mesh]\nnt = 1\nrmin = 0\n"
         "[solver]\ntol = 1\n[task]\nname = frequency\nk = 0\narcs = pi\n"
@@ -185,6 +190,13 @@ def test_violation_list_pinned(case):
     with pytest.raises(ConfigurationError) as err:
         parse_config(text)
     assert err.value.violations == expected
+
+
+def test_integral_counts_accept_expressions():
+    cfg = parse_config(
+        "[mesh]\nnt = 48.0\nntheta = 2*24\n[task]\nname = eig\n")
+    assert (cfg.nt, cfg.ntheta) == (48, 48)
+    assert isinstance(cfg.nt, int) and isinstance(cfg.ntheta, int)
 
 
 # the analyzer's radii run geometrically from 0.01 to r0 (40 of them), and
@@ -268,6 +280,22 @@ def test_overflowing_number_is_a_config_error(tmp_path, capsys, section, key,
     assert err.startswith(
         f"config error: [{section}] {key} = '{value}': non-finite value")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [
+    "-" * 1500 + "0", "2^" * 1500 + "2", "(" * 300 + "0" + ")" * 300,
+    "-" * 5000 + "0", "2^" * 7000 + "2",    # past Python's parser limits
+], ids=["unary_minus", "power_tower", "parentheses", "parser_recursion",
+        "parser_stack"])
+def test_deeply_nested_expression_is_a_config_error(tmp_path, capsys, value):
+    path = _write(tmp_path,
+                  f"[params]\nlambda = {value}\n[task]\nname = eig\n")
+    assert main(["eig", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [params] lambda = ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_names_every_task_key():

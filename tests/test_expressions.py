@@ -166,3 +166,66 @@ def test_non_finite_values_raise():
     with pytest.raises(ExpressionError):
         parse_expression("x1 ^ 400").eval({"x1": np.array([1.0, 10.0])})
 
+
+# The accepted language, pinned.  Python alone would accept several of the
+# rejected rows (the trailing comma, 1_0, 0x1f, 1j, the comment), and
+# wrapping the text in parentheses to allow leading blanks would accept
+# "1) + (2".
+_BINDINGS = {"x1": 0.7, "x2": -1.3, "r": 0.4, "theta": 1.0, "t": 0.2}
+
+
+@pytest.mark.parametrize("text, value", [
+    (" 1 ", 1.0),
+    ("1\n+ 2", 3.0),                 # configparser's continuation lines
+    (".5", 0.5),
+    ("5.", 5.0),
+    ("1E+2", 100.0),
+    ("+x1", 0.7),
+    ("2 ^ -1", 0.5),
+    ("-3 ^ 2", -9.0),
+    ("2 ^ 3 ^ 2", 512.0),
+    ("pi", math.pi),
+    ("pow(2, 10)", 1024.0),
+])
+def test_language_accepts(text, value):
+    assert parse_expression(text).eval(_BINDINGS) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1) + (2", "sin(x1,)", "x1**2", "x1 // 2", "x1 % 2", "1_0", "0x1f",
+    "1j", "1 # c", "x1 if x2 else r", "not x1", "sin(x=1)", "(x1, x2)",
+    "x1.real", "'a'", "", "1 \\\n", "(sin)(1)",
+])
+def test_language_rejects(text):
+    with pytest.raises(ExpressionError):
+        parse_expression(text)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x", 0), (" x", 1), ("2^x", 2), ("2 ^ 2^x", 6), ("1\n+ y", 4),
+    ("foo(2)", 0),
+])
+def test_error_positions_count_source_characters(text, position):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert err.value.position == position
+
+
+_TOKENS = [*"0123456789", ".", "e", "x1", "r", "theta", "pi", "sin", "pow",
+           "(", ")", ",", "+", "-", "*", "/", "^", " "]
+
+
+@given(st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join))
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_fuzzed_text_parses_or_raises_expression_error(text):
+    try:
+        e = parse_expression(text)
+    except ExpressionError:
+        return
+    printed = e.to_string()
+    assert parse_expression(printed).to_string() == printed
+    try:
+        value = e.eval({"x1": 0.3, "r": 2.0, "theta": 1.0})
+    except ExpressionError:
+        return
+    assert math.isfinite(value)
