@@ -37,6 +37,7 @@ from .errors import ConfigurationError, ConefracError
 from .extension import (CG_TOL, build_halfball_grid, manufactured_field,
                         save_field, solve_extension)
 from .hardy import hardy_constant_richardson, hardy_scan
+from .params import hardy_constant_full_space
 from .spectral import MULTIPLICITY_RTOL, solve_eigs
 from .sphercap import build_mesh
 from .svgplot import plot_svg
@@ -86,12 +87,13 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
 
 def _eigen_notes(es) -> dict:
     """How the eigen solve ran: its path, Lanczos shift and step count, the
-    Hardy constant it checked lam against and the margin lam / Lambda (both
-    None when lam <= 0)."""
+    Hardy constant it checked lam against, its closed-form full-circle floor
+    and the margin lam / Lambda (all None when lam <= 0)."""
     lam_star = es.hardy_lambda
+    floor = None if lam_star is None else hardy_constant_full_space(es.params)
     return {"eigen_path": es.eigen_path, "eigen_shift": es.shift,
             "lanczos_steps": es.lanczos_steps,
-            "hardy_lambda": lam_star,
+            "hardy_lambda": lam_star, "hardy_floor": floor,
             "lambda_margin": None if lam_star is None else es.lam / lam_star}
 
 

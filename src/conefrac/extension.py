@@ -384,7 +384,8 @@ class _FastDiagPreconditioner:
     The generalized eigendecomposition S_r W = M_r W diag(lam) splits the
     operator into one hemisphere operator K_h - rho B_h + lam_i M_h per
     radial eigenvalue, and ``HemisphereSolver`` inverts them all at once;
-    its Schur complements S_i on the free equator nodes give ``trace``.
+    its Schur complements S_i on the free equator nodes F give ``trace``,
+    and its trace-only solve ``apply_trace``, ``apply`` read on F alone.
     """
 
     def __init__(self, Sr: np.ndarray, Mr: np.ndarray, mesh: HemisphereMesh,
@@ -398,6 +399,10 @@ class _FastDiagPreconditioner:
         X = self.W.T @ x.reshape(len(self.W), -1)
         return (self.W @ self.solver.solve(X)).ravel()
 
+    def apply_trace(self, x: np.ndarray) -> np.ndarray:
+        X = self.W.T @ x.reshape(len(self.W), -1)
+        return (self.W @ self.solver.solve_trace(X)).ravel()
+
     def trace(self, y: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Z y = E^T A0^-1 E y = (W x I) diag(S_i^-1) (W^T x I) y, E the free
         equator nodes F, y flat (shells, F); Z^-1 y from M_r W, S_i."""
@@ -409,8 +414,9 @@ class _FastDiagPreconditioner:
 def _extension_operator(grid: HalfBallGrid, params: ProblemParams):
     """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus
     the kappa_s h trace term, applied to full 3-D node vectors through its
-    factors; returned with S_r, M_r and the h trace form (None without h).
-    Its result lives in a workspace that the next application overwrites."""
+    factors, reading only the shells ``rows`` that u may be nonzero on;
+    returned with S_r, M_r and the h trace form (None without h).  Its
+    result lives in a workspace that the next application overwrites."""
     s = params.s
     Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s)
     Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s)
@@ -424,10 +430,10 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams):
     # one workspace: fresh full-size temporaries fault in every page
     out, tmp = np.empty(shape), np.empty(shape)
 
-    def apply(u: np.ndarray) -> np.ndarray:
+    def apply(u: np.ndarray, rows=slice(None)) -> np.ndarray:
         U = u.reshape(shape)
-        np.matmul(Sr, U @ M, out=out)
-        np.add(out, np.matmul(Mr, U @ K_lam, out=tmp), out=out)
+        np.matmul(Sr[:, rows], U[rows] @ M, out=out)
+        np.add(out, np.matmul(Mr[:, rows], U[rows] @ K_lam, out=tmp), out=out)
         if trace_h is not None:
             out[:, :n_eq] -= params.kappa * trace_h(U)
         return out.ravel()
@@ -474,10 +480,12 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     ``es`` used for the modal bookkeeping, solved on the grid's mesh at the
     same lam.
     A = A0 - E H E^T, A0 inverted by ``_FastDiagPreconditioner``, H the h
-    form on the free equator nodes E.  Without h, x = A0^-1 b.  With h, CG
-    solves (Z^-1 - H) y = Z^-1 E^T x0 for y = E^T x, x0 = A0^-1 b,
-    Z = E^T A0^-1 E; x = A0^-1 (b + E H y) is refined once.  ``meta``: the
-    trace CG's iterations (0 without h), the 3-D residual.
+    form on the free equator nodes E, b = -A u_D from the Dirichlet shells.
+    Without h, x = A0^-1 b.  With h, CG solves (Z^-1 - H) y = Z^-1 t0 for
+    y = E^T x, t0 = E^T A0^-1 b, Z = E^T A0^-1 E.  As x = A0^-1 (b + E H y)
+    has residual E H (E^T x - y), E^T x = t0 + Z H y, y <- t0 + Z H y
+    refines once on the trace before the one 3-D solve.  ``meta``: the trace
+    CG's iterations (0 without h), the 3-D residual.
     """
     mesh = grid.mesh
     mesh.check_params(params)
@@ -492,8 +500,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     elif es.lam != params.lam:
         raise DomainError("the eigen system was solved at a different lam")
 
-    n_h = mesh.n_nodes
-    n_surf = grid.n_surfaces
+    n_h, n_surf = mesh.n_nodes, grid.n_surfaces
     operator, Sr, Mr, trace_h = _extension_operator(grid, params)
 
     # Dirichlet data on the outer shell, and on the inner one when h is
@@ -507,17 +514,13 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
                                         * grid.r_min ** es.gamma))
         u[0] = coeffs[j0] * grid.r_min ** es.gamma[j0] * es.vectors[j0]
     shells = slice(1 if h_is_zero else 0, n_surf - 1)
+    dirichlet = [0, n_surf - 1] if h_is_zero else [n_surf - 1]
     free = mesh.dof_of_node >= 0
 
     def interior(y: np.ndarray) -> np.ndarray:
         return (y.reshape(n_surf, n_h)[shells] * free).ravel()
 
-    b = -interior(operator(u))
-
-    def residual(x: np.ndarray) -> np.ndarray:      # b - A x, x into u
-        u[shells] = x.reshape(-1, n_h)
-        return -interior(operator(u))
-
+    b = -interior(operator(u, dirichlet))
     F, v_eq = mesh.robin_ids, np.zeros((n_surf, mesh.ntheta))
 
     def trace_form(y: np.ndarray) -> np.ndarray:        # H y
@@ -526,16 +529,16 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     fast = _FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
                                    mesh, params.lam * params.kappa)
-    x, iters = fast.apply(b), 0             # without h, A = A0
+    rhs, iters = b, 0                       # without h, A = A0
     if trace_h is not None:
+        t0 = fast.apply_trace(b)
         y, iters = _pcg(lambda y: fast.trace(y, True) - trace_form(y),
-                        fast.trace,
-                        fast.trace(x.reshape(-1, n_h)[:, F].ravel(), True))
+                        fast.trace, fast.trace(t0, True))
+        y = t0 + fast.trace(trace_form(y))  # one refinement step
         rhs = b.reshape(-1, n_h).copy()
         rhs[:, F] += trace_form(y).reshape(-1, len(F))
-        x = fast.apply(rhs)
-        x += fast.apply(residual(x))        # one refinement step
-    res = float(np.linalg.norm(residual(x))
+    u[shells] = fast.apply(rhs).reshape(-1, n_h)
+    res = float(np.linalg.norm(interior(operator(u)))       # |b - A x|
                 / max(np.linalg.norm(b), 1e-300))
     if iters == CG_MAXITER:
         raise NumericalError(
@@ -543,9 +546,8 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
             f"(relative residual {res:.3e}); check admissibility of lam = "
             f"{params.lam}")
 
-    meta = {"inner_mode": inner_mode, "cg_iters": iters,
-            "cg_residual": res}
-    return GridField(grid, u, params, meta=meta)
+    return GridField(grid, u, params, meta={
+        "inner_mode": inner_mode, "cg_iters": iters, "cg_residual": res})
 
 
 # ---------------------------------------------------------------------------

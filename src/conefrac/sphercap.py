@@ -412,7 +412,7 @@ class HemisphereSolver:
     has x_F = S_i^-1 u_F and x_D = 0 on the equator, and is y + A_i^-1 E w
     with E the equator injection and w = G_i^-1 (x_E - y_E).  ``solve_rfft``
     runs this on rfft rows, with 1-row transforms for the equator; ``solve``
-    wraps it for node rows.
+    wraps it for node rows, and ``solve_trace`` returns x_F alone.
     """
 
     def __init__(self, mesh: HemisphereMesh, shifts, rho: float = 0.0):
@@ -455,13 +455,18 @@ class HemisphereSolver:
         for l, x, y in zip(self.l[::-1], rows[:0:-1], rows[-2::-1]):
             y -= np.multiply(l, x, out=t)
 
+    def _equator(self, y_eq: np.ndarray) -> np.ndarray:
+        """Node rows u = G_i^-1 y_E, with x_F = S_i^-1 u_F on F."""
+        u = np.fft.irfft(self.ginv * y_eq, self.shape[-1], axis=-1)
+        u[:, self.robin] = (self.schur_inv @ u[:, self.robin, None])[:, :, 0]
+        return u
+
     def solve_rfft(self, Y: np.ndarray) -> np.ndarray:
         """Apply the inverse for shift i in place to Y[i] (nt, n_modes), the
         rfft in theta of a node row that is 0 on D, as is the result's."""
         Yr = Y.view(float)              # re and im parts side by side
         self._tridiag_solve(Yr)
-        u = np.fft.irfft(self.ginv * Y[:, 0], self.shape[-1], axis=-1)
-        u[:, self.robin] = (self.schur_inv @ u[:, self.robin, None])[:, :, 0]
+        u = self._equator(Y[:, 0])
         x_eq = np.fft.rfft(u * self.robin, axis=-1)     # x_D = 0
         w = self.ginv * (x_eq - Y[:, 0])
         Yr += np.multiply(self.col0, w.view(float)[:, None], out=self._work)
@@ -475,6 +480,12 @@ class HemisphereSolver:
         U = np.fft.irfft(Y, self.shape[-1], axis=-1)
         U[:, 0, ~self.robin] = 0.0
         return U.reshape(len(U), -1)
+
+    def solve_trace(self, X: np.ndarray) -> np.ndarray:
+        """x_F of ``solve(X)``, no t-sweep: y_E = col0^T Y as T_ik = T_ik^T."""
+        Y = np.fft.rfft(np.reshape(X, self.shape), axis=-1).view(float)
+        y_eq = np.einsum("itk,itk->ik", self.col0, Y).view(complex)
+        return self._equator(y_eq)[:, self.robin]
 
     def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:
         """The block of the free-node inverse on free equator ``nodes``, the

@@ -97,6 +97,15 @@ def oracle_full_circle_1d(params: ProblemParams, azimuthal_index: int,
     return eigh_pencil(K, M)[0]
 
 
+def hardy_symbol(s: float, m: int, N: int = 2) -> float:
+    """The full circle's Hardy symbol of Fourier mode m,
+    Lambda_m = 2^(2s) Gamma((N+2m+2s)/4)^2 / Gamma((N+2m-2s)/4)^2; m = 0 is
+    ``hardy_constant_full_space``."""
+    return math.exp(2.0 * s * math.log(2.0)
+                    + 2.0 * math.lgamma((N + 2 * m + 2.0 * s) / 4.0)
+                    - 2.0 * math.lgamma((N + 2 * m - 2.0 * s) / 4.0))
+
+
 def radial_hardy_quotient(f_values, params: ProblemParams,
                           r_nodes=None) -> float:
     """Rayleigh quotient int r^(N+1-2s) |f'|^2 dr / int r^(N-1-2s) f^2 dr for

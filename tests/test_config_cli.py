@@ -18,6 +18,7 @@ import conefrac
 from conefrac.cli import main, run_task
 from conefrac.config import parse_config
 from conefrac.errors import ConfigurationError
+from conefrac.params import ProblemParams, hardy_constant_full_space
 
 MINIMAL_EIG = """
 [params]
@@ -382,7 +383,8 @@ def test_cli_determinism(tmp_path):
     assert notes == {"eigen_path": "lanczos",
                      "eigen_shift": pytest.approx(-0.315, rel=1e-15),
                      "lanczos_steps": 28,
-                     "hardy_lambda": None, "lambda_margin": None}
+                     "hardy_lambda": None, "hardy_floor": None,
+                     "lambda_margin": None}
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -477,6 +479,25 @@ def test_full_plane_lambda_above_closed_form_rejected_at_parse(tmp_path,
     err = capsys.readouterr().err
     assert "Hardy" in err and "0.774542" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, nt, ntheta", [("half", 12, 24),
+                                                ("full", 24, 48)])
+def test_manifest_notes_the_closed_form_hardy_floor(tmp_path, preset, nt,
+                                                    ntheta):
+    # Lambda decreases as the cap grows, so the full circle's closed form
+    # bounds every cap's constant from below; on the full circle the mesh's
+    # constant converges to it (second order at s = 0.5)
+    cfg_path = _write(tmp_path, _eig_config(0.1, nt, ntheta, preset=preset))
+    assert main(["eig", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    notes = json.loads(
+        (tmp_path / "out" / "manifest.json").read_text())["notes"]
+    floor = hardy_constant_full_space(ProblemParams(s=0.5))
+    assert notes["hardy_floor"] == floor
+    assert notes["hardy_lambda"] >= floor
+    if preset == "full":
+        assert notes["hardy_lambda"] == pytest.approx(floor, rel=1e-4)
 
 
 # lambda = 0.785 passes parsing and fails the Hardy check of the 12x24 run
@@ -731,6 +752,8 @@ k = 6
     assert notes["lambda_margin"] == pytest.approx(
         0.1 / notes["hardy_lambda"], rel=1e-15)
     assert 0.0 < notes["lambda_margin"] < 1.0
+    assert notes["hardy_floor"] == hardy_constant_full_space(
+        ProblemParams(s=0.5))
     assert notes["eigen_path"] == "lanczos"
     assert notes["eigen_shift"] < -0.25
     assert main(["frequency", "--config", str(cfg_path),
@@ -798,6 +821,8 @@ k = 6
     assert 0 < manifest["notes"]["cg_iters"] < 50
     assert 0.0 < manifest["notes"]["cg_residual"] <= 1e-10
     assert 0.0 < manifest["notes"]["lambda_margin"] < 1.0
+    assert manifest["notes"]["hardy_floor"] \
+        < manifest["notes"]["hardy_lambda"]
     assert manifest["notes"]["eigen_path"] == "lanczos"
     assert manifest["notes"]["eigen_shift"] < -0.25
     assert main(["solve-ext", "--config", str(cfg_path),

@@ -451,42 +451,100 @@ def test_pcg_matches_scipy_cg(monkeypatch, half_cap, h):
     assert np.abs(seen["x"] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("h", [None, "0.15"])
-def test_solve_applies_operator_and_fast_inverse_at_most_three_times(
-        monkeypatch, half_params, half_cap, h):
-    # the CG runs on the equator trace: the 3-D operator builds the right-
-    # hand side, refines once and checks the residual; the fast inverse
-    # solves for x0, for the trace correction and for the refinement
+@pytest.mark.parametrize("h", [None, "0.1 + 0.05*x1"])
+def test_operator_on_dirichlet_rows_is_bit_identical(half_params, half_cap,
+                                                     h):
+    # b = -A u_D reads only the shells that carry Dirichlet data
+    from conefrac.extension import _extension_operator
+    params = dataclasses.replace(
+        half_params, h=None if h is None else parse_expression(h))
+    mesh = build_mesh(12, 24, params.s, half_cap)
+    grid = build_halfball_grid(8, 1e-2, mesh)
+    apply, *_ = _extension_operator(grid, params)
+    rng = np.random.default_rng(9)
+    n = grid.n_surfaces
+    for rows in ([n - 1], [0, n - 1], [0, 3, n - 1]):
+        u = np.zeros((n, mesh.n_nodes))
+        u[rows] = rng.standard_normal((len(rows), mesh.n_nodes))
+        full = apply(u.ravel()).copy()
+        assert np.array_equal(apply(u.ravel(), rows), full)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+@pytest.mark.parametrize("h", ["0.15", "0.3*cos(theta) + 0.1*x1"])
+def test_trace_refinement_leaves_no_3d_correction(half_cap, s, h):
+    """The one refinement step taken on the equator trace leaves nothing
+    for a 3-D step x += A0^-1 (b - A x) to correct, near the Hardy
+    constant too."""
     import conefrac.extension as ext
+    from conefrac.hardy import hardy_constant
+    mesh = build_mesh(12, 24, s, half_cap)
+    lam = 0.95 * hardy_constant(mesh, ProblemParams(s=s)).lambda_star
+    params = ProblemParams(s=s, lam=lam, h=parse_expression(h))
+    es = solve_eigs(mesh, params, k=4)
+    grid = build_halfball_grid(8, 1e-2, mesh)
+    fld = solve_extension(grid, params, es.vectors[0], es=es)
+    assert fld.meta["cg_residual"] <= 1e-11
+
+    operator, Sr, Mr, _ = ext._extension_operator(grid, params)
+    shells = slice(0, grid.n_surfaces - 1)     # the inner shell is free
+    fast = ext._FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
+                                       mesh, params.lam * params.kappa)
+    U = fld.values.copy()
+    residual = -(operator(U.ravel()).reshape(U.shape)[shells]
+                 * (mesh.dof_of_node >= 0))
+    U[shells] += fast.apply(residual.ravel()).reshape(-1, mesh.n_nodes)
+    assert np.abs(U - fld.values).max() <= 1e-10 * np.abs(fld.values).max()
+
+
+@pytest.mark.parametrize("h", [None, "0.15"])
+def test_solve_applies_operator_twice_and_fast_inverse_once(
+        monkeypatch, half_params, half_cap, h):
+    # the CG runs on the equator trace and refines there: the 3-D operator
+    # builds the right-hand side from the Dirichlet shells and checks the
+    # residual; one full fast inverse gives the field, and with h one
+    # trace-only solve gives the CG's right-hand side
+    import conefrac.extension as ext
+    from conefrac.sphercap import HemisphereSolver
     params = dataclasses.replace(
         half_params, h=None if h is None else parse_expression(h))
     mesh = build_mesh(12, 24, params.s, half_cap)
     es = solve_eigs(mesh, params, k=4)
-    counts = {"operator": 0, "fast": 0}
-    make_operator, fast_apply = (ext._extension_operator,
-                                 ext._FastDiagPreconditioner.apply)
+    calls, counts = [], {"fast": 0, "trace": 0}
+    make_operator, fast_apply, solve_trace = (
+        ext._extension_operator, ext._FastDiagPreconditioner.apply,
+        HemisphereSolver.solve_trace)
 
     def spy_operator(grid, params):
         apply, *rest = make_operator(grid, params)
 
-        def counted(u):
-            counts["operator"] += 1
-            return apply(u)
+        def counted(u, *rows):
+            calls.append(rows)
+            return apply(u, *rows)
         return (counted, *rest)
 
     def spy_fast(self, x):
         counts["fast"] += 1
         return fast_apply(self, x)
 
+    def spy_trace(self, X):
+        counts["trace"] += 1
+        return solve_trace(self, X)
+
     monkeypatch.setattr(ext, "_extension_operator", spy_operator)
     monkeypatch.setattr(ext._FastDiagPreconditioner, "apply", spy_fast)
-    fld = solve_extension(build_halfball_grid(8, 1e-2, mesh), params,
-                          es.vectors[0], es=es)
+    monkeypatch.setattr(HemisphereSolver, "solve_trace", spy_trace)
+    grid = build_halfball_grid(8, 1e-2, mesh)
+    fld = solve_extension(grid, params, es.vectors[0], es=es)
+    n = grid.n_surfaces
     if h is None:                           # without h, A = A0: no CG
         assert fld.meta["cg_iters"] == 0
+        assert calls == [([0, n - 1],), ()]
+        assert counts == {"fast": 1, "trace": 0}
     else:
         assert fld.meta["cg_iters"] >= 1
-    assert counts["operator"] <= 3 and counts["fast"] <= 3
+        assert calls == [([n - 1],), ()]
+        assert counts == {"fast": 1, "trace": 1}
 
 
 def test_batched_pohozaev_rows_equal_scalar_calls(half_es):

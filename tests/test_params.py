@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import hardy_symbol
 from hypothesis import strategies as st
 from scipy.special import gamma as sp_gamma
 
@@ -169,6 +170,18 @@ def test_hardy_full_space_values():
         1.0942198076132383, rel=1e-12)
     assert hardy_constant_full_space(p4) == pytest.approx(
         oracle_hardy(4, 0.5), rel=1e-13)
+
+
+def test_hardy_symbol_matches_scipy_gamma():
+    # the test suite's lgamma form of the full circle's mode-m Hardy symbol;
+    # its m = 0 value is the program's full-space constant
+    for s in (0.05, 0.25, 0.5, 0.75, 0.95):
+        for m in range(6):
+            exact = (2.0 ** (2.0 * s) * sp_gamma((2 + 2 * m + 2 * s) / 4) ** 2
+                     / sp_gamma((2 + 2 * m - 2 * s) / 4) ** 2)
+            assert hardy_symbol(s, m) == pytest.approx(exact, rel=1e-13)
+        assert hardy_symbol(s, 0) == pytest.approx(
+            hardy_constant_full_space(ProblemParams(N=2, s=s)), rel=1e-13)
 
 
 def test_hardy_full_space_s_dependence():

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (boundary_integral, free_block, kron_forms,
-                      weighted_surface_integral)
+from conftest import (boundary_integral, free_block, hardy_symbol,
+                      kron_forms, weighted_surface_integral)
 from scipy.integrate import quad
 
 from conefrac.cones import ConeProfile, SphericalCap, cap_of_cone
@@ -267,6 +267,50 @@ def test_hemisphere_solver_is_exact_robin_inverse(cap, ntheta):
             assert np.sum(np.linalg.eigvalsh(Z[i] + Z[i].T) < 0.0) == n_neg
             if rho < 1.0:
                 assert n_neg == 0
+
+
+@pytest.mark.parametrize("cap, ntheta", [
+    (SphericalCap(0.3, 0.9), 12),                # one free equator node
+    (SphericalCap(0.1, 1.2), 12),                # two
+    (SphericalCap(0.3, 1.5), 16),                # three
+])
+def test_hemisphere_solver_trace_matches_solve(cap, ntheta):
+    """The trace-only solve returns the free equator values of ``solve``
+    for every shift and Robin coefficient, indefinite ones included."""
+    p = ProblemParams(s=0.5, lam=0.1)
+    mesh = build_mesh(5, ntheta, 0.5, cap)
+    shifts = np.array([0.3, 1.7, 25.0])
+    X = np.random.default_rng(11).standard_normal((len(shifts),
+                                                   mesh.n_nodes))
+    X[:, mesh.dirichlet_ids] = 0.0
+    for rho in (0.0, p.lam * p.kappa, 5.0):
+        solver = HemisphereSolver(mesh, shifts, rho)
+        full = solver.solve(X)[:, mesh.robin_ids]
+        trace = solver.solve_trace(X)
+        assert trace.shape == full.shape
+        assert np.abs(trace - full).max() <= 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("s, lo, hi, tol", [
+    (0.25, 0.95, 1.15, 1e-2),            # first order: the polar grading
+    (0.5, 1.9, 2.1, 5e-4),
+    (0.75, 1.9, 2.1, 5e-4),
+])
+def test_equator_symbol_converges_to_closed_form(s, lo, hi, tol):
+    """On the full circle the equator Schur complement's symbol at the
+    Hardy shift c^2, over kappa_s times the equator mass symbol, tends to
+    the closed-form Hardy symbol Lambda_m of each Fourier mode m."""
+    p = ProblemParams(s=s)
+    errs = []
+    for n in (24, 48, 96):
+        mesh = build_mesh(n, 2 * n, s, SphericalCap.full_circle())
+        ginv = HemisphereSolver(mesh, [p.half_order ** 2]).ginv[0, :3]
+        symbol = ginv / (p.kappa * mesh.symbol(mesh.Mth)[:3])
+        errs.append(np.abs(symbol / [hardy_symbol(s, m) for m in range(3)]
+                           - 1.0))
+    order = np.log2(errs[1] / errs[2])
+    assert np.all((lo <= order) & (order <= hi)), order
+    assert np.all(errs[2] <= tol), errs[2]
 
 
 @pytest.mark.parametrize("cap", [SphericalCap(math.pi, 2 * math.pi),
