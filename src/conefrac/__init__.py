@@ -5,7 +5,7 @@ constants and Almgren frequency traces."""
 __version__ = "0.1.0"
 
 from .cones import (ApproxDomain, ConeProfile, SmoothedCone, SphericalCap,
-                    cap_of_cone, distance_to_boundary, smoothing_profile)
+                    cap_of_cone, smoothing_profile)
 from .errors import (ConefracError, ConfigurationError, DomainError,
                      ExpressionError, GeometryError, NumericalError)
 from .params import (ProblemParams, gamma_from_mu, hardy_constant_full_space,
@@ -16,7 +16,7 @@ __all__ = [
     "ProblemParams", "kappa_s", "gamma_from_mu", "mu_from_gamma",
     "hardy_constant_full_space",
     "ConeProfile", "SphericalCap", "SmoothedCone", "ApproxDomain",
-    "cap_of_cone", "distance_to_boundary", "smoothing_profile",
+    "cap_of_cone", "smoothing_profile",
     "ConefracError", "DomainError", "GeometryError", "ConfigurationError",
     "NumericalError", "ExpressionError",
 ]

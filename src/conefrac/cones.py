@@ -24,14 +24,11 @@ __all__ = [
     "SmoothedCone",
     "ApproxDomain",
     "cap_of_cone",
-    "distance_to_boundary",
     "mollifier",
     "smoothing_profile",
     "smoothing_profile_derivative",
     "smoothing_defect",
     "starshape_margin",
-    "omega_n_membership",
-    "classify_point",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -154,31 +151,6 @@ def cap_of_cone(cone: ConeProfile) -> SphericalCap:
     if length <= 1e-12 or length >= TWO_PI - 1e-12:
         raise GeometryError("degenerate cone: empty or full interior")
     return SphericalCap(alpha_minus, alpha_minus + length)
-
-
-def distance_to_boundary(cone: ConeProfile, x) -> float:
-    """Euclidean distance from ``x`` inside the cone to its boundary.
-
-    The boundary of a planar wedge is the union of two rays from the origin;
-    the distances to each are closed forms (projection clamped at the
-    vertex).  Errors out when ``x`` lies outside the closed cone.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise DomainError("x must be a planar point")
-    if cone.full:
-        return float(math.hypot(x[0], x[1]))
-    if not cone.contains(x[0], x[1], strict=False):
-        raise DomainError(f"point {tuple(x)} lies outside the closed cone")
-
-    def ray_distance(d0, d1):
-        t = (x[0] * d0 + x[1] * d1) / (d0 * d0 + d1 * d1)
-        if t <= 0.0:
-            return math.hypot(x[0], x[1])
-        return math.hypot(x[0] - t * d0, x[1] - t * d1)
-
-    return min(ray_distance(1.0, cone.g_plus),
-               ray_distance(-1.0, cone.g_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +331,3 @@ class ApproxDomain:
     def gamma_margin(self, z) -> float:
         """grad G . z on the graph piece; bounded below by 1/(4n)."""
         return float(self.gauge_gradient(z) @ np.asarray(z, dtype=float))
-
-
-def omega_n_membership(ad: ApproxDomain, z) -> bool:
-    """Strict interior membership of a point of R^3 in Omega_n."""
-    return classify_point(ad, z) == "interior"
-
-
-def classify_point(ad: ApproxDomain, z) -> str:
-    """Classify z against Omega_n: one of interior, sigma_n, tau_n, gamma_n,
-    exterior.  Boundary detection uses the tolerance 1e-9."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (3,):
-        raise DomainError("z must be a point of R^3")
-    _, x2, t = z
-    r = float(np.linalg.norm(z))
-    tol = 1e-9
-    G = ad.gauge(z)
-    if t < -tol or r > 1.0 + tol:
-        return "exterior"
-    on_sphere = abs(r - 1.0) <= tol
-    on_graph = abs(G) <= tol * max(1.0, abs(x2))
-    if t <= tol:
-        # thin disc piece: inside C_n, inside the ball
-        return "sigma_n" if (G < 0.0 or on_graph) else "exterior"
-    if on_graph and not on_sphere:
-        return "gamma_n"
-    if G > 0.0 and not on_graph:
-        return "exterior"
-    if on_sphere:
-        return "tau_n"
-    return "interior"

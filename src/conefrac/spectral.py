@@ -2,11 +2,13 @@
 conditions.
 
 The generalized pencil is (K - lam kappa B, M) on the free nodes.  Its
-smallest eigenpairs come from shift-invert Lanczos in the M inner product
-(Parlett, The Symmetric Eigenvalue Problem, 1980) with the shift sigma just
-below the spectrum floor -((N-2s)/2)^2, on the mesh's theta modes, where
-(K - lam kappa B - sigma M)^-1 and M = m_k P0 read node values on the
-equator row alone; the dense pencil is solved only when k >= n - 1.
+smallest eigenpairs come from shift-invert Lanczos (Parlett, The Symmetric
+Eigenvalue Problem, 1980) with the shift sigma just below the spectrum floor
+-((N-2s)/2)^2, in mass-factor coordinates z = C^T x on the mesh's theta
+modes, M = C C^T with C = U0 (x) diag(sqrt m_k) bidiagonal in t, so that
+the recurrence uses plain dot products and (K - lam kappa B - sigma M)^-1
+couples the modes on the equator row alone; the dense pencil is solved only
+when k >= n - 1.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class EigenSystem:
     multiplicity-group id to every mode (eigenvalues within
     1e-6 (1 + |mu|) of each other share a group).  ``hardy_lambda`` is the
     cap's Hardy constant that lam was checked against, None when lam <= 0.
-    ``eigen_path`` is "lanczos" or "dense", ``shift`` the Lanczos shift and
-    ``lanczos_steps`` its step count (both None when dense).
+    ``eigen_path`` is "lanczos" or "dense", ``shift`` the Lanczos shift,
+    ``lanczos_steps`` its step count and ``lanczos_residual`` the largest
+    |beta_m s_mi| / theta_i of the returned pairs (all None when dense).
     """
 
     mu: np.ndarray
@@ -53,6 +56,7 @@ class EigenSystem:
     eigen_path: str = "lanczos"
     shift: float | None = None
     lanczos_steps: int | None = None
+    lanczos_residual: float | None = None
 
     @property
     def k(self) -> int:
@@ -102,7 +106,7 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
                 f"constant on this {mesh.nt}x{mesh.ntheta} mesh is "
                 f"{lam_star:.6g}")
 
-    shift = steps = None
+    shift = steps = residual = None
     if k >= n - 1:      # the whole spectrum, or all but one mode
         path = "dense"
         free = np.ix_(mesh.free_nodes, mesh.free_nodes)
@@ -112,7 +116,7 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
         V[:, mesh.free_nodes] = Vf[:, :k].T
     else:
         path = "lanczos"
-        w, V, shift, steps = _sparse_smallest(mesh, k, params)
+        w, V, shift, steps, residual = _sparse_smallest(mesh, k, params)
 
     order = np.argsort(w, kind="stable")
     w = w[order]
@@ -127,89 +131,97 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
 
     return EigenSystem(mu=w, vectors=V, gamma=gamma, group=group,
                        params=params, mesh=mesh, hardy_lambda=lam_star,
-                       eigen_path=path, shift=shift, lanczos_steps=steps)
-
-
-def _free_mass(mesh: HemisphereMesh):
-    """M on the free nodes for the float view of mode rows: m_k P0 per mode
-    between two ``project_free``, the first on the Lanczos vector in place."""
-    d, o = mesh.P0[:, :, None] * np.repeat(mesh.symbol(mesh.Mth), 2)
-
-    def mass(z: np.ndarray) -> np.ndarray:
-        Z = z.reshape(mesh.nt, -1)
-        mesh.project_free(Z.view(complex))
-        Y = d * Z
-        Y[:-1] += o[:-1] * Z[1:]
-        Y[1:] += o[:-1] * Z[:-1]
-        mesh.project_free(Y.view(complex))
-        return Y.reshape(-1)
-
-    return mass
+                       eigen_path=path, shift=shift, lanczos_steps=steps,
+                       lanczos_residual=residual)
 
 
 def _sparse_smallest(mesh, k, params):
     """Shift-invert Lanczos at sigma = -1.01 c^2 - 0.05 (1 + c^2) < -c^2,
     c^2 = ((N-2s)/2)^2; returns the eigenvalues, the eigenvectors as node
-    rows, sigma and the number of Lanczos steps.  The shift needs no check:
-    for lam <= 0, K - lam kappa B >= 0, and for 0 < lam < Lambda_h (same
-    mesh and free nodes, as ``solve_eigs`` enforces) the discrete Hardy
-    inequality kappa B <= (K + c^2 M) / Lambda_h gives K - lam kappa B >=
-    (1 - lam/Lambda_h) K - (lam/Lambda_h) c^2 M >= -c^2 M.  So K - lam
-    kappa B - sigma M and its Schur complement on the free equator nodes,
-    which ``HemisphereSolver`` inverts, are positive definite."""
+    rows, sigma, the number of Lanczos steps and the largest residual.  The
+    shift needs no check: for lam <= 0, K - lam kappa B >= 0, and for
+    0 < lam < Lambda_h (same mesh and free nodes, as ``solve_eigs``
+    enforces) the discrete Hardy inequality kappa B <= (K + c^2 M) /
+    Lambda_h gives K - lam kappa B >= (1 - lam/Lambda_h) K - (lam/Lambda_h)
+    c^2 M >= -c^2 M.  So K - lam kappa B - sigma M and its Schur complement
+    on the free equator nodes, which ``HemisphereSolver`` inverts, are
+    positive definite.
+
+    Lanczos runs on z = C^T x with M = C C^T (``mesh.C``), where the
+    operator C^T (K - lam kappa B - sigma M)_FF^-1 C is symmetric in the
+    plain dot product (Ericsson & Ruhe, Math. Comp. 35, 1980).  Its null
+    space, C^-1 of the Dirichlet nodes, lies on the equator row of z, and
+    ``opinv`` removes it from its argument with the projection P.  The
+    eigenvectors come back once, x = C^-T z."""
     n = mesh.n_free
     c2 = -params.spectrum_floor
     sigma = -1.01 * c2 - 0.05 * (1.0 + c2)
     solver = HemisphereSolver(mesh, [-sigma], params.lam * params.kappa)
-    v0 = np.zeros((mesh.nt, mesh.ntheta))
-    v0.flat[mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
-    scale = np.repeat(mesh.mode_scale, 2)   # solve_rfft takes plain rfft
+    d, o = mesh.C
+    null = mesh.to_modes(np.eye(mesh.ntheta)[~mesh.robin_mask]).view(float)
+    null = null.T / d[0, :, None]
+    P = null @ np.linalg.solve(null.T @ null, null.T)
+    x0 = np.zeros((mesh.nt, mesh.ntheta))
+    x0.flat[mesh.free_nodes] = 1.0 + 0.01 * np.sin(np.arange(n))
+    X, T = np.empty((2, 1) + d.shape)           # workspaces
 
-    def opinv(y: np.ndarray) -> np.ndarray:
-        Y = (y.reshape(mesh.nt, -1) / scale).view(complex)[None]
-        Y = solver.solve_rfft(Y).view(float)
-        return np.multiply(Y, scale, out=Y).ravel()
+    def c_t(Y: np.ndarray) -> np.ndarray:       # C^T Y
+        R = d * Y
+        R[1:] += np.multiply(o[:-1], Y[:-1], out=T[0, 1:])
+        return R.ravel()
 
-    theta, V, steps = _lanczos(opinv, _free_mass(mesh),
-                               mesh.to_modes(v0).view(float).ravel(), k, n)
-    V = mesh.from_modes(V.reshape(k, mesh.nt, -1).view(complex))
+    def opinv(z: np.ndarray) -> np.ndarray:     # C^T H^-1 C (I - P) z
+        Z = z.reshape(d.shape)
+        Z[0] -= P @ Z[0]
+        np.multiply(d, Z, out=X[0])
+        X[0, :-1] += np.multiply(o[:-1], Z[1:], out=T[0, 1:])
+        return c_t(solver.solve_modes(X)[0])
+
+    theta, Z, steps, residual = _lanczos(
+        opinv, c_t(mesh.to_modes(x0).view(float)), k, n)
+    Z = Z.reshape((k,) + d.shape)
+    Z[:, 0] /= d[0]                             # x = C^-T z, top down
+    for i in range(1, mesh.nt):
+        Z[:, i] -= o[i - 1] * Z[:, i - 1]
+        Z[:, i] /= d[i]
+    V = mesh.from_modes(Z.view(complex))
     V[:, 0, ~mesh.robin_mask] = 0.0
-    return sigma + 1.0 / theta, V.reshape(k, -1), sigma, steps
+    return sigma + 1.0 / theta, V.reshape(k, -1), sigma, steps, residual
 
 
-def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
-    """The k largest eigenpairs (theta_i, x_i) of OP = opinv(mass(.)),
-    self-adjoint and positive definite in the M inner product.
+def _lanczos(opinv, v0: np.ndarray, k: int, n: int):
+    """The k largest eigenpairs (theta_i, z_i) of the symmetric positive
+    semi-definite OP = opinv(.), whose range has dimension n.
 
-    Lanczos in that inner product, each three-term step followed by one
-    full reorthogonalization, with no restart: the basis Q and its image
-    M Q grow until the k largest Ritz pairs of the recurrence's tridiagonal
-    T_m all meet |beta_m s_mi| <= eps theta_i (ARPACK's test at tol = 0),
-    checked every max(``LANCZOS_CHECK``, m / 16) steps so that the checks'
-    dense eigh of T_m costs O(m^3) in all, or until they span the space, of
-    dimension n (v0 may be longer; mode rows also span Dirichlet nodes).  A
+    Plain Lanczos, each three-term step followed by one full
+    reorthogonalization, with no restart: the basis Q grows until the k
+    largest Ritz pairs of the recurrence's tridiagonal T_m all meet
+    |beta_m s_mi| <= eps theta_i (ARPACK's test at tol = 0), checked every
+    max(``LANCZOS_CHECK``, m / 16) steps so that the checks' dense eigh of
+    T_m costs O(m^3) in all, or until they span the range, of dimension n
+    (v0 may be longer; mode rows also span Dirichlet nodes).  opinv may
+    project its argument, a basis vector, onto the range in place, which
+    keeps the recurrence's rounding from growing in the null space.  A
     breakdown (beta_m at rounding level) before that raises NumericalError.
-    Returns theta ascending, the Ritz vectors as M-orthonormal rows, and m.
+    Returns theta ascending, the Ritz vectors as orthonormal rows, m and the
+    largest residual max_i |beta_m s_mi| / theta_i.
     """
     eps = np.finfo(float).eps
     Q = np.empty((min(n, 6 * k + 20), len(v0)))
-    P = np.empty_like(Q)                    # P = M Q
     alpha, beta = np.zeros(n), np.zeros(n)
-    p = mass(v0)
-    Q[0], P[0] = np.array([v0, p]) / math.sqrt(v0 @ p)
+    Q[0] = v0 / math.sqrt(v0 @ v0)
     check = k                               # the step of the next check
     for m in range(1, n + 1):
         j = m - 1
-        r = opinv(P[j])
-        alpha[j] = r @ P[j]
+        r = opinv(Q[j])
+        alpha[j] = r @ Q[j]
         r -= alpha[j] * Q[j]
         if j:
             r -= beta[j - 1] * Q[j - 1]
-        h = P[:m] @ r                       # full reorthogonalization
+        h = Q[:m] @ r                       # full reorthogonalization
         r -= h @ Q[:m]
         alpha[j] += h[j]
-        p = mass(r)
-        beta[j] = math.sqrt(max(r @ p, 0.0))
+        beta[j] = math.sqrt(r @ r)
         breakdown = beta[j] <= eps * np.abs(alpha[:m]).max()
         if m == n or (m >= k and (breakdown or m >= check)):
             check = m + max(LANCZOS_CHECK, m // 16)
@@ -217,13 +229,12 @@ def _lanczos(opinv, mass, v0: np.ndarray, k: int, n: int):
             theta, S = np.linalg.eigh(np.diag(alpha[:m])
                                       + np.diag(beta[:j], -1))
             theta, S = theta[-k:], S[:, -k:]
-            if m == n or np.all(np.abs(beta[j] * S[-1]) <= eps * theta):
-                return theta, S.T @ Q[:m], m
+            bs = np.abs(beta[j] * S[-1])
+            if m == n or np.all(bs <= eps * theta):
+                return theta, S.T @ Q[:m], m, float(np.max(bs / theta))
         if breakdown:
             raise NumericalError(f"Lanczos broke down after {m} steps, "
                                  f"before {k} eigenpairs converged")
         if m == len(Q):                     # grow the basis
-            Q, P = (np.concatenate([X, np.empty_like(X[:min(n, 2 * m) - m])])
-                    for X in (Q, P))
-        Q[m], P[m] = r / beta[j], p / beta[j]
-
+            Q = np.concatenate([Q, np.empty_like(Q[:min(n, 2 * m) - m])])
+        Q[m] = r / beta[j]

@@ -135,16 +135,35 @@ class HemisphereMesh:
 
     def to_modes(self, X: np.ndarray) -> np.ndarray:
         """Modes of node rows (..., ntheta): rfft scaled to an isometry."""
-        return np.fft.rfft(X, axis=-1) * self.mode_scale
+        Z = np.fft.rfft(X, axis=-1)
+        Z *= self.mode_scale            # in place: a copy faults in pages
+        return Z
 
     def from_modes(self, Z: np.ndarray) -> np.ndarray:
         """Node rows (..., ntheta) of scaled coefficients."""
         return np.fft.irfft(Z / self.mode_scale, self.ntheta, axis=-1)
 
-    def project_free(self, Z: np.ndarray) -> None:
-        """Zero the Dirichlet nodes of mode rows (..., nt, n_modes) in place."""
-        Z[..., 0, :] = self.to_modes(self.from_modes(Z[..., 0, :])
-                                     * self.robin_mask)
+    @cached_property
+    def C(self) -> np.ndarray:
+        """Mass factor C = U0 (x) diag(sqrt m_k), M = C C^T on float mode
+        rows: P0 = U0 U0^T with U0 upper bidiagonal (factored from the last
+        row up, so that C^-1 maps the equator row into itself), m_k the
+        symbol of Mth.  Its diagonal and superdiagonal (row i to row i + 1)
+        in t, (2, nt, 2 n_modes); the last superdiagonal row is 0."""
+        U = np.zeros((2, self.nt))
+        d, o = self.P0
+        U[0, -1] = math.sqrt(d[-1])
+        for i in range(self.nt - 2, -1, -1):
+            U[1, i] = o[i] / U[0, i + 1]
+            U[0, i] = math.sqrt(d[i] - U[1, i] ** 2)
+        return U[:, :, None] * np.repeat(np.sqrt(self.symbol(self.Mth)), 2)
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        """Float mode rows of the free equator nodes F, (2 n_modes, |F|):
+        orthonormal columns, E E^T the projection that zeros D."""
+        rows = np.eye(self.ntheta)[self.robin_mask]
+        return np.ascontiguousarray(self.to_modes(rows).view(float).T)
 
     def symbol(self, band: np.ndarray) -> np.ndarray:
         """Eigenvalue per mode of a circulant band (Mth, Kth)."""
@@ -396,28 +415,29 @@ class HemisphereSolver:
     nodes, for a batch of shifts sigma_i > 0 and a Robin coefficient rho,
     with no sparse factorization.
 
-    A real FFT in theta turns A_i = K + sigma_i M on the full node set into
-    the tridiagonals T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k and
-    w_k the symbols of the circulant Mth and Kth (Buzbee, Golub & Nielson,
-    SIAM J. Numer. Anal. 7, 1970); their LDL^T factors are computed once,
-    repeated for the re and im parts so that the sweeps run on the float
-    view of the modes.  On the equator row A_i^-1 is the circulant G_i of
-    symbol g_ik = [T_ik^-1]_00, so the Schur complement of A_i onto the
+    On the mesh's isometric theta-mode rows (``to_modes``, float view)
+    A_i = K + sigma_i M on the full node set becomes the tridiagonals
+    T_ik = (P1 + sigma_i P0) m_k + P2 w_k in t, with m_k and w_k the
+    symbols of the circulant Mth and Kth (Buzbee, Golub & Nielson, SIAM J.
+    Numer. Anal. 7, 1970); their LDL^T factors are computed once, repeated
+    for the re and im parts.  On the equator row A_i^-1 is the circulant G_i
+    of symbol g_ik = [T_ik^-1]_00, so the Schur complement of A_i onto the
     equator is the circulant G_i^-1 of symbol 1 / g_ik.  The Dirichlet
     nodes D and the -rho B term both live on that row, and the Schur
     complement of H_i onto the free equator nodes F is the symmetric
     S_i = (G_i^-1)_FF - rho Bth_FF (Proskurowski & Widlund, Math. Comp. 30,
     1976), kept as ``schur`` and inverted once per shift; a singular S_i
-    raises LinAlgError.  With y = A_i^-1 b and u = G_i^-1 y_E, the solution
-    has x_F = S_i^-1 u_F and x_D = 0 on the equator, and is y + A_i^-1 E w
-    with E the equator injection and w = G_i^-1 (x_E - y_E).  ``solve_rfft``
-    runs this on rfft rows, with 1-row transforms for the equator; ``solve``
-    wraps it for node rows, and ``solve_trace`` returns x_F alone.
+    raises LinAlgError.  With y = A_i^-1 b and E the mesh's free equator
+    mode rows, the one equator step is u_F = E^T (g_i^-1 y_0),
+    x_F = S_i^-1 u_F, x_eq = E x_F, and the solution is y + A_i^-1 e_0 w
+    with w = G_i^-1 (x_eq - y_0); b may be nonzero on D, which w absorbs.
+    ``solve_modes`` runs this on mode rows; ``solve`` wraps it for node
+    rows, and ``solve_trace`` returns x_F alone.
     """
 
     def __init__(self, mesh: HemisphereMesh, shifts, rho: float = 0.0):
         shifts = np.asarray(shifts, dtype=float)[:, None, None]
-        self.shape = (len(shifts), mesh.nt, mesh.ntheta)
+        self.mesh, self.shape = mesh, (len(shifts), mesh.nt, mesh.ntheta)
         m_k, w_k = mesh.symbol(mesh.Mth), mesh.symbol(mesh.Kth)
 
         def band(offset):   # (n_shifts, nt - offset, n_modes)
@@ -435,9 +455,9 @@ class HemisphereSolver:
         self.col0[:, 0] = 1.0
         self._tridiag_solve(self.col0)
         n = mesh.ntheta
-        self.ginv = 1.0 / self.col0[:, 0, ::2]  # symbol of G_i^-1
+        self.ginv = 1.0 / self.col0[:, 0]       # G_i^-1's symbol, float view
         # G_i^-1 by the distance of two nodes, so that S_i is symmetric
-        ginv = np.fft.irfft(self.ginv, n, axis=-1)
+        ginv = np.fft.irfft(self.ginv[:, ::2], n, axis=-1)
         self.robin, F = mesh.robin_mask, mesh.robin_ids
         dist = np.abs(F[:, None] - F)
         self.schur = (ginv[:, np.minimum(dist, n - dist)]
@@ -447,7 +467,7 @@ class HemisphereSolver:
 
     def _tridiag_solve(self, Y: np.ndarray) -> None:
         """Solve T_ik x = y in place for every (i, k) at once on the float
-        view Y (n_shifts, nt, 2 n_modes), one t row per step."""
+        mode rows Y (n_shifts, nt, 2 n_modes), one t row per step."""
         rows, t = list(np.moveaxis(Y, 1, 0)), np.empty_like(Y[:, 0])
         for l, x, y in zip(self.l, rows, rows[1:]):
             y -= np.multiply(l, x, out=t)
@@ -455,37 +475,35 @@ class HemisphereSolver:
         for l, x, y in zip(self.l[::-1], rows[:0:-1], rows[-2::-1]):
             y -= np.multiply(l, x, out=t)
 
-    def _equator(self, y_eq: np.ndarray) -> np.ndarray:
-        """Node rows u = G_i^-1 y_E, with x_F = S_i^-1 u_F on F."""
-        u = np.fft.irfft(self.ginv * y_eq, self.shape[-1], axis=-1)
-        u[:, self.robin] = (self.schur_inv @ u[:, self.robin, None])[:, :, 0]
-        return u
+    def _equator(self, y0: np.ndarray) -> np.ndarray:
+        """x_F = S_i^-1 E^T (g_i^-1 y_0) from the equator mode rows y_0."""
+        u = (self.ginv * y0) @ self.mesh.E
+        return (self.schur_inv @ u[:, :, None])[:, :, 0]
 
-    def solve_rfft(self, Y: np.ndarray) -> np.ndarray:
-        """Apply the inverse for shift i in place to Y[i] (nt, n_modes), the
-        rfft in theta of a node row that is 0 on D, as is the result's."""
-        Yr = Y.view(float)              # re and im parts side by side
-        self._tridiag_solve(Yr)
-        u = self._equator(Y[:, 0])
-        x_eq = np.fft.rfft(u * self.robin, axis=-1)     # x_D = 0
+    def solve_modes(self, Y: np.ndarray) -> np.ndarray:
+        """Apply the inverse for shift i in place to Y[i] (nt, 2 n_modes),
+        float mode rows; the result vanishes on D."""
+        self._tridiag_solve(Y)
+        x_eq = self._equator(Y[:, 0]) @ self.mesh.E.T
         w = self.ginv * (x_eq - Y[:, 0])
-        Yr += np.multiply(self.col0, w.view(float)[:, None], out=self._work)
+        Y += np.multiply(self.col0, w[:, None], out=self._work)
         Y[:, 0] = x_eq
         return Y
 
     def solve(self, X: np.ndarray) -> np.ndarray:
         """Apply the inverse for shift i to row i of X; rows are node
-        vectors that vanish on D, as do those of the result, a new array."""
-        Y = self.solve_rfft(np.fft.rfft(np.reshape(X, self.shape), axis=-1))
+        vectors, and the result's vanish on D, a new array."""
+        Y = self.mesh.to_modes(np.reshape(X, self.shape))
+        self.solve_modes(Y.view(float))
+        Y /= self.mesh.mode_scale       # ``from_modes`` in place
         U = np.fft.irfft(Y, self.shape[-1], axis=-1)
         U[:, 0, ~self.robin] = 0.0
         return U.reshape(len(U), -1)
 
     def solve_trace(self, X: np.ndarray) -> np.ndarray:
-        """x_F of ``solve(X)``, no t-sweep: y_E = col0^T Y as T_ik = T_ik^T."""
-        Y = np.fft.rfft(np.reshape(X, self.shape), axis=-1).view(float)
-        y_eq = np.einsum("itk,itk->ik", self.col0, Y).view(complex)
-        return self._equator(y_eq)[:, self.robin]
+        """x_F of ``solve(X)``, no t-sweep: y_0 = col0^T Y as T_ik = T_ik^T."""
+        Y = self.mesh.to_modes(np.reshape(X, self.shape)).view(float)
+        return self._equator(np.einsum("itk,itk->ik", self.col0, Y))
 
     def equator_inverse(self, nodes: np.ndarray) -> np.ndarray:
         """The block of the free-node inverse on free equator ``nodes``, the

@@ -383,6 +383,8 @@ def test_cli_determinism(tmp_path):
     assert notes == {"eigen_path": "lanczos",
                      "eigen_shift": pytest.approx(-0.315, rel=1e-15),
                      "lanczos_steps": 28,
+                     "lanczos_residual": pytest.approx(
+                         0.0, abs=np.finfo(float).eps),
                      "hardy_lambda": None, "hardy_floor": None,
                      "lambda_margin": None}
 
@@ -756,6 +758,7 @@ k = 6
         ProblemParams(s=0.5))
     assert notes["eigen_path"] == "lanczos"
     assert notes["eigen_shift"] < -0.25
+    assert 0.0 <= notes["lanczos_residual"] <= np.finfo(float).eps
     assert main(["frequency", "--config", str(cfg_path),
                  "--out", str(tmp_path / "again")]) == 0
     for name in ("manifest.json", "summary.json", "frequency.csv"):
@@ -825,6 +828,8 @@ k = 6
         < manifest["notes"]["hardy_lambda"]
     assert manifest["notes"]["eigen_path"] == "lanczos"
     assert manifest["notes"]["eigen_shift"] < -0.25
+    assert 0.0 <= manifest["notes"]["lanczos_residual"] \
+        <= np.finfo(float).eps
     assert main(["solve-ext", "--config", str(cfg_path),
                  "--out", str(tmp_path / "again")]) == 0
     for name in ("manifest.json", "field.bin", "summary.json"):

@@ -113,6 +113,7 @@ def test_lanczos_spanning_the_free_space_matches_dense(half_cap, lam):
     es = solve_eigs(mesh, p, k=n - 2)
     dense = solve_eigs(mesh, p, k=n - 1)
     assert (es.eigen_path, dense.eigen_path) == ("lanczos", "dense")
+    assert dense.lanczos_residual is None
     np.testing.assert_allclose(es.mu, dense.mu[:n - 2], rtol=1e-12, atol=0)
     V = es.vectors[:, mesh.free_nodes]
     Mr = free_block(kron_forms(mesh)[1], mesh)
@@ -179,20 +180,57 @@ def test_lanczos_on_odd_ntheta_matches_dense_pencil(half_cap):
 
 
 @pytest.mark.parametrize("ntheta", [24, 25])
-def test_mode_space_free_mass_matches_node_space(half_cap, ntheta):
-    """The Lanczos mass in mode coordinates is M with the Dirichlet rows
-    zeroed, on node vectors that vanish on D, to 1e-13 of its maximum."""
-    from conefrac.spectral import _free_mass
+def test_mass_factor_reproduces_node_space_mass(half_cap, ntheta):
+    """The mass factor C, rebuilt as dense bidiagonal blocks per float mode
+    column, gives C C^T = M on node rows through ``to_modes`` and
+    ``from_modes``, to 1e-14 of the result's maximum."""
     mesh = build_mesh(6, ntheta, 0.5, half_cap)
-    X = np.random.default_rng(4).standard_normal((3, mesh.n_nodes))
-    X[:, mesh.dirichlet_ids] = 0.0
-    ref = X @ mesh.M
-    ref[:, mesh.dirichlet_ids] = 0.0
-    mass = _free_mass(mesh)
-    for x, y in zip(X, ref):
-        z = mesh.to_modes(x.reshape(mesh.nt, -1)).view(float).ravel()
-        got = mesh.from_modes(mass(z).view(complex).reshape(mesh.nt, -1))
-        assert np.abs(got.ravel() - y).max() <= 1e-13 * np.abs(y).max()
+    d, o = mesh.C
+    L = np.zeros((d.shape[1], mesh.nt, mesh.nt))
+    idx = np.arange(mesh.nt)
+    L[:, idx, idx] = d.T
+    L[:, idx[:-1], idx[1:]] = o[:-1].T
+    X = np.random.default_rng(4).standard_normal((3, mesh.nt, ntheta))
+    for x, y in zip(X, (X.reshape(3, -1) @ mesh.M).reshape(X.shape)):
+        z = mesh.to_modes(x).view(float)
+        cct = np.einsum("cij,ckj,kc->ic", L, L, z)
+        got = mesh.from_modes(np.ascontiguousarray(cct).view(complex))
+        assert np.abs(got - y).max() <= 1e-14 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("ntheta", [24, 25])
+def test_free_equator_mode_rows_are_orthonormal(half_cap, ntheta):
+    """E has orthonormal columns, and E E^T is the projection of equator
+    mode rows that zeros the Dirichlet nodes, to 1e-14."""
+    mesh = build_mesh(6, ntheta, 0.5, half_cap)
+    E = mesh.E
+    assert E.shape == (2 * (ntheta // 2 + 1), len(mesh.robin_ids))
+    assert np.abs(E.T @ E - np.eye(E.shape[1])).max() <= 1e-14
+    Z = np.random.default_rng(6).standard_normal((4, len(E))).view(complex)
+    ref = mesh.to_modes(mesh.from_modes(Z) * mesh.robin_mask).view(float)
+    got = Z.view(float) @ E @ E.T
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_lanczos_steps_take_no_fft(monkeypatch, half_cap):
+    """A Lanczos step stays in mass-factor mode coordinates: no np.fft
+    transform runs between the first step and the last."""
+    import conefrac.spectral as spectral
+    lanczos = spectral._lanczos
+
+    def fail(*args, **kwargs):
+        raise AssertionError("np.fft called inside the Lanczos recurrence")
+
+    def without_fft(*args):
+        with monkeypatch.context() as m:
+            for name in ("fft", "ifft", "rfft", "irfft"):
+                m.setattr(np.fft, name, fail)
+            return lanczos(*args)
+
+    monkeypatch.setattr(spectral, "_lanczos", without_fft)
+    mesh = build_mesh(12, 24, 0.5, half_cap)
+    es = solve_eigs(mesh, ProblemParams(s=0.5, lam=0.1), k=4)
+    assert es.eigen_path == "lanczos" and es.lanczos_steps > 4
 
 
 def test_lanczos_many_modes_matches_sparse_lu_shift_invert():

@@ -304,7 +304,7 @@ def test_equator_symbol_converges_to_closed_form(s, lo, hi, tol):
     errs = []
     for n in (24, 48, 96):
         mesh = build_mesh(n, 2 * n, s, SphericalCap.full_circle())
-        ginv = HemisphereSolver(mesh, [p.half_order ** 2]).ginv[0, :3]
+        ginv = HemisphereSolver(mesh, [p.half_order ** 2]).ginv[0, :6:2]
         symbol = ginv / (p.kappa * mesh.symbol(mesh.Mth)[:3])
         errs.append(np.abs(symbol / [hardy_symbol(s, m) for m in range(3)]
                            - 1.0))
