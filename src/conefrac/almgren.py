@@ -4,9 +4,10 @@ Fourier mode profiles, the amplitude formula for the limit profile, and the
 Pohozaev balance used as a numerical diagnostic.
 
 A field's sphere sample is c(rho)^T T (``ScalarField``), so every sphere
-form is c(rho)^T (T A T^T) c(rho) on the Grams the field caches: O(rows^2)
-per radius, no sweep over the hemisphere nodes; the h trace term alone is
-evaluated row-wise on the equator columns.  Radial integrals are closed
+form is c(rho)^T (T A T^T) c(rho) on the Grams that the field's solve
+supplied: O(rows^2) per radius, no sweep over the hemisphere nodes; the h
+trace term alone is evaluated row-wise on the equator columns.  Mode
+projections read the eigen system's M psi_j.  Radial integrals are closed
 forms for manufactured (exactly homogeneous) fields; everything else goes
 through one radial quadrature plan: composite 4-point Gauss panels in log
 radius with a panel edge at every requested radius, and the integrals up to
@@ -29,7 +30,6 @@ from .expressions import Expression
 from .extension import (ManufacturedField, ScalarField, equator_values,
                         table_grams)
 from .spectral import EigenSystem
-from .sphercap import band_to_dense
 
 __all__ = [
     "FrequencyTrace",
@@ -193,7 +193,7 @@ def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray):
         return vol, hardy, np.zeros_like(vol)
     tr = fld.trace_values(rho)
     e_h = rho ** (N - 1) * _bilinear(_equator_rows(h, rho, fld.mesh) * tr,
-                                     band_to_dense(fld.mesh.Bth), tr)
+                                     fld.mesh.Bth_dense, tr)
     return vol, hardy, (plan.integrate(e_h[1:], radii)
                         + e_h[0] * lo / h_power * core ** h_power)
 
@@ -342,7 +342,7 @@ class BlowupSnapshot:
     def projection(self, es: EigenSystem, j) -> float:
         """Boundary-mass projection of the snapshot onto mode j, one per
         mode for an array of modes: psi_j^T M T^T times c(tau)."""
-        return (es.vectors[j] @ self.fld.mesh.M @ self.fld.table.T
+        return (es.mass_vectors[j] @ self.fld.table.T
                 @ self.fld.coefficients(self.tau)) / self.scale
 
     def off_group_norm(self, es: EigenSystem, group_of: int) -> float:
@@ -436,7 +436,7 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
         raise DomainError("taus must lie in (0, 1]")
     k = es.k
     # psi_j^T M T^T once, then c(tau) per radius
-    phi = (es.vectors @ es.mesh.M) @ fld.table.T @ fld.coefficients(taus).T
+    phi = es.mass_vectors @ fld.table.T @ fld.coefficients(taus).T
 
     ups = np.zeros((k, len(taus)))
     h = params.h
@@ -448,7 +448,7 @@ def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
         hv = _equator_rows(h, rho, es.mesh)
         q = rho ** (params.N - 1) * (
             es.vectors[:, es.mesh.equator_ids]
-            @ (band_to_dense(es.mesh.Bth) @ (hv * tr).T))
+            @ (es.mesh.Bth_dense @ (hv * tr).T))
         cumulative = np.cumsum(q * plan.w[None, :], axis=1)
         # Upsilon_j(tau) sums the nodes at or below tau
         pos = np.maximum(np.searchsorted(rho, taus, side="right") - 1, 0)
@@ -581,7 +581,7 @@ def pohozaev_check(fld: ScalarField, r
         tr = fld.coefficients(plan.rho) @ eq
         dtr = fld.coefficients(plan.rho, derivative=True) @ eq
         hv = _equator_rows(h, plan.rho, fld.mesh)
-        Bth = band_to_dense(fld.mesh.Bth)
+        Bth = fld.mesh.Bth_dense
         d_mass = plan.rho ** N * (_bilinear(hv * dtr, Bth, tr)
                                   + _bilinear(hv * tr, Bth, dtr))
         lhs -= 0.5 * kappa * plan.integrate(d_mass, radii)

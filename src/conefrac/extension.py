@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -135,14 +137,18 @@ def _sample(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (coef[..., None, :] @ table)[..., 0, :]
 
 
+def _grams(mesh, table, TM, TK, lam_kappa=0.0) -> dict:
+    """T A T^T for A = M, K and B, keyed by name, from the images TM = T M
+    and TK = T (K - lam_kappa B); B through Bth on the equator columns."""
+    eq = table[:, mesh.equator_ids]
+    B = eq @ (mesh.Bth_dense @ eq.T)
+    return {"M": TM @ table.T, "K": TK @ table.T + lam_kappa * B, "B": B}
+
+
 def table_grams(mesh: HemisphereMesh, table: np.ndarray) -> dict:
     """Gram matrices T A T^T of a table of node vectors of the mesh for its
-    forms A = M, K and B (B through Bth on the equator columns), keyed by
-    name."""
-    eq = table[:, mesh.equator_ids]
-    return {"M": (table @ mesh.M) @ table.T,
-            "K": (table @ mesh.K) @ table.T,
-            "B": eq @ (band_to_dense(mesh.Bth) @ eq.T)}
+    forms A = M, K and B, keyed by name, for tables no solve produced."""
+    return _grams(mesh, table, table @ mesh.M, table @ mesh.K)
 
 
 class ScalarField:
@@ -151,7 +157,7 @@ class ScalarField:
     A field's sample on the sphere of radius rho is c(rho)^T T: rows of
     ``coefficients`` (one per radius) over a small ``table`` of hemisphere
     node vectors, so a sphere form x^T A y of samples is c^T (T A T^T) c on
-    the cached ``grams``.  Below ``core_radius`` the field is a power of r.
+    the ``grams``.  Below ``core_radius`` the field is a power of r.
     ``params`` is the problem the field solves, h included, and ``mesh``
     the hemisphere mesh whose forms the grams use.
     """
@@ -161,12 +167,10 @@ class ScalarField:
     core_radius = 0.0
     is_analytic = False
 
-    @property
+    @cached_property
     def grams(self) -> dict:
-        """T A T^T for the mesh's forms A = M, K and B, keyed by name."""
-        if not self._grams:
-            self._grams.update(table_grams(self.mesh, self.table))
-        return self._grams
+        """T A T^T for A = M, K and B by name: the solve's, or table_grams."""
+        return table_grams(self.mesh, self.table)
 
     def sphere_radial_derivative(self, r) -> np.ndarray:
         return _sample(self.coefficients(r, derivative=True), self.table)
@@ -188,7 +192,6 @@ class ManufacturedField(ScalarField):
     es: EigenSystem
     modes: tuple[int, ...]
     betas: np.ndarray
-    _grams: dict = field(default_factory=dict, repr=False, compare=False)
     is_analytic = True
 
     def __post_init__(self):
@@ -226,9 +229,7 @@ class ManufacturedField(ScalarField):
 
 def manufactured_field(es: EigenSystem, coefficients) -> ManufacturedField:
     """Build the exact superposed solution from (mode, amplitude) pairs."""
-    coefficients = list(coefficients)
-    if not coefficients:
-        raise DomainError("empty coefficient list")
+    coefficients = list(coefficients)       # the dataclass rejects []
     modes = tuple(int(j) for j, _ in coefficients)
     betas = np.array([float(b) for _, b in coefficients])
     return ManufacturedField(es=es, modes=modes, betas=betas)
@@ -237,7 +238,8 @@ def manufactured_field(es: EigenSystem, coefficients) -> ManufacturedField:
 class GridField(ScalarField):
     """Solver output on a HalfBallGrid.
 
-    Its table is the shell values.  Radial interpolation is 4-point
+    Its table is the shell values; ``solve_extension`` supplies the Grams
+    of the field it returns.  Radial interpolation is 4-point
     Lagrange on the uniform log-radius grid; radial derivatives interpolate
     fourth-order central stencils at the shells (one-sided at the edges).
     Below the innermost shell the field continues as the local power
@@ -255,7 +257,6 @@ class GridField(ScalarField):
         self.params = params
         self.meta = dict(meta or {})
         self.core_radius = grid.r_min
-        self._grams = {}
         self._gamma_loc = None
 
     @property
@@ -412,11 +413,12 @@ class _FastDiagPreconditioner:
 
 
 def _extension_operator(grid: HalfBallGrid, params: ProblemParams):
-    """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus
-    the kappa_s h trace term, applied to full 3-D node vectors through its
-    factors, reading only the shells ``rows`` that u may be nonzero on;
-    returned with S_r, M_r and the h trace form (None without h).  Its
-    result lives in a workspace that the next application overwrites."""
+    """The operator kron(S_r, M_h) + kron(M_r, K_h - lam kappa_s B_h) minus the
+    kappa_s h trace term, applied to full 3-D node vectors through its factors,
+    reading only the shells ``rows`` that u may be nonzero on; returned with
+    S_r, M_r and ``parts``: ``trace_h``, the h trace form (None without h), and
+    ``images``, U[rows] M_h and U[rows] (K_h - lam kappa_s B_h) of the last
+    application, whose result (a workspace) the next overwrites."""
     s = params.s
     Sr = radial_stiffness(grid.r_nodes, 3.0 - 2.0 * s)
     Mr = radial_mass(grid.r_nodes, 1.0 - 2.0 * s)
@@ -424,21 +426,22 @@ def _extension_operator(grid: HalfBallGrid, params: ProblemParams):
     # stiffness; the h term is a Gauss quadrature on the equator plane
     mesh = grid.mesh
     M, K_lam = mesh.M, mesh.K - (params.lam * params.kappa) * mesh.B
-    trace_h = None if params.h is None else _trace_h(grid, params.h)
+    parts = SimpleNamespace(images=None, trace_h=None if params.h is None
+                            else _trace_h(grid, params.h))
     shape = (grid.n_surfaces, mesh.n_nodes)
-    n_eq = mesh.ntheta
     # one workspace: fresh full-size temporaries fault in every page
     out, tmp = np.empty(shape), np.empty(shape)
 
     def apply(u: np.ndarray, rows=slice(None)) -> np.ndarray:
         U = u.reshape(shape)
-        np.matmul(Sr[:, rows], U[rows] @ M, out=out)
-        np.add(out, np.matmul(Mr[:, rows], U[rows] @ K_lam, out=tmp), out=out)
-        if trace_h is not None:
-            out[:, :n_eq] -= params.kappa * trace_h(U)
+        UM, UK = parts.images = M.images(U[rows], K_lam)
+        np.matmul(Sr[:, rows], UM, out=out)
+        np.add(out, np.matmul(Mr[:, rows], UK, out=tmp), out=out)
+        if parts.trace_h is not None:
+            out[:, :mesh.ntheta] -= params.kappa * parts.trace_h(U)
         return out.ravel()
 
-    return apply, Sr, Mr, trace_h
+    return apply, Sr, Mr, parts
 
 
 def _pcg(matvec, precond, b: np.ndarray):
@@ -485,7 +488,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     y = E^T x, t0 = E^T A0^-1 b, Z = E^T A0^-1 E.  As x = A0^-1 (b + E H y)
     has residual E H (E^T x - y), E^T x = t0 + Z H y, y <- t0 + Z H y
     refines once on the trace before the one 3-D solve.  ``meta``: the trace
-    CG's iterations (0 without h), the 3-D residual.
+    CG's iterations (0 without h), the 3-D residual, whose pass gives Grams.
     """
     mesh = grid.mesh
     mesh.check_params(params)
@@ -501,7 +504,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
         raise DomainError("the eigen system was solved at a different lam")
 
     n_h, n_surf = mesh.n_nodes, grid.n_surfaces
-    operator, Sr, Mr, trace_h = _extension_operator(grid, params)
+    operator, Sr, Mr, parts = _extension_operator(grid, params)
 
     # Dirichlet data on the outer shell, and on the inner one when h is
     # absent; the unknowns are the shells between, with zero Dirichlet columns
@@ -509,7 +512,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
     u[-1] = lid
     inner_mode = None
     if h_is_zero:
-        coeffs = es.vectors @ (mesh.M @ lid)
+        coeffs = es.mass_vectors @ lid
         j0 = inner_mode = int(np.argmax(np.abs(coeffs)
                                         * grid.r_min ** es.gamma))
         u[0] = coeffs[j0] * grid.r_min ** es.gamma[j0] * es.vectors[j0]
@@ -525,12 +528,12 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     def trace_form(y: np.ndarray) -> np.ndarray:        # H y
         v_eq[shells, F] = y.reshape(-1, len(F))
-        return params.kappa * trace_h(v_eq)[shells, F].ravel()
+        return params.kappa * parts.trace_h(v_eq)[shells, F].ravel()
 
     fast = _FastDiagPreconditioner(Sr[shells, shells], Mr[shells, shells],
                                    mesh, params.lam * params.kappa)
     rhs, iters = b, 0                       # without h, A = A0
-    if trace_h is not None:
+    if not h_is_zero:
         t0 = fast.apply_trace(b)
         y, iters = _pcg(lambda y: fast.trace(y, True) - trace_form(y),
                         fast.trace, fast.trace(t0, True))
@@ -546,8 +549,10 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
             f"(relative residual {res:.3e}); check admissibility of lam = "
             f"{params.lam}")
 
-    return GridField(grid, u, params, meta={
+    fld = GridField(grid, u, params, meta={
         "inner_mode": inner_mode, "cg_iters": iters, "cg_residual": res})
+    fld.grams = _grams(mesh, u, *parts.images, params.lam * params.kappa)
+    return fld
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ the minimizer is A^-1 applied to the top eigenvector placed on b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .cones import SphericalCap
 from .errors import DomainError, NumericalError
 from .params import ProblemParams
-from .sphercap import (HemisphereMesh, HemisphereSolver, band_to_dense,
-                       build_mesh, eigh_pencil)
+from .sphercap import (HemisphereMesh, HemisphereSolver, build_mesh,
+                       eigh_pencil)
 
 __all__ = [
     "HardyResult",
@@ -43,11 +44,21 @@ class HardyResult:
     """
 
     lambda_star: float
-    minimizer: np.ndarray
     cap: SphericalCap
     s: float
     mesh_level: tuple[int, int]
     richardson: float | None = None
+    _top: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def minimizer(self) -> np.ndarray:
+        """A^-1 of the top eigenvector on b, normalized; on first read."""
+        solver, rhs, kappa = self._top
+        v = solver.solve(rhs)[0]
+        tr = v[solver.mesh.equator_ids]
+        bn = math.sqrt(kappa * float(v @ (solver.mesh.B @ v)))
+        v /= math.copysign(bn, tr[np.argmax(np.abs(tr))])
+        return v
 
 
 def hardy_constant(mesh: HemisphereMesh, params: ProblemParams) -> HardyResult:
@@ -59,26 +70,18 @@ def hardy_constant(mesh: HemisphereMesh, params: ProblemParams) -> HardyResult:
     discrete arithmetic.
     """
     mesh.check_params(params)
-    Bth = band_to_dense(mesh.Bth)
     b = mesh.robin_ids[mesh.Bth[0, mesh.robin_ids] > 0.0]
     solver = HemisphereSolver(mesh, [params.half_order ** 2])
     Z = solver.equator_inverse(b)[0]      # the inverse Schur complement
     Z = 0.5 * (Z + Z.T)
     # Lambda = 1 / mu_max, from the top eigenpair
-    mu, Y = eigh_pencil(Z @ (params.kappa * Bth[np.ix_(b, b)]) @ Z, Z)
+    mu, Y = eigh_pencil(Z @ (params.kappa * mesh.Bth_dense[np.ix_(b, b)]) @ Z,
+                        Z)
     rhs = np.zeros((1, mesh.n_nodes))
     rhs[0, b] = Y[:, -1]
-    minimizer = solver.solve(rhs)[0]
-    # fixed sign on the cap, unit boundary mass
-    tr = minimizer[mesh.equator_ids]
-    lead = tr[np.argmax(np.abs(tr))]
-    if lead < 0.0:
-        minimizer = -minimizer
-    bn = math.sqrt(params.kappa * float(minimizer @ (mesh.B @ minimizer)))
-    minimizer /= bn
-    return HardyResult(lambda_star=1.0 / float(mu[-1]), minimizer=minimizer,
-                       cap=mesh.cap, s=params.s,
-                       mesh_level=(mesh.nt, mesh.ntheta))
+    return HardyResult(lambda_star=1.0 / float(mu[-1]), cap=mesh.cap,
+                       s=params.s, mesh_level=(mesh.nt, mesh.ntheta),
+                       _top=(solver, rhs, params.kappa))
 
 
 def hardy_constant_richardson(params: ProblemParams, cap: SphericalCap,
@@ -92,9 +95,7 @@ def hardy_constant_richardson(params: ProblemParams, cap: SphericalCap,
     res_f = hardy_constant(fine, params)
     res_c = hardy_constant(coarse, params)
     rich = res_f.lambda_star + (res_f.lambda_star - res_c.lambda_star) / 3.0
-    return HardyResult(lambda_star=res_f.lambda_star,
-                       minimizer=res_f.minimizer, cap=cap, s=params.s,
-                       mesh_level=(nt, ntheta), richardson=rich)
+    return replace(res_f, richardson=rich)
 
 
 def hardy_scan(arc_lengths, params: ProblemParams, nt: int, ntheta: int,

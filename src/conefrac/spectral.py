@@ -37,17 +37,19 @@ class EigenSystem:
     """Ordered eigenpairs (mu_j, psi_j) of the weighted spherical pencil.
 
     Eigenvectors are stored on the full node set (zeros on Dirichlet nodes),
-    M-orthonormal, with a deterministic sign.  ``group`` assigns a
-    multiplicity-group id to every mode (eigenvalues within
-    1e-6 (1 + |mu|) of each other share a group).  ``hardy_lambda`` is the
-    cap's Hardy constant that lam was checked against, None when lam <= 0.
-    ``eigen_path`` is "lanczos" or "dense", ``shift`` the Lanczos shift,
-    ``lanczos_steps`` its step count and ``lanczos_residual`` the largest
-    |beta_m s_mi| / theta_i of the returned pairs (all None when dense).
+    M-orthonormal, with a deterministic sign; ``mass_vectors`` are their
+    images M psi_j from the solve.  ``group`` assigns a multiplicity-group
+    id to every mode (eigenvalues within 1e-6 (1 + |mu|) of each other share
+    a group).  ``hardy_lambda`` is the cap's Hardy constant that lam was
+    checked against, None when lam <= 0.  ``eigen_path`` is "lanczos" or
+    "dense", ``shift`` the Lanczos shift, ``lanczos_steps`` its step count
+    and ``lanczos_residual`` the largest |beta_m s_mi| / theta_i of the
+    returned pairs (all None when dense).
     """
 
     mu: np.ndarray
     vectors: np.ndarray          # (k, n_nodes)
+    mass_vectors: np.ndarray     # (k, n_nodes), rows psi_j^T M
     gamma: np.ndarray
     group: np.ndarray
     params: ProblemParams
@@ -70,15 +72,17 @@ class EigenSystem:
         return np.flatnonzero(self.group == self.group[j])
 
 
-def _fix_signs(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Deterministic sign: weighted integral V @ weight positive (weight =
-    M 1), falling back when it nearly vanishes to the lowest node within
-    1e-8 of the largest magnitude, so that rounding breaks no mirror tie."""
-    w = V @ weight
+def _signs(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sign column of V's rows, that of the integrals w or, where |w| <= 1e-8,
+    of the lowest node within 1e-8 of the top |V| (no rounding-made tie)."""
     near = np.abs(V) >= (1.0 - 1e-8) * np.abs(V).max(axis=1, keepdims=True)
     lead = V[np.arange(len(V)), np.argmax(near, axis=1)]
-    return np.where((np.where(np.abs(w) > 1e-8, w, lead) < 0.0)[:, None],
-                    -V, V)
+    return 1.0 - 2.0 * (np.where(np.abs(w) > 1e-8, w, lead) < 0.0)[:, None]
+
+
+def _fix_signs(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """V with the signs of ``_signs`` for the integrals V @ weight."""
+    return _signs(V, V @ weight) * V
 
 
 def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
@@ -114,13 +118,15 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
         w, Vf = eigh_pencil(A.toarray()[free], mesh.M.toarray()[free])
         w, V = w[:k], np.zeros((k, mesh.n_nodes))
         V[:, mesh.free_nodes] = Vf[:, :k].T
+        MV = V @ mesh.M
     else:
         path = "lanczos"
-        w, V, shift, steps, residual = _sparse_smallest(mesh, k, params)
+        w, V, MV, shift, steps, residual = _sparse_smallest(mesh, k, params)
 
     order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = _fix_signs(V[order], mesh.M @ (mesh.dof_of_node >= 0))
+    w, V, MV = w[order], V[order], MV[order]
+    sign = _signs(V, MV @ (mesh.dof_of_node >= 0))    # V M 1, free nodes
+    V, MV = sign * V, sign * MV
 
     # near lam = Lambda_h, mu_1 may round to just below the floor
     floor = params.spectrum_floor
@@ -129,10 +135,10 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
     group = np.cumsum(np.abs(np.diff(w, prepend=w[0]))
                       > MULTIPLICITY_RTOL * (1.0 + np.abs(w)))
 
-    return EigenSystem(mu=w, vectors=V, gamma=gamma, group=group,
-                       params=params, mesh=mesh, hardy_lambda=lam_star,
-                       eigen_path=path, shift=shift, lanczos_steps=steps,
-                       lanczos_residual=residual)
+    return EigenSystem(mu=w, vectors=V, mass_vectors=MV, gamma=gamma,
+                       group=group, params=params, mesh=mesh,
+                       hardy_lambda=lam_star, eigen_path=path, shift=shift,
+                       lanczos_steps=steps, lanczos_residual=residual)
 
 
 def _sparse_smallest(mesh, k, params):
@@ -145,7 +151,7 @@ def _sparse_smallest(mesh, k, params):
     Lambda_h gives K - lam kappa B >= (1 - lam/Lambda_h) K - (lam/Lambda_h)
     c^2 M >= -c^2 M.  So K - lam kappa B - sigma M and its Schur complement
     on the free equator nodes, which ``HemisphereSolver`` inverts, are
-    positive definite.
+    positive definite.  Also returns the mass images M x = C z.
 
     Lanczos runs on z = C^T x with M = C C^T (``mesh.C``), where the
     operator C^T (K - lam kappa B - sigma M)_FF^-1 C is symmetric in the
@@ -180,13 +186,15 @@ def _sparse_smallest(mesh, k, params):
     theta, Z, steps, residual = _lanczos(
         opinv, c_t(mesh.to_modes(x0).view(float)), k, n)
     Z = Z.reshape((k,) + d.shape)
+    MZ = d * Z                                  # M x = C z
+    MZ[:, :-1] += o[:-1] * Z[:, 1:]
     Z[:, 0] /= d[0]                             # x = C^-T z, top down
     for i in range(1, mesh.nt):
         Z[:, i] -= o[i - 1] * Z[:, i - 1]
         Z[:, i] /= d[i]
-    V = mesh.from_modes(Z.view(complex))
-    V[:, 0, ~mesh.robin_mask] = 0.0
-    return sigma + 1.0 / theta, V.reshape(k, -1), sigma, steps, residual
+    V, MV = (mesh.from_modes(Y.view(complex)).reshape(k, -1) for Y in (Z, MZ))
+    V[:, mesh.dirichlet_ids] = 0.0
+    return sigma + 1.0 / theta, V, MV, sigma, steps, residual
 
 
 def _lanczos(opinv, v0: np.ndarray, k: int, n: int):

@@ -60,7 +60,7 @@ class HemisphereMesh:
     with P0, P1, P2 the tridiagonal polar bands of ``polar_matrices``, Mth
     and Kth the constant-coefficient circulants of the azimuthal mass and
     stiffness, and Bth the periodic band of the cap segments on the equator
-    row e0.
+    row e0.  Its forms, symbols, dense Bth, C and E are built once, on read.
 
     Nodes are indexed by ``i * ntheta + j`` with ``i`` the polar row
     (``i = 0`` on the equator) and ``j`` the azimuthal column.  Row ``nt - 1``
@@ -86,17 +86,21 @@ class HemisphereMesh:
     Kth: np.ndarray
     Bth: np.ndarray
 
-    @property
+    @cached_property
     def K(self) -> _KronForm:
         return _KronForm(self, k=1.0)
 
-    @property
+    @cached_property
     def M(self) -> _KronForm:
         return _KronForm(self, m=1.0)
 
-    @property
+    @cached_property
     def B(self) -> _KronForm:
         return _KronForm(self, b=1.0)
+
+    @cached_property
+    def Bth_dense(self) -> np.ndarray:
+        return band_to_dense(self.Bth)
 
     def check_params(self, params: ProblemParams) -> None:
         """Raise DomainError unless ``params`` pose their problem on this
@@ -129,7 +133,8 @@ class HemisphereMesh:
 
     @cached_property
     def mode_scale(self) -> np.ndarray:
-        """sqrt(c_k / ntheta): c_k = 1 for the self-conjugate modes, else 2."""
+        """sqrt(c_k / ntheta): c_k = 1 for the self-conjugate modes, else 2.
+        Undone by the factor 1 / mode_scale: numpy's division, but cheaper."""
         k = np.arange(self.ntheta // 2 + 1)
         return np.sqrt(np.where(2 * k % self.ntheta, 2.0, 1.0) / self.ntheta)
 
@@ -141,7 +146,7 @@ class HemisphereMesh:
 
     def from_modes(self, Z: np.ndarray) -> np.ndarray:
         """Node rows (..., ntheta) of scaled coefficients."""
-        return np.fft.irfft(Z / self.mode_scale, self.ntheta, axis=-1)
+        return np.fft.irfft(Z * (1.0 / self.mode_scale), self.ntheta, axis=-1)
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -156,7 +161,7 @@ class HemisphereMesh:
         for i in range(self.nt - 2, -1, -1):
             U[1, i] = o[i] / U[0, i + 1]
             U[0, i] = math.sqrt(d[i] - U[1, i] ** 2)
-        return U[:, :, None] * np.repeat(np.sqrt(self.symbol(self.Mth)), 2)
+        return U[:, :, None] * np.repeat(np.sqrt(self.symbols[0]), 2)
 
     @cached_property
     def E(self) -> np.ndarray:
@@ -167,7 +172,13 @@ class HemisphereMesh:
 
     def symbol(self, band: np.ndarray) -> np.ndarray:
         """Eigenvalue per mode of a circulant band (Mth, Kth)."""
-        return np.fft.rfft(band_to_dense(band)[:, 0]).real
+        col = np.zeros(self.ntheta)
+        col[[0, 1, -1]] = band[0, 0], band[1, 0], band[1, -1]
+        return np.fft.rfft(col).real
+
+    @cached_property
+    def symbols(self) -> tuple[np.ndarray, np.ndarray]:      # m_k, w_k
+        return self.symbol(self.Mth), self.symbol(self.Kth)
 
 
 def build_mesh(n_t: int, n_theta: int, s: float, cap: SphericalCap,
@@ -345,7 +356,9 @@ class _KronForm:
     __array_ufunc__ = None          # ndarray @ form defers to __rmatmul__
 
     def __init__(self, mesh: HemisphereMesh, m=0.0, k=0.0, b=0.0):
-        self.mesh, self.coef, self.work = mesh, (m, k, b), None
+        self.mesh, self.coef = mesh, (m, k, b)
+        self.work = np.empty((2, max(1, _CHUNK // mesh.n_nodes), mesh.nt,
+                              mesh.ntheta))
         P = m * mesh.P0 + k * mesh.P1
         A, N = (c * P + (c_k * k) * mesh.P2
                 for c, c_k in zip(mesh.Mth[:, 0], mesh.Kth[:, 0]))
@@ -370,22 +383,25 @@ class _KronForm:
         return (np.asarray(x, dtype=float).T @ self).T
 
     def __rmatmul__(self, X) -> np.ndarray:
-        mesh = self.mesh
-        X = np.asarray(X, dtype=float)
-        Y = np.empty(X.shape)
-        Xb, Yb = (Z.reshape(-1, mesh.nt, mesh.ntheta) for Z in (X, Y))
-        rows = max(1, _CHUNK // mesh.n_nodes)
-        if self.work is None:
-            self.work = np.empty((2, rows, mesh.nt, mesh.ntheta))
-        for i in range(0, len(Xb), rows):
-            self._apply(Xb[i:i + rows], Yb[i:i + rows])
-        return Y
+        return self.images(X)[0]
 
-    def _apply(self, X: np.ndarray, Y: np.ndarray) -> None:
-        S, T = self.work[:, :len(X)]
-        np.add(X[..., :-2], X[..., 2:], out=S[..., 1:-1])
-        np.add(X[..., -1], X[..., 1], out=S[..., 0])
-        np.add(X[..., -2], X[..., 0], out=S[..., -1])
+    def images(self, X, *others: _KronForm) -> list[np.ndarray]:
+        """X @ form for this form and ``others``: one pass, S summed once."""
+        forms, X = (self, *others), np.asarray(X, dtype=float)
+        Ys = [np.empty(X.shape) for _ in forms]
+        Xb, *Yb = (Z.reshape((-1,) + self.work.shape[2:]) for Z in (X, *Ys))
+        rows = self.work.shape[1]
+        for i in range(0, len(Xb), rows):
+            Xi = Xb[i:i + rows]
+            S, T = self.work[:, :len(Xi)]
+            np.add(Xi[..., :-2], Xi[..., 2:], out=S[..., 1:-1])
+            np.add(Xi[..., -1], Xi[..., 1], out=S[..., 0])
+            np.add(Xi[..., -2], Xi[..., 0], out=S[..., -1])
+            for form, Y in zip(forms, Yb):
+                form._apply(Xi, S, T, Y[i:i + rows])
+        return Ys
+
+    def _apply(self, X, S, T, Y) -> None:
         dA, dN, oA, oN = self.bands
         np.multiply(X, dA, out=Y)
         Y += np.multiply(S, dN, out=T)
@@ -438,7 +454,7 @@ class HemisphereSolver:
     def __init__(self, mesh: HemisphereMesh, shifts, rho: float = 0.0):
         shifts = np.asarray(shifts, dtype=float)[:, None, None]
         self.mesh, self.shape = mesh, (len(shifts), mesh.nt, mesh.ntheta)
-        m_k, w_k = mesh.symbol(mesh.Mth), mesh.symbol(mesh.Kth)
+        m_k, w_k = mesh.symbols
 
         def band(offset):   # (n_shifts, nt - offset, n_modes)
             p0, p1, p2 = (P[offset, :mesh.nt - offset, None]
@@ -461,9 +477,9 @@ class HemisphereSolver:
         self.robin, F = mesh.robin_mask, mesh.robin_ids
         dist = np.abs(F[:, None] - F)
         self.schur = (ginv[:, np.minimum(dist, n - dist)]
-                      - rho * band_to_dense(mesh.Bth)[np.ix_(F, F)])
+                      - rho * mesh.Bth_dense[np.ix_(F, F)])
         self.schur_inv = np.linalg.inv(self.schur)
-        self._work = np.empty_like(self.col0)
+        self._work, self.E = np.empty_like(self.col0), mesh.E
 
     def _tridiag_solve(self, Y: np.ndarray) -> None:
         """Solve T_ik x = y in place for every (i, k) at once on the float
@@ -477,14 +493,14 @@ class HemisphereSolver:
 
     def _equator(self, y0: np.ndarray) -> np.ndarray:
         """x_F = S_i^-1 E^T (g_i^-1 y_0) from the equator mode rows y_0."""
-        u = (self.ginv * y0) @ self.mesh.E
+        u = (self.ginv * y0) @ self.E
         return (self.schur_inv @ u[:, :, None])[:, :, 0]
 
     def solve_modes(self, Y: np.ndarray) -> np.ndarray:
         """Apply the inverse for shift i in place to Y[i] (nt, 2 n_modes),
         float mode rows; the result vanishes on D."""
         self._tridiag_solve(Y)
-        x_eq = self._equator(Y[:, 0]) @ self.mesh.E.T
+        x_eq = self._equator(Y[:, 0]) @ self.E.T
         w = self.ginv * (x_eq - Y[:, 0])
         Y += np.multiply(self.col0, w[:, None], out=self._work)
         Y[:, 0] = x_eq
@@ -495,7 +511,7 @@ class HemisphereSolver:
         vectors, and the result's vanish on D, a new array."""
         Y = self.mesh.to_modes(np.reshape(X, self.shape))
         self.solve_modes(Y.view(float))
-        Y /= self.mesh.mode_scale       # ``from_modes`` in place
+        Y *= 1.0 / self.mesh.mode_scale         # ``from_modes`` in place
         U = np.fft.irfft(Y, self.shape[-1], axis=-1)
         U[:, 0, ~self.robin] = 0.0
         return U.reshape(len(U), -1)

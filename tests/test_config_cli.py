@@ -931,3 +931,47 @@ k = 2
     mu = [float(r.split(",")[1]) for r in rows]
     assert mu[0] == pytest.approx(0.75, rel=0.01)
     assert mu[1] == pytest.approx(3.75, rel=0.01)
+
+
+@pytest.mark.parametrize("task", ["solve-ext", "frequency"])
+def test_runs_apply_each_form_to_each_block_once(tmp_path, monkeypatch,
+                                                 task):
+    """The producers keep their images: M and K - lam kappa B reach the
+    solved field's shell block once (the residual's pass), its Grams come
+    from that pass and not from ``table_grams``, and no block of the
+    eigenvectors goes through a form (their mass images are the solve's)."""
+    import conefrac.cli as cli
+    import conefrac.extension as ext
+    from conefrac.sphercap import _KronForm
+    blocks, tables, systems = [], [], []
+    images, table_grams, solve_eigs = (_KronForm.images, ext.table_grams,
+                                       cli.solve_eigs)
+
+    def spy_images(form, X, *others):
+        blocks.extend((f.coef, np.array(X)) for f in (form, *others))
+        return images(form, X, *others)
+
+    def spy_grams(mesh, table):
+        tables.append(table.shape)
+        return table_grams(mesh, table)
+
+    def spy_eigs(*args, **kwargs):
+        systems.append(solve_eigs(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(_KronForm, "images", spy_images)
+    monkeypatch.setattr(ext, "table_grams", spy_grams)
+    monkeypatch.setattr(cli, "solve_eigs", spy_eigs)
+    cfg = parse_config(SMALL_CONFIGS[task])
+    run_task(cfg, tmp_path / "out")
+    (es,) = systems
+    for _, X in blocks:
+        assert len(X) != es.k and not np.array_equal(X, es.vectors)
+    if task == "solve-ext":
+        shell_block = (cfg.nr + 1, es.mesh.n_nodes)
+        lk = cfg.params.lam * cfg.params.kappa
+        coefs = [c for c, X in blocks if X.shape == shell_block]
+        assert sorted(coefs) == [(0.0, 1.0, -lk), (1.0, 0.0, 0.0)]
+        assert tables == []
+    else:
+        assert tables == [(2, es.mesh.n_nodes)]   # the manufactured field

@@ -555,3 +555,20 @@ def test_batched_pohozaev_rows_equal_scalar_calls(half_es):
     assert len(reports) == len(radii)
     for r, rep in zip(radii, reports):
         assert rep == pohozaev_check(fld, float(r))
+
+
+@pytest.mark.parametrize("h", [None, "0.1 + 0.05*x1"])
+def test_solved_field_grams_are_its_table_grams(half_params, half_cap, h):
+    """The Grams that the solve's residual pass supplies are T A T^T of the
+    returned field's shell table."""
+    from conefrac.extension import table_grams
+    params = dataclasses.replace(
+        half_params, h=None if h is None else parse_expression(h))
+    mesh = build_mesh(12, 24, params.s, half_cap)
+    es = solve_eigs(mesh, params, k=4)
+    fld = solve_extension(build_halfball_grid(8, 1e-2, mesh), params,
+                          es.vectors[0], es=es)
+    ref = table_grams(mesh, fld.values)
+    for name in "MKB":
+        scale = np.abs(ref[name]).max()
+        assert np.abs(fld.grams[name] - ref[name]).max() <= 1e-13 * scale

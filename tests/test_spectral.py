@@ -479,3 +479,17 @@ def test_eigenvalue_convergence_under_refinement():
         errors.append(abs(es.mu[1] - exact))
     assert errors[0] > errors[1] > errors[2]
 
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("dense", [False, True])
+def test_mass_vectors_are_the_mass_images(half_cap, full, dense):
+    """M psi_j formed by the solve, Lanczos (from the Ritz coordinates) or
+    dense, equals psi_j^T M in order and sign."""
+    cap = SphericalCap.full_circle() if full else half_cap
+    mesh = build_mesh(6, 12, 0.5, cap)
+    k = mesh.n_free - 1 if dense else 5
+    es = solve_eigs(mesh, ProblemParams(s=0.5, lam=0.0 if full else 0.1), k)
+    assert es.eigen_path == ("dense" if dense else "lanczos")
+    ref = es.vectors @ mesh.M
+    assert np.abs(es.mass_vectors - ref).max() <= 1e-13 * np.abs(ref).max()

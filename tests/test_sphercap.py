@@ -339,3 +339,16 @@ def test_mode_basis_is_an_isometry_of_node_rows(half_cap, ntheta):
     Zf, Xf = Z.reshape(4, -1).view(float), X.reshape(4, -1)
     np.testing.assert_allclose(Zf @ Zf.T, Xf @ Xf.T, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(mesh.from_modes(Z), X, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("ntheta", [24, 25])
+def test_mesh_constants_match_their_dense_forms(ntheta):
+    """The circulant symbols read off three band entries equal those of the
+    dense first column bit for bit; the forms are built once per mesh."""
+    from conefrac.sphercap import band_to_dense
+    mesh = build_mesh(6, ntheta, 0.5, cap_of_cone(ConeProfile.half_plane()))
+    for band in (mesh.Mth, mesh.Kth):
+        ref = np.fft.rfft(band_to_dense(band)[:, 0]).real
+        assert np.array_equal(mesh.symbol(band), ref)
+    assert np.array_equal(mesh.Bth_dense, band_to_dense(mesh.Bth))
+    assert mesh.M is mesh.M and mesh.K is mesh.K and mesh.B is mesh.B
