@@ -1,7 +1,17 @@
-"""Frequency machinery: boundary mass H(r), scaled energy D(r), the
-frequency N(r) = D/H with its H' = 2D/r identity, blow-up rescalings,
-Fourier mode profiles, the amplitude formula for the limit profile, and the
-Pohozaev balance used as a numerical diagnostic.
+"""Frequency machinery: the boundary mass
+H(r) = r^(2s-N-1) int_{sphere r} t^(1-2s) U^2 dS, the scaled energy D(r),
+r^(2s-N) times the volume gradient energy minus the kappa_s
+(h + lam |x|^(-2s)) trace term, the frequency N(r) = D/H, Fourier mode
+profiles, the amplitude formula for the limit profile, and the Pohozaev
+balance used as a numerical diagnostic.
+
+Two claims of the theory are read off these outputs.  The Green identity
+energy = flux is H' = 2D/r: H = c^T G_M c gives H' = 2 c^T G_M c', so
+r^(2s-N) flux = r H'/2 while D = r^(2s-N) energy, and ``pohozaev_check``'s
+``green_residual`` is that identity's residual.  The blow-up
+U(tau z) / sqrt(H(tau)) has mode coefficients phi_j(tau) / sqrt(H(tau)),
+so its projection off the dominant multiplicity group comes from
+``fourier_coeffs`` and ``frequency_trace``.
 
 A field's sphere sample is c(rho)^T T (``ScalarField``), so every sphere
 form is c(rho)^T (T A T^T) c(rho) on the Grams that the field's solve
@@ -27,20 +37,14 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .expressions import Expression
-from .extension import (ManufacturedField, ScalarField, equator_values,
-                        table_grams)
+from .extension import ManufacturedField, ScalarField, equator_values
 from .spectral import EigenSystem
 
 __all__ = [
     "FrequencyTrace",
     "FourierTrace",
-    "BlowupSnapshot",
     "PohozaevReport",
-    "compute_H",
-    "compute_D",
     "frequency_trace",
-    "check_H_prime_identity",
-    "blowup",
     "fourier_coeffs",
     "beta_coefficients",
     "pohozaev_check",
@@ -123,6 +127,7 @@ def _plan_for(fld: ScalarField, radii: np.ndarray) -> _RadialPlan:
 # ---------------------------------------------------------------------------
 
 def _boundary_mass(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
+    """H on the field's mass Gram; H <= 0 (a trivial field) raises."""
     outside = radii[(radii <= 0.0) | (radii > 1.0 + 1e-12)]
     if len(outside):
         raise DomainError(f"radius must lie in (0, 1], got {outside[0]}")
@@ -133,13 +138,6 @@ def _boundary_mass(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
             f"H({radii[bad[0]]}) = {H[bad[0]]} is not positive: the field "
             "is trivial there")
     return H
-
-
-def compute_H(fld: ScalarField, r: float) -> float:
-    """Scaled boundary mass r^(2s-N-1) int_{sphere r} t^(1-2s) U^2 dS,
-    evaluated on the field's mass Gram.  Positive for any non-trivial field;
-    H <= 0 raises."""
-    return float(_boundary_mass(fld, np.array([float(r)]))[0])
 
 
 def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray):
@@ -196,21 +194,6 @@ def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray):
                                      fld.mesh.Bth_dense, tr)
     return vol, hardy, (plan.integrate(e_h[1:], radii)
                         + e_h[0] * lo / h_power * core ** h_power)
-
-
-def _scaled_energy(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
-    vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii)
-    p = fld.params
-    return radii ** (2.0 * p.s - p.N) * (
-        vol - p.kappa * (p.lam * hardy + trace_h))
-
-
-def compute_D(fld: ScalarField, r: float) -> float:
-    """Scaled energy r^(2s-N) (volume gradient energy minus the kappa_s
-    (h + lam |x|^(-2s)) trace term).  Manufactured fields evaluate the
-    radial integrals in closed form; grid fields by the radial plan with a
-    power-law core below the innermost shell."""
-    return float(_scaled_energy(fld, np.array([float(r)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +268,9 @@ def frequency_trace(fld: ScalarField, radii) -> FrequencyTrace:
     radii = np.asarray(radii, dtype=float)
     params = fld.params
     Hs = _boundary_mass(fld, radii)
-    Ds = _scaled_energy(fld, radii)
+    vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii)
+    Ds = radii ** (2.0 * params.s - params.N) * (
+        vol - params.kappa * (params.lam * hardy + trace_h))
     ncal = Ds / Hs
 
     floor = -params.half_order
@@ -300,83 +285,6 @@ def frequency_trace(fld: ScalarField, radii) -> FrequencyTrace:
         g, d, c, fb = _fit_gamma(radii, ncal, delta)
     return FrequencyTrace(radii=radii, H=Hs, D=Ds, Ncal=ncal, gamma_hat=g,
                           fit_exponent=d, fit_coefficient=c, fit_fallback=fb)
-
-
-def check_H_prime_identity(fld: ScalarField, r: float = 0.5) -> float:
-    """Relative residual of H'(r) = 2 D(r) / r with fourth-order central
-    differences of H in log radius, step 1e-3 (0.04 on a grid field)."""
-    delta = 1e-3 if fld.is_analytic else 0.04
-    xs = math.log(r) + delta * np.array([-2.0, -1.0, 1.0, 2.0])
-    Hvals = [compute_H(fld, math.exp(x)) for x in xs]
-    dHdx = (Hvals[0] - 8.0 * Hvals[1] + 8.0 * Hvals[2] - Hvals[3]) / (12.0 * delta)
-    Hp = dHdx / r
-    rhs = 2.0 * compute_D(fld, r) / r
-    scale = max(abs(Hp), abs(rhs))
-    # both sides at the finite-difference noise floor: the identity holds
-    # trivially (constant fields)
-    if scale < 1e-9 * max(1.0, compute_H(fld, r) / r):
-        return 0.0
-    return abs(Hp - rhs) / scale
-
-
-# ---------------------------------------------------------------------------
-# blow-up family
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlowupSnapshot:
-    """Rescaled field w(z) = U(tau z) / sqrt(H(tau)) on the unit half-ball."""
-
-    fld: ScalarField
-    tau: float
-    scale: float
-
-    def sphere_values(self, rho: float) -> np.ndarray:
-        return self.fld.sphere_values(self.tau * rho) / self.scale
-
-    def boundary_norm(self) -> float:
-        """Weighted boundary mass on the unit sphere; 1 by construction."""
-        c = self.fld.coefficients(self.tau)
-        return float(c @ self.fld.grams["M"] @ c) / self.scale ** 2
-
-    def projection(self, es: EigenSystem, j) -> float:
-        """Boundary-mass projection of the snapshot onto mode j, one per
-        mode for an array of modes: psi_j^T M T^T times c(tau)."""
-        return (es.mass_vectors[j] @ self.fld.table.T
-                @ self.fld.coefficients(self.tau)) / self.scale
-
-    def off_group_norm(self, es: EigenSystem, group_of: int) -> float:
-        """l2 size of projections onto every stored mode outside the
-        multiplicity group of ``group_of``."""
-        others = np.setdiff1d(np.arange(es.k), es.group_members(group_of))
-        return float(np.linalg.norm(self.projection(es, others)))
-
-    def h1_distance(self, other: ScalarField) -> float:
-        """Weighted H1 distance on the unit half-ball (radii 1e-4 to 1)
-        between the snapshot and another field, on the joint table's Grams."""
-        N, s = self.fld.params.N, self.fld.params.s
-        plan = _radial_plan([1e-4, 1.0])
-        rho = plan.rho
-        T = np.vstack([self.fld.table, other.table])
-        dv = np.hstack([self.fld.coefficients(self.tau * rho) / self.scale,
-                        -other.coefficients(rho)])
-        dg = np.hstack([self.fld.coefficients(self.tau * rho, derivative=True)
-                        * (self.tau / self.scale),
-                        -other.coefficients(rho, derivative=True)])
-        G = table_grams(self.fld.mesh, T)
-        f = (rho ** (N + 1 - 2 * s) * (_bilinear(dg, G["M"])
-                                       + _bilinear(dv, G["M"]))
-             + rho ** (N - 1 - 2 * s) * _bilinear(dv, G["K"]))
-        total = float(plan.integrate(f, [1.0])[0])
-        return math.sqrt(max(total, 0.0))
-
-
-def blowup(fld: ScalarField, tau: float) -> BlowupSnapshot:
-    """Normalized rescaling at scale tau; requires H(tau) > 0."""
-    if not 0.0 < tau <= 1.0:
-        raise DomainError(f"tau must lie in (0, 1], got {tau}")
-    return BlowupSnapshot(fld=fld, tau=tau,
-                          scale=math.sqrt(compute_H(fld, tau)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .almgren import (beta_coefficients, fourier_coeffs, frequency_trace,
                       pohozaev_check)
-from .cones import (SmoothedCone, smoothing_defect, smoothing_profile,
-                    starshape_margin)
+from .cones import (ApproxDomain, SmoothedCone, smoothing_defect,
+                    smoothing_profile, starshape_margin)
 from .config import RunConfig, analyzer_radii, parse_config
 from .errors import ConfigurationError, ConefracError
 from .extension import (CG_TOL, build_halfball_grid, manufactured_field,
@@ -170,6 +170,11 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
     j0 = int(np.argmax(np.abs(ft.phi[:, 0])))
     gamma = float(es.gamma[j0])
     members = es.group_members(j0)
+    # the blow-up U(tau z) / sqrt(H(tau)) at the smallest radius, projected
+    # off j0's group
+    off = es.group != es.group[j0]
+    blowup_off_group = math.sqrt(float(ft.phi[off, 0] @ ft.phi[off, 0])
+                                 / trace.H[0])
     group = replace(ft, modes=members, phi=ft.phi[members],
                     ups=ft.ups[members])
     rlist = cfg.task_opts["rlist"]
@@ -189,6 +194,7 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
         "beta": {str(int(m) + 1): float(beta_ref[pos])
                  for pos, m in enumerate(members)},
         "betah_R_spread": max(spreads) if spreads else 0.0,
+        "blowup_off_group": blowup_off_group,
         "fit": {"exponent": trace.fit_exponent,
                 "coefficient": trace.fit_coefficient,
                 "fallback": trace.fit_fallback},
@@ -255,12 +261,27 @@ def _task_smooth_cone(cfg: RunConfig, out: Path) -> _Result:
     ts = rng.uniform(0.0, 4.0 / n ** 2, samples)
     fvals = smoothing_profile(n, ts)
     defects = smoothing_defect(n, ts)
+
+    # points of Omega_n's graph piece x2 = psi_n(x1) + (n/3) f_n(t) inside
+    # the unit ball, drawn with t below 3/n, where (n/3) f_n(t) reaches 1
+    ad = ApproxDomain(sc)
+    gx1 = rng.uniform(-1.0, 1.0, samples)
+    gt = rng.uniform(0.0, 3.0 / n, samples)
+    graph = np.column_stack([gx1, sc.psi(gx1)
+                             + n / 3.0 * smoothing_profile(n, gt), gt])
+    gamma_margins = [ad.gamma_margin(z) for z in graph
+                     if np.linalg.norm(z) < 1.0]
+    gamma_bound = 1.0 / (4.0 * n)
     report = {
         "n": n,
         "n0": max(math.ceil(6.0 * cfg.cone_spec.M), 1),
         "margin_bound": bound,
         "min_starshape_margin": float(margins.min()),
         "margin_ok": bool(margins.min() >= bound - 1e-12),
+        "gamma_margin_bound": gamma_bound,
+        "min_gamma_margin": min(gamma_margins, default=None),
+        "gamma_margin_ok": all(m >= gamma_bound - 1e-12
+                               for m in gamma_margins),
         "fn_identity_low": float(np.abs(
             smoothing_profile(n, np.linspace(0.0, 1.0 / n ** 2, 64))).max()),
         "fn_identity_high": float(np.abs(

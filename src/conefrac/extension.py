@@ -165,12 +165,14 @@ class ScalarField:
     params: ProblemParams
     mesh: HemisphereMesh
     core_radius = 0.0
-    is_analytic = False
 
     @cached_property
     def grams(self) -> dict:
         """T A T^T for A = M, K and B by name: the solve's, or table_grams."""
         return table_grams(self.mesh, self.table)
+
+    def sphere_values(self, r) -> np.ndarray:
+        return _sample(self.coefficients(r), self.table)
 
     def sphere_radial_derivative(self, r) -> np.ndarray:
         return _sample(self.coefficients(r, derivative=True), self.table)
@@ -192,7 +194,6 @@ class ManufacturedField(ScalarField):
     es: EigenSystem
     modes: tuple[int, ...]
     betas: np.ndarray
-    is_analytic = True
 
     def __post_init__(self):
         if len(self.modes) == 0:
@@ -223,8 +224,9 @@ class ManufacturedField(ScalarField):
             return self.betas * self.gammas * r ** (self.gammas - 1.0)
         return self.betas * r ** self.gammas
 
-    def sphere_values(self, r) -> np.ndarray:
-        return _sample(self.coefficients(r), self.table)
+    # each concrete class binds it too: perfbench's tracer wraps the
+    # attribute in the class's own namespace
+    sphere_values = ScalarField.sphere_values
 
 
 def manufactured_field(es: EigenSystem, coefficients) -> ManufacturedField:
@@ -320,8 +322,7 @@ class GridField(ScalarField):
             out[below, 0] = scale * gloc / rr[below] if derivative else scale
         return out if np.ndim(r) else out[0]
 
-    def sphere_values(self, r) -> np.ndarray:
-        return _sample(self.coefficients(r), self.table)
+    sphere_values = ScalarField.sphere_values
 
 
 # ---------------------------------------------------------------------------

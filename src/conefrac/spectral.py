@@ -80,11 +80,6 @@ def _signs(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.where(np.abs(w) > 1e-8, w, lead) < 0.0)[:, None]
 
 
-def _fix_signs(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """V with the signs of ``_signs`` for the integrals V @ weight."""
-    return _signs(V, V @ weight) * V
-
-
 def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
                k: int) -> EigenSystem:
     """k smallest eigenpairs of (K - lam kappa B, M) on the mesh's retained

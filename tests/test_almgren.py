@@ -1,6 +1,6 @@
 """Frequency machinery: exactness on homogeneous profiles, two-mode
-asymptotics, blow-up classification, mode profiles, amplitudes and the
-Pohozaev diagnostics."""
+asymptotics, blow-up classification from the mode profiles, amplitudes and
+the Pohozaev diagnostics."""
 
 import dataclasses
 import math
@@ -8,15 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from conefrac.almgren import (_fit_gamma, beta_coefficients, blowup,
-                              check_H_prime_identity, compute_D, compute_H,
-                              fourier_coeffs, frequency_trace, pohozaev_check)
+from conefrac.almgren import (_bilinear, _fit_gamma, _radial_plan,
+                              beta_coefficients, fourier_coeffs,
+                              frequency_trace, pohozaev_check)
 from conefrac.cones import SphericalCap
 from conefrac.config import analyzer_radii
 from conefrac.errors import DomainError, NumericalError
 from conefrac.expressions import parse_expression
-from conefrac.extension import build_halfball_grid, manufactured_field, \
-    solve_extension
+from conefrac.extension import (ManufacturedField, build_halfball_grid,
+                                manufactured_field, solve_extension,
+                                table_grams)
 from conefrac.params import ProblemParams
 from conefrac.spectral import solve_eigs
 from conefrac.sphercap import _KronForm, band_to_dense, build_mesh
@@ -33,10 +34,45 @@ def two_mode(half_es):
     return manufactured_field(half_es, [(0, 1.0), (3, 0.2)])
 
 
+def _H(fld, radii):
+    return frequency_trace(fld, np.atleast_1d(radii)).H
+
+
+def _D(fld, radii):
+    return frequency_trace(fld, np.atleast_1d(radii)).D
+
+
+def _off_group(fld, es, tau):
+    """The blow-up U(tau z) / sqrt(H(tau)) projected off the first mode's
+    multiplicity group, from the mode profiles and H at tau."""
+    phi = fourier_coeffs(fld, es, [tau]).phi[:, 0]
+    off = np.setdiff1d(np.arange(es.k), es.group_members(0))
+    return math.sqrt(float(phi[off] @ phi[off]) / _H(fld, tau)[0])
+
+
+def _h1_distance(fld, tau, other):
+    """Weighted H1 distance on the unit half-ball (radii 1e-4 to 1) between
+    the blow-up U(tau z) / sqrt(H(tau)) and another field, on the Grams of
+    the joint table and one radial plan."""
+    N, s = fld.params.N, fld.params.s
+    scale = math.sqrt(_H(fld, tau)[0])
+    plan = _radial_plan([1e-4, 1.0])
+    rho = plan.rho
+    dv = np.hstack([fld.coefficients(tau * rho) / scale,
+                    -other.coefficients(rho)])
+    dg = np.hstack([fld.coefficients(tau * rho, derivative=True)
+                    * (tau / scale),
+                    -other.coefficients(rho, derivative=True)])
+    G = table_grams(fld.mesh, np.vstack([fld.table, other.table]))
+    f = (rho ** (N + 1 - 2 * s) * (_bilinear(dg, G["M"])
+                                   + _bilinear(dv, G["M"]))
+         + rho ** (N - 1 - 2 * s) * _bilinear(dv, G["K"]))
+    return math.sqrt(max(float(plan.integrate(f, [1.0])[0]), 0.0))
+
+
 def test_bilinear_rows_equal_single_row_calls(half_es):
     # a row of a batched call must equal the call at that radius alone, bit
     # for bit, also for strided rows (equator columns of C-ordered samples)
-    from conefrac.almgren import _bilinear
     mesh = half_es.mesh
     rng = np.random.default_rng(5)
     v = rng.standard_normal((7, mesh.n_nodes))
@@ -56,8 +92,9 @@ def test_bilinear_rows_equal_single_row_calls(half_es):
 
 def test_H_pure_profile_power(pure, half_es):
     g = half_es.gamma[0]
-    for r in (0.03, 0.2, 0.77):
-        assert compute_H(pure, r) == pytest.approx(r ** (2 * g), rel=1e-12)
+    radii = np.array([0.03, 0.2, 0.77])
+    np.testing.assert_allclose(_H(pure, radii), radii ** (2 * g),
+                               rtol=1e-12)
 
 
 def test_H_constant_field():
@@ -69,9 +106,9 @@ def test_H_constant_field():
     amp = 1.0 / es.vectors[0].mean()          # rescale psi_1 to the constant 1
     fld = manufactured_field(es, [(0, amp)])
     expected = 2.0 * math.pi / (2.0 - 2.0 * s)
-    for r in (0.1, 0.5, 0.9):
-        assert compute_H(fld, r) == pytest.approx(expected, rel=1e-9)
-        assert abs(compute_D(fld, r)) < 1e-12
+    trace = frequency_trace(fld, [0.1, 0.5, 0.9])
+    np.testing.assert_allclose(trace.H, expected, rtol=1e-9)
+    assert np.abs(trace.D).max() < 1e-12
 
 
 def test_H_scaling_under_dilation(pure, half_es):
@@ -79,16 +116,16 @@ def test_H_scaling_under_dilation(pure, half_es):
     tau = 0.37
     scaled = manufactured_field(
         half_es, [(0, tau ** half_es.gamma[0])])
-    for r in (0.1, 0.6):
-        assert compute_H(scaled, r) == pytest.approx(
-            compute_H(pure, tau * r), rel=1e-12)
+    radii = np.array([0.1, 0.6])
+    np.testing.assert_allclose(_H(scaled, radii), _H(pure, tau * radii),
+                               rtol=1e-12)
 
 
 def test_D_pure_profile(pure, half_es):
     g = half_es.gamma[0]
-    for r in (0.05, 0.4, 0.8):
-        D = compute_D(pure, r)
-        assert D == pytest.approx(g * r ** (2 * g), rel=1e-10)
+    radii = np.array([0.05, 0.4, 0.8])
+    np.testing.assert_allclose(_D(pure, radii), g * radii ** (2 * g),
+                               rtol=1e-10)
 
 
 def test_frequency_trace_pure(pure, half_es):
@@ -100,19 +137,9 @@ def test_frequency_trace_pure(pure, half_es):
 
 
 def test_H_prime_identity_pure(pure):
-    for r in (0.2, 0.5):
-        res = check_H_prime_identity(pure, r)
-        assert res <= 1e-8
-
-
-def test_H_prime_identity_constant():
-    s = 0.5
-    p = ProblemParams(s=s, lam=0.0)
-    cap = SphericalCap.full_circle()
-    mesh = build_mesh(12, 24, s, cap)
-    es = solve_eigs(mesh, p, k=1)
-    fld = manufactured_field(es, [(0, 1.0)])
-    assert check_H_prime_identity(fld, 0.5) == 0.0
+    # the Green identity energy = flux is H' = 2D/r
+    for rep in pohozaev_check(pure, [0.2, 0.5]):
+        assert rep.green_residual <= 1e-8
 
 
 def test_two_mode_frequency(two_mode, half_es):
@@ -128,7 +155,7 @@ def test_two_mode_frequency(two_mode, half_es):
     assert np.all(np.diff(trace.Ncal) >= -1e-12)
     assert trace.gamma_hat == pytest.approx(g1, abs=1e-2)
     # brute-force small radius: N(1e-3) close to gamma_1
-    small = compute_D(two_mode, 1e-3) / compute_H(two_mode, 1e-3)
+    small = frequency_trace(two_mode, [1e-3]).Ncal[0]
     assert small == pytest.approx(g1, abs=1e-5)
 
 
@@ -141,7 +168,7 @@ def test_frequency_floor(two_mode, half_params):
 def test_H_positive_enforced(half_es):
     zero = manufactured_field(half_es, [(0, 0.0)])
     with pytest.raises(NumericalError):
-        compute_H(zero, 0.5)
+        frequency_trace(zero, [0.5])
 
 
 @pytest.mark.parametrize("delta", [0.5, 2.0, 4.03])
@@ -174,52 +201,45 @@ def test_fit_keeps_its_branches():
 
 
 # ---------------------------------------------------------------------------
-# blow-up snapshots
+# blow-ups U(tau z) / sqrt(H(tau)), from the mode profiles and H
 # ---------------------------------------------------------------------------
 
-def test_blowup_normalization(two_mode):
-    for tau in (1.0, 0.3, 1e-2):
-        snap = blowup(two_mode, tau)
-        assert snap.boundary_norm() == pytest.approx(1.0, abs=1e-10)
-
-
 def test_blowup_pure_profile_scale_invariant(pure, half_es):
-    snaps = [blowup(pure, tau) for tau in (1.0, 0.25, 1e-2)]
-    vals = [s.sphere_values(0.6) for s in snaps]
+    taus = np.array([1.0, 0.25, 1e-2])
+    vals = pure.sphere_values(0.6 * taus) / np.sqrt(_H(pure, taus))[:, None]
     for v in vals[1:]:
         np.testing.assert_allclose(v, vals[0], rtol=1e-10, atol=1e-13)
 
 
 def test_blowup_two_mode_converges_to_leading(two_mode, pure, half_es):
-    dists = []
-    for tau in (0.5, 0.25, 0.125):
-        snap = blowup(two_mode, tau)
-        dists.append(snap.h1_distance(pure))
+    dists = [_h1_distance(two_mode, tau, pure) for tau in (0.5, 0.25, 0.125)]
     assert dists[0] > dists[1] > dists[2]
     # decay rate tau^(g2 - g1), here about one power of two per halving
     assert dists[0] / dists[2] > 3.0
 
 
 def test_blowup_off_group_projection(two_mode, half_es):
-    snap = blowup(two_mode, 1e-2)
-    assert snap.off_group_norm(half_es, 0) <= 0.05
+    assert _off_group(two_mode, half_es, 1e-2) <= 0.05
     # and the in-group projection is close to one
-    assert abs(snap.projection(half_es, 0)) == pytest.approx(1.0, abs=1e-3)
+    phi = fourier_coeffs(two_mode, half_es, [1e-2]).phi[0, 0]
+    assert abs(phi) / math.sqrt(_H(two_mode, 1e-2)[0]) == pytest.approx(
+        1.0, abs=1e-3)
 
 
 def test_blowup_off_group_tends_to_zero(two_mode, half_es):
-    # the snapshot collapses onto the leading multiplicity group as tau -> 0
-    offs = [blowup(two_mode, tau).off_group_norm(half_es, 0)
-            for tau in (0.3, 0.1, 0.03)]
+    # the blow-up collapses onto the leading multiplicity group as tau -> 0
+    offs = [_off_group(two_mode, half_es, tau) for tau in (0.3, 0.1, 0.03)]
     assert offs[0] > offs[1] > offs[2]
     assert offs[2] < 1e-3
 
 
-def test_blowup_validation(pure):
-    with pytest.raises(DomainError):
-        blowup(pure, 0.0)
-    with pytest.raises(DomainError):
-        blowup(pure, 1.5)
+def test_blowup_validation(pure, half_es):
+    # a blow-up scale outside (0, 1] is refused by both of its producers
+    for tau in (0.0, 1.5):
+        with pytest.raises(DomainError):
+            frequency_trace(pure, [tau])
+        with pytest.raises(DomainError):
+            fourier_coeffs(pure, half_es, [tau])
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +258,14 @@ def test_fourier_pure_profile(pure, half_es):
 def test_fourier_parseval(two_mode, half_es):
     taus = np.geomspace(1e-2, 0.8, 12)
     ft = fourier_coeffs(two_mode, half_es, taus)
-    for i, tau in enumerate(taus):
-        H = compute_H(two_mode, tau)
+    Hs = _H(two_mode, taus)
+    for i, H in enumerate(Hs):
         partial = 0.0
         for pos in range(half_es.k):
             partial += ft.phi[pos, i] ** 2
             assert partial <= H * (1.0 + 1e-8)
     # the two active modes already exhaust H
     recon = ft.phi[0] ** 2 + ft.phi[3] ** 2
-    Hs = np.array([compute_H(two_mode, t) for t in taus])
     np.testing.assert_allclose(recon, Hs, rtol=1e-10)
 
 
@@ -365,10 +384,9 @@ def test_solver_field_green_identity(solver_field):
 
 
 def test_solver_field_H_prime_identity(solver_field):
-    fld = solver_field
-    for r in (0.3, 0.5):
-        res = check_H_prime_identity(fld, r)
-        assert res <= 1e-2
+    # the Green identity energy = flux is H' = 2D/r
+    for rep in pohozaev_check(solver_field, [0.3, 0.5]):
+        assert rep.green_residual <= 1e-2
 
 
 def test_solver_field_trace_matches_pointwise_D(solver_field):
@@ -378,8 +396,8 @@ def test_solver_field_trace_matches_pointwise_D(solver_field):
     radii = np.geomspace(0.02, 0.8, 12)
     trace = frequency_trace(fld, radii=radii)
     for r, H, D in zip(radii, trace.H, trace.D):
-        assert H == compute_H(fld, r)
-        assert D == pytest.approx(compute_D(fld, r), rel=1e-7)
+        assert H == _H(fld, r)[0]
+        assert D == pytest.approx(_D(fld, r)[0], rel=1e-7)
 
 
 def test_solver_field_gamma_consistency(solver_field, half_es):
@@ -452,7 +470,7 @@ def _reference_terms(fld, radii, params, h):
     rho = np.append(lo, plan.rho)
     core = np.minimum(radii, lo) / lo
     tr = fld.sphere_values(rho)[:, fld.mesh.equator_ids]
-    if fld.is_analytic:
+    if isinstance(fld, ManufacturedField):
         vol, hardy = _manufactured_terms(fld, radii)
         h_power = math.inf
     else:
@@ -481,7 +499,7 @@ def _reference_pohozaev(fld, params, h, radii):
     """(lhs, rhs, flux, green residual) from per-node samples."""
     from conefrac.almgren import _equator_rows, _plan_for
     N, s, kappa, mesh = params.N, params.s, params.kappa, fld.mesh
-    lam = fld.es.lam if fld.is_analytic else params.lam
+    lam = fld.es.lam if isinstance(fld, ManufacturedField) else params.lam
     v = fld.sphere_values(radii)
     g = fld.sphere_radial_derivative(radii)
     tr = v[:, fld.mesh.equator_ids]
@@ -510,8 +528,8 @@ def _reference_pohozaev(fld, params, h, radii):
 
 def _posed(fld, params):
     """The same field, owning the problem ``params`` instead of its own."""
-    from conefrac.extension import GridField, ManufacturedField
-    if fld.is_analytic:
+    from conefrac.extension import GridField
+    if isinstance(fld, ManufacturedField):
         return ManufacturedField(
             es=dataclasses.replace(fld.es, params=params), modes=fld.modes,
             betas=fld.betas)
@@ -521,7 +539,6 @@ def _posed(fld, params):
 @pytest.mark.parametrize("kind", ["grid", "two_mode"])
 def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
                                               pure, half_es, half_params):
-    from conefrac.almgren import _bilinear, _radial_plan
     p, rel = half_params, 1e-12
     if kind == "grid":
         fld = solver_field
@@ -537,7 +554,7 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
     c = fld.coefficients(radii)
     cg = fld.coefficients(radii, derivative=True)
     mesh = fld.mesh
-    H = np.array([compute_H(fld, r) for r in radii])
+    H = _H(fld, radii)
     np.testing.assert_allclose(H, _per_node(mesh.M, v), rtol=rel, atol=0)
     np.testing.assert_allclose(_bilinear(c, fld.grams["M"], cg),
                                _per_node(mesh.M, v, g), rtol=rel, atol=0)
@@ -548,7 +565,7 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
     for hh in (None, h):
         fh = _posed(fld, dataclasses.replace(p, h=hh))
         vol, hardy, trace_h = _reference_terms(fh, radii, p, hh)
-        lam = fh.es.lam if fh.is_analytic else p.lam
+        lam = fh.es.lam if isinstance(fh, ManufacturedField) else p.lam
         D_ref = radii ** (2 * p.s - p.N) * (
             vol - p.kappa * (lam * hardy + trace_h))
         D = frequency_trace(fh, radii=radii).D
@@ -567,22 +584,22 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
     np.testing.assert_allclose(ft.phi, phi_ref, rtol=0,
                                atol=rel * np.abs(phi_ref).max())
 
-    snap = blowup(fld, 0.3)
-    w = snap.sphere_values(1.0)
+    tau, scale = 0.3, math.sqrt(_H(fld, 0.3)[0])
+    w = fld.sphere_values(tau) / scale
     proj = half_es.vectors @ (mesh.M @ w)
     others = np.setdiff1d(np.arange(half_es.k), half_es.group_members(0))
-    assert snap.off_group_norm(half_es, 0) == pytest.approx(
+    assert _off_group(_posed(fld, p), half_es, tau) == pytest.approx(
         math.sqrt(sum(proj[others] ** 2)), rel=rel)
     plan = _radial_plan([1e-4, 1.0])
     rho = plan.rho
-    dv = snap.sphere_values(rho) - pure.sphere_values(rho)
-    dg = (fld.sphere_radial_derivative(0.3 * rho) * 0.3 / snap.scale
+    dv = fld.sphere_values(tau * rho) / scale - pure.sphere_values(rho)
+    dg = (fld.sphere_radial_derivative(tau * rho) * tau / scale
           - pure.sphere_radial_derivative(rho))
     N, s = p.N, p.s
     f = (rho ** (N + 1 - 2 * s) * (_per_node(mesh.M, dg)
                                    + _per_node(mesh.M, dv))
          + rho ** (N - 1 - 2 * s) * _per_node(mesh.K, dv))
-    assert snap.h1_distance(pure) == pytest.approx(
+    assert _h1_distance(fld, tau, pure) == pytest.approx(
         math.sqrt(plan.integrate(f, [1.0])[0]), rel=rel)
 
 

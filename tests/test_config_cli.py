@@ -2,6 +2,7 @@
 of the emitted CSV bytes."""
 
 import importlib
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import re
 import pkgutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -679,6 +681,34 @@ def test_exported_names_resolve(module):
             if not hasattr(mod, name)] == []
 
 
+# exported names no other module uses, each documented read-back API
+READ_BACK_API = {
+    "load_field": "reads a solve-ext run's field.bin back for analysis",
+    "mu_from_gamma": "inverse of gamma_from_mu, for eigenvalues from orders",
+}
+
+
+def test_exported_names_are_reached():
+    # every name in a module's __all__ is used somewhere in the package
+    # beyond its own def or class line: code tokens only, so __all__
+    # strings, docstrings, comments and the package's re-exports do not count
+    src = Path(conefrac.__file__).parent
+    used = []
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tokens = list(tokenize.generate_tokens(
+            io.StringIO(path.read_text(encoding="utf-8")).readline))
+        used += [tok.string for prev, tok in zip(tokens, tokens[1:])
+                 if tok.type == tokenize.NAME
+                 and prev.string not in ("def", "class")]
+    exported = {name for m in pkgutil.iter_modules(conefrac.__path__)
+                for name in importlib.import_module(f"conefrac.{m.name}")
+                .__dict__.get("__all__", ())}
+    exported |= set(conefrac.__all__)
+    assert sorted(exported - set(used) - set(READ_BACK_API)) == []
+
+
 def test_sphercap_loads_no_scipy():
     # no conefrac module imports scipy, at the top or inside a function
     script = ("import sys\n"
@@ -714,6 +744,10 @@ samples = 200
     assert report["margin_ok"]
     assert report["min_starshape_margin"] >= 3.0 / (4.0 * 12) - 1e-12
     assert report["fn_defect_range_ok"] and report["fn_distance_ok"]
+    # Omega_n's graph piece: grad G . z >= 1/(4n) once n >= ceil(6M)
+    assert report["gamma_margin_bound"] == 1.0 / (4.0 * 12)
+    assert report["gamma_margin_ok"]
+    assert report["min_gamma_margin"] >= 1.0 / (4.0 * 12) - 1e-12
 
 
 def test_cli_frequency_artifacts(tmp_path):
@@ -764,6 +798,33 @@ k = 6
     for name in ("manifest.json", "summary.json", "frequency.csv"):
         assert (out / name).read_bytes() \
             == (tmp_path / "again" / name).read_bytes()
+
+
+@pytest.mark.parametrize("task, text", [
+    # acceptance criterion 07's two-mode field
+    ("frequency", "[mesh]\nnt = 24\nntheta = 48\ngrading = 2.0\n"
+                  "[task]\nname = frequency\nk = 8\nmodes = 1:1.0, 4:0.2\n"),
+    ("solve-ext", "[mesh]\nnt = 12\nntheta = 24\nnr = 8\n"
+                  "[task]\nname = solve-ext\nh = 0.05\nk = 6\n"),
+], ids=["frequency", "solve-ext"])
+def test_summary_blowup_off_group_matches_the_csvs(tmp_path, task, text):
+    # the blow-up U(tau z) / sqrt(H(tau)) at the smallest analyzer radius,
+    # projected off j0's group: sqrt(sum phi_j^2 / H) over the other modes
+    path = _write(tmp_path, "[params]\ns = 0.5\nlambda = 0.1\n"
+                  "[cone]\npreset = half\n" + text)
+    out = tmp_path / "out"
+    assert main([task, "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    tau, H = np.loadtxt(out / "frequency.csv", delimiter=",",
+                        skiprows=1)[0, :2]
+    fourier = np.loadtxt(out / "fourier.csv", delimiter=",", skiprows=1)
+    off = fourier[(fourier[:, 0] == tau) & ~np.isin(
+        fourier[:, 1], summary["multiplicity_group"]), 2]
+    assert summary["blowup_off_group"] == pytest.approx(
+        math.sqrt(np.sum(off ** 2) / H), rel=1e-12)
+    if task == "frequency":
+        assert tau == 1e-2
+        assert summary["blowup_off_group"] <= 0.05
 
 
 def test_cli_scan_csv_matches_svg_data(tmp_path):
@@ -892,10 +953,13 @@ def test_solve_ext_h_in_polar_variables(tmp_path, polar, cartesian):
         assert all(rep["satisfied"] for rep in poho)
         results.append((
             load_field(out / "field.bin").values,
-            np.loadtxt(out / "frequency.csv", delimiter=",", skiprows=1),
-            [[rep["lhs"], rep["rhs"]] for rep in poho]))
+            *np.loadtxt(out / "frequency.csv", delimiter=",", skiprows=1).T,
+            np.array([[rep["lhs"], rep["rhs"]] for rep in poho])))
+    # each array, and each frequency.csv column, to 1e-13 of its largest
+    # entry: entries beside the Dirichlet half of the equator are small
     for got, twin in zip(*results):
-        np.testing.assert_allclose(got, twin, rtol=1e-12)
+        np.testing.assert_allclose(got, twin, rtol=0,
+                                   atol=1e-13 * np.abs(twin).max())
 
 
 def test_run_task_mesh_level_scaling(tmp_path):

@@ -276,7 +276,7 @@ def test_eigh_pencil_matches_scipy(half_mesh, half_params):
 def test_signs_and_groups_match_loop_reference(half_mesh):
     """The vectorized sign and multiplicity-group conventions against the
     per-mode loops they replaced."""
-    from conefrac.spectral import _fix_signs
+    from conefrac.spectral import _signs
     Mr = free_block(kron_forms(half_mesh)[1], half_mesh)
     rng = np.random.default_rng(3)
     V = rng.standard_normal((6, Mr.shape[0]))
@@ -288,7 +288,7 @@ def test_signs_and_groups_match_loop_reference(half_mesh):
         lead = w if abs(w) > 1e-8 else row[np.argmax(np.abs(row))]
         if lead < 0.0:
             row *= -1.0
-    np.testing.assert_array_equal(_fix_signs(V, Mw), ref)
+    np.testing.assert_array_equal(_signs(V, V @ Mw) * V, ref)
     es, _ = _eigs(12, 24, 0.5, SphericalCap.full_circle(), k=6)
     gid, group = 0, [0]
     for i in range(1, es.k):
@@ -303,14 +303,14 @@ def test_sign_fallback_ignores_rounding_between_mirror_nodes():
     """A mode with a vanishing integral whose two extreme nodes are equal
     and opposite up to rounding, +-a (1 +- 1e-15), takes the sign of the
     lower node whichever of the two rounding made larger."""
-    from conefrac.spectral import _fix_signs
+    from conefrac.spectral import _signs
     a, weight = 0.7, np.ones(5)
     V = np.array([[0.1, a * (1 + d1), 0.0, -a * (1 + d3), -0.1]
                   for d1 in (-1e-15, 0.0, 1e-15)
                   for d3 in (-1e-15, 0.0, 1e-15)])
     assert np.abs(V @ weight).max() < 1e-8          # the fallback decides
     for X in (V, -V):
-        fixed = _fix_signs(X, weight)
+        fixed = _signs(X, X @ weight) * X
         assert np.all(fixed[:, 1] > 0.0)
         np.testing.assert_array_equal(np.abs(fixed), np.abs(V))
 
