@@ -35,9 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import gauss_legendre
 from .errors import DomainError, NumericalError
 from .expressions import Expression
-from .extension import ManufacturedField, ScalarField, equator_values
+from .extension import (ManufacturedField, ScalarField, _sample,
+                        equator_values)
 from .spectral import EigenSystem
 
 __all__ = [
@@ -72,13 +74,13 @@ def _equator_rows(expr: Expression, rho: np.ndarray, mesh) -> np.ndarray:
 
 def _shell_terms(fld: ScalarField, rho: np.ndarray):
     """Normal-derivative and gradient energies, equator mass and flux on
-    the sphere of every rho, from the field's Grams."""
+    the sphere of every rho, from the field's Grams, and the rows (c, c')."""
     N, s, G = fld.params.N, fld.params.s, fld.grams
     c, cg = fld.coefficients(rho), fld.coefficients(rho, derivative=True)
     norm_der = rho ** (N + 1 - 2 * s) * _bilinear(cg, G["M"])
     grad = norm_der + rho ** (N - 1 - 2 * s) * _bilinear(c, G["K"])
     return (norm_der, grad, rho ** (N - 1 - 2 * s) * _bilinear(c, G["B"]),
-            rho ** (N + 1 - 2 * s) * _bilinear(c, G["M"], cg))
+            rho ** (N + 1 - 2 * s) * _bilinear(c, G["M"], cg), (c, cg))
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _radial_plan(edges, per_decade: int = 24) -> _RadialPlan:
                               / math.log(10.0)).astype(int))
     xe = np.concatenate([np.linspace(a, b, m + 1)[:-1]
                          for a, b, m in zip(x[:-1], x[1:], n)] + [x[-1:]])
-    xg, wg = np.polynomial.legendre.leggauss(4)
+    xg, wg = gauss_legendre(4)
     mid = 0.5 * (xe[:-1] + xe[1:])
     half = 0.5 * np.diff(xe)
     rho = np.exp((mid[:, None] + half[:, None] * xg[None, :]).ravel())
@@ -156,21 +158,21 @@ def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray):
 
 
 def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray):
-    """(vol, hardy, trace_h): the radial integrals of the energy from the
-    vertex to every radius.  Manufactured fields give vol and hardy in
-    closed form; the rest comes from the plan, and a grid field's power
-    continuation supplies the core below the plan's lower end (all of the
-    integral for radii below it)."""
+    """(vol, hardy, trace_h, rows): the radial integrals of the energy from
+    the vertex to every radius, and any rows (c, c') formed at the core
+    point and the nodes.  Manufactured fields give vol and hardy in closed
+    form, the rest comes from the plan; a grid field's power continuation
+    gives the part below the plan's lower end, all of it for smaller radii."""
     N, s, h = fld.params.N, fld.params.s, fld.params.h
     lo = plan.edges[0]
     rho = np.append(lo, plan.rho)          # the core point, then the nodes
     core = np.minimum(radii, lo) / lo      # r / lo below the plan, else 1
     if isinstance(fld, ManufacturedField):
         vol, hardy = _manufactured_terms(fld, radii)
-        h_power = math.inf                 # no core
+        h_power, rows = math.inf, ()       # no core, no rows yet
     else:
         gloc = fld.local_power()
-        _, e_vol, e_hardy, _ = _shell_terms(fld, rho)
+        _, e_vol, e_hardy, _, rows = _shell_terms(fld, rho)
         power = N - 2.0 * s + 2.0 * gloc
         if power <= 1e-2:
             # the trace fails to vanish fast enough at the vertex: the
@@ -188,12 +190,14 @@ def _d_terms(fld: ScalarField, plan: _RadialPlan, radii: np.ndarray):
                  + e_hardy[0] * lo / power * core ** power)
         h_power = N + 2.0 * gloc if N + 2.0 * gloc > 1e-2 else math.inf
     if h is None:
-        return vol, hardy, np.zeros_like(vol)
-    tr = fld.trace_values(rho)
+        return vol, hardy, np.zeros_like(vol), rows
+    rows = rows or (fld.coefficients(rho),
+                    fld.coefficients(rho, derivative=True))
+    tr = _sample(rows[0], fld.table[:, fld.mesh.equator_ids])
     e_h = rho ** (N - 1) * _bilinear(_equator_rows(h, rho, fld.mesh) * tr,
                                      fld.mesh.Bth_dense, tr)
     return vol, hardy, (plan.integrate(e_h[1:], radii)
-                        + e_h[0] * lo / h_power * core ** h_power)
+                        + e_h[0] * lo / h_power * core ** h_power), rows
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +272,7 @@ def frequency_trace(fld: ScalarField, radii) -> FrequencyTrace:
     radii = np.asarray(radii, dtype=float)
     params = fld.params
     Hs = _boundary_mass(fld, radii)
-    vol, hardy, trace_h = _d_terms(fld, _plan_for(fld, radii), radii)
+    vol, hardy, trace_h, _ = _d_terms(fld, _plan_for(fld, radii), radii)
     Ds = radii ** (2.0 * params.s - params.N) * (
         vol - params.kappa * (params.lam * hardy + trace_h))
     ncal = Ds / Hs
@@ -478,16 +482,15 @@ def pohozaev_check(fld: ScalarField, r
     p = fld.params
     N, s, lam, h, kappa = p.N, p.s, p.lam, p.h, p.kappa
 
-    norm_der, grad, circ_hardy, flux = _shell_terms(fld, radii)
+    norm_der, grad, circ_hardy, flux, _ = _shell_terms(fld, radii)
 
     plan = _plan_for(fld, radii)
-    vol, hardy, trace_h = _d_terms(fld, plan, radii)
+    vol, hardy, trace_h, rows = _d_terms(fld, plan, radii)
 
     lhs = 0.5 * radii * (grad - kappa * lam * circ_hardy) - radii * norm_der
     if h is not None:
         eq = fld.table[:, fld.mesh.equator_ids]
-        tr = fld.coefficients(plan.rho) @ eq
-        dtr = fld.coefficients(plan.rho, derivative=True) @ eq
+        tr, dtr = (c[1:] @ eq for c in rows)    # rows: core point, nodes
         hv = _equator_rows(h, plan.rho, fld.mesh)
         Bth = fld.mesh.Bth_dense
         d_mass = plan.rho ** N * (_bilinear(hv * dtr, Bth, tr)

@@ -1,5 +1,5 @@
 """Hypographical cones, their spherical caps, and the explicit vertex
-smoothing with certified star-shapedness.
+smoothing with certified star-shapedness; also the package's Gauss rules.
 
 The cone is the region below the graph of a 1-homogeneous function.  For the
 planar case (N = 2) the profile reduces to two slopes ``g(+1), g(-1)`` and all
@@ -32,6 +32,47 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# Gauss rules on [-1, 1] (Golub-Welsch), for every module of the package
+# ---------------------------------------------------------------------------
+
+def _gauss_jacobi(n: int, beta: float):
+    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1] (Golub &
+    Welsch 1969): nodes and weights mu0 v0^2 from the eigenpairs of the
+    tridiagonal Jacobi matrix, with mu0 = 2^(beta+1) / (beta + 1)."""
+    k = np.arange(1, n, dtype=float)
+    ab = 2.0 * k + beta
+    J = np.diag(np.append(beta / (beta + 2.0),
+                          beta * beta / (ab * (ab + 2.0))))
+    J += np.diag(2.0 * k * (k + beta) / (ab * np.sqrt(ab * ab - 1.0)), 1)
+    nodes, vecs = np.linalg.eigh(J, UPLO="U")
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """n-point Gauss-Legendre rule, read-only, bit-identical to numpy's
+    ``leggauss(n)`` by taking its steps in its order: eigenvalues of the
+    scaled Jacobi matrix, one Newton step, weights 1 / (P_n-1 P_n')."""
+    def legval(x, c):       # numpy legval's Clenshaw recurrence, in order
+        c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
+        for nd in range(len(c) - 1, 1, -1):
+            c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                      c0 + c1 * x * ((2 * nd - 1) / nd))
+        return c0 + c1 * x
+
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = np.linalg.eigvalsh(np.diag(np.arange(1, n) * scl[:-1] * scl[1:], -1))
+    df = legval(x, [(2.0 * k + 1.0) * ((n - k) % 2) for k in range(n)])
+    x -= legval(x, [0.0] * n + [1.0]) / df  # df: P_n' as legder forms it
+    fm = legval(x, [0.0] * (n - 1) + [1.0])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +221,6 @@ def mollifier(tau) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-_RAMP_RULE = np.polynomial.legendre.leggauss(48)
-
-
 @lru_cache(maxsize=4096)
 def _ramp_integral(w: float) -> float:
     """Integral R(w) of the mollifier over [1, 1 + w], 0 <= w <= 1: a fixed
@@ -194,7 +232,7 @@ def _ramp_integral(w: float) -> float:
         return 0.5
     if w > 0.5:
         return (w - 0.5) + _ramp_integral(1.0 - w)
-    x, wts = _RAMP_RULE
+    x, wts = gauss_legendre(48)
     return float(0.5 * w * (wts @ mollifier(1.0 + 0.5 * w * (x + 1.0))))
 
 

@@ -12,7 +12,6 @@ the eigen solve on the run's own mesh, bar the full plane's closed form.
 from __future__ import annotations
 
 import configparser
-import difflib
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -49,6 +48,7 @@ def _numbers(text: str) -> list[float]:
 
 
 def _suggest(key: str, pool) -> str:
+    import difflib                  # only a config error needs it
     close = difflib.get_close_matches(key, sorted(pool), n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
 

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cones import SphericalCap
+from .cones import SphericalCap, gauss_legendre
 from .errors import DomainError, NumericalError
 from .expressions import Expression
 from .params import ProblemParams
@@ -347,7 +347,7 @@ def _trace_h(grid: HalfBallGrid, h: Expression):
     blocks are applied directly."""
     mesh = grid.mesh
     theta_segments = np.flatnonzero(mesh.segment_mask)
-    xg, wg = np.polynomial.legendre.leggauss(4)
+    xg, wg = gauss_legendre(4)
 
     def cells(lo, width):
         """Gauss points, weights and the two hats (cell, 2, point)."""

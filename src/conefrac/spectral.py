@@ -182,12 +182,14 @@ def _sparse_smallest(mesh, k, params):
         opinv, c_t(mesh.to_modes(x0).view(float)), k, n)
     Z = Z.reshape((k,) + d.shape)
     MZ = d * Z                                  # M x = C z
-    MZ[:, :-1] += o[:-1] * Z[:, 1:]
     Z[:, 0] /= d[0]                             # x = C^-T z, top down
     for i in range(1, mesh.nt):
+        MZ[:, i - 1] += o[i - 1] * Z[:, i]      # before row i is replaced
         Z[:, i] -= o[i - 1] * Z[:, i - 1]
         Z[:, i] /= d[i]
-    V, MV = (mesh.from_modes(Y.view(complex)).reshape(k, -1) for Y in (Z, MZ))
+    inv = 1.0 / mesh.mode_scale                 # ``from_modes`` in place
+    V, MV = (np.fft.irfft(np.multiply(Y, inv, out=Y), mesh.ntheta, axis=-1)
+             .reshape(k, -1) for Y in (Z.view(complex), MZ.view(complex)))
     V[:, mesh.dirichlet_ids] = 0.0
     return sigma + 1.0 / theta, V, MV, sigma, steps, residual
 

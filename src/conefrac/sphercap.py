@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import SphericalCap
+from .cones import SphericalCap, _gauss_jacobi, gauss_legendre
 from .errors import (DomainError, GeometryError, NumericalError,
                      UnresolvedCapError)
 from .params import ProblemParams
@@ -260,19 +260,6 @@ def eigh_pencil(A: np.ndarray, B: np.ndarray):
     return w, Li.T @ Y
 
 
-def _gauss_jacobi(n: int, beta: float):
-    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1] (Golub &
-    Welsch 1969): nodes and weights mu0 v0^2 from the eigenpairs of the
-    tridiagonal Jacobi matrix, with mu0 = 2^(beta+1) / (beta + 1)."""
-    k = np.arange(1, n, dtype=float)
-    ab = 2.0 * k + beta
-    J = np.diag(np.append(beta / (beta + 2.0),
-                          beta * beta / (ab * (ab + 2.0))))
-    J += np.diag(2.0 * k * (k + beta) / (ab * np.sqrt(ab * ab - 1.0)), 1)
-    nodes, vecs = np.linalg.eigh(J, UPLO="U")
-    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
-
-
 def polar_matrices(t_nodes: np.ndarray, s: float):
     """Assembled 1-D polar matrices (P0, P1, P2) on the rows t_nodes:
 
@@ -297,7 +284,7 @@ def polar_matrices(t_nodes: np.ndarray, s: float):
                  / (pow_exp * dt * dt))[:, None, None]
 
     # quadrature points t (ncell, q) and weights q0 (mass), q2 (azimuthal)
-    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_PTS)
+    xg, wg = gauss_legendre(_GAUSS_PTS)
     t = t0[:, None] + 0.5 * dt[:, None] * (xg + 1.0)
     w = 0.5 * dt[:, None] * wg * np.sin(t) ** beta
     q0 = w * np.cos(t)
@@ -317,7 +304,7 @@ def polar_matrices(t_nodes: np.ndarray, s: float):
     # (finite because the points stay interior)
     t_last = t_nodes[-1]
     W0[-1, 1, 1] += (1.0 - math.sin(t_last) ** pow_exp) / pow_exp
-    xp, wp = np.polynomial.legendre.leggauss(_POLE_GAUSS_PTS)
+    xp, wp = gauss_legendre(_POLE_GAUSS_PTS)
     half = 0.5 * (0.5 * math.pi - t_last)
     tp = t_last + half * (xp + 1.0)
     W2[-1, 1, 1] += float(np.sum(half * wp * np.sin(tp) ** beta / np.cos(tp)))

@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from conefrac.cones import (ApproxDomain, _ramp_integral, ConeProfile, SmoothedCone,
-                            SphericalCap, cap_of_cone, mollifier,
-                            smoothing_defect, smoothing_profile,
+                            SphericalCap, cap_of_cone, gauss_legendre,
+                            mollifier, smoothing_defect, smoothing_profile,
                             smoothing_profile_derivative, starshape_margin)
 from conefrac.errors import DomainError, GeometryError
 
@@ -205,6 +205,20 @@ def test_fn_exact_regimes():
     assert smoothing_profile(10, 0.05) == pytest.approx(0.035, abs=1e-17)
     assert smoothing_profile(10, 0.01) == 0.0          # t = 1/n^2 boundary
     assert smoothing_profile(10, 0.02) == pytest.approx(0.02 - 0.015)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12, 16, 48, 200])
+def test_gauss_legendre_is_leggauss_bit_for_bit(n):
+    # the package's own rule replaces numpy.polynomial's at every call site,
+    # so every form stays byte-identical; it is cached and read-only
+    from numpy.polynomial.legendre import leggauss
+    x, w = gauss_legendre(n)
+    ref_x, ref_w = leggauss(n)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert gauss_legendre(n)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 1.0
 
 
 def test_ramp_integral_matches_adaptive_quadrature():

@@ -18,7 +18,7 @@ import pytest
 
 import conefrac
 from conefrac.cli import main, run_task
-from conefrac.config import parse_config
+from conefrac.config import TASKS, parse_config
 from conefrac.errors import ConfigurationError
 from conefrac.params import ProblemParams, hardy_constant_full_space
 
@@ -630,6 +630,8 @@ SMALL_CONFIGS = {
     "solve-ext": "[params]\ns = 0.5\nlambda = 0.1\n[mesh]\nnt = 12\n"
                  "ntheta = 24\nnr = 8\nrmin = 1e-2\n[task]\n"
                  "name = solve-ext\nh = 0.05\nlid_mode = 1\nk = 6\n",
+    "smooth-cone": "[cone]\ng_plus = 1.0\ng_minus = 1.0\n[task]\n"
+                   "name = smooth-cone\nn = 12\nsamples = 20\n",
 }
 
 
@@ -649,7 +651,9 @@ def test_cli_rerun_is_byte_identical(tmp_path, task):
 
 def test_runs_load_no_optimize_special_or_integrate(tmp_path):
     # the runtime needs numpy only: the import and a run of each of the
-    # five tasks load no scipy module at all, and no numpy.ma either
+    # six tasks load no scipy module at all, and no numpy.ma either; no
+    # numpy.polynomial (the Gauss rules are conefrac's own) and no difflib
+    # (only a config error's suggestion imports it)
     script = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -658,17 +662,24 @@ def test_runs_load_no_optimize_special_or_integrate(tmp_path):
         "def ma_modules():\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "def polynomial_difflib_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[:2] == ['numpy', 'polynomial']\n"
+        "                  or m.split('.')[0] == 'difflib')\n"
         "from conefrac.cli import run_task\n"
         "from conefrac.config import parse_config\n"
-        "print('import', scipy_modules(), ma_modules())\n"
+        "print('import', scipy_modules(), ma_modules(),\n"
+        "      polynomial_difflib_modules())\n"
         f"for name, text in {SMALL_CONFIGS!r}.items():\n"
         f"    run_task(parse_config(text), {str(tmp_path)!r} + '/' + name)\n"
-        "    print(name, scipy_modules(), ma_modules())\n")
+        "    print(name, scipy_modules(), ma_modules(),\n"
+        "          polynomial_difflib_modules())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(conefrac.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == [f"{name} [] []" for name in
+    assert proc.stdout.splitlines() == [f"{name} [] [] []" for name in
                                         ["import", *SMALL_CONFIGS]]
+    assert sorted(SMALL_CONFIGS) == sorted(TASKS)
     for name in SMALL_CONFIGS:
         assert (tmp_path / name / "manifest.json").exists()
 
