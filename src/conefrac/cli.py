@@ -86,14 +86,15 @@ def _manifest(out: Path, cfg: RunConfig, outputs, notes: dict) -> None:
 
 
 def _eigen_notes(es) -> dict:
-    """How the eigen solve ran: its path, Lanczos shift, step count and
-    largest residual, the Hardy constant it checked lam against, its
-    closed-form full-circle floor and the margin lam / Lambda (all None when
-    lam <= 0)."""
+    """How the eigen solve ran: its path, Lanczos shift, step count, full
+    reorthogonalization sweeps and largest residual, the Hardy constant it
+    checked lam against, its closed-form full-circle floor and the margin
+    lam / Lambda (all None when lam <= 0)."""
     lam_star = es.hardy_lambda
     floor = None if lam_star is None else hardy_constant_full_space(es.params)
     return {"eigen_path": es.eigen_path, "eigen_shift": es.shift,
             "lanczos_steps": es.lanczos_steps,
+            "lanczos_reorths": es.lanczos_reorths,
             "lanczos_residual": es.lanczos_residual,
             "hardy_lambda": lam_star, "hardy_floor": floor,
             "lambda_margin": None if lam_star is None else es.lam / lam_star}

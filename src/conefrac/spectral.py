@@ -3,7 +3,8 @@ conditions.
 
 The generalized pencil is (K - lam kappa B, M) on the free nodes.  Its
 smallest eigenpairs come from shift-invert Lanczos (Parlett, The Symmetric
-Eigenvalue Problem, 1980) with the shift sigma just below the spectrum floor
+Eigenvalue Problem, 1980; partial reorthogonalization after Simon, Math.
+Comp. 42, 1984) with the shift sigma just below the spectrum floor
 -((N-2s)/2)^2, in mass-factor coordinates z = C^T x on the mesh's theta
 modes, M = C C^T with C = U0 (x) diag(sqrt m_k) bidiagonal in t, so that
 the recurrence uses plain dot products and (K - lam kappa B - sigma M)^-1
@@ -42,8 +43,9 @@ class EigenSystem:
     id to every mode (eigenvalues within 1e-6 (1 + |mu|) of each other share
     a group).  ``hardy_lambda`` is the cap's Hardy constant that lam was
     checked against, None when lam <= 0.  ``eigen_path`` is "lanczos" or
-    "dense", ``shift`` the Lanczos shift, ``lanczos_steps`` its step count
-    and ``lanczos_residual`` the largest |beta_m s_mi| / theta_i of the
+    "dense", ``shift`` the Lanczos shift, ``lanczos_steps`` its step count,
+    ``lanczos_reorths`` the number of steps that swept the whole basis and
+    ``lanczos_residual`` the largest |beta_m s_mi| / theta_i of the
     returned pairs (all None when dense).
     """
 
@@ -59,6 +61,7 @@ class EigenSystem:
     shift: float | None = None
     lanczos_steps: int | None = None
     lanczos_residual: float | None = None
+    lanczos_reorths: int | None = None
 
     @property
     def k(self) -> int:
@@ -105,7 +108,7 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
                 f"constant on this {mesh.nt}x{mesh.ntheta} mesh is "
                 f"{lam_star:.6g}")
 
-    shift = steps = residual = None
+    shift = steps = residual = reorths = None
     if k >= n - 1:      # the whole spectrum, or all but one mode
         path = "dense"
         free = np.ix_(mesh.free_nodes, mesh.free_nodes)
@@ -116,7 +119,8 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
         MV = V @ mesh.M
     else:
         path = "lanczos"
-        w, V, MV, shift, steps, residual = _sparse_smallest(mesh, k, params)
+        w, V, MV, shift, steps, residual, reorths = _sparse_smallest(
+            mesh, k, params)
 
     order = np.argsort(w, kind="stable")
     w, V, MV = w[order], V[order], MV[order]
@@ -133,13 +137,14 @@ def solve_eigs(mesh: HemisphereMesh, params: ProblemParams,
     return EigenSystem(mu=w, vectors=V, mass_vectors=MV, gamma=gamma,
                        group=group, params=params, mesh=mesh,
                        hardy_lambda=lam_star, eigen_path=path, shift=shift,
-                       lanczos_steps=steps, lanczos_residual=residual)
+                       lanczos_steps=steps, lanczos_residual=residual,
+                       lanczos_reorths=reorths)
 
 
 def _sparse_smallest(mesh, k, params):
     """Shift-invert Lanczos at sigma = -1.01 c^2 - 0.05 (1 + c^2) < -c^2,
     c^2 = ((N-2s)/2)^2; returns the eigenvalues, the eigenvectors as node
-    rows, sigma, the number of Lanczos steps and the largest residual.  The
+    rows, sigma, the Lanczos steps and sweeps and the largest residual.  The
     shift needs no check: for lam <= 0, K - lam kappa B >= 0, and for
     0 < lam < Lambda_h (same mesh and free nodes, as ``solve_eigs``
     enforces) the discrete Hardy inequality kappa B <= (K + c^2 M) /
@@ -178,7 +183,7 @@ def _sparse_smallest(mesh, k, params):
         X[0, :-1] += np.multiply(o[:-1], Z[1:], out=T[0, 1:])
         return c_t(solver.solve_modes(X)[0])
 
-    theta, Z, steps, residual = _lanczos(
+    theta, Z, steps, residual, sweeps = _lanczos(
         opinv, c_t(mesh.to_modes(x0).view(float)), k, n)
     Z = Z.reshape((k,) + d.shape)
     MZ = d * Z                                  # M x = C z
@@ -191,31 +196,35 @@ def _sparse_smallest(mesh, k, params):
     V, MV = (np.fft.irfft(np.multiply(Y, inv, out=Y), mesh.ntheta, axis=-1)
              .reshape(k, -1) for Y in (Z.view(complex), MZ.view(complex)))
     V[:, mesh.dirichlet_ids] = 0.0
-    return sigma + 1.0 / theta, V, MV, sigma, steps, residual
+    return sigma + 1.0 / theta, V, MV, sigma, steps, residual, sweeps
 
 
 def _lanczos(opinv, v0: np.ndarray, k: int, n: int):
     """The k largest eigenpairs (theta_i, z_i) of the symmetric positive
     semi-definite OP = opinv(.), whose range has dimension n.
 
-    Plain Lanczos, each three-term step followed by one full
-    reorthogonalization, with no restart: the basis Q grows until the k
-    largest Ritz pairs of the recurrence's tridiagonal T_m all meet
-    |beta_m s_mi| <= eps theta_i (ARPACK's test at tol = 0), checked every
-    max(``LANCZOS_CHECK``, m / 16) steps so that the checks' dense eigh of
-    T_m costs O(m^3) in all, or until they span the range, of dimension n
-    (v0 may be longer; mode rows also span Dirichlet nodes).  opinv may
-    project its argument, a basis vector, onto the range in place, which
-    keeps the recurrence's rounding from growing in the null space.  A
-    breakdown (beta_m at rounding level) before that raises NumericalError.
-    Returns theta ascending, the Ritz vectors as orthonormal rows, m and the
-    largest residual max_i |beta_m s_mi| / theta_i.
+    Lanczos with no restart and partial reorthogonalization (Simon, Math.
+    Comp. 42, 1984): each three-term step is orthogonalized against q_j,
+    and Simon's recurrence carries w_i ~ q_{j+1}^T q_i from alpha, beta and
+    ||OP|| <= max_i |alpha_i| + beta_i + beta_{i-1}; where max |w| >
+    sqrt(eps), that vector and the next are swept against the whole basis
+    Q and w is reset to eps.  Q grows until the k largest Ritz pairs of the
+    tridiagonal T_m all meet |beta_m s_mi| <= eps theta_i (ARPACK's test at
+    tol = 0), checked every max(``LANCZOS_CHECK``, m / 16) steps so that
+    the checks' dense eigh of T_m costs O(m^3) in all, or until they span
+    the range, of dimension n (v0 may be longer; mode rows also span
+    Dirichlet nodes).  opinv may project its argument, a basis vector, onto
+    the range in place, which keeps the recurrence's rounding from growing
+    in the null space.  A breakdown (beta_m at rounding level) before that
+    raises NumericalError.  Returns theta ascending, the Ritz vectors as
+    orthonormal rows, m, max_i |beta_m s_mi| / theta_i and the sweep count.
     """
     eps = np.finfo(float).eps
     Q = np.empty((min(n, 6 * k + 20), len(v0)))
-    alpha, beta = np.zeros(n), np.zeros(n)
+    alpha, beta, w, w_prev = np.zeros((4, n + 1))
     Q[0] = v0 / math.sqrt(v0 @ v0)
-    check = k                               # the step of the next check
+    w[0] = 1.0
+    check, norm, sweeps, again = k, 0.0, 0, False
     for m in range(1, n + 1):
         j = m - 1
         r = opinv(Q[j])
@@ -223,10 +232,25 @@ def _lanczos(opinv, v0: np.ndarray, k: int, n: int):
         r -= alpha[j] * Q[j]
         if j:
             r -= beta[j - 1] * Q[j - 1]
-        h = Q[:m] @ r                       # full reorthogonalization
-        r -= h @ Q[:m]
-        alpha[j] += h[j]
+        h = Q[j] @ r                        # local reorthogonalization
+        r -= h * Q[j]
+        alpha[j] += h
         beta[j] = math.sqrt(r @ r)
+        norm = max(norm, abs(alpha[j]) + beta[j] + beta[j - 1])
+        # w_i <- (beta_i w_{i+1} + (alpha_i - alpha_j) w_i + beta_{i-1}
+        #         w_{i-1} - beta_{j-1} w'_i +- eps ||OP||) / beta_j
+        x = ((alpha[:j] - alpha[j]) * w[:j] + beta[:j] * w[1:m]
+             - beta[j - 1] * w_prev[:j])
+        x[1:] += (beta[:j] * w[:j])[:-1]
+        w_prev[:m], w[:j] = w[:m], (x + np.copysign(eps * norm, x)) / beta[j]
+        w[j], w[m] = eps * norm / beta[j], 1.0
+        if again or np.abs(w[:m]).max() > math.sqrt(eps):
+            h = Q[:m] @ r                   # sweep against the whole basis
+            r -= h @ Q[:m]
+            alpha[j] += h[j]
+            beta[j] = math.sqrt(r @ r)
+            w[:m] = eps
+            sweeps, again = sweeps + 1, not again
         breakdown = beta[j] <= eps * np.abs(alpha[:m]).max()
         if m == n or (m >= k and (breakdown or m >= check)):
             check = m + max(LANCZOS_CHECK, m // 16)
@@ -236,7 +260,11 @@ def _lanczos(opinv, v0: np.ndarray, k: int, n: int):
             theta, S = theta[-k:], S[:, -k:]
             bs = np.abs(beta[j] * S[-1])
             if m == n or np.all(bs <= eps * theta):
-                return theta, S.T @ Q[:m], m, float(np.max(bs / theta))
+                # Ritz vectors in W = R^-1 Q (Q Q^T = R R^T), where T_m is
+                # OP's projection to rounding (Simon, Lin. Alg. Appl. 1984)
+                R = np.linalg.cholesky(Q[:m] @ Q[:m].T)
+                return (theta, np.linalg.solve(R.T, S).T @ Q[:m], m,
+                        float(np.max(bs / theta)), sweeps)
         if breakdown:
             raise NumericalError(f"Lanczos broke down after {m} steps, "
                                  f"before {k} eigenpairs converged")

@@ -385,6 +385,7 @@ def test_cli_determinism(tmp_path):
     assert notes == {"eigen_path": "lanczos",
                      "eigen_shift": pytest.approx(-0.315, rel=1e-15),
                      "lanczos_steps": 28,
+                     "lanczos_reorths": 8,
                      "lanczos_residual": pytest.approx(
                          0.0, abs=np.finfo(float).eps),
                      "hardy_lambda": None, "hardy_floor": None,

@@ -113,15 +113,16 @@ def test_lanczos_spanning_the_free_space_matches_dense(half_cap, lam):
     es = solve_eigs(mesh, p, k=n - 2)
     dense = solve_eigs(mesh, p, k=n - 1)
     assert (es.eigen_path, dense.eigen_path) == ("lanczos", "dense")
-    assert dense.lanczos_residual is None
+    assert dense.lanczos_residual is None and dense.lanczos_reorths is None
     np.testing.assert_allclose(es.mu, dense.mu[:n - 2], rtol=1e-12, atol=0)
     V = es.vectors[:, mesh.free_nodes]
     Mr = free_block(kron_forms(mesh)[1], mesh)
     assert np.abs(V @ Mr @ V.T - np.eye(n - 2)).max() < 1e-12
 
 
-def _check_against_eigsh(cap, lam, k=12):
-    """The numpy shift-invert Lanczos against scipy's ARPACK eigsh applying
+def _check_against_eigsh(cap, lam, k=12, mesh_size=(48, 96)):
+    """The numpy shift-invert Lanczos on the nt x ntheta ``mesh_size`` mesh
+    against scipy's ARPACK eigsh applying
     a sparse LU of K - lam kappa B - sigma M at the same shift: eigenvalues
     to 1e-12 relative (1e-12 absolute near zero), the same multiplicity
     groups, M-orthonormal eigenvectors, and |<v, v_ref>_M| >= 1 - 1e-10
@@ -129,7 +130,7 @@ def _check_against_eigsh(cap, lam, k=12):
     may lie beyond k)."""
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
     p = ProblemParams(s=0.5, lam=lam)
-    mesh = build_mesh(48, 96, 0.5, cap)
+    mesh = build_mesh(*mesh_size, 0.5, cap)
     es = solve_eigs(mesh, p, k=k)
     assert es.eigen_path == "lanczos"
     assert es.shift < p.spectrum_floor
@@ -237,6 +238,34 @@ def test_lanczos_many_modes_matches_sparse_lu_shift_invert():
     """k = 60 takes the recurrence past 80 steps, where the convergence
     checks space out beyond every fourth step."""
     _check_against_eigsh(cap_of_cone(ConeProfile.half_plane()), 0.1, k=60)
+
+
+def test_lanczos_on_benchmark_eigen_mesh_matches_sparse_lu_shift_invert():
+    """The benchmark's eigen solve: half cap, 96 x 192, lam = 0.1, k = 16,
+    where the partially reorthogonalized basis sweeps at fewer than half of
+    the steps."""
+    es = _check_against_eigsh(cap_of_cone(ConeProfile.half_plane()), 0.1,
+                              k=16, mesh_size=(96, 192))
+    assert 0 < es.lanczos_reorths < es.lanczos_steps / 2
+
+
+def test_lanczos_partial_reorthogonalization_on_diagonal_operator():
+    """A diagonal OP of order 400 with a geometric spectrum and a cluster of
+    three values 1e-4 apart: the 20 largest come back to 1e-13 relative,
+    with no ghost copy, as rows orthonormal to 1e-14, after fewer sweeps
+    than steps (with no sweep at all the basis loses its rank)."""
+    from conefrac.spectral import _lanczos
+    n, k = 400, 20
+    d = 0.97 ** np.arange(n)
+    d[10:13] = d[10] * (1.0 + np.array([0.0, 1e-4, 2e-4]))
+    d = d[np.random.default_rng(7).permutation(n)]
+    theta, Y, steps, residual, sweeps = _lanczos(
+        lambda z: d * z, np.ones(n) + 0.01 * np.sin(np.arange(n)), k, n)
+    np.testing.assert_allclose(theta, np.sort(d)[-k:], rtol=1e-13, atol=0)
+    assert np.diff(theta).min() > 0.5e-4 * theta[-1]
+    assert np.abs(Y @ Y.T - np.eye(k)).max() <= 1e-14
+    assert residual <= np.finfo(float).eps
+    assert 0 < sweeps < steps
 
 
 def test_lanczos_zero_mode_matches_sparse_lu_shift_invert():
