@@ -24,7 +24,9 @@ radius with a panel edge at every requested radius, and the integrals up to
 every radius read off one cumulative sum.  Grid fields add a local-power
 continuation below the innermost shell.
 
-Every entry point reads N, s, lambda and h from the field's ``params``.
+Every entry point reads N, s, lambda and h from the field's ``params`` and
+the modes from its eigen system ``es``, which without h also fixes the
+order fit's remainder exponent.
 """
 
 from __future__ import annotations
@@ -59,11 +61,10 @@ __all__ = [
 
 def _bilinear(C: np.ndarray, G: np.ndarray,
               D: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise c_i^T G d_i for a dense G, D defaulting to C: one
+    """Row-wise c_i^T G d_i for a dense G, D defaulting to C: ``_sample``'s
     vector-matrix product and one row sum per row, so a row of a batched
     call is bit-identical to the call at that radius alone."""
-    CG = (C[:, None, :] @ G)[:, 0, :]
-    return np.sum(CG * (C if D is None else D), axis=1)
+    return np.sum(_sample(C, G) * (C if D is None else D), axis=1)
 
 
 def _equator_rows(expr: Expression, rho: np.ndarray, mesh) -> np.ndarray:
@@ -128,18 +129,19 @@ def _plan_for(fld: ScalarField, radii: np.ndarray) -> _RadialPlan:
 # H and D
 # ---------------------------------------------------------------------------
 
-def _boundary_mass(fld: ScalarField, radii: np.ndarray) -> np.ndarray:
-    """H on the field's mass Gram; H <= 0 (a trivial field) raises."""
+def _boundary_mass(fld: ScalarField, radii: np.ndarray):
+    """H on the field's mass Gram, and its rows c; H <= 0 (trivial) raises."""
     outside = radii[(radii <= 0.0) | (radii > 1.0 + 1e-12)]
     if len(outside):
         raise DomainError(f"radius must lie in (0, 1], got {outside[0]}")
-    H = _bilinear(fld.coefficients(radii), fld.grams["M"])
+    c = fld.coefficients(radii)
+    H = _bilinear(c, fld.grams["M"])
     bad = np.flatnonzero(H <= 0.0)
     if len(bad):
         raise NumericalError(
             f"H({radii[bad[0]]}) = {H[bad[0]]} is not positive: the field "
             "is trivial there")
-    return H
+    return H, c
 
 
 def _manufactured_terms(fld: ManufacturedField, radii: np.ndarray):
@@ -218,47 +220,41 @@ class FrequencyTrace:
     fit_fallback: bool
 
 
-def _fit_gamma(radii, ncal, delta_fixed=None):
-    """Fit N(r) ~ gamma + c r^delta on the smallest half of the radii.
-    For a fixed delta the fit is linear in (gamma, c) (variable projection,
-    Golub & Pereyra 1973): a free delta is scanned on a grid over [0.05, 8]
-    and refined by golden section in the grid cells around the minimum."""
+def _fit_gamma(radii, ncal, delta):
+    """Fit N(r) ~ gamma + c r^delta on the smallest half of the radii, a
+    linear least-squares fit in (gamma, c).  No delta, a non-finite N or an
+    ill-conditioned fit falls back to the smallest-radius value; a flat N
+    has no remainder to fit."""
     m = max(4, len(radii) // 2)
-    r = np.asarray(radii[:m])
-    y = np.asarray(ncal[:m])
-    if delta_fixed is not None:
-        A = np.column_stack([np.ones_like(r), r ** delta_fixed])
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > 1e12:
-            return float(y[0]), None, None, True
-        return float(sol[0]), delta_fixed, float(sol[1]), False
-
+    r, y = np.asarray(radii[:m]), np.asarray(ncal[:m])
+    if delta is None or not np.all(np.isfinite(y)):
+        return float(y[0]), None, None, True
     if np.ptp(y) < 1e-12:
         return float(y[0]), None, 0.0, False
-
-    yc = y - y.mean()
-
-    def project(d):  # squared residual, gamma and c; one fit per entry of d
-        x = r ** np.asarray(d)[..., None]
-        xc = x - x.mean(axis=-1, keepdims=True)
-        c = (xc @ yc) / np.sum(xc * xc, axis=-1)
-        return (np.sum((yc - c[..., None] * xc) ** 2, axis=-1),
-                y.mean() - c * x.mean(axis=-1), c)
-
-    grid = np.linspace(0.05, 8.0, 80)
-    i = int(np.argmin(project(grid)[0]))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    golden = 0.5 * (math.sqrt(5.0) - 1.0)
-    for _ in range(64):
-        x1, x2 = b - golden * (b - a), a + golden * (b - a)
-        f1, f2 = project([x1, x2])[0]
-        a, b = (a, x2) if f1 < f2 else (x1, b)
-    d = 0.5 * (a + b)
-    _, g, c = project(d)
-    if not np.isfinite(g + c):
+    A = np.column_stack([np.ones_like(r), r ** delta])
+    if not np.linalg.cond(A) <= 1e12:           # also inf or nan
         return float(y[0]), None, None, True
-    return float(g), float(d), float(c), False
+    (g, c), *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(g), delta, float(c), False
+
+
+def _remainder_exponent(fld: ScalarField, c0: np.ndarray) -> float | None:
+    """2 (gamma_g - gamma_j0) from the mode profiles phi = psi^T M T^T c0
+    of the field's eigen system at the smallest radius: j0 the mode of
+    largest |phi_j|, g the group above j0's with the largest leading term
+    (gamma_g - gamma_j0) sum_{j in g} phi_j^2 of N - gamma_j0.  None
+    without an eigen system or a group above j0's."""
+    es = fld.es
+    if es is None:
+        return None
+    phi = es.mass_vectors @ fld.table.T @ c0
+    j0 = int(np.argmax(np.abs(phi)))
+    above = int(es.group[j0]) + 1
+    first = np.flatnonzero(np.diff(es.group, prepend=-1))  # per group
+    gap = es.gamma[first] - es.gamma[j0]
+    # np.bincount, not np.unique: that loads numpy.ma
+    lead = (gap * np.bincount(es.group, weights=phi * phi))[above:]
+    return 2.0 * float(gap[above + np.argmax(lead)]) if len(lead) else None
 
 
 def frequency_trace(fld: ScalarField, radii) -> FrequencyTrace:
@@ -266,12 +262,12 @@ def frequency_trace(fld: ScalarField, radii) -> FrequencyTrace:
     them from ``config.analyzer_radii``), plus the r -> 0 extrapolation.
 
     With a perturbation present the remainder exponent is pinned to
-    2s - N/p; without one the exponent is free.  An ill-conditioned fit
-    falls back to the smallest-radius frequency value.
+    2s - N/p; without one ``_remainder_exponent`` reads it off the field's
+    modes.  No exponent or an ill-conditioned fit falls back to N(radii[0]).
     """
     radii = np.asarray(radii, dtype=float)
     params = fld.params
-    Hs = _boundary_mass(fld, radii)
+    Hs, rows = _boundary_mass(fld, radii)
     vol, hardy, trace_h, _ = _d_terms(fld, _plan_for(fld, radii), radii)
     Ds = radii ** (2.0 * params.s - params.N) * (
         vol - params.kappa * (params.lam * hardy + trace_h))
@@ -282,11 +278,9 @@ def frequency_trace(fld: ScalarField, radii) -> FrequencyTrace:
         warnings.warn("frequency dipped below -(N-2s)/2: "
                       "lam is likely inadmissible", RuntimeWarning)
 
-    if params.h is None:
-        g, d, c, fb = _fit_gamma(radii, ncal, None)
-    else:
-        delta = 2.0 * params.s - params.N / params.p
-        g, d, c, fb = _fit_gamma(radii, ncal, delta)
+    delta = (_remainder_exponent(fld, rows[0]) if params.h is None
+             else 2.0 * params.s - params.N / params.p)
+    g, d, c, fb = _fit_gamma(radii, ncal, delta)
     return FrequencyTrace(radii=radii, H=Hs, D=Ds, Ncal=ncal, gamma_hat=g,
                           fit_exponent=d, fit_coefficient=c, fit_fallback=fb)
 
@@ -327,22 +321,15 @@ class FourierTrace:
         return float((1.0 - frac) * y0 + frac * y1)
 
 
-def fourier_coeffs(fld: ScalarField, es: EigenSystem, taus) -> FourierTrace:
-    """Mode coefficients phi_j(tau) by hemisphere quadrature and the
-    cumulative perturbation integrals Upsilon_j(tau) of the field's h by
-    log-spaced radial quadrature of the cap-arc integrand.  A field at
-    another lam, or on a mesh of another size, s, grading or cap than the
-    eigen system's, raises DomainError."""
-    params = fld.params
-    if abs(params.lam - es.lam) > 1e-14:
-        raise DomainError("the field's lam does not match the eigen "
-                          "system's lam")
-    fm, em = fld.mesh, es.mesh
-    if ((fm.nt, fm.ntheta, fm.s, fm.grading, fm.cap)
-            != (em.nt, em.ntheta, em.s, em.grading, em.cap)):
-        raise DomainError("the field's mesh does not match the eigen "
-                          "system's mesh")
-
+def fourier_coeffs(fld: ScalarField, taus) -> FourierTrace:
+    """Mode coefficients phi_j(tau) on the field's eigen system by
+    hemisphere quadrature and the cumulative perturbation integrals
+    Upsilon_j(tau) of the field's h by log-spaced radial quadrature of the
+    cap-arc integrand.  A field without an eigen system raises
+    DomainError."""
+    params, es = fld.params, fld.es
+    if es is None:
+        raise DomainError("the field has no eigen system to project on")
     taus = np.sort(np.asarray(taus, dtype=float))
     if taus[0] <= 0.0 or taus[-1] > 1.0:
         raise DomainError("taus must lie in (0, 1]")

@@ -47,11 +47,9 @@ _Result = tuple[list[str], dict]       # a task's outputs and manifest notes
 
 def _write_csv(path: Path, header, rows) -> None:
     """Floats in round-trip format, for reproducible CSV bytes."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format(float(v), ".17g")
-                              if isinstance(v, float) else str(v)
-                              for v in row))
+    lines = [",".join(header)] + [
+        ",".join([format(v, ".17g") if isinstance(v, float) else str(v)
+                  for v in row]) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -147,35 +145,34 @@ def _task_scan(cfg: RunConfig, out: Path) -> _Result:
     return ["scan.csv", "scan_lambda.svg"], {}
 
 
-def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
+def _frequency_outputs(cfg: RunConfig, out: Path, fld) -> list[str]:
     radii = analyzer_radii(cfg.task_opts["r0"], cfg.task_opts["nradii"],
                            fld.core_radius)
     trace = frequency_trace(fld, radii)
     _write_csv(out / "frequency.csv", ["r", "H", "D", "Ncal"],
-               list(zip(map(float, radii), map(float, trace.H),
-                        map(float, trace.D), map(float, trace.Ncal))))
+               np.array([radii, trace.H, trace.D, trace.Ncal]).T.tolist())
     plot_svg(out / "frequency_ncal.svg", radii, trace.Ncal, "N(r)",
              xlabel="r", ylabel="N", logx=True,
              title="Almgren frequency")
 
-    ft = fourier_coeffs(fld, es, radii)
-    rows = []
-    for i, tau in enumerate(radii):
-        for pos, j in enumerate(ft.modes):
-            rows.append((float(tau), int(j) + 1, float(ft.phi[pos, i]),
-                         float(ft.ups[pos, i])))
-    _write_csv(out / "fourier.csv", ["tau", "j", "phi_j", "Upsilon_j"], rows)
+    ft, es = fourier_coeffs(fld, radii), fld.es
+    _write_csv(out / "fourier.csv", ["tau", "j", "phi_j", "Upsilon_j"],
+               [(tau, j + 1, phi, ups) for tau, phis, upss in zip(
+                   radii.tolist(), ft.phi.T.tolist(), ft.ups.T.tolist())
+                for j, phi, ups in zip(ft.modes.tolist(), phis, upss)])
 
     # dominant group at the smallest radius, amplitudes of its modes only
     # at the configured reference radii
     j0 = int(np.argmax(np.abs(ft.phi[:, 0])))
     gamma = float(es.gamma[j0])
     members = es.group_members(j0)
-    # the blow-up U(tau z) / sqrt(H(tau)) at the smallest radius, projected
-    # off j0's group
+    # the blow-up U(tau z) / sqrt(H(tau)) at the two smallest radii,
+    # projected off j0's group, and its log-slope between them
     off = es.group != es.group[j0]
-    blowup_off_group = math.sqrt(float(ft.phi[off, 0] @ ft.phi[off, 0])
-                                 / trace.H[0])
+    blowup = [math.sqrt(float(ft.phi[off, i] @ ft.phi[off, i]) / trace.H[i])
+              for i in (0, 1)]
+    blowup_rate = (math.log(blowup[1] / blowup[0])
+                   / math.log(radii[1] / radii[0]) if min(blowup) else None)
     group = replace(ft, modes=members, phi=ft.phi[members],
                     ups=ft.ups[members])
     rlist = cfg.task_opts["rlist"]
@@ -195,7 +192,8 @@ def _frequency_outputs(cfg: RunConfig, out: Path, fld, es) -> list[str]:
         "beta": {str(int(m) + 1): float(beta_ref[pos])
                  for pos, m in enumerate(members)},
         "betah_R_spread": max(spreads) if spreads else 0.0,
-        "blowup_off_group": blowup_off_group,
+        "blowup_off_group": blowup[0],
+        "blowup_rate": blowup_rate,
         "fit": {"exponent": trace.fit_exponent,
                 "coefficient": trace.fit_coefficient,
                 "fallback": trace.fit_fallback},
@@ -218,7 +216,7 @@ def _task_frequency(cfg: RunConfig, out: Path) -> _Result:
     es = _eigen_system(cfg, max(cfg.task_opts["k"], max(
         j for j, _ in cfg.task_opts["modes"]) + 1))
     fld = manufactured_field(es, cfg.task_opts["modes"])
-    return _frequency_outputs(cfg, out, fld, es), _eigen_notes(es)
+    return _frequency_outputs(cfg, out, fld), _eigen_notes(es)
 
 
 def _task_solve_ext(cfg: RunConfig, out: Path) -> _Result:
@@ -239,7 +237,7 @@ def _task_solve_ext(cfg: RunConfig, out: Path) -> _Result:
 
     fld = solve_extension(grid, cfg.params, lid, es=es)
     save_field(out / "field.bin", fld)
-    outputs = _frequency_outputs(cfg, out, fld, es)
+    outputs = _frequency_outputs(cfg, out, fld)
     meta = fld.meta
     return ["field.bin"] + outputs, {"lid_choice": lid_note,
                                      "inner_mode": meta["inner_mode"],

@@ -19,7 +19,8 @@ Fields come in two flavours: ``ManufacturedField`` (exact superpositions of
 homogeneous eigenprofiles, used as oracles) and ``GridField`` (solver
 output, radially interpolated with 4-point stencils on the uniform-in-log
 shell grid); both are coefficient rows over a table of sphere vectors, and
-both own their problem (``params``, h included) and their mesh (the cap).
+both own their problem (``params``, h included), their mesh (the cap) and
+the eigen system ``es`` their modes are read on.
 """
 
 from __future__ import annotations
@@ -158,12 +159,13 @@ class ScalarField:
     ``coefficients`` (one per radius) over a small ``table`` of hemisphere
     node vectors, so a sphere form x^T A y of samples is c^T (T A T^T) c on
     the ``grams``.  Below ``core_radius`` the field is a power of r.
-    ``params`` is the problem the field solves, h included, and ``mesh``
-    the hemisphere mesh whose forms the grams use.
+    ``params`` is the problem the field solves, h included, ``mesh`` the
+    hemisphere mesh whose forms the grams use and ``es`` its eigen system.
     """
 
     params: ProblemParams
     mesh: HemisphereMesh
+    es: EigenSystem | None
     core_radius = 0.0
 
     @cached_property
@@ -249,7 +251,8 @@ class GridField(ScalarField):
     """
 
     def __init__(self, grid: HalfBallGrid, values: np.ndarray,
-                 params: ProblemParams, meta: dict | None = None):
+                 params: ProblemParams, meta: dict | None = None,
+                 es: EigenSystem | None = None):
         grid.mesh.check_params(params)
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_surfaces, grid.mesh.n_nodes):
@@ -257,6 +260,7 @@ class GridField(ScalarField):
         self.grid = grid
         self.values = self.table = values
         self.params = params
+        self.es = es
         self.meta = dict(meta or {})
         self.core_radius = grid.r_min
         self._gamma_loc = None
@@ -482,7 +486,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
 
     The admissibility lam < Lambda(cap) is enforced through the eigen system
     ``es`` used for the modal bookkeeping, solved on the grid's mesh at the
-    same lam.
+    same lam; the returned field owns it.
     A = A0 - E H E^T, A0 inverted by ``_FastDiagPreconditioner``, H the h
     form on the free equator nodes E, b = -A u_D from the Dirichlet shells.
     Without h, x = A0^-1 b.  With h, CG solves (Z^-1 - H) y = Z^-1 t0 for
@@ -550,7 +554,7 @@ def solve_extension(grid: HalfBallGrid, params: ProblemParams,
             f"(relative residual {res:.3e}); check admissibility of lam = "
             f"{params.lam}")
 
-    fld = GridField(grid, u, params, meta={
+    fld = GridField(grid, u, params, es=es, meta={
         "inner_mode": inner_mode, "cg_iters": iters, "cg_residual": res})
     fld.grams = _grams(mesh, u, *parts.images, params.lam * params.kappa)
     return fld
@@ -578,12 +582,14 @@ def save_field(path, fld: GridField) -> None:
         fld.values.astype("<f8").tofile(fh)
 
 
-def load_field(path, params: ProblemParams | None = None) -> GridField:
+def load_field(path, params: ProblemParams | None = None,
+               es: EigenSystem | None = None) -> GridField:
     """Read a field written by ``save_field``.  A file whose header and
     payload disagree, that holds non-finite numbers, or whose shell radii
     are not geometric from the header's r_min to 1 raises DomainError, as
-    do ``params`` whose s or lam differ from the file's.  The field owns
-    ``params``, by default the file's s and lam without h."""
+    do ``params`` whose s or lam differ from the file's and an ``es`` at
+    another lam or mesh (size, s, grading or cap).  The field owns ``params``,
+    by default the file's s and lam without h, and ``es``, sharing its mesh."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC or len(raw) < _HEADER.size:
@@ -614,7 +620,14 @@ def load_field(path, params: ProblemParams | None = None) -> GridField:
     elif (params.s, params.lam) != (s, lam):
         raise DomainError(f"{path} holds a field for s = {s}, lam = {lam},"
                           f" not {params.s}, {params.lam}")
-    mesh = build_mesh(nt, ntheta, s, SphericalCap(cap_a, cap_b), grading)
+    cap = SphericalCap(cap_a, cap_b)
+    mesh = build_mesh(nt, ntheta, s, cap, grading) if es is None else es.mesh
+    if es is not None and (abs(es.lam - lam) > 1e-14 or (
+            mesh.nt, mesh.ntheta, mesh.s, mesh.grading, mesh.cap)
+            != (nt, ntheta, s, grading, cap)):
+        raise DomainError(f"{path} holds a field for lam = {lam} on a "
+                          f"{nt}x{ntheta} mesh; the eigen system's lam or "
+                          "mesh differs")
     grid = HalfBallGrid(r_nodes=r_nodes, mesh=mesh)
     return GridField(grid, data[n_surf:].reshape(n_surf, nt * ntheta),
-                     params)
+                     params, es=es)

@@ -164,7 +164,7 @@ def test_criterion_07_blowup_classification(half_es):
     # the blow-up U(tau z) / sqrt(H(tau)) at tau = 1e-2 has mode
     # coefficients phi_j(tau) / sqrt(H(tau))
     tau = 1e-2
-    phi = fourier_coeffs(fld, half_es, [tau]).phi[:, 0]
+    phi = fourier_coeffs(fld, [tau]).phi[:, 0]
     others = np.setdiff1d(np.arange(half_es.k), half_es.group_members(0))
     off = math.sqrt(np.sum(phi[others] ** 2)
                     / frequency_trace(fld, [tau]).H[0])
@@ -188,7 +188,7 @@ def test_criterion_08_end_to_end_extension():
     trace = frequency_trace(fld, radii)
     gamma_rel = abs(trace.gamma_hat - gamma1) / gamma1
 
-    ft = fourier_coeffs(fld, es, radii)
+    ft = fourier_coeffs(fld, radii)
     betas = [beta_coefficients(ft, gamma1, R)[0] for R in (0.3, 0.5, 0.7)]
     spread = (max(betas) - min(betas)) / max(abs(b) for b in betas)
 

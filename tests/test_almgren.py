@@ -45,7 +45,7 @@ def _D(fld, radii):
 def _off_group(fld, es, tau):
     """The blow-up U(tau z) / sqrt(H(tau)) projected off the first mode's
     multiplicity group, from the mode profiles and H at tau."""
-    phi = fourier_coeffs(fld, es, [tau]).phi[:, 0]
+    phi = fourier_coeffs(fld, [tau]).phi[:, 0]
     off = np.setdiff1d(np.arange(es.k), es.group_members(0))
     return math.sqrt(float(phi[off] @ phi[off]) / _H(fld, tau)[0])
 
@@ -174,21 +174,22 @@ def test_H_positive_enforced(half_es):
 @pytest.mark.parametrize("delta", [0.5, 2.0, 4.03])
 @pytest.mark.parametrize("c", [1.0, 1e-3, -0.3, 1e-6, 1e-8, -1e-8])
 def test_fit_recovers_synthetic_remainder(delta, c):
-    # N = gamma + c r^delta, exact up to rounding: the variable-projection
-    # fit recovers gamma and delta even when the remainder is tiny
+    # N = gamma + c r^delta, exact up to rounding: the fit at the given
+    # exponent recovers gamma and c even when the remainder is tiny
     radii = np.geomspace(0.1, 4.0, 40)
     for gamma in (0.4525991561320234, 1.5, -0.2):
-        g, d, coef, fallback = _fit_gamma(radii, gamma + c * radii ** delta)
+        g, d, coef, fallback = _fit_gamma(radii, gamma + c * radii ** delta,
+                                          delta)
         assert not fallback
         assert abs(g - gamma) <= 1e-12
-        assert abs(d - delta) <= 1e-6
         assert coef == pytest.approx(c, rel=1e-4)
 
 
 def test_fit_keeps_its_branches():
     radii = np.geomspace(1e-2, 0.8, 40)
     # a flat N has no remainder to fit
-    assert _fit_gamma(radii, np.full(40, 0.75)) == (0.75, None, 0.0, False)
+    assert _fit_gamma(radii, np.full(40, 0.75), 0.9) \
+        == (0.75, None, 0.0, False)
     # a pinned exponent is a linear fit
     g, d, c, fallback = _fit_gamma(radii, 0.3 - 2.0 * radii ** 0.9, 0.9)
     assert (d, fallback) == (0.9, False)
@@ -197,7 +198,52 @@ def test_fit_keeps_its_branches():
     # a non-finite N falls back to its smallest-radius value
     bad = 0.3 + radii
     bad[3] = np.nan
-    assert _fit_gamma(radii, bad) == (bad[0], None, None, True)
+    assert _fit_gamma(radii, bad, 0.9) == (bad[0], None, None, True)
+
+
+@pytest.mark.parametrize("where", [0, 5, 19])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fit_falls_back_on_a_non_finite_n(where, value):
+    # one non-finite N among the fitted radii, or no exponent at all, gives
+    # the smallest-radius value with the fallback set, never a NaN estimate
+    # reported as a fit
+    radii = np.geomspace(1e-2, 0.8, 40)
+    ncal = 0.3 - 2.0 * radii ** 0.9
+    assert _fit_gamma(radii, ncal, None) == (ncal[0], None, None, True)
+    ncal[where] = value
+    g, d, c, fallback = _fit_gamma(radii, ncal, 0.9)
+    assert (d, c, fallback) == (None, None, True)
+    assert g == ncal[0] or (math.isnan(g) and math.isnan(ncal[0]))
+
+
+def test_fit_exponent_is_the_order_gap_of_the_field(two_mode, half_es,
+                                                    solver_field_h0):
+    # without h, N - gamma_1 = (g4 - g1) 0.2^2 r^(2 (g4 - g1)) to leading
+    # order: the fit reads its exponent off the modes the field carries, so
+    # the estimate is exact to rounding
+    from conefrac.extension import GridField
+    g1, g4 = half_es.gamma[0], half_es.gamma[3]
+    trace = frequency_trace(two_mode,
+                            analyzer_radii(0.8, 40, two_mode.core_radius))
+    assert not trace.fit_fallback
+    assert trace.fit_exponent == pytest.approx(2.0 * (g4 - g1), rel=1e-14)
+    assert abs(trace.gamma_hat - g1) <= 1e-10
+    assert trace.fit_coefficient == pytest.approx((g4 - g1) * 0.2 ** 2,
+                                                  rel=1e-2)
+    # a field with no eigen system has no exponent to read: fallback
+    fld = solver_field_h0
+    bare = GridField(fld.grid, fld.values, fld.params)
+    radii = analyzer_radii(0.8, 40, bare.core_radius)
+    trace = frequency_trace(bare, radii)
+    assert (trace.fit_exponent, trace.fit_coefficient,
+            trace.fit_fallback) == (None, None, True)
+    assert trace.gamma_hat == trace.Ncal[0]
+    with pytest.raises(DomainError):
+        fourier_coeffs(bare, radii)
+    # nor has one with no group above the dominant mode's
+    top = manufactured_field(half_es, [(half_es.k - 1, 1.0)])
+    trace = frequency_trace(top, analyzer_radii(0.8, 40, 0.0))
+    assert (trace.fit_exponent, trace.fit_fallback) == (None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +267,7 @@ def test_blowup_two_mode_converges_to_leading(two_mode, pure, half_es):
 def test_blowup_off_group_projection(two_mode, half_es):
     assert _off_group(two_mode, half_es, 1e-2) <= 0.05
     # and the in-group projection is close to one
-    phi = fourier_coeffs(two_mode, half_es, [1e-2]).phi[0, 0]
+    phi = fourier_coeffs(two_mode, [1e-2]).phi[0, 0]
     assert abs(phi) / math.sqrt(_H(two_mode, 1e-2)[0]) == pytest.approx(
         1.0, abs=1e-3)
 
@@ -239,7 +285,7 @@ def test_blowup_validation(pure, half_es):
         with pytest.raises(DomainError):
             frequency_trace(pure, [tau])
         with pytest.raises(DomainError):
-            fourier_coeffs(pure, half_es, [tau])
+            fourier_coeffs(pure, [tau])
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +294,7 @@ def test_blowup_validation(pure, half_es):
 
 def test_fourier_pure_profile(pure, half_es):
     taus = analyzer_radii(0.8, 40, pure.core_radius)
-    ft = fourier_coeffs(pure, half_es, taus)
+    ft = fourier_coeffs(pure, taus)
     g = half_es.gamma[0]
     np.testing.assert_allclose(ft.phi[0], taus ** g, rtol=1e-10)
     assert np.abs(ft.phi[1:]).max() < 1e-8
@@ -257,7 +303,7 @@ def test_fourier_pure_profile(pure, half_es):
 
 def test_fourier_parseval(two_mode, half_es):
     taus = np.geomspace(1e-2, 0.8, 12)
-    ft = fourier_coeffs(two_mode, half_es, taus)
+    ft = fourier_coeffs(two_mode, taus)
     Hs = _H(two_mode, taus)
     for i, H in enumerate(Hs):
         partial = 0.0
@@ -269,30 +315,9 @@ def test_fourier_parseval(two_mode, half_es):
     np.testing.assert_allclose(recon, Hs, rtol=1e-10)
 
 
-def test_fourier_provenance_checks(half_es, half_params):
-    # a field solving the problem at another lam
-    bad_es = dataclasses.replace(
-        half_es, params=ProblemParams(s=half_params.s, lam=0.0))
-    with pytest.raises(DomainError):
-        fourier_coeffs(manufactured_field(bad_es, [(0, 1.0)]), half_es,
-                       [0.5])
-
-    # a field on another cap, projected on a mesh of the same size
-    def es_on(cap):
-        mesh = build_mesh(12, 24, half_params.s, cap)
-        return solve_eigs(mesh, half_params, k=3)
-
-    fld = manufactured_field(es_on(SphericalCap(0.0, math.pi)), [(0, 1.0)])
-    with pytest.raises(DomainError):
-        fourier_coeffs(fld, es_on(SphericalCap(0.5, 2.5)), [0.5])
-    # meshes are compared by value: one built anew on the same cap passes
-    ft = fourier_coeffs(fld, es_on(SphericalCap(0.0, math.pi)), [0.5])
-    assert ft.phi[0, 0] == pytest.approx(0.5 ** fld.gammas[0], rel=1e-12)
-
-
 def test_beta_pure_profile(pure, half_es):
     taus = analyzer_radii(0.8, 40, pure.core_radius)
-    ft = fourier_coeffs(pure, half_es, taus)
+    ft = fourier_coeffs(pure, taus)
     g = half_es.gamma[0]
     values = [beta_coefficients(ft, g, R)[0] for R in (0.3, 0.5, 0.7)]
     assert max(values) - min(values) < 1e-6
@@ -303,8 +328,7 @@ def test_beta_pure_profile(pure, half_es):
 
 
 def test_beta_validation(pure, half_es):
-    ft = fourier_coeffs(pure, half_es,
-                        analyzer_radii(0.8, 40, pure.core_radius))
+    ft = fourier_coeffs(pure, analyzer_radii(0.8, 40, pure.core_radius))
     with pytest.raises(DomainError):
         beta_coefficients(ft, 0.5, 1.5)
 
@@ -427,7 +451,7 @@ def test_solver_field_mode_ode_residual(solver_field, half_es, half_params):
     # below the homogeneous terms for a bounded perturbation)
     fld = solver_field
     taus = np.geomspace(0.15, 0.8, 120)
-    ft = fourier_coeffs(fld, half_es, taus)
+    ft = fourier_coeffs(fld, taus)
     x = np.log(taus)
     dx = x[1] - x[0]
     phi = ft.phi[0]
@@ -533,7 +557,7 @@ def _posed(fld, params):
         return ManufacturedField(
             es=dataclasses.replace(fld.es, params=params), modes=fld.modes,
             betas=fld.betas)
-    return GridField(fld.grid, fld.values, params)
+    return GridField(fld.grid, fld.values, params, es=fld.es)
 
 
 @pytest.mark.parametrize("kind", ["grid", "two_mode"])
@@ -579,7 +603,7 @@ def test_gram_path_matches_per_node_reference(kind, solver_field, two_mode,
         np.testing.assert_allclose([q.green_residual for q in reps], green,
                                    rtol=0, atol=rel)
 
-    ft = fourier_coeffs(_posed(fld, p), half_es, radii)
+    ft = fourier_coeffs(_posed(fld, p), radii)
     phi_ref = half_es.vectors @ (half_es.mesh.M @ v.T)
     np.testing.assert_allclose(ft.phi, phi_ref, rtol=0,
                                atol=rel * np.abs(phi_ref).max())

@@ -834,9 +834,77 @@ def test_summary_blowup_off_group_matches_the_csvs(tmp_path, task, text):
         fourier[:, 1], summary["multiplicity_group"]), 2]
     assert summary["blowup_off_group"] == pytest.approx(
         math.sqrt(np.sum(off ** 2) / H), rel=1e-12)
+    # its log-slope between the two smallest analyzer radii
+    tau2, H2 = np.loadtxt(out / "frequency.csv", delimiter=",",
+                          skiprows=1)[1, :2]
+    off2 = fourier[(fourier[:, 0] == tau2) & ~np.isin(
+        fourier[:, 1], summary["multiplicity_group"]), 2]
+    assert summary["blowup_rate"] == pytest.approx(math.log(
+        math.sqrt(np.sum(off2 ** 2) / H2) / summary["blowup_off_group"])
+        / math.log(tau2 / tau), rel=1e-9)
     if task == "frequency":
         assert tau == 1e-2
         assert summary["blowup_off_group"] <= 0.05
+
+
+def test_two_mode_run_fits_its_order_gap_and_reports_the_blowup_rate(
+        tmp_path):
+    # modes 1 and 4: N - gamma_1 decays as r^(2 (gamma_4 - gamma_1)) and the
+    # blow-up's off-group projection as r^(gamma_4 - gamma_1)
+    from conefrac.cli import _eigen_system
+    path = _write(tmp_path, "[params]\ns = 0.5\nlambda = 0.1\n"
+                  "[cone]\npreset = half\n"
+                  "[mesh]\nnt = 24\nntheta = 48\ngrading = 2.0\n"
+                  "[task]\nname = frequency\nk = 8\nmodes = 1:1.0, 4:0.2\n")
+    out = tmp_path / "out"
+    assert main(["frequency", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    gamma = _eigen_system(parse_config(path.read_text()), 8).gamma
+    delta = 2.0 * (gamma[3] - gamma[0])
+    assert summary["fit"]["exponent"] == pytest.approx(delta, rel=1e-14)
+    assert not summary["fit"]["fallback"]
+    assert abs(summary["gamma_hat"] - gamma[0]) <= 1e-10
+    assert abs(summary["blowup_rate"] - delta / 2.0) <= 1e-6
+    # one stored mode: no group above j0's to take the exponent from, and no
+    # off-group projection to take a rate of
+    path = _write(tmp_path, path.read_text().replace(
+        "k = 8\nmodes = 1:1.0, 4:0.2", "k = 1\nmodes = 1:1.0"), name="one.ini")
+    assert main(["frequency", "--config", str(path), "--out",
+                 str(tmp_path / "one")]) == 0
+    summary = json.loads((tmp_path / "one" / "summary.json").read_text())
+    assert summary["fit"] == {"exponent": None, "coefficient": None,
+                              "fallback": True}
+    assert summary["gamma_hat"] == np.loadtxt(
+        tmp_path / "one" / "frequency.csv", delimiter=",", skiprows=1)[0, 3]
+    assert (summary["blowup_off_group"], summary["blowup_rate"]) == (0.0, None)
+
+
+def test_solve_ext_without_h_fits_the_order_gap_of_its_modes(tmp_path):
+    # without h the remainder N - gamma_j0 decays as r^(2 (gamma_g -
+    # gamma_j0)), g the group above j0's with the largest leading term
+    # (gamma_g - gamma_j0) sum_g phi_j^2 at the smallest radius, read off the
+    # run's own eigen system and fourier.csv; a free-exponent scan over
+    # [0.05, 8] ended at 0.05 on this config, 2.44e-3 off gamma_eigen
+    from conefrac.cli import _eigen_system
+    path = _write(tmp_path, "[params]\ns = 0.5\nlambda = 0.1\n"
+                  "[cone]\npreset = half\n"
+                  "[mesh]\nnt = 24\nntheta = 48\ngrading = 2.0\nnr = 16\n"
+                  "rmin = 1e-3\n"
+                  "[task]\nname = solve-ext\nlid_mode = 1\nk = 8\n")
+    out = tmp_path / "out"
+    assert main(["solve-ext", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    es = _eigen_system(parse_config(path.read_text()), 8)
+    fourier = np.loadtxt(out / "fourier.csv", delimiter=",", skiprows=1)
+    phi = fourier[fourier[:, 0] == fourier[0, 0], 2]
+    j0 = summary["j0"] - 1
+    gaps = {g: es.gamma[es.group == g][0] - es.gamma[j0]
+            for g in range(es.group[j0] + 1, es.group[-1] + 1)}
+    g = max(gaps, key=lambda g: gaps[g] * np.sum(phi[es.group == g] ** 2))
+    fit = summary["fit"]
+    assert fit["exponent"] == pytest.approx(2.0 * gaps[g], rel=1e-14)
+    assert 0.05 < fit["exponent"] < 8.0 and not fit["fallback"]
+    assert abs(summary["gamma_hat"] - summary["gamma_eigen"]) <= 2e-4
 
 
 def test_cli_scan_csv_matches_svg_data(tmp_path):

@@ -149,6 +149,38 @@ def test_load_rejects_params_that_disagree_with_the_file(tmp_path,
         load_field(path, params)
 
 
+def test_load_checks_the_eigen_system_it_is_given(tmp_path, half_es,
+                                                  solver_field_h0):
+    from conefrac.almgren import fourier_coeffs, frequency_trace
+    fld = solver_field_h0
+    path = tmp_path / "field.bin"
+    save_field(path, fld)
+    # an eigen system at another lam
+    with pytest.raises(DomainError):
+        load_field(path, es=dataclasses.replace(
+            half_es, params=ProblemParams(s=fld.params.s, lam=0.0)))
+
+    # one on another cap, of the same size
+    def es_on(cap):
+        mesh = build_mesh(half_es.mesh.nt, half_es.mesh.ntheta, fld.params.s,
+                          cap, grading=half_es.mesh.grading)
+        return solve_eigs(mesh, fld.params, k=3)
+
+    with pytest.raises(DomainError):
+        load_field(path, es=es_on(SphericalCap(0.5, 2.5)))
+    # meshes are compared by value: one built anew on the same cap passes,
+    # and the loaded field shares it and projects as the solved field does
+    es = es_on(half_es.mesh.cap)
+    back = load_field(path, es=es)
+    assert back.es is es and back.mesh is es.mesh
+    radii = np.geomspace(0.05, 0.8, 6)
+    phi = fourier_coeffs(fld, radii).phi[:3]
+    np.testing.assert_allclose(fourier_coeffs(back, radii).phi, phi,
+                               rtol=0.0, atol=1e-12 * np.abs(phi).max())
+    assert load_field(path).es is None
+    assert frequency_trace(load_field(path), radii).fit_fallback
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
